@@ -98,15 +98,6 @@ def cantor_scalar_mul(n: int, a: CantorDivisor, curve: CanonicalCurve) -> Cantor
     return acc
 
 
-def cantor_order(a: CantorDivisor, curve: CanonicalCurve, bound: int = 400) -> int:
-    acc = a
-    for n in range(1, bound + 1):
-        if acc.degree() == 0:
-            return n
-        acc = cantor_add(acc, a, curve)
-    raise UnsupportedField(f"order exceeds bound {bound}")
-
-
 # ---------------------------------------------------------------------------
 # Mumford bridge
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import cantor
@@ -21,8 +20,8 @@ from .curves import (
     to_canonical,
     to_canonical_allow_extension,
 )
-from .divisors import divisor_from_json, divisor_to_json, jacobian_residuals
-from .errors import G2DivError, SerializationError
+from .divisors import divisor_from_json, divisor_to_json, is_on_jacobian, jacobian_residuals
+from .errors import G2DivError, OffCurve, SerializationError
 from .fields import GF
 from .grouplaw import add, double, scalar_mul
 from .torsion import emit_division_polynomials, find_n_torsion, is_torsion, four_torsion_residuals, three_torsion_mumford_residuals
@@ -45,6 +44,14 @@ def _load_canonical(path: str) -> CanonicalCurve:
     return curve
 
 
+def _load_divisor(path: str, curve: CanonicalCurve):
+    """A divisor file that must lie on the Jacobian of the curve."""
+    d = divisor_from_json(curve.field, _load_json(path))
+    if not is_on_jacobian(d, curve):
+        raise OffCurve(f"{path}: divisor is not on the Jacobian")
+    return d
+
+
 def _emit(obj, fmt: str):
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True))
@@ -58,17 +65,6 @@ def _render_text(obj, indent=""):
     if isinstance(obj, list):
         return "[" + ", ".join(str(_render_text(v)) for v in obj) + "]"
     return str(obj)
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("G2DIV_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SerializationError(f"G2DIV_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise SerializationError("G2DIV_THREADS must be >= 1")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -89,20 +85,17 @@ def _cmd_curve_transform(args) -> int:
 def _cmd_jac(args) -> int:
     curve = _load_canonical(args.curve)
     F = curve.field
-    if args.jac_verb == "add":
-        d1 = divisor_from_json(F, _load_json(args.divisors[0]))
-        d2 = divisor_from_json(F, _load_json(args.divisors[1]))
-        _emit(divisor_to_json(add(d1, d2, curve)), args.format)
+    if args.jac_verb != "verify":
+        ds = [_load_divisor(path, curve) for path in args.divisors]
+        if args.jac_verb == "add":
+            result = add(ds[0], ds[1], curve)
+        elif args.jac_verb == "double":
+            result = double(ds[0], curve)
+        else:
+            result = scalar_mul(args.n, ds[0], curve)
+        _emit(divisor_to_json(result), args.format)
         return 0
-    if args.jac_verb == "double":
-        d = divisor_from_json(F, _load_json(args.divisors[0]))
-        _emit(divisor_to_json(double(d, curve)), args.format)
-        return 0
-    if args.jac_verb == "mul":
-        d = divisor_from_json(F, _load_json(args.divisors[0]))
-        _emit(divisor_to_json(scalar_mul(args.n, d, curve)), args.format)
-        return 0
-    # verify
+    # verify reports the residuals of any parsable divisor, on the Jacobian or not
     d = divisor_from_json(F, _load_json(args.divisors[0]))
     if d.is_nonspecial():
         j8, j10 = jacobian_residuals(d, curve)
@@ -134,7 +127,7 @@ def _cmd_torsion(args) -> int:
             _emit(divisor_to_json(d), args.format)
         return 0
     # check
-    d = divisor_from_json(curve.field, _load_json(args.divisor))
+    d = _load_divisor(args.divisor, curve)
     ok = is_torsion(d, args.n, curve)
     payload = {"n": args.n, "is_torsion": ok}
     F = curve.field
@@ -189,8 +182,6 @@ def _cmd_oracle(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized subroutine (the shipped pipelines are deterministic)")
     common.add_argument("--format", choices=("json", "text"), default="json")
     ap = argparse.ArgumentParser(prog=PROG, description="genus-2 Jacobian arithmetic and torsion division polynomials")
     sub = ap.add_subparsers(dest="verb", required=True)
@@ -254,7 +245,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _threads_cap()
         return args.func(args)
     except G2DivError as exc:
         print(json.dumps(exc.payload(), sort_keys=True))

@@ -171,18 +171,16 @@ def to_canonical(g: GeneralCurve):
     """Reduce a general model to (CanonicalCurve, PointMap); the map sends
     points of g to points of the canonical curve."""
     F = g.field
-    if g.form == "I":
-        q = g.q_poly()
-        quarter = UniPoly(F, [c / 4 for c in (q * q).coeffs])
-        delta = g.p_poly() + quarter
-        lam = tuple(delta[4 - i] for i in range(5))
-        return CanonicalCurve(F, lam), _y_shift_map(q)
     if g.form == "II":
         return _canonicalize_degree6(F, g.p_poly())
-    # form III: shift to form II, then II -> canonical
+    # forms I and III: the shift y -> y - Q(x)/2 leaves -y^2 + P(x) + Q(x)^2/4
     q = g.q_poly()
     quarter = UniPoly(F, [c / 4 for c in (q * q).coeffs])
     delta = g.p_poly() + quarter
+    if g.form == "I":
+        lam = tuple(delta[4 - i] for i in range(5))
+        return CanonicalCurve(F, lam), _y_shift_map(q)
+    # form III: shift to form II, then II -> canonical
     if delta.degree() > 6:
         raise DegenerateCurve("Qbar too large: shifted model exceeds degree 6")
     coeffs = [delta[i] for i in range(7)]

@@ -80,10 +80,6 @@ class MumfordDivisor:
     def b5(self):
         return self.coords[3]
 
-    @property
-    def point(self):
-        return (self.coords[0], self.coords[1])
-
     def sort_key(self):
         order = {NEUTRAL: 0, SPECIAL: 1, NONSPECIAL: 2}[self.variant]
         return (order,) + tuple(self.field.sort_key(c) for c in self.coords)
@@ -127,12 +123,14 @@ def mumford_from_points(curve: CanonicalCurve, p1, p2) -> MumfordDivisor:
             b5 = -y1 + dy * x1
             return MumfordDivisor.nonspecial(F, a2, a4, b3, b5)
         raise InvolutionPair("points share x with opposite y; class is Neutral or Special")
-    a2 = -(x1 + x2)
-    a4 = x1 * x2
+    return MumfordDivisor.nonspecial(F, *_chord(x1, y1, x2, y2))
+
+
+def _chord(x1, y1, x2, y2):
+    """(a2, a4, b3, b5) of the support {(x1, y1), (x2, y2)}, x1 != x2: the
+    line y + b3*x + b5 through both points."""
     dx = x1 - x2
-    b3 = -(y1 - y2) / dx
-    b5 = (x2 * y1 - x1 * y2) / dx
-    return MumfordDivisor.nonspecial(F, a2, a4, b3, b5)
+    return -(x1 + x2), x1 * x2, -(y1 - y2) / dx, (x2 * y1 - x1 * y2) / dx
 
 
 def points_from_mumford(d: MumfordDivisor, curve: CanonicalCurve):
@@ -146,30 +144,19 @@ def points_from_mumford(d: MumfordDivisor, curve: CanonicalCurve):
         raise SerializationError("points_from_mumford needs a degree-2 divisor")
     F = d.field
     a2, a4, b3, b5 = d.coords
-    disc = a2 * a2 - 4 * a4
-    roots = F.sqrt(disc)
+    roots = F.sqrt(a2 * a2 - 4 * a4)
     if roots:
-        big, emb = F, None
-        r = roots[-1]
-        x1 = (-a2 + r) / 2
-        x2 = (-a2 - r) / 2
-        y1 = -(b3 * x1 + b5)
-        y2 = -(b3 * x2 + b5)
-        return (x1, y1), (x2, y2), big, emb
-    if F.order() is None:
-        raise MixedFields("irreducible over Q: no canonical quadratic extension")
-    p = F.characteristic
-    k = getattr(F, "k", 1)
-    big = GF(p, 2 * k)
-    emb = FieldEmbedding(F, big)
-    A2, A4 = emb.embed(a2), emb.embed(a4)
-    B3, B5 = emb.embed(b3), emb.embed(b5)
-    r = big.sqrt_exact(A2 * A2 - 4 * A4)
-    x1 = (-A2 + r) / 2
-    x2 = (-A2 - r) / 2
-    y1 = -(B3 * x1 + B5)
-    y2 = -(B3 * x2 + B5)
-    return (x1, y1), (x2, y2), big, emb
+        big, emb, r = F, None, roots[-1]
+    else:
+        if F.order() is None:
+            raise MixedFields("irreducible over Q: no canonical quadratic extension")
+        big = GF(F.characteristic, 2 * getattr(F, "k", 1))
+        emb = FieldEmbedding(F, big)
+        a2, a4, b3, b5 = (emb.embed(c) for c in d.coords)
+        r = big.sqrt_exact(a2 * a2 - 4 * a4)
+    x1 = (-a2 + r) / 2
+    x2 = (-a2 - r) / 2
+    return (x1, -(b3 * x1 + b5)), (x2, -(b3 * x2 + b5)), big, emb
 
 
 def jacobian_residuals(d: MumfordDivisor, curve: CanonicalCurve):
@@ -264,12 +251,6 @@ class PolyFunction:
                 t = t * y
             acc = acc + t
         return acc
-
-    def coefficient_of_weight(self, w: int) -> FieldElement:
-        for (wt, _, _), c in zip(self.monomials(), self.coeffs):
-            if wt == w:
-                return c
-        return self.field.zero
 
 
 def _det(field: Field, rows) -> FieldElement:
@@ -378,8 +359,8 @@ def build_polyfunction(curve: CanonicalCurve, points, weight: int) -> PolyFuncti
     inv = F.inv(top)
     coeffs = []
     for j in range(n):
-        sign = F.one if (n - 1 - j) % 2 == 0 else -F.one
-        coeffs.append(sign * minors[j] * inv)
+        c = minors[j] * inv
+        coeffs.append(c if (n - 1 - j) % 2 == 0 else -c)
     return PolyFunction(F, weight, tuple(coeffs))
 
 

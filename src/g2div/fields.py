@@ -24,16 +24,34 @@ EXCLUDED_CHARACTERISTICS = (2, 5)
 MAX_EXTENSION_DEGREE = 4
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 13 primes as bases.
+
+    A proof of primality for n < 3.3 * 10^24 (every composite below that
+    bound fails one of these bases); above it a strong probable-prime test.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -58,26 +76,12 @@ def _pmod_mul(a, b, p):
     return _pmod_trim(out)
 
 
-def _pmod_rem(a, m, p):
-    # remainder of a modulo monic m
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1] % p
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _pmod_trim(a)
-
-
 def _pmod_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
         inv = pow(b[-1], p - 2, p)
         monic = [(c * inv) % p for c in b]
-        a, b = b, _pmod_rem(a, monic, p)
+        a, b = b, _pmod_divmod(a, monic, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [(c * inv) % p for c in a]
@@ -87,11 +91,11 @@ def _pmod_gcd(a, b, p):
 def _pmod_powx(e: int, m, p):
     # x^e modulo monic m
     result = [1]
-    base = _pmod_rem([0, 1], m, p)
+    base = _pmod_divmod([0, 1], m, p)[1]
     while e:
         if e & 1:
-            result = _pmod_rem(_pmod_mul(result, base, p), m, p)
-        base = _pmod_rem(_pmod_mul(base, base, p), m, p)
+            result = _pmod_divmod(_pmod_mul(result, base, p), m, p)[1]
+        base = _pmod_divmod(_pmod_mul(base, base, p), m, p)[1]
         e >>= 1
     return result
 
@@ -172,6 +176,7 @@ class FieldSpec:
                 raise UnsupportedField(f"extension degree {self.k} outside 2..{MAX_EXTENSION_DEGREE}")
             if self.modulus is None or len(self.modulus) != self.k + 1:
                 raise UnsupportedField("modulus length must be k+1")
+            object.__setattr__(self, "modulus", tuple(m % self.p for m in self.modulus))
             if self.modulus[-1] % self.p != 1:
                 raise UnsupportedField("modulus must be monic")
             if not is_irreducible_mod_p(list(self.modulus), self.p):
@@ -379,8 +384,8 @@ class Field:
 class RationalField(Field):
     characteristic = 0
 
-    def __init__(self):
-        self.spec = FieldSpec("rational")
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
 
     def key(self):
         return ("rational",)
@@ -438,10 +443,10 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    def __init__(self, p: int):
-        self.spec = FieldSpec("prime", p=p)
-        self.p = p
-        self.characteristic = p
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        self.p = spec.p
+        self.characteristic = spec.p
 
     def key(self):
         return ("prime", self.p)
@@ -539,14 +544,12 @@ def tonelli_shanks(n: int, p: int) -> int:
 class ExtensionField(Field):
     """F_{p^k} as F_p[t]/(m(t)); values are reduced coefficient tuples."""
 
-    def __init__(self, p: int, k: int, modulus=None):
-        if modulus is None:
-            modulus = tuple(find_irreducible(p, k))
-        self.spec = FieldSpec("extension", p=p, k=k, modulus=tuple(m % p for m in modulus))
-        self.p = p
-        self.k = k
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        self.p = p = spec.p
+        self.k = k = spec.k
         self.characteristic = p
-        self.modulus = self.spec.modulus
+        self.modulus = spec.modulus
         # reduction table: _red[i] represents t^(k+i) as a degree < k vector
         self._red = [tuple((-m) % p for m in self.modulus[:-1])]
         for _ in range(k - 2):
@@ -722,11 +725,11 @@ def make_field(spec: FieldSpec) -> Field:
     keyed = (spec.kind, spec.p, spec.k, spec.modulus)
     if keyed not in _FIELD_CACHE:
         if spec.kind == "rational":
-            _FIELD_CACHE[keyed] = RationalField()
+            _FIELD_CACHE[keyed] = RationalField(spec)
         elif spec.kind == "prime":
-            _FIELD_CACHE[keyed] = PrimeField(spec.p)
+            _FIELD_CACHE[keyed] = PrimeField(spec)
         else:
-            _FIELD_CACHE[keyed] = ExtensionField(spec.p, spec.k, spec.modulus)
+            _FIELD_CACHE[keyed] = ExtensionField(spec)
     return _FIELD_CACHE[keyed]
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .curves import CanonicalCurve, GeneralCurve
 from .divisors import (
     MumfordDivisor,
+    _chord,
     build_polyfunction,
     mumford_from_points,
     negate,
@@ -37,6 +38,7 @@ from .errors import (
     SupportOverlap,
 )
 from .series import taylor_on_curve
+from .unipoly import UniPoly
 
 
 @dataclass(frozen=True)
@@ -79,26 +81,56 @@ def addition_system(P: MumfordDivisor, Q: MumfordDivisor):
     return rows, consts
 
 
+def _difference(P: MumfordDivisor, Q: MumfordDivisor):
+    """(dA2, dA4, dB3, dB5, det) of two degree-2 divisors; det = 0 is the
+    singular gamma matrix (the sum is special, or the supports overlap)."""
+    a2p, a4p, b3p, b5p = P.coords
+    a2q, a4q, b3q, b5q = Q.coords
+    dA2, dA4 = a2p - a2q, a4p - a4q
+    dB3, dB5 = b3p - b3q, b5p - b5q
+    return dA2, dA4, dB3, dB5, dA4 * dB3 - dB5 * dA2
+
+
+def _gamma_r6(D: MumfordDivisor, g1, g2) -> GammaR6:
+    """Back-substitute g4, g6 through the support rows of D."""
+    a2, a4, b3, b5 = D.coords
+    g4 = a2 * g2 + b3 * g1 - (a2 * a2 - a4)
+    g6 = a4 * g2 + b5 * g1 - a2 * a4
+    return GammaR6(g1, g2, g4, g6)
+
+
 def gamma_add(P: MumfordDivisor, Q: MumfordDivisor) -> GammaR6:
     """Interpolation coefficients for two divisors with disjoint support.
 
     Explicit 2x2 elimination of the 4x4 system; raises when the matrix is
     singular (the sum is special, or supports overlap)."""
     F = P.field
-    a2p, a4p, b3p, b5p = P.coords
-    a2q, a4q, b3q, b5q = Q.coords
-    dA2, dA4 = a2p - a2q, a4p - a4q
-    dB3, dB5 = b3p - b3q, b5p - b5q
-    det = dA4 * dB3 - dB5 * dA2
+    dA2, dA4, dB3, dB5, det = _difference(P, Q)
     if F.is_zero(det):
         raise SingularInterpolation("gamma matrix singular")
+    a2p, a4p = P.coords[:2]
+    a2q, a4q = Q.coords[:2]
     v1 = a2p * a4p - a2q * a4q
     v2 = a2p * a2p - a2q * a2q - a4p + a4q
     g2 = (dB3 * v1 - dB5 * v2) / det
     g1 = (dA4 * v2 - dA2 * v1) / det
-    g6 = a4p * g2 + b5p * g1 - a2p * a4p
-    g4 = a2p * g2 + b3p * g1 - (a2p * a2p - a4p)
-    return GammaR6(g1, g2, g4, g6)
+    return _gamma_r6(P, g1, g2)
+
+
+def _y1y2(a2, a4, b3, b5):
+    """N = y1*y2 of the support in Mumford coordinates."""
+    return b3 * b3 * a4 - a2 * b3 * b5 + b5 * b5
+
+
+def _tangent_numerators(a2, a4, b3, b5, l2, l4, l6, l8):
+    """(2N*b3', 2N*(b5' + b3)) from the symmetric difference quotients of P'.
+
+    Plain ring arithmetic, so field elements and weighted polynomials both
+    go through this one transcription."""
+    A = a4 * (5 * (a2 * a2 - a4) - 4 * l2 * a2 + 3 * l4) - l8
+    B = 5 * (2 * a2 * a4 - a2 ** 3) + 4 * l2 * (a2 * a2 - a4) - 3 * l4 * a2 + 2 * l6
+    C = a4 * a4 * (4 * l2 - 5 * a2) - 2 * l6 * a4 + l8 * a2
+    return b3 * A + b5 * B, -(b3 * C + b5 * A)
 
 
 def tangent_data(curve: CanonicalCurve, D: MumfordDivisor) -> TangentData:
@@ -109,21 +141,25 @@ def tangent_data(curve: CanonicalCurve, D: MumfordDivisor) -> TangentData:
     support has distinct x and no branch point."""
     F = curve.field
     a2, a4, b3, b5 = D.coords
-    l2, l4, l6, l8 = curve.lam[:4]
-    n = b3 * b3 * a4 - a2 * b3 * b5 + b5 * b5  # = y1*y2
+    n = _y1y2(a2, a4, b3, b5)
     if F.is_zero(n):
         raise BranchPointInSupport("branch point in support: slopes undefined")
-    A = a4 * (5 * (a2 * a2 - a4) - 4 * l2 * a2 + 3 * l4) - l8
-    B = 5 * (2 * a2 * a4 - a2 ** 3) + 4 * l2 * (a2 * a2 - a4) - 3 * l4 * a2 + 2 * l6
-    C = a4 * a4 * (4 * l2 - 5 * a2) - 2 * l6 * a4 + l8 * a2
+    num3, num5 = _tangent_numerators(a2, a4, b3, b5, *curve.lam[:4])
     inv2n = F.inv(n + n)
-    b3p = (b3 * A + b5 * B) * inv2n
-    b5p = -(b3 * C + b5 * A) * inv2n - b3
-    return TangentData(F.element(-2), -a2, b3p, b5p)
+    return TangentData(F.element(-2), -a2, num3 * inv2n, num5 * inv2n - b3)
+
+
+def _slope_tangent(F, p1, p2, s1, s2) -> TangentData:
+    """Tangent data from the slopes s1, s2 at two support points, x1 != x2."""
+    (x1, y1), (x2, y2) = p1, p2
+    dx = x1 - x2
+    b3p = -(s1 - s2) / dx
+    b5p = (s1 * x2 - s2 * x1) / dx + (y1 - y2) / dx
+    return TangentData(F.element(-2), x1 + x2, b3p, b5p)
 
 
 def tangent_data_from_points(curve: CanonicalCurve, p1, p2) -> TangentData:
-    """Slope-based variant (used for cross-checks and the extended laws)."""
+    """Slope-based variant (used for cross-checks)."""
     F = curve.field
     (x1, y1), (x2, y2) = p1, p2
     if F.is_zero(y1) or F.is_zero(y2):
@@ -132,32 +168,41 @@ def tangent_data_from_points(curve: CanonicalCurve, p1, p2) -> TangentData:
         raise SameDivisor("pointwise tangent data needs x1 != x2")
     s1 = curve.dp_at(x1) / (y1 + y1)
     s2 = curve.dp_at(x2) / (y2 + y2)
-    dx = x1 - x2
-    b3p = -(s1 - s2) / dx
-    b5p = (s1 * x2 - s2 * x1) / dx + (y1 - y2) / dx
-    return TangentData(F.element(-2), x1 + x2, b3p, b5p)
+    return _slope_tangent(F, p1, p2, s1, s2)
+
+
+def _duplication_denominator(a2, tang: TangentData):
+    """2*b5' - a2*b3': zero exactly when 2Q is a single point."""
+    return tang.b5p + tang.b5p - a2 * tang.b3p
 
 
 def gamma_double(Q: MumfordDivisor, tang: TangentData) -> GammaR6:
     """Duplication coefficients from the derivative data."""
     F = Q.field
-    a2, a4, b3, b5 = Q.coords
-    den = tang.b5p + tang.b5p - a2 * tang.b3p
+    a2, a4 = Q.coords[:2]
+    den = _duplication_denominator(a2, tang)
     if F.is_zero(den):
         raise GammaUndefined("duplication denominator vanishes: 2Q is special")
     inv = F.inv(den)
     g2 = (3 * a2 * tang.b5p - (a2 * a2 + 2 * a4) * tang.b3p) * inv
     g1 = (a2 * a2 - 4 * a4) * inv
-    g6 = a4 * g2 + b5 * g1 - a2 * a4
-    g4 = a2 * g2 + b3 * g1 - (a2 * a2 - a4)
-    return GammaR6(g1, g2, g4, g6)
+    return _gamma_r6(Q, g1, g2)
 
 
-def _sum_alpha(F, a2p, a2q, a4p, a4q, g: GammaR6, l2):
+def _sum_alpha(a2p, a2q, a4p, a4q, g: GammaR6, l2, nu1=None, nu3=None):
+    """Alpha coordinates of the sum from the weight-6 gammas.
+
+    On a form-I model y^2 - y*Q(x) = P(x) pass l2 = nu2 and the cross-term
+    coefficients nu1, nu3: they add nu1*g1 to 2*g2 - g1^2 and
+    (nu1*g2 + nu3)*g1 to the a4 law."""
     s = g.g2 + g.g2 - g.g1 * g.g1
+    c = -l2 * g.g1
+    if nu1 is not None:
+        s = s + nu1 * g.g1
+        c = c + nu1 * g.g2 + nu3
     a2s = -a2p - a2q + s
     a4s = (-a4p - a4q + a2p * a2p + a2p * a2q + a2q * a2q
-           - (a2p + a2q) * s + g.g4 + g.g4 + g.g2 * g.g2 - l2 * g.g1 * g.g1)
+           - (a2p + a2q) * s + g.g4 + g.g4 + g.g2 * g.g2 + c * g.g1)
     return a2s, a4s
 
 def _sum_beta(F, a2s, a4s, g: GammaR6):
@@ -165,6 +210,27 @@ def _sum_beta(F, a2s, a4s, g: GammaR6):
     b3s = -(a2s * a2s - a4s - g.g2 * a2s + g.g4) * inv
     b5s = -(a2s * a4s - g.g2 * a4s + g.g6) * inv
     return b3s, b5s
+
+
+def _nonspecial_sum(P: MumfordDivisor, Q: MumfordDivisor, g: GammaR6,
+                    curve: CanonicalCurve) -> MumfordDivisor:
+    """The degree-2 sum of P and Q from their weight-6 gammas."""
+    F = curve.field
+    a2s, a4s = _sum_alpha(P.a2, Q.a2, P.a4, Q.a4, g, curve.lam[0])
+    return MumfordDivisor.nonspecial(F, a2s, a4s, *_sum_beta(F, a2s, a4s, g))
+
+
+def _weight5_sum(F, g: GammaR5, a2_sum, l2) -> MumfordDivisor:
+    """The single point left on y + g1*x^2 + g3*x + g5 by a known support
+    whose x-coordinates sum to -a2_sum (the quintic's roots sum to g1^2 - l2)."""
+    xs = a2_sum + g.g1 * g.g1 - l2
+    ys = g.g1 * xs * xs + g.g3 * xs + g.g5
+    return MumfordDivisor.special(F, xs, ys)
+
+
+def _weight5_nonspecial(F, g: GammaR5, a2s, a4s) -> MumfordDivisor:
+    """The degree-2 sum with alpha (a2s, a4s) on y + g1*x^2 + g3*x + g5."""
+    return MumfordDivisor.nonspecial(F, a2s, a4s, g.g1 * a2s - g.g3, g.g1 * a4s - g.g5)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +264,7 @@ def add_special(P: MumfordDivisor, q_point, curve: CanonicalCurve) -> MumfordDiv
     l2, l4 = curve.lam[0], curve.lam[1]
     a2s = -a2 + xq + l2 - g1 * g1
     a4s = -a4 + a2 * a2 + (xq - a2) * (xq + l2 - g1 * g1) + l4 - 2 * g1 * g3
-    b3s = g1 * a2s - g3
-    b5s = g1 * a4s - g5
-    return MumfordDivisor.nonspecial(F, a2s, a4s, b3s, b5s)
+    return _weight5_nonspecial(F, GammaR5(g1, g3, g5), a2s, a4s)
 
 
 def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
@@ -209,11 +273,7 @@ def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) 
     Requires the weight-5 consistency condition (equivalently, the singular
     gamma matrix of the generic solve)."""
     F = curve.field
-    a2p, a4p, b3p, b5p = P.coords
-    a2q, a4q, b3q, b5q = Q.coords
-    dA2, dA4 = a2p - a2q, a4p - a4q
-    dB3, dB5 = b3p - b3q, b5p - b5q
-    det = dA4 * dB3 - dB5 * dA2
+    dA2, dA4, dB3, dB5, det = _difference(P, Q)
     if not F.is_zero(det):
         raise ConditionViolated("sum is not special: use the generic addition")
     if not F.is_zero(dA2):
@@ -222,12 +282,9 @@ def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) 
         g1 = -dB5 / dA4
     else:
         raise SupportOverlap("identical x-support: not an add_to_special instance")
-    g3 = a2p * g1 + b3p
-    g5 = a4p * g1 + b5p
-    l2 = curve.lam[0]
-    xs = a2p + a2q + g1 * g1 - l2
-    ys = g1 * xs * xs + g3 * xs + g5
-    return MumfordDivisor.special(F, xs, ys)
+    a2p, a4p, b3p, b5p = P.coords
+    gam = GammaR5(g1, a2p * g1 + b3p, a4p * g1 + b5p)
+    return _weight5_sum(F, gam, a2p + Q.a2, curve.lam[0])
 
 
 def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve,
@@ -237,15 +294,12 @@ def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve,
     if tang is None:
         tang = tangent_data(curve, Q)
     a2, a4, b3, b5 = Q.coords
-    if not F.is_zero(tang.b5p + tang.b5p - a2 * tang.b3p):
+    if not F.is_zero(_duplication_denominator(a2, tang)):
         raise ConditionViolated("2Q is not special: use the generic doubling")
     g1 = tang.b3p / 2
     g3 = (2 * b3 + a2 * tang.b3p) / 2
     g5 = (2 * b5 + a4 * tang.b3p) / 2
-    l2 = curve.lam[0]
-    xs = a2 + a2 + g1 * g1 - l2
-    ys = g1 * xs * xs + g3 * xs + g5
-    return MumfordDivisor.special(F, xs, ys)
+    return _weight5_sum(F, GammaR5(g1, g3, g5), a2 + a2, curve.lam[0])
 
 
 # ---------------------------------------------------------------------------
@@ -275,49 +329,23 @@ def _extract_complement(curve: CanonicalCurve, gam, points, weight: int) -> Mumf
     support roots; what is left is the complement divisor, and the reduced
     sum is its negative."""
     F = curve.field
-    p_coeffs = list(curve.px().coeffs)
     if weight == 6:
-        # sextic (x^3+g2 x^2+g4 x+g6)^2 - g1^2 P(x) = prod (x - x_i) * (x^2 + a2* x + a4*)
-        cubic = [gam.g6, gam.g4, gam.g2, F.one]
-        sq = _poly_mul(F, cubic, cubic)  # length 7
-        g1sq = gam.g1 * gam.g1
-        rem = [a - g1sq * b for a, b in zip(sq, p_coeffs + [F.zero])]
+        # (x^3+g2 x^2+g4 x+g6)^2 - g1^2 P(x) = prod (x - x_i) * (x^2 + a2* x + a4*)
+        cubic = UniPoly(F, [gam.g6, gam.g4, gam.g2, F.one])
+        norm = cubic * cubic - curve.px().scale(gam.g1 * gam.g1)
     else:
         # quintic P(x) - (g1 x^2 + g3 x + g5)^2
-        quad = [gam.g5, gam.g3, gam.g1]
-        sq = _poly_mul(F, quad, quad)  # length 5
-        rem = [a - b for a, b in zip(p_coeffs, sq + [F.zero])]
+        quad = UniPoly(F, [gam.g5, gam.g3, gam.g1])
+        norm = curve.px() - quad * quad
     for (x0, _) in points:
-        rem = _synth_div(F, rem, x0)
-    if len(rem) == 3:
-        a2s, a4s = rem[1], rem[0]
+        norm = norm.exact_div(UniPoly(F, [-x0, F.one]))
+    if norm.degree() == 2:
+        a2s, a4s = norm[1], norm[0]
         if weight == 6:
-            b3s, b5s = _sum_beta(F, a2s, a4s, gam)
-        else:
-            b3s = gam.g1 * a2s - gam.g3
-            b5s = gam.g1 * a4s - gam.g5
-        return MumfordDivisor.nonspecial(F, a2s, a4s, b3s, b5s)
-    xs = -rem[0]
-    ys = gam.g1 * xs * xs + gam.g3 * xs + gam.g5
-    return MumfordDivisor.special(F, xs, ys)
-
-
-def _poly_mul(F, a, b):
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _synth_div(F, coeffs, root):
-    """Exact quotient of an ascending-coefficient list by (x - root)."""
-    n = len(coeffs) - 1
-    q = [F.zero] * n
-    q[n - 1] = coeffs[n]
-    for i in range(n - 1, 0, -1):
-        q[i - 1] = coeffs[i] + root * q[i]
-    return q
+            return MumfordDivisor.nonspecial(F, a2s, a4s, *_sum_beta(F, a2s, a4s, gam))
+        return _weight5_nonspecial(F, gam, a2s, a4s)
+    # weight 5 through four points: the root left is (g1^2 - l2) - sum of x_i
+    return _weight5_sum(F, gam, -sum((x for x, _ in points), F.zero), curve.lam[0])
 
 
 def _reduce_point_multiset(curve: CanonicalCurve, points) -> MumfordDivisor:
@@ -412,10 +440,7 @@ def add_traced(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve):
         gam = gamma_add(P, Q)
     except SingularInterpolation:
         return add_to_special(P, Q, curve), "add_to_special"
-    a2s, a4s = _sum_alpha(F, P.coords[0], Q.coords[0], P.coords[1], Q.coords[1],
-                          gam, curve.lam[0])
-    b3s, b5s = _sum_beta(F, a2s, a4s, gam)
-    return MumfordDivisor.nonspecial(F, a2s, a4s, b3s, b5s), "generic"
+    return _nonspecial_sum(P, Q, gam, curve), "generic"
 
 
 def _shared_x(P, Q, curve) -> bool:
@@ -450,35 +475,24 @@ def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
     a2, a4, b3, b5 = Q.coords
     if F.is_zero(b3) and F.is_zero(b5):
         return MumfordDivisor.neutral(F), "double"  # two branch points
-    n = b3 * b3 * a4 - a2 * b3 * b5 + b5 * b5  # y1*y2
-    if F.is_zero(n):
+    if F.is_zero(a2 * a2 - 4 * a4):
+        return _double_repeated(Q, curve)  # a repeated point is never a branch point
+    try:
+        tang = tangent_data(curve, Q)
+    except BranchPointInSupport:
         # exactly one branch point: 2Q ~ 2*(other point)
         other = _non_branch_point(Q, curve)
         return mumford_from_points(curve, other, other), "double"
-    disc = a2 * a2 - 4 * a4
-    if F.is_zero(disc):
-        return _double_repeated(Q, curve)
-    tang = tangent_data(curve, Q)
-    den = tang.b5p + tang.b5p - a2 * tang.b3p
-    if F.is_zero(den):
+    try:
+        gam = gamma_double(Q, tang)
+    except GammaUndefined:
         return double_to_special(Q, curve, tang), "double_to_special"
-    gam = gamma_double(Q, tang)
-    a2s, a4s = _sum_alpha(F, a2, a2, a4, a4, gam, curve.lam[0])
-    b3s, b5s = _sum_beta(F, a2s, a4s, gam)
-    return MumfordDivisor.nonspecial(F, a2s, a4s, b3s, b5s), "double"
+    return _nonspecial_sum(Q, Q, gam, curve), "double"
 
 
 def _non_branch_point(Q, curve):
-    F = curve.field
-    a2, a4 = Q.coords[0], Q.coords[1]
-    r = F.sqrt(a2 * a2 - 4 * a4)
-    if not r:
-        raise BranchPointInSupport("irreducible support cannot hold a single branch point")
-    x1 = (-a2 + r[-1]) / 2
-    x2 = (-a2 - r[-1]) / 2
-    xo = x2 if F.is_zero(curve.p_at(x1)) else x1
-    yo = -(Q.coords[2] * xo + Q.coords[3])
-    return (xo, yo)
+    p1, p2 = _support_points(Q, curve)
+    return p2 if curve.field.is_zero(p1[1]) else p1
 
 
 def _double_repeated(Q: MumfordDivisor, curve: CanonicalCurve):
@@ -495,20 +509,11 @@ def _double_repeated(Q: MumfordDivisor, curve: CanonicalCurve):
     r2, r3 = r[2], r[3]
     if F.is_zero(r3):
         g1 = -r2
-        g3 = b3 + g1 * a2
-        g5 = b5 + g1 * a4
-        l2 = curve.lam[0]
-        xr = a2 + a2 + g1 * g1 - l2
-        yr = g1 * xr * xr + g3 * xr + g5
-        return MumfordDivisor.special(F, xr, yr), "double_to_special"
+        gam = GammaR5(g1, b3 + g1 * a2, b5 + g1 * a4)
+        return _weight5_sum(F, gam, a2 + a2, curve.lam[0]), "double_to_special"
     g1 = -F.inv(r3)
-    g2 = a2 - xs - g1 * r2
-    g4 = a2 * g2 + b3 * g1 - (a2 * a2 - a4)
-    g6 = a4 * g2 + b5 * g1 - a2 * a4
-    gam = GammaR6(g1, g2, g4, g6)
-    a2s, a4s = _sum_alpha(F, a2, a2, a4, a4, gam, curve.lam[0])
-    b3s, b5s = _sum_beta(F, a2s, a4s, gam)
-    return MumfordDivisor.nonspecial(F, a2s, a4s, b3s, b5s), "double"
+    gam = _gamma_r6(Q, g1, a2 - xs - g1 * r2)
+    return _nonspecial_sum(Q, Q, gam, curve), "double"
 
 
 def add(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
@@ -546,16 +551,11 @@ def _extended_slope(g: GeneralCurve, x, y):
     return num / den
 
 
-def _pair_coords(F, pp):
+def _pair_divisor(F, pp) -> MumfordDivisor:
     (x1, y1), (x2, y2) = pp
     if x1 == x2:
         raise SameDivisor("extended law needs distinct x in each pair")
-    a2 = -(x1 + x2)
-    a4 = x1 * x2
-    dx = x1 - x2
-    b3 = -(y1 - y2) / dx
-    b5 = (x2 * y1 - x1 * y2) / dx
-    return a2, a4, b3, b5
+    return MumfordDivisor.nonspecial(F, *_chord(x1, y1, x2, y2))
 
 
 def add_extended_alpha(g: GeneralCurve, pp, qq=None):
@@ -566,37 +566,15 @@ def add_extended_alpha(g: GeneralCurve, pp, qq=None):
     if g.form != "I":
         raise MixedFields("extended alpha law applies to form I models")
     F = g.field
-    n1, n2, n3 = g.nu[0], g.nu[1], g.nu[2]
     for (x, y) in (list(pp) + (list(qq) if qq else [])):
         if not g.on_curve((x, y)):
             raise OffCurve("point not on the extended curve")
-    a2p, a4p, b3p, b5p = _pair_coords(F, pp)
+    P = _pair_divisor(F, pp)
     if qq is None:
-        (x1, y1), (x2, y2) = pp
-        s1 = _extended_slope(g, x1, y1)
-        s2 = _extended_slope(g, x2, y2)
-        dx = x1 - x2
-        b3d = -(s1 - s2) / dx
-        b5d = (s1 * x2 - s2 * x1) / dx + (y1 - y2) / dx
-        den = b5d + b5d - a2p * b3d
-        if F.is_zero(den):
-            raise GammaUndefined("extended duplication lands on a single point")
-        inv = F.inv(den)
-        g2 = (3 * a2p * b5d - (a2p * a2p + 2 * a4p) * b3d) * inv
-        g1 = (a2p * a2p - 4 * a4p) * inv
-        g4 = a2p * g2 + b3p * g1 - (a2p * a2p - a4p)
-        s = g2 + g2 - g1 * g1 + n1 * g1
-        a2s = -2 * a2p + s
-        a4s = (-2 * a4p + 3 * a2p * a2p - 2 * a2p * s
-               + g4 + g4 + g2 * g2 + (n1 * g2 - n2 * g1 + n3) * g1)
-        return a2s, a4s
-    a2q, a4q, b3q, b5q = _pair_coords(F, qq)
-    P = MumfordDivisor.nonspecial(F, a2p, a4p, b3p, b5p)
-    Q = MumfordDivisor.nonspecial(F, a2q, a4q, b3q, b5q)
-    gam = gamma_add(P, Q)
-    s = gam.g2 + gam.g2 - gam.g1 * gam.g1 + n1 * gam.g1
-    a2s = -a2p - a2q + s
-    a4s = (-a4p - a4q + a2p * a2p + a2p * a2q + a2q * a2q
-           - (a2p + a2q) * s + gam.g4 + gam.g4 + gam.g2 * gam.g2
-           + (n1 * gam.g2 - n2 * gam.g1 + n3) * gam.g1)
-    return a2s, a4s
+        Q = P
+        s1, s2 = (_extended_slope(g, x, y) for x, y in pp)
+        gam = gamma_double(P, _slope_tangent(F, pp[0], pp[1], s1, s2))
+    else:
+        Q = _pair_divisor(F, qq)
+        gam = gamma_add(P, Q)
+    return _sum_alpha(P.a2, Q.a2, P.a4, Q.a4, gam, g.nu[1], g.nu[0], g.nu[2])

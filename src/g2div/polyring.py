@@ -101,14 +101,6 @@ class WeightedPoly:
     def coefficient(self, exp) -> FieldElement:
         return self._terms.get(tuple(exp), self.ring.field.zero)
 
-    def constant_value(self) -> FieldElement:
-        """The value of a degree-0 polynomial."""
-        if self.is_zero():
-            return self.ring.field.zero
-        if len(self._terms) == 1 and self.ring._zero_exp in self._terms:
-            return self._terms[self.ring._zero_exp]
-        raise ValueError("polynomial is not constant")
-
     def weighted_degree(self):
         if not self._terms:
             return NEG_INF

@@ -87,17 +87,12 @@ class TruncatedSeries:
 
     def __eq__(self, other):
         n = min(self.order, other.order)
-        return all(_eq(a, b) for a, b in zip(self.coeffs[:n], other.coeffs[:n]))
+        return all(bool(a == b) for a, b in zip(self.coeffs[:n], other.coeffs[:n]))
 
     __hash__ = None
 
     def __repr__(self):
         return f"Series({self.coeffs}, O(t^{self.order}))"
-
-
-def _eq(a, b):
-    r = a == b
-    return bool(r)
 
 
 def taylor_on_curve(field, px_coeffs, x0, y0, order: int):

@@ -27,7 +27,16 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import Field, FieldEmbedding, GF, QQ
-from .grouplaw import double_traced, gamma_double, scalar_mul, tangent_data
+from .grouplaw import (
+    _sum_alpha,
+    _tangent_numerators,
+    _y1y2,
+    double_to_special,
+    double_traced,
+    gamma_double,
+    scalar_mul,
+    tangent_data,
+)
 from .polyring import PolyRing, WeightedPoly
 
 MUMFORD_VARS = ("a2", "a4", "b3", "b5", "l2", "l4", "l6", "l8", "l10")
@@ -101,13 +110,8 @@ def three_torsion_mumford_residuals(D: MumfordDivisor, curve: CanonicalCurve):
         tang = tangent_data(curve, D)
     except BranchPointInSupport as exc:
         raise GammaUndefined(f"duplication degenerate: {exc}") from exc
-    gam = gamma_double(D, tang)
-    l2 = curve.lam[0]
-    s = gam.g2 + gam.g2 - gam.g1 * gam.g1
-    r1 = 3 * a2 - s
-    r2 = 3 * a4 - (3 * a2 * a2 - 2 * a2 * s + gam.g4 + gam.g4
-                   + gam.g2 * gam.g2 - l2 * gam.g1 * gam.g1)
-    return r1, r2
+    a2s, a4s = _sum_alpha(a2, a2, a4, a4, gamma_double(D, tang), curve.lam[0])
+    return a2 - a2s, a4 - a4s
 
 
 def four_torsion_residuals(D: MumfordDivisor, curve: CanonicalCurve):
@@ -120,7 +124,7 @@ def four_torsion_residuals(D: MumfordDivisor, curve: CanonicalCurve):
     if not D.is_nonspecial():
         raise GammaUndefined("4-torsion residuals need a degree-2 divisor")
     F = curve.field
-    a2, a4, b3, b5 = D.coords
+    a2, a4 = D.coords[:2]
     l2 = curve.lam[0]
     if F.is_zero(a2 * a2 - 4 * a4):
         doubled, _ = double_traced(D, curve)
@@ -133,15 +137,10 @@ def four_torsion_residuals(D: MumfordDivisor, curve: CanonicalCurve):
         tang = tangent_data(curve, D)
     except BranchPointInSupport as exc:
         raise GammaUndefined(f"duplication degenerate: {exc}") from exc
-    den = tang.b5p + tang.b5p - a2 * tang.b3p
-    if F.is_zero(den):
-        # special branch: gamma from the tangency system
-        g1 = tang.b3p / 2
-        g3 = (2 * b3 + a2 * tang.b3p) / 2
-        g5 = (2 * b5 + a4 * tang.b3p) / 2
-        xs = a2 + a2 + g1 * g1 - l2
-        return "special", ((g1 * xs + g3) * xs + g5,)
-    gam = gamma_double(D, tang)
+    try:
+        gam = gamma_double(D, tang)
+    except GammaUndefined:
+        return "special", (double_to_special(D, curve, tang).coords[1],)
     g1, g2, g4, g6 = gam.g1, gam.g2, gam.g4, gam.g6
     d1 = (-2 * a4 - a2 * a2
           + (2 * a2 - g2 + g1 * g1) * (g2 - g1 * g1)
@@ -174,12 +173,9 @@ def _duplication_data(ring: PolyRing):
     g = ring.gens()
     a2, a4, b3, b5 = g["a2"], g["a4"], g["b3"], g["b5"]
     l2, l4, l6, l8 = g["l2"], g["l4"], g["l6"], g["l8"]
-    N = b3 * b3 * a4 - a2 * b3 * b5 + b5 * b5
-    A = a4 * (5 * (a2 * a2 - a4) - 4 * l2 * a2 + 3 * l4) - l8
-    B = 5 * (2 * a2 * a4 - a2 ** 3) + 4 * l2 * (a2 * a2 - a4) - 3 * l4 * a2 + 2 * l6
-    C = a4 * a4 * (4 * l2 - 5 * a2) - 2 * l6 * a4 + l8 * a2
-    b3p_num = b3 * A + b5 * B                      # beta3' * 2N
-    b5p_num = -(b3 * C + b5 * A) - 2 * N * b3      # beta5' * 2N
+    N = _y1y2(a2, a4, b3, b5)
+    b3p_num, num5 = _tangent_numerators(a2, a4, b3, b5, l2, l4, l6, l8)
+    b5p_num = num5 - 2 * N * b3                    # beta5' * 2N
     E = 2 * b5p_num - a2 * b3p_num
     g1_num = (a2 * a2 - 4 * a4) * (2 * N)
     g2_num = 3 * a2 * b5p_num - (a2 * a2 + 2 * a4) * b3p_num

@@ -117,16 +117,19 @@ class UniPoly:
         F = self.field
         rem = list(self.coeffs)
         db = other.degree()
-        inv_lead = F.inv(other.lead())
+        lead = other.lead()
+        inv_lead = None if lead == F.one else F.inv(lead)
+        low = other.coeffs[:-1]  # the leading term cancels by construction
         q = [F.zero] * max(len(rem) - db, 1)
         while rem and len(rem) - 1 >= db:
-            c = rem[-1] * inv_lead
-            shift = len(rem) - 1 - db
+            c = rem.pop()
+            if inv_lead is not None:
+                c = c * inv_lead
+            shift = len(rem) - db
             q[shift] = c
             if not F.is_zero(c):
-                for i, bi in enumerate(other.coeffs):
+                for i, bi in enumerate(low):
                     rem[shift + i] = rem[shift + i] - c * bi
-            rem.pop()
             while rem and F.is_zero(rem[-1]):
                 rem.pop()
         return UniPoly(F, q), UniPoly(F, rem)

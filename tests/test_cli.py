@@ -153,19 +153,29 @@ def test_usage_error_exit_2(capsys):
 
 def test_seed_reproducibility(files, capsys):
     c, _ = files
-    code, a = run(capsys, "torsion", "find", "--n", "2", "--curve", c, "--seed", "1")
-    code, b = run(capsys, "torsion", "find", "--n", "2", "--curve", c, "--seed", "99")
+    code, a = run(capsys, "torsion", "find", "--n", "2", "--curve", c)
+    code, b = run(capsys, "torsion", "find", "--n", "2", "--curve", c)
     assert a == b  # deterministic pipelines
 
 
-def test_threads_env_cap(files, capsys, monkeypatch):
+def test_off_jacobian_divisor_rejected(files, tmp_path, capsys):
+    # (a2, a4, b3, b5) = (1, 2, 3, 4) fails J8/J10 on y^2 = x^5 + 1 over F_7;
+    # the group law alone would print the off-curve point (3, 6) with exit 0
     c, d = files
-    monkeypatch.setenv("G2DIV_THREADS", "4")
-    code, out = run(capsys, "jac", "verify", d, "--curve", c)
-    assert code == 0
-    monkeypatch.setenv("G2DIV_THREADS", "zero")
-    code, out = run(capsys, "jac", "verify", d, "--curve", c)
-    assert code == 1 and out[-1]["error"] == "bad-input"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "nonspecial", "alpha": ["1", "2"], "beta": ["3", "4"]}))
+    b = str(bad)
+    for argv in (("jac", "add", b, b), ("jac", "add", d, b), ("jac", "double", b),
+                 ("jac", "mul", "3", b), ("torsion", "check", "--n", "3", "--divisor", b)):
+        code, out = run(capsys, *argv, "--curve", c)
+        assert code == 1, argv
+        assert out[-1]["error"] == "off-curve", argv
+    off_point = tmp_path / "pt.json"
+    off_point.write_text(json.dumps({"type": "special", "point": ["3", "6"]}))
+    code, out = run(capsys, "jac", "double", str(off_point), "--curve", c)
+    assert code == 1 and out[-1]["error"] == "off-curve"
+    code, out = run(capsys, "jac", "verify", b, "--curve", c)
+    assert code == 1 and "J8" in out[-1]  # verify still reports the residuals
 
 
 def test_json_round_trip_parse_emit(files, capsys):

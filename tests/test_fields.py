@@ -13,6 +13,7 @@ from g2div.fields import (
     FieldSpec,
     find_irreducible,
     is_irreducible_mod_p,
+    is_prime,
     tonelli_shanks,
 )
 
@@ -114,6 +115,36 @@ def test_excluded_characteristics():
             FieldSpec("prime", p=p)
     with pytest.raises(UnsupportedField):
         GF(7, 5)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # a Carmichael number, and strong pseudoprimes to the first 1, 4 and 9 prime bases
+    for n in (561, 2047, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+        with pytest.raises(UnsupportedField):
+            FieldSpec("prime", p=n)
+
+
+def test_large_prime_fields_build_fast():
+    import time
+    for p in (2 ** 61 - 1, 2 ** 127 - 1):
+        t0 = time.perf_counter()
+        F = GF(p)
+        assert time.perf_counter() - t0 < 1.0
+        x = F.element(p - 2)
+        assert x * F.inv(x) == F.one
+
+
+def test_extension_modulus_reduced_once():
+    F = GF(7, 2, (8, 0, 1))
+    assert F.modulus == (1, 0, 1) and F == GF(7, 2, (1, 0, 1))
+    assert F.spec.to_json()["modulus"] == [1, 0, 1]
 
 
 def test_frobenius_fixes_exactly_base():

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_divisor
+from conftest import random_divisor, random_point
 from g2div.cantor import brute_force_n_torsion, enumerate_jacobian, to_mumford
 from g2div.curves import CanonicalCurve
-from g2div.divisors import MumfordDivisor, negate, points_from_mumford
+from g2div.divisors import MumfordDivisor, mumford_from_points, negate, points_from_mumford
 from g2div.errors import GammaUndefined, SerializationError
 from g2div.fields import GF, QQ, FieldEmbedding
 from g2div.grouplaw import double_traced, scalar_mul
@@ -262,6 +262,42 @@ class TestMumfordResiduals:
                 continue
             if F.is_zero(r1) and F.is_zero(r2):
                 assert is_torsion(d, 3, c1009)  # sampling certainty
+
+    def test_three_residuals_pinned_off_torsion(self, c1009, rng):
+        # the residuals are alpha(D) - alpha(2D) by value, not only at their zeros
+        F = c1009.field
+        nonzero = 0
+        for _ in range(80):
+            d = random_divisor(c1009, rng)
+            doubled, tag = double_traced(d, c1009)
+            if tag != "double":
+                continue
+            try:
+                r1, r2 = three_torsion_mumford_residuals(d, c1009)
+            except GammaUndefined:
+                continue  # a branch point in the support
+            assert (r1, r2) == (d.a2 - doubled.a2, d.a4 - doubled.a4)
+            nonzero += not (F.is_zero(r1) and F.is_zero(r2))
+        assert nonzero > 60
+
+    def test_special_four_residual_is_y_of_double(self, c1009, rng):
+        # on the double-to-special branch the residual is the y of the point 2D
+        F = c1009.field
+        found = 0
+        while found < 3:
+            p1 = random_point(c1009, rng, nonzero_y=True)
+            for xv in range(F.order()):
+                x2 = F.element(xv)
+                if x2 == p1[0]:
+                    continue
+                for y2 in F.sqrt(c1009.p_at(x2)):
+                    if F.is_zero(y2):
+                        continue
+                    d = mumford_from_points(c1009, p1, (x2, y2))
+                    doubled, tag = double_traced(d, c1009)
+                    if tag == "double_to_special":
+                        assert four_torsion_residuals(d, c1009) == ("special", (doubled.coords[1],))
+                        found += 1
 
     def test_residuals_iff_xy_system(self):
         # {Mumford residuals = 0} <-> {X = Y = 0 on the support}
