@@ -60,7 +60,7 @@ def is_valid(d: CantorDivisor, curve: CanonicalCurve) -> bool:
 def cantor_add(a: CantorDivisor, b: CantorDivisor, curve: CanonicalCurve) -> CantorDivisor:
     """Composition then reduction; total on all class representatives."""
     F = curve.field
-    if a.u.field != F or b.u.field != F:
+    if a.u.field is not F or b.u.field is not F:
         raise MixedFields("divisor/curve field mismatch")
     f = curve.px()
     u1, v1 = a.u, a.v

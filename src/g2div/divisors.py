@@ -19,27 +19,28 @@ from .errors import (
     SerializationError,
     SingularInterpolation,
 )
-from .fields import Field, FieldElement, FieldEmbedding, GF
+from .fields import Field, FieldElement, GF, embedding
 from .series import taylor_on_curve
 
 NONSPECIAL = "nonspecial"
 SPECIAL = "special"
 NEUTRAL = "neutral"
+_ARITY = {NONSPECIAL: 4, SPECIAL: 2, NEUTRAL: 0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MumfordDivisor:
     field: Field
     variant: str
     coords: tuple  # (a2, a4, b3, b5) | (x, y) | ()
 
     def __post_init__(self):
-        if self.variant not in (NONSPECIAL, SPECIAL, NEUTRAL):
+        expected = _ARITY.get(self.variant)
+        if expected is None:
             raise SerializationError(f"unknown divisor variant {self.variant}")
-        expected = {NONSPECIAL: 4, SPECIAL: 2, NEUTRAL: 0}[self.variant]
         if len(self.coords) != expected:
             raise SerializationError("wrong coordinate count")
-        object.__setattr__(self, "coords", tuple(self.field.coerce(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(self.field.coerce, self.coords)))
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
@@ -151,11 +152,11 @@ def points_from_mumford(d: MumfordDivisor, curve: CanonicalCurve):
         if F.order() is None:
             raise MixedFields("irreducible over Q: no canonical quadratic extension")
         big = GF(F.characteristic, 2 * getattr(F, "k", 1))
-        emb = FieldEmbedding(F, big)
+        emb = embedding(F, big)
         a2, a4, b3, b5 = (emb.embed(c) for c in d.coords)
         r = big.sqrt_exact(a2 * a2 - 4 * a4)
     x1 = (-a2 + r) / 2
-    x2 = (-a2 - r) / 2
+    x2 = -a2 - x1
     return (x1, -(b3 * x1 + b5)), (x2, -(b3 * x2 + b5)), big, emb
 
 

@@ -250,7 +250,7 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise MixedFields(f"{self.field} vs {other.field}")
             return self.value == other.value
         if isinstance(other, (int, Fraction)):
@@ -258,7 +258,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.key(), self.value))
+        return hash((self.field, self.value))
 
     def __bool__(self):
         return not self.field.is_zero(self)
@@ -268,7 +268,11 @@ class FieldElement:
 
 
 class Field:
-    """Common interface; subclasses implement raw arithmetic on .value."""
+    """Common interface; subclasses implement raw arithmetic on .value.
+
+    Fields are interned: make_field (behind GF, QQ and FieldSpec.build) returns
+    one object per spec, so equality is identity.
+    """
 
     spec: FieldSpec
 
@@ -277,10 +281,12 @@ class Field:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.key() == other.key()
+        return self is other
 
-    def __hash__(self):
-        return hash(self.key())
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return make_field, (self.spec,)
 
     def short_name(self) -> str:
         raise NotImplementedError
@@ -301,7 +307,7 @@ class Field:
 
     def coerce(self, v) -> FieldElement:
         if isinstance(v, FieldElement):
-            if v.field != self:
+            if v.field is not self:
                 raise MixedFields(f"{self} vs {v.field}")
             return v
         if isinstance(v, (int, Fraction)):
@@ -351,6 +357,16 @@ class Field:
 
     def is_zero(self, a) -> bool:
         raise NotImplementedError
+
+    # -- native values --------------------------------------------------------
+    # The group law's hot branches compute on native values: int for F_p
+    # (reduced only by _reduce), Fraction for Q, and the element itself for
+    # F_{p^k}.  coerce turns any of them back into an element.
+    def _native(self, a):
+        return a.value
+
+    def _reduce(self, v):
+        return v
 
     # -- square roots ---------------------------------------------------------
     def sqrt(self, a) -> tuple:
@@ -458,10 +474,12 @@ class PrimeField(Field):
         return self.p
 
     def element(self, raw):
-        if isinstance(raw, Fraction):
+        if isinstance(raw, int):  # before the slower isinstance against Fraction's ABC
+            v = raw % self.p
+        elif isinstance(raw, Fraction):
             if raw.denominator % self.p == 0:
                 raise DivisionByZero(f"denominator divisible by {self.p}")
-            v = raw.numerator * pow(raw.denominator, self.p - 2, self.p) % self.p
+            v = raw.numerator * pow(raw.denominator, -1, self.p) % self.p
         else:
             v = raw % self.p
         return FieldElement(self, v)
@@ -481,7 +499,7 @@ class PrimeField(Field):
     def inv(self, a):
         if a.value == 0:
             raise DivisionByZero(f"1/0 in {self}")
-        return FieldElement(self, pow(a.value, self.p - 2, self.p))
+        return FieldElement(self, pow(a.value, -1, self.p))
 
     def pow(self, a, e: int):
         if e < 0:
@@ -490,6 +508,9 @@ class PrimeField(Field):
 
     def is_zero(self, a):
         return a.value == 0
+
+    def _reduce(self, v):
+        return v % self.p
 
     def sqrt(self, a):
         v = a.value
@@ -636,6 +657,9 @@ class ExtensionField(Field):
     def is_zero(self, a):
         return not any(a.value)
 
+    def _native(self, a):
+        return a
+
     def frobenius(self, a: FieldElement) -> FieldElement:
         return self.pow(a, self.p)
 
@@ -737,12 +761,33 @@ def QQ() -> RationalField:
     return make_field(FieldSpec("rational"))
 
 
+_GF_CACHE: dict = {}
+
+
 def GF(p: int, k: int = 1, modulus=None) -> Field:
-    if k == 1:
-        return make_field(FieldSpec("prime", p=p))
-    if modulus is None:
-        modulus = tuple(find_irreducible(p, k))
-    return make_field(FieldSpec("extension", p=p, k=k, modulus=tuple(modulus)))
+    """F_p, or F_{p^k} over the given modulus (default: find_irreducible's).
+
+    Memoized on the arguments, so a repeated call neither re-tests p nor
+    re-searches and re-tests the modulus."""
+    args = (p, k, None if modulus is None or k == 1 else tuple(modulus))
+    if args not in _GF_CACHE:
+        if k == 1:
+            spec = FieldSpec("prime", p=p)
+        else:
+            spec = FieldSpec("extension", p=p, k=k,
+                             modulus=tuple(find_irreducible(p, k)) if modulus is None else args[2])
+        _GF_CACHE[args] = make_field(spec)
+    return _GF_CACHE[args]
+
+
+_EMBEDDING_CACHE: dict = {}
+
+
+def embedding(small: Field, big: "ExtensionField") -> "FieldEmbedding":
+    """The FieldEmbedding of small into big, built once per pair of fields."""
+    if (small, big) not in _EMBEDDING_CACHE:
+        _EMBEDDING_CACHE[small, big] = FieldEmbedding(small, big)
+    return _EMBEDDING_CACHE[small, big]
 
 
 class FieldEmbedding:

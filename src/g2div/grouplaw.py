@@ -81,22 +81,52 @@ def addition_system(P: MumfordDivisor, Q: MumfordDivisor):
     return rows, consts
 
 
-def _difference(P: MumfordDivisor, Q: MumfordDivisor):
-    """(dA2, dA4, dB3, dB5, det) of two degree-2 divisors; det = 0 is the
-    singular gamma matrix (the sum is special, or the supports overlap)."""
-    a2p, a4p, b3p, b5p = P.coords
-    a2q, a4q, b3q, b5q = Q.coords
+# The helpers below are plain ring arithmetic on coordinate tuples, so the
+# public functions run them on field elements and the dispatchers run them
+# on the field's native values (see Field._native).
+
+def _natives(D: MumfordDivisor) -> tuple:
+    return tuple(map(D.field._native, D.coords))
+
+
+def _difference(pc, qc):
+    """(dA2, dA4, dB3, dB5, det) of two degree-2 coordinate tuples; det = 0 is
+    the singular gamma matrix (the sum is special, or the supports overlap)."""
+    a2p, a4p, b3p, b5p = pc
+    a2q, a4q, b3q, b5q = qc
     dA2, dA4 = a2p - a2q, a4p - a4q
     dB3, dB5 = b3p - b3q, b5p - b5q
     return dA2, dA4, dB3, dB5, dA4 * dB3 - dB5 * dA2
 
 
-def _gamma_r6(D: MumfordDivisor, g1, g2) -> GammaR6:
-    """Back-substitute g4, g6 through the support rows of D."""
-    a2, a4, b3, b5 = D.coords
+def _gamma_add_numerators(pc, qc, diff):
+    """(det*g1, det*g2) of the weight-6 function through both supports."""
+    a2p, a4p = pc[:2]
+    a2q, a4q = qc[:2]
+    dA2, dA4, dB3, dB5, _ = diff
+    v1 = a2p * a4p - a2q * a4q
+    v2 = dA2 * (a2p + a2q) - dA4
+    return dA4 * v2 - dA2 * v1, dB3 * v1 - dB5 * v2
+
+
+def _gamma_r6(c, g1, g2) -> GammaR6:
+    """Back-substitute g4, g6 through the support rows of coordinates c."""
+    a2, a4, b3, b5 = c
     g4 = a2 * g2 + b3 * g1 - (a2 * a2 - a4)
     g6 = a4 * g2 + b5 * g1 - a2 * a4
     return GammaR6(g1, g2, g4, g6)
+
+
+def _one_inversion(F, den, n1, n2):
+    """(g1, g2, 1/g1) for g1 = n1/den, g2 = n2/den on native values.
+
+    Montgomery's trick: w = 1/(den*n1) gives 1/den = n1*w and 1/g1 = den^2*w,
+    so the one inversion goes through F.inv.  n1 = 0 raises DivisionByZero."""
+    red = F._reduce
+    den, n1 = red(den), red(n1)
+    w = F._native(F.inv(F.coerce(den * n1)))
+    inv_den = red(n1 * w)
+    return red(n1 * inv_den), red(n2 * inv_den), red(den * den * w)
 
 
 def gamma_add(P: MumfordDivisor, Q: MumfordDivisor) -> GammaR6:
@@ -105,16 +135,13 @@ def gamma_add(P: MumfordDivisor, Q: MumfordDivisor) -> GammaR6:
     Explicit 2x2 elimination of the 4x4 system; raises when the matrix is
     singular (the sum is special, or supports overlap)."""
     F = P.field
-    dA2, dA4, dB3, dB5, det = _difference(P, Q)
+    diff = _difference(P.coords, Q.coords)
+    det = diff[4]
     if F.is_zero(det):
         raise SingularInterpolation("gamma matrix singular")
-    a2p, a4p = P.coords[:2]
-    a2q, a4q = Q.coords[:2]
-    v1 = a2p * a4p - a2q * a4q
-    v2 = a2p * a2p - a2q * a2q - a4p + a4q
-    g2 = (dB3 * v1 - dB5 * v2) / det
-    g1 = (dA4 * v2 - dA2 * v1) / det
-    return _gamma_r6(P, g1, g2)
+    n1, n2 = _gamma_add_numerators(P.coords, Q.coords, diff)
+    inv = F.inv(det)
+    return _gamma_r6(P.coords, n1 * inv, n2 * inv)
 
 
 def _y1y2(a2, a4, b3, b5):
@@ -144,7 +171,10 @@ def tangent_data(curve: CanonicalCurve, D: MumfordDivisor) -> TangentData:
     n = _y1y2(a2, a4, b3, b5)
     if F.is_zero(n):
         raise BranchPointInSupport("branch point in support: slopes undefined")
-    num3, num5 = _tangent_numerators(a2, a4, b3, b5, *curve.lam[:4])
+    return _tangent_from(F, a2, b3, n, *_tangent_numerators(a2, a4, b3, b5, *curve.lam[:4]))
+
+
+def _tangent_from(F, a2, b3, n, num3, num5) -> TangentData:
     inv2n = F.inv(n + n)
     return TangentData(F.element(-2), -a2, num3 * inv2n, num5 * inv2n - b3)
 
@@ -171,22 +201,35 @@ def tangent_data_from_points(curve: CanonicalCurve, p1, p2) -> TangentData:
     return _slope_tangent(F, p1, p2, s1, s2)
 
 
-def _duplication_denominator(a2, tang: TangentData):
+def _duplication_denominator(a2, b3p, b5p):
     """2*b5' - a2*b3': zero exactly when 2Q is a single point."""
-    return tang.b5p + tang.b5p - a2 * tang.b3p
+    return b5p + b5p - a2 * b3p
+
+
+def _duplication_g2(a2, a4, b3p, b5p):
+    """g2 times the duplication denominator."""
+    return 3 * a2 * b5p - (a2 * a2 + 2 * a4) * b3p
+
+
+def _scaled_duplication(a2, a4, b3, n, num3, num5):
+    """(E, g1*E, g2*E, 2N*b5') from the tangent numerators, where E is the
+    duplication denominator times 2N = 2*y1*y2: no inversion needed."""
+    m = n + n
+    b5p_num = num5 - m * b3
+    return (_duplication_denominator(a2, num3, b5p_num), (a2 * a2 - 4 * a4) * m,
+            _duplication_g2(a2, a4, num3, b5p_num), b5p_num)
 
 
 def gamma_double(Q: MumfordDivisor, tang: TangentData) -> GammaR6:
     """Duplication coefficients from the derivative data."""
     F = Q.field
     a2, a4 = Q.coords[:2]
-    den = _duplication_denominator(a2, tang)
+    den = _duplication_denominator(a2, tang.b3p, tang.b5p)
     if F.is_zero(den):
         raise GammaUndefined("duplication denominator vanishes: 2Q is special")
     inv = F.inv(den)
-    g2 = (3 * a2 * tang.b5p - (a2 * a2 + 2 * a4) * tang.b3p) * inv
-    g1 = (a2 * a2 - 4 * a4) * inv
-    return _gamma_r6(Q, g1, g2)
+    g2 = _duplication_g2(a2, a4, tang.b3p, tang.b5p) * inv
+    return _gamma_r6(Q.coords, (a2 * a2 - 4 * a4) * inv, g2)
 
 
 def _sum_alpha(a2p, a2q, a4p, a4q, g: GammaR6, l2, nu1=None, nu3=None):
@@ -205,19 +248,23 @@ def _sum_alpha(a2p, a2q, a4p, a4q, g: GammaR6, l2, nu1=None, nu3=None):
            - (a2p + a2q) * s + g.g4 + g.g4 + g.g2 * g.g2 + c * g.g1)
     return a2s, a4s
 
-def _sum_beta(F, a2s, a4s, g: GammaR6):
-    inv = F.inv(g.g1)
-    b3s = -(a2s * a2s - a4s - g.g2 * a2s + g.g4) * inv
-    b5s = -(a2s * a4s - g.g2 * a4s + g.g6) * inv
+
+def _sum_beta(F, a2s, a4s, g: GammaR6, inv_g1=None):
+    """Beta coordinates of the sum; inv_g1 = 1/g1 saves the inversion."""
+    if inv_g1 is None:
+        inv_g1 = F.inv(g.g1)
+    b3s = -(a2s * a2s - a4s - g.g2 * a2s + g.g4) * inv_g1
+    b5s = -(a2s * a4s - g.g2 * a4s + g.g6) * inv_g1
     return b3s, b5s
 
 
-def _nonspecial_sum(P: MumfordDivisor, Q: MumfordDivisor, g: GammaR6,
-                    curve: CanonicalCurve) -> MumfordDivisor:
-    """The degree-2 sum of P and Q from their weight-6 gammas."""
-    F = curve.field
-    a2s, a4s = _sum_alpha(P.a2, Q.a2, P.a4, Q.a4, g, curve.lam[0])
-    return MumfordDivisor.nonspecial(F, a2s, a4s, *_sum_beta(F, a2s, a4s, g))
+def _nonspecial_sum(F, pc, qc, g: GammaR6, inv_g1, curve: CanonicalCurve) -> MumfordDivisor:
+    """The degree-2 sum of the supports pc, qc from their weight-6 gammas, on
+    native values; inv_g1 = 1/g1."""
+    red = F._reduce
+    a2s, a4s = _sum_alpha(pc[0], qc[0], pc[1], qc[1], g, F._native(curve.lam[0]))
+    a2s, a4s = red(a2s), red(a4s)
+    return MumfordDivisor.nonspecial(F, a2s, a4s, *_sum_beta(F, a2s, a4s, g, inv_g1))
 
 
 def _weight5_sum(F, g: GammaR5, a2_sum, l2) -> MumfordDivisor:
@@ -273,7 +320,7 @@ def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) 
     Requires the weight-5 consistency condition (equivalently, the singular
     gamma matrix of the generic solve)."""
     F = curve.field
-    dA2, dA4, dB3, dB5, det = _difference(P, Q)
+    dA2, dA4, dB3, dB5, det = _difference(P.coords, Q.coords)
     if not F.is_zero(det):
         raise ConditionViolated("sum is not special: use the generic addition")
     if not F.is_zero(dA2):
@@ -294,7 +341,7 @@ def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve,
     if tang is None:
         tang = tangent_data(curve, Q)
     a2, a4, b3, b5 = Q.coords
-    if not F.is_zero(_duplication_denominator(a2, tang)):
+    if not F.is_zero(_duplication_denominator(a2, tang.b3p, tang.b5p)):
         raise ConditionViolated("2Q is not special: use the generic doubling")
     g1 = tang.b3p / 2
     g3 = (2 * b3 + a2 * tang.b3p) / 2
@@ -405,7 +452,7 @@ def _reduce_point_multiset(curve: CanonicalCurve, points) -> MumfordDivisor:
 def add_traced(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve):
     """Total addition; returns (reduced divisor, branch tag)."""
     F = curve.field
-    if P.field != F or Q.field != F:
+    if P.field is not F or Q.field is not F:
         raise MixedFields("divisor/curve field mismatch")
     if P.is_neutral():
         return Q, "neutral"
@@ -433,24 +480,26 @@ def add_traced(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve):
             return MumfordDivisor.neutral(F), "inverse"
         pts = _support_points(P, curve) + _support_points(Q, curve)
         return _reduce_point_multiset(curve, pts), "support_overlap"
-    if _shared_x(P, Q, curve):
+    # the rest runs on native values, as gamma_add and _sum_beta do on elements
+    red = F._reduce
+    pc, qc = _natives(P), _natives(Q)
+    if not red(_shared_x(pc, qc)):
         pts = _support_points(P, curve) + _support_points(Q, curve)
         return _reduce_point_multiset(curve, pts), "support_overlap"
-    try:
-        gam = gamma_add(P, Q)
-    except SingularInterpolation:
+    diff = _difference(pc, qc)
+    if not red(diff[4]):
         return add_to_special(P, Q, curve), "add_to_special"
-    return _nonspecial_sum(P, Q, gam, curve), "generic"
+    g1, g2, inv_g1 = _one_inversion(F, diff[4], *_gamma_add_numerators(pc, qc, diff))
+    return _nonspecial_sum(F, pc, qc, _gamma_r6(pc, g1, g2), inv_g1, curve), "generic"
 
 
-def _shared_x(P, Q, curve) -> bool:
-    F = curve.field
-    a2p, a4p = P.coords[0], P.coords[1]
-    a2q, a4q = Q.coords[0], Q.coords[1]
-    if a2p == a2q:
-        return False  # distinct u with equal x-sum never share a root unless equal
-    x0 = -(a4p - a4q) / (a2p - a2q)
-    return F.is_zero(x0 * x0 + a2p * x0 + a4p)
+def _shared_x(pc, qc):
+    """dA2^2 * u_P(x0) at x0 = -dA4/dA2, the only x two distinct u polynomials
+    can share: zero exactly when the supports share an x (dA2 = 0 with a
+    different u leaves dA4^2 != 0)."""
+    a2p, a4p = pc[:2]
+    dA2, dA4 = a2p - qc[0], a4p - qc[1]
+    return dA4 * (dA4 - a2p * dA2) + a4p * dA2 * dA2
 
 
 def _support_points(D: MumfordDivisor, curve: CanonicalCurve):
@@ -463,7 +512,7 @@ def _support_points(D: MumfordDivisor, curve: CanonicalCurve):
 def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
     """Total duplication; returns (reduced divisor, branch tag)."""
     F = curve.field
-    if Q.field != F:
+    if Q.field is not F:
         raise MixedFields("divisor/curve field mismatch")
     if Q.is_neutral():
         return Q, "neutral"
@@ -472,22 +521,26 @@ def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
         if F.is_zero(y):
             return MumfordDivisor.neutral(F), "double"
         return mumford_from_points(curve, Q.coords, Q.coords), "double"
-    a2, a4, b3, b5 = Q.coords
-    if F.is_zero(b3) and F.is_zero(b5):
+    # native values from here on, as tangent_data and gamma_double on elements
+    red = F._reduce
+    c = a2, a4, b3, b5 = _natives(Q)
+    if not b3 and not b5:
         return MumfordDivisor.neutral(F), "double"  # two branch points
-    if F.is_zero(a2 * a2 - 4 * a4):
+    if not red(a2 * a2 - 4 * a4):
         return _double_repeated(Q, curve)  # a repeated point is never a branch point
-    try:
-        tang = tangent_data(curve, Q)
-    except BranchPointInSupport:
+    n = red(_y1y2(a2, a4, b3, b5))
+    if not n:
         # exactly one branch point: 2Q ~ 2*(other point)
         other = _non_branch_point(Q, curve)
         return mumford_from_points(curve, other, other), "double"
-    try:
-        gam = gamma_double(Q, tang)
-    except GammaUndefined:
+    lam = map(F._native, curve.lam[:4])
+    num3, num5 = map(red, _tangent_numerators(a2, a4, b3, b5, *lam))
+    den, g1_num, g2_num, _ = _scaled_duplication(a2, a4, b3, n, num3, num5)
+    if not red(den):
+        tang = _tangent_from(F, Q.a2, Q.b3, *map(F.coerce, (n, num3, num5)))
         return double_to_special(Q, curve, tang), "double_to_special"
-    return _nonspecial_sum(Q, Q, gam, curve), "double"
+    g1, g2, inv_g1 = _one_inversion(F, den, g1_num, g2_num)
+    return _nonspecial_sum(F, c, c, _gamma_r6(c, g1, g2), inv_g1, curve), "double"
 
 
 def _non_branch_point(Q, curve):
@@ -512,8 +565,9 @@ def _double_repeated(Q: MumfordDivisor, curve: CanonicalCurve):
         gam = GammaR5(g1, b3 + g1 * a2, b5 + g1 * a4)
         return _weight5_sum(F, gam, a2 + a2, curve.lam[0]), "double_to_special"
     g1 = -F.inv(r3)
-    gam = _gamma_r6(Q, g1, a2 - xs - g1 * r2)
-    return _nonspecial_sum(Q, Q, gam, curve), "double"
+    c = _natives(Q)
+    gam = _gamma_r6(c, F._native(g1), F._native(a2 - xs - g1 * r2))
+    return _nonspecial_sum(F, c, c, gam, F._native(-r3), curve), "double"
 
 
 def add(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:

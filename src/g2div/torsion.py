@@ -26,8 +26,9 @@ from .errors import (
     SerializationError,
     UnsupportedField,
 )
-from .fields import Field, FieldEmbedding, GF, QQ
+from .fields import Field, FieldEmbedding, GF, QQ, embedding
 from .grouplaw import (
+    _scaled_duplication,
     _sum_alpha,
     _tangent_numerators,
     _y1y2,
@@ -175,10 +176,7 @@ def _duplication_data(ring: PolyRing):
     l2, l4, l6, l8 = g["l2"], g["l4"], g["l6"], g["l8"]
     N = _y1y2(a2, a4, b3, b5)
     b3p_num, num5 = _tangent_numerators(a2, a4, b3, b5, l2, l4, l6, l8)
-    b5p_num = num5 - 2 * N * b3                    # beta5' * 2N
-    E = 2 * b5p_num - a2 * b3p_num
-    g1_num = (a2 * a2 - 4 * a4) * (2 * N)
-    g2_num = 3 * a2 * b5p_num - (a2 * a2 + 2 * a4) * b3p_num
+    E, g1_num, g2_num, b5p_num = _scaled_duplication(a2, a4, b3, N, b3p_num, num5)
     g4_num = a2 * g2_num + b3 * g1_num - (a2 * a2 - a4) * E
     g6_num = a4 * g2_num + b5 * g1_num - a2 * a4 * E
     return {"N": N, "E": E, "b3p": b3p_num, "b5p": b5p_num,
@@ -359,7 +357,7 @@ def _quadratic_extension(field: Field):
     if 2 * k > 4:
         raise UnsupportedField("torsion scan supports base degree <= 2")
     big = GF(p, 2 * k)
-    return big, FieldEmbedding(field, big)
+    return big, embedding(field, big)
 
 
 def _candidate_divisors(curve: CanonicalCurve, keep_pair) -> list:

@@ -53,7 +53,7 @@ class UniPoly:
         return self.field.zero
 
     def __eq__(self, other):
-        return (isinstance(other, UniPoly) and self.field == other.field
+        return (isinstance(other, UniPoly) and self.field is other.field
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):

@@ -18,6 +18,7 @@ from g2div.divisors import (
 )
 from g2div.errors import InvolutionPair, OffCurve, SingularInterpolation
 from g2div.fields import GF, QQ
+from g2div.grouplaw import add
 from g2div.polyring import PolyRing, RationalPoly
 
 
@@ -239,3 +240,16 @@ def test_divisor_json_round_trip(f7):
               MumfordDivisor.special(f7, 6, 0),
               MumfordDivisor.nonspecial(f7, 6, 0, 5, 6)):
         assert divisor_from_json(f7, divisor_to_json(d)) == d
+
+
+def test_irreducible_support_reuses_one_embedding():
+    F = GF(13, 2)
+    curve = CanonicalCurve(F, (1, 2, 3, 4, 5))
+    rng = random.Random(11)
+    while True:
+        D = add(random_divisor(curve, rng), random_divisor(curve, rng), curve)
+        if D.is_nonspecial() and not F.sqrt(D.a2 * D.a2 - 4 * D.a4):
+            break
+    first, second = points_from_mumford(D, curve), points_from_mumford(D, curve)
+    assert first[3] is not None and first[3] is second[3]
+    assert first == second

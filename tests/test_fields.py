@@ -1,4 +1,6 @@
+import copy
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -199,3 +201,26 @@ def test_prime_field_homomorphism_from_integers(a, b):
     F = GF(1009)
     assert F.element(a) + F.element(b) == F.element(a + b)
     assert F.element(a) * F.element(b) == F.element(a * b)
+
+
+def test_fields_are_interned():
+    assert FieldSpec.from_json(GF(7).spec.to_json()).build() is GF(7)
+    assert GF(7, 2) is GF(7, 2, modulus=GF(7, 2).modulus)
+    assert QQ() is QQ()
+    assert copy.deepcopy(GF(7, 2)) is GF(7, 2)
+    assert GF(7) != GF(7, 2) and GF(7) != GF(11)
+
+
+def test_mixed_fields_still_raise_when_interned():
+    a, b = GF(7).element(3), GF(7, 2).element(3)
+    for op in (lambda: a + b, lambda: a * b, lambda: b - a, lambda: a / b, lambda: a == b):
+        with pytest.raises(MixedFields):
+            op()
+
+
+def test_repeated_extension_field_is_not_searched_again():
+    first = GF(31, 4)
+    start = time.perf_counter()
+    again = GF(31, 4)
+    assert time.perf_counter() - start < 1e-3
+    assert again is first
