@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 from .errors import (
@@ -571,6 +572,7 @@ class ExtensionField(Field):
         self.k = k = spec.k
         self.characteristic = p
         self.modulus = spec.modulus
+        self._nonresidue = None  # see _non_residue
         # reduction table: _red[i] represents t^(k+i) as a degree < k vector
         self._red = [tuple((-m) % p for m in self.modulus[:-1])]
         for _ in range(k - 2):
@@ -677,17 +679,14 @@ class ExtensionField(Field):
         return tuple(pair)
 
     def _tonelli(self, a):
+        if self.is_zero(a):
+            return self.zero
         q = self.order()
         s, t = 0, q - 1
         while t % 2 == 0:
             s += 1
             t //= 2
-        z = None
-        for cand in self.elements():
-            if not self.is_zero(cand) and self.pow(cand, (q - 1) // 2) != self.one:
-                z = cand
-                break
-        m, c = s, self.pow(z, t)
+        m, c = s, self.pow(self._non_residue(), t)
         tt, r = self.pow(a, t), self.pow(a, (t + 1) // 2)
         while tt != self.one:
             i, t2 = 0, tt
@@ -698,6 +697,17 @@ class ExtensionField(Field):
             m, c = i, self.mul(b, b)
             tt, r = self.mul(tt, c), self.mul(r, b)
         return r
+
+    def _non_residue(self):
+        """The first quadratic non-residue in elements() order, found once per
+        field.  For even k the prime subfield (the first p elements) consists
+        of squares, so the scan starts after it; otherwise after zero."""
+        if self._nonresidue is None:
+            e = (self.order() - 1) // 2
+            skip = self.p if self.k % 2 == 0 else 1
+            self._nonresidue = next(z for z in islice(self.elements(), skip, None)
+                                    if self.pow(z, e) != self.one)
+        return self._nonresidue
 
     def sort_key(self, a):
         return tuple(reversed(a.value))

@@ -9,8 +9,11 @@ tag so oracle tests can prove each one is exercised:
   double_to_special, add_to_special, support_overlap (peel/interpolation).
 
 The dispatch order guarantees each later branch's preconditions: neutral
-operands, then inverse pairs, then equal operands, then shared support,
-then the singular interpolation matrix, then the generic solve.
+operands, then inverse pairs, then equal operands, then the generic solve
+(_add_generic, _double_generic on native values), and only where that
+declines, shared support and the singular interpolation matrix.
+scalar_mul runs the two generic kernels directly and falls back to the
+dispatchers for everything they decline.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from .divisors import (
     MumfordDivisor,
     _chord,
     build_polyfunction,
+    is_on_jacobian,
     mumford_from_points,
     negate,
     points_from_mumford,
@@ -65,20 +69,6 @@ class TangentData:
     a4p: object  # = -a2
     b3p: object
     b5p: object
-
-
-def addition_system(P: MumfordDivisor, Q: MumfordDivisor):
-    """The 4x4 linear system for (g6, g4, g2, g1): rows*(gammas) + consts = 0."""
-    F = P.field
-    rows = []
-    consts = []
-    for D in (P, Q):
-        a2, a4, b3, b5 = D.coords
-        rows.append((F.one, F.zero, -a4, -b5))
-        rows.append((F.zero, F.one, -a2, -b3))
-        consts.append(a2 * a4)
-        consts.append(a2 * a2 - a4)
-    return rows, consts
 
 
 # The helpers below are plain ring arithmetic on coordinate tuples, so the
@@ -188,19 +178,6 @@ def _slope_tangent(F, p1, p2, s1, s2) -> TangentData:
     return TangentData(F.element(-2), x1 + x2, b3p, b5p)
 
 
-def tangent_data_from_points(curve: CanonicalCurve, p1, p2) -> TangentData:
-    """Slope-based variant (used for cross-checks)."""
-    F = curve.field
-    (x1, y1), (x2, y2) = p1, p2
-    if F.is_zero(y1) or F.is_zero(y2):
-        raise BranchPointInSupport("slope undefined at a branch point")
-    if x1 == x2:
-        raise SameDivisor("pointwise tangent data needs x1 != x2")
-    s1 = curve.dp_at(x1) / (y1 + y1)
-    s2 = curve.dp_at(x2) / (y2 + y2)
-    return _slope_tangent(F, p1, p2, s1, s2)
-
-
 def _duplication_denominator(a2, b3p, b5p):
     """2*b5' - a2*b3': zero exactly when 2Q is a single point."""
     return b5p + b5p - a2 * b3p
@@ -258,13 +235,56 @@ def _sum_beta(F, a2s, a4s, g: GammaR6, inv_g1=None):
     return b3s, b5s
 
 
-def _nonspecial_sum(F, pc, qc, g: GammaR6, inv_g1, curve: CanonicalCurve) -> MumfordDivisor:
-    """The degree-2 sum of the supports pc, qc from their weight-6 gammas, on
-    native values; inv_g1 = 1/g1."""
+def _nonspecial_sum(F, pc, qc, g: GammaR6, inv_g1, l2) -> tuple:
+    """The reduced native (a2, a4, b3, b5) of the degree-2 sum of the supports
+    pc, qc from their weight-6 gammas; inv_g1 = 1/g1, l2 native."""
     red = F._reduce
-    a2s, a4s = _sum_alpha(pc[0], qc[0], pc[1], qc[1], g, F._native(curve.lam[0]))
+    a2s, a4s = _sum_alpha(pc[0], qc[0], pc[1], qc[1], g, l2)
     a2s, a4s = red(a2s), red(a4s)
-    return MumfordDivisor.nonspecial(F, a2s, a4s, *_sum_beta(F, a2s, a4s, g, inv_g1))
+    b3s, b5s = _sum_beta(F, a2s, a4s, g, inv_g1)
+    return a2s, a4s, red(b3s), red(b5s)
+
+
+def _add_generic(F, l2, pc, qc):
+    """The generic sum of two degree-2 divisors given as reduced native
+    coordinate tuples (see Field._native), with one field inversion.
+
+    Returns the reduced native (a2, a4, b3, b5) of the sum, or None when the
+    supports share an x (the same u-polynomial included) or the gamma matrix
+    is singular (det = 0, the sum is special)."""
+    red = F._reduce
+    if not red(_shared_x(pc, qc)):
+        return None
+    diff = _difference(pc, qc)
+    if not red(diff[4]):
+        return None
+    g1, g2, inv_g1 = _one_inversion(F, diff[4], *_gamma_add_numerators(pc, qc, diff))
+    return _nonspecial_sum(F, pc, qc, _gamma_r6(pc, g1, g2), inv_g1, l2)
+
+
+def _double_generic(F, lam, c):
+    """The generic double of a degree-2 divisor given as a reduced native
+    coordinate tuple, with one field inversion; lam = native (l2, l4, l6, l8).
+
+    Returns the reduced native (a2, a4, b3, b5) of the double, or None when
+    both support points are branch points, the support is a repeated point,
+    exactly one is a branch point, or the duplication denominator vanishes
+    (the double is special)."""
+    red = F._reduce
+    a2, a4, b3, b5 = c
+    if not b3 and not b5:
+        return None
+    if not red(a2 * a2 - 4 * a4):
+        return None
+    n = red(_y1y2(a2, a4, b3, b5))
+    if not n:
+        return None
+    num3, num5 = map(red, _tangent_numerators(a2, a4, b3, b5, *lam))
+    den, g1_num, g2_num, _ = _scaled_duplication(a2, a4, b3, n, num3, num5)
+    if not red(den):
+        return None
+    g1, g2, inv_g1 = _one_inversion(F, den, g1_num, g2_num)
+    return _nonspecial_sum(F, c, c, _gamma_r6(c, g1, g2), inv_g1, lam[0])
 
 
 def _weight5_sum(F, g: GammaR5, a2_sum, l2) -> MumfordDivisor:
@@ -474,29 +494,23 @@ def add_traced(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve):
     # both degree 2
     if P == Q:
         return double_traced(P, curve)
-    if P.coords[0] == Q.coords[0] and P.coords[1] == Q.coords[1]:
-        # same u-polynomial
-        if P.coords[2] == -Q.coords[2] and P.coords[3] == -Q.coords[3]:
-            return MumfordDivisor.neutral(F), "inverse"
-        pts = _support_points(P, curve) + _support_points(Q, curve)
-        return _reduce_point_multiset(curve, pts), "support_overlap"
-    # the rest runs on native values, as gamma_add and _sum_beta do on elements
-    red = F._reduce
+    (a2p, a4p, b3p, b5p), (a2q, a4q, b3q, b5q) = P.coords, Q.coords
+    if a2p == a2q and a4p == a4q and b3p == -b3q and b5p == -b5q:
+        return MumfordDivisor.neutral(F), "inverse"
     pc, qc = _natives(P), _natives(Q)
-    if not red(_shared_x(pc, qc)):
-        pts = _support_points(P, curve) + _support_points(Q, curve)
-        return _reduce_point_multiset(curve, pts), "support_overlap"
-    diff = _difference(pc, qc)
-    if not red(diff[4]):
+    s = _add_generic(F, F._native(curve.lam[0]), pc, qc)
+    if s is not None:
+        return MumfordDivisor.nonspecial(F, *s), "generic"
+    if F._reduce(_shared_x(pc, qc)):
         return add_to_special(P, Q, curve), "add_to_special"
-    g1, g2, inv_g1 = _one_inversion(F, diff[4], *_gamma_add_numerators(pc, qc, diff))
-    return _nonspecial_sum(F, pc, qc, _gamma_r6(pc, g1, g2), inv_g1, curve), "generic"
+    pts = _support_points(P, curve) + _support_points(Q, curve)
+    return _reduce_point_multiset(curve, pts), "support_overlap"
 
 
 def _shared_x(pc, qc):
     """dA2^2 * u_P(x0) at x0 = -dA4/dA2, the only x two distinct u polynomials
     can share: zero exactly when the supports share an x (dA2 = 0 with a
-    different u leaves dA4^2 != 0)."""
+    different u leaves dA4^2 != 0; the same u gives zero)."""
     a2p, a4p = pc[:2]
     dA2, dA4 = a2p - qc[0], a4p - qc[1]
     return dA4 * (dA4 - a2p * dA2) + a4p * dA2 * dA2
@@ -507,6 +521,11 @@ def _support_points(D: MumfordDivisor, curve: CanonicalCurve):
     if emb is not None:
         raise SupportOverlap("overlap resolution expected rational support")
     return [p1, p2]
+
+
+def _lam_natives(curve: CanonicalCurve) -> tuple:
+    """Native (l2, l4, l6, l8), the coefficients the generic kernels read."""
+    return tuple(map(curve.field._native, curve.lam[:4]))
 
 
 def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
@@ -521,9 +540,13 @@ def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
         if F.is_zero(y):
             return MumfordDivisor.neutral(F), "double"
         return mumford_from_points(curve, Q.coords, Q.coords), "double"
-    # native values from here on, as tangent_data and gamma_double on elements
-    red = F._reduce
     c = a2, a4, b3, b5 = _natives(Q)
+    lam = _lam_natives(curve)
+    s = _double_generic(F, lam, c)
+    if s is not None:
+        return MumfordDivisor.nonspecial(F, *s), "double"
+    # the degenerate cases _double_generic declined, in its order
+    red = F._reduce
     if not b3 and not b5:
         return MumfordDivisor.neutral(F), "double"  # two branch points
     if not red(a2 * a2 - 4 * a4):
@@ -533,14 +556,9 @@ def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
         # exactly one branch point: 2Q ~ 2*(other point)
         other = _non_branch_point(Q, curve)
         return mumford_from_points(curve, other, other), "double"
-    lam = map(F._native, curve.lam[:4])
     num3, num5 = map(red, _tangent_numerators(a2, a4, b3, b5, *lam))
-    den, g1_num, g2_num, _ = _scaled_duplication(a2, a4, b3, n, num3, num5)
-    if not red(den):
-        tang = _tangent_from(F, Q.a2, Q.b3, *map(F.coerce, (n, num3, num5)))
-        return double_to_special(Q, curve, tang), "double_to_special"
-    g1, g2, inv_g1 = _one_inversion(F, den, g1_num, g2_num)
-    return _nonspecial_sum(F, c, c, _gamma_r6(c, g1, g2), inv_g1, curve), "double"
+    tang = _tangent_from(F, Q.a2, Q.b3, *map(F.coerce, (n, num3, num5)))
+    return double_to_special(Q, curve, tang), "double_to_special"
 
 
 def _non_branch_point(Q, curve):
@@ -567,7 +585,8 @@ def _double_repeated(Q: MumfordDivisor, curve: CanonicalCurve):
     g1 = -F.inv(r3)
     c = _natives(Q)
     gam = _gamma_r6(c, F._native(g1), F._native(a2 - xs - g1 * r2))
-    return _nonspecial_sum(F, c, c, gam, F._native(-r3), curve), "double"
+    s = _nonspecial_sum(F, c, c, gam, F._native(-r3), F._native(curve.lam[0]))
+    return MumfordDivisor.nonspecial(F, *s), "double"
 
 
 def add(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
@@ -577,19 +596,83 @@ def double(Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
     return double_traced(Q, curve)[0]
 
 
-def scalar_mul(n: int, D: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
-    """n-fold sum by double-and-add with full degenerate dispatch."""
-    if n < 0:
-        return scalar_mul(-n, negate(D), curve)
-    acc = MumfordDivisor.neutral(curve.field)
-    base = D
+WNAF_WIDTH = 4
+
+
+def _wnaf(n: int) -> list:
+    """Width-WNAF_WIDTH non-adjacent form of n, least significant digit first.
+
+    Every nonzero digit is odd with |d| < 2^(WNAF_WIDTH-1), at least
+    WNAF_WIDTH - 1 zeros follow it, and sum(d * 2^i) = n; the last digit of
+    a nonempty recoding is nonzero.  A negative n recodes to negated digits."""
+    full, half = 1 << WNAF_WIDTH, 1 << (WNAF_WIDTH - 1)
+    digits = []
     while n:
+        d = 0
         if n & 1:
-            acc = add(acc, base, curve)
+            d = n & (full - 1)
+            if d >= half:
+                d -= full
+            n -= d
+        digits.append(d)
         n >>= 1
-        if n:
-            base = double(base, curve)
-    return acc
+    return digits
+
+
+def scalar_mul(n: int, D: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
+    """n*D by a signed-window ladder over the width-4 NAF of n.
+
+    D is checked once: a field other than the curve's raises MixedFields and
+    a divisor off the Jacobian raises OffCurve, for every n.  The ladder
+    precomputes the odd multiples D, 3D, ... up to the largest digit used and
+    keeps every degree-2 intermediate as a native coordinate tuple, run
+    through _add_generic and _double_generic; whatever those decline (and
+    any neutral or special intermediate) goes through add/double.  The
+    result is wrapped into a MumfordDivisor once, at the end."""
+    F = curve.field
+    if D.field is not F:
+        raise MixedFields("divisor/curve field mismatch")
+    if not is_on_jacobian(D, curve):
+        raise OffCurve("divisor not on the Jacobian")
+    digits = _wnaf(n)
+    if not digits:
+        return MumfordDivisor.neutral(F)
+    lam = _lam_natives(curve)
+    red = F._reduce
+
+    # x, y below are native tuples (degree 2) or MumfordDivisors (otherwise)
+    def wrap(x):
+        return MumfordDivisor.nonspecial(F, *x) if type(x) is tuple else x
+
+    def unwrap(R):
+        return _natives(R) if R.is_nonspecial() else R
+
+    def dbl(x):
+        s = _double_generic(F, lam, x) if type(x) is tuple else None
+        return unwrap(double(wrap(x), curve)) if s is None else s
+
+    def add_(x, y):
+        s = _add_generic(F, lam[0], x, y) if type(x) is tuple and type(y) is tuple else None
+        return unwrap(add(wrap(x), wrap(y), curve)) if s is None else s
+
+    def multiple(d):  # d*D for an odd digit d, from the table below
+        x = odd[abs(d) // 2]
+        if d > 0:
+            return x
+        return (x[0], x[1], red(-x[2]), red(-x[3])) if type(x) is tuple else negate(x)
+
+    odd = [unwrap(D)]  # odd[i] = (2i + 1) * D
+    top = max(map(abs, digits))
+    if top > 1:
+        twice = dbl(odd[0])
+        while len(odd) <= top // 2:
+            odd.append(add_(odd[-1], twice))
+    acc = multiple(digits[-1])
+    for d in reversed(digits[:-1]):
+        acc = dbl(acc)
+        if d:
+            acc = add_(acc, multiple(d))
+    return wrap(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,21 @@ def test_sqrt_matches_exhaustive_search():
                 assert r * r == a
 
 
+def test_extension_sqrt_with_cached_non_residue():
+    # the roots of a square are +-a whichever non-residue Tonelli-Shanks
+    # uses; the cached one is the first that a scan of elements() finds
+    rng = random.Random(20241018)
+    for field in (GF(31, 2), GF(13, 4)):
+        q = field.order()
+        first = next(z for z in field.elements()
+                     if not field.is_zero(z) and field.pow(z, (q - 1) // 2) != field.one)
+        for _ in range(200):
+            a = _sample(field, rng)
+            assert field.sqrt(a * a) == tuple(sorted({a, -a}, key=field.sort_key))
+        assert field._non_residue() is field._non_residue() == first
+        assert field.is_zero(field._tonelli(field.zero))
+
+
 def test_sqrt_no_root_marker(f7):
     assert f7.sqrt(f7.element(3)) == ()
     with pytest.raises(NoSquareRoot):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_divisor, random_point
+from grouplaw_helpers import addition_system, tangent_data_from_points
 from g2div.cantor import cantor_add, cantor_neg, cantor_scalar_mul, from_mumford, to_mumford
 from g2div.curves import CanonicalCurve, GeneralCurve, to_canonical
 from g2div.divisors import (
@@ -20,7 +21,6 @@ from g2div.grouplaw import (
     add_special,
     add_to_special,
     add_traced,
-    addition_system,
     double,
     double_to_special,
     double_traced,
@@ -28,7 +28,6 @@ from g2div.grouplaw import (
     gamma_double,
     scalar_mul,
     tangent_data,
-    tangent_data_from_points,
     add_extended_alpha,
 )
 from g2div.polyring import PolyRing, RationalPoly
