@@ -66,13 +66,21 @@ def cantor_add(a: CantorDivisor, b: CantorDivisor, curve: CanonicalCurve) -> Can
     u1, v1 = a.u, a.v
     u2, v2 = b.u, b.v
     d1, e1, e2 = xgcd(u1, u2)
-    d, c1, c2 = xgcd(d1, v1 + v2)
-    s1 = c1 * e1
-    s2 = c1 * e2
-    s3 = c2
-    u = (u1 * u2).exact_div(d * d)
-    mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
-    v = mixed.exact_div(d) % u
+    if d1.degree() == 0:
+        # coprime supports: d = 1, s3 = 0, so u = u1*u2 and v is the CRT
+        # solution of v = v1 mod u1, v = v2 mod u2 (e1*u1 + e2*u2 = 1), the
+        # same v as (e1*u1*v2 + e2*u2*v1) mod u, which it equals mod u1 and
+        # mod u2 and with degree below deg u
+        u = u1 * u2
+        v = v2 + u2 * ((e2 * (v1 - v2)) % u1)
+    else:
+        d, c1, c2 = xgcd(d1, v1 + v2)
+        s1 = c1 * e1
+        s2 = c1 * e2
+        s3 = c2
+        u = (u1 * u2).exact_div(d * d)
+        mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
+        v = mixed.exact_div(d) % u
     # reduction
     while u.degree() > 2:
         u = (f - v * v).exact_div(u)

@@ -362,7 +362,12 @@ class Field:
     # -- native values --------------------------------------------------------
     # The group law's hot branches compute on native values: int for F_p
     # (reduced only by _reduce), Fraction for Q, and the element itself for
-    # F_{p^k}.  coerce turns any of them back into an element.
+    # F_{p^k}.  coerce turns any of them back into an element.  Each field
+    # sets _native_zero in __init__: an attribute added later (as by
+    # functools.cached_property) moves the instance's attributes out of
+    # CPython's inline-values layout and slows every self.p and self._reduce.
+    _native_zero = None
+
     def _native(self, a):
         return a.value
 
@@ -403,6 +408,7 @@ class RationalField(Field):
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
+        self._native_zero = Fraction(0)
 
     def key(self):
         return ("rational",)
@@ -464,6 +470,7 @@ class PrimeField(Field):
         self.spec = spec
         self.p = spec.p
         self.characteristic = spec.p
+        self._native_zero = 0
 
     def key(self):
         return ("prime", self.p)
@@ -573,6 +580,7 @@ class ExtensionField(Field):
         self.characteristic = p
         self.modulus = spec.modulus
         self._nonresidue = None  # see _non_residue
+        self._native_zero = FieldElement(self, (0,) * k)
         # reduction table: _red[i] represents t^(k+i) as a degree < k vector
         self._red = [tuple((-m) % p for m in self.modulus[:-1])]
         for _ in range(k - 2):
@@ -581,6 +589,9 @@ class ExtensionField(Field):
             if lead:
                 rep = [(a + lead * b) % p for a, b in zip(rep, self._red[0])]
             self._red.append(tuple(rep))
+        # Frobenius matrix: _frob[i] represents t^(i*p) as a degree < k vector
+        self._frob = [tuple(_pmod_powx(i * p, list(self.modulus), p) + [0] * k)[:k]
+                      for i in range(k)]
 
     def key(self):
         return ("extension", self.p, self.k, self.modulus)
@@ -642,19 +653,18 @@ class ExtensionField(Field):
         return FieldElement(self, tuple(out))
 
     def inv(self, a):
+        """a^-1 = r / N(a) with r = a^p * a^(p^2) * ... * a^(p^(k-1)).  The
+        norm N(a) = a * r lies in F_p: k - 2 field products build r and one
+        more gives N(a)."""
         if self.is_zero(a):
             raise DivisionByZero(f"1/0 in {self}")
-        # extended Euclid; invariant r_i = s_i * a (mod modulus)
         p = self.p
-        r0, r1 = list(self.modulus), _pmod_trim([c % p for c in a.value])
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _pmod_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _pmod_trim([(x - y) % p for x, y in _zip_pad(s0, _pmod_mul(q, s1, p))])
-        # r0 = gcd is a nonzero constant since the modulus is irreducible
-        c_inv = pow(r0[0], p - 2, p)
-        return self.from_coeffs(_pmod_mul(s0, [c_inv], p))
+        conj = r = self.frobenius(a)
+        for _ in range(self.k - 2):
+            conj = self.frobenius(conj)
+            r = self.mul(r, conj)
+        n_inv = pow(self.mul(a, r).value[0], -1, p)
+        return FieldElement(self, tuple(c * n_inv % p for c in r.value))
 
     def is_zero(self, a):
         return not any(a.value)
@@ -663,7 +673,14 @@ class ExtensionField(Field):
         return a
 
     def frobenius(self, a: FieldElement) -> FieldElement:
-        return self.pow(a, self.p)
+        """a^p, one product of the coefficient vector with the Frobenius matrix."""
+        p = self.p
+        out = [0] * self.k
+        for c, row in zip(a.value, self._frob):
+            if c:
+                for j, m in enumerate(row):
+                    out[j] += c * m
+        return FieldElement(self, tuple(x % p for x in out))
 
     def sqrt(self, a):
         if self.is_zero(a):

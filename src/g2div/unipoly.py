@@ -11,14 +11,30 @@ from .fields import Field, FieldElement
 
 
 class UniPoly:
-    __slots__ = ("field", "coeffs")
+    """Coefficients are stored as the field's native values (Field._native:
+    int for F_p, Fraction for Q, the element itself for F_{p^k}), reduced and
+    without trailing zeros; arithmetic runs on them with Field._reduce, and
+    coeffs, __getitem__, lead and evaluate wrap them back into elements."""
+
+    __slots__ = ("field", "_c")
 
     def __init__(self, field: Field, coeffs):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and field.is_zero(cs[-1]):
+        native, coerce = field._native, field.coerce
+        cs = [native(coerce(c)) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self._c = tuple(cs)
+
+    @staticmethod
+    def _make(field: Field, cs) -> "UniPoly":
+        """A polynomial from a list of reduced native values."""
+        while cs and not cs[-1]:
+            cs.pop()
+        p = UniPoly.__new__(UniPoly)
+        p.field = field
+        p._c = tuple(cs)
+        return p
 
     @staticmethod
     def zero(field: Field) -> "UniPoly":
@@ -36,56 +52,73 @@ class UniPoly:
     def constant(field: Field, c) -> "UniPoly":
         return UniPoly(field, [c])
 
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(map(self.field.coerce, self._c))
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self._c) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._c
 
     def lead(self) -> FieldElement:
-        if self.is_zero():
+        if not self._c:
             raise DivisionByZero("leading coefficient of zero polynomial")
-        return self.coeffs[-1]
+        return self.field.coerce(self._c[-1])
 
     def __getitem__(self, i: int) -> FieldElement:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._c):
+            return self.field.coerce(self._c[i])
         return self.field.zero
 
     def __eq__(self, other):
         return (isinstance(other, UniPoly) and self.field is other.field
-                and self.coeffs == other.coeffs)
+                and self._c == other._c)
 
     def __hash__(self):
         return hash((self.field.key(), tuple(c.value for c in self.coeffs)))
 
     def __add__(self, other):
-        other = self._lift(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.field, [self[i] + other[i] for i in range(n)])
+        a, b = self._c, self._lift(other)._c
+        if len(a) < len(b):
+            a, b = b, a
+        red = self.field._reduce
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] = red(out[i] + y)
+        return UniPoly._make(self.field, out)
 
     def __sub__(self, other):
-        other = self._lift(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.field, [self[i] - other[i] for i in range(n)])
+        a, b = self._c, self._lift(other)._c
+        red = self.field._reduce
+        out = [red(x - y) for x, y in zip(a, b)]
+        out += a[len(b):]
+        out += [red(-y) for y in b[len(a):]]
+        return UniPoly._make(self.field, out)
 
     def __neg__(self):
-        return UniPoly(self.field, [-c for c in self.coeffs])
+        red = self.field._reduce
+        return UniPoly._make(self.field, [red(-c) for c in self._c])
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not self.field.is_zero(a):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return UniPoly(self.field, out)
+        a, b = self._c, self._lift(other)._c
+        F = self.field
+        if not a or not b:
+            return UniPoly._make(F, [])
+        # sums of products stay unreduced until the end
+        out = [F._native_zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return UniPoly._make(F, list(map(F._reduce, out)))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative power")
         result = UniPoly.one(self.field)
         base = self
         while e:
@@ -101,38 +134,42 @@ class UniPoly:
         return UniPoly.constant(self.field, other)
 
     def scale(self, c) -> "UniPoly":
-        c = self.field.coerce(c)
-        return UniPoly(self.field, [a * c for a in self.coeffs])
+        F = self.field
+        c = F._native(F.coerce(c))
+        if not c:
+            return UniPoly._make(F, [])
+        red = F._reduce
+        return UniPoly._make(F, [red(a * c) for a in self._c])
 
     def shift(self, n: int) -> "UniPoly":
         """Multiply by x^n."""
-        if self.is_zero():
+        if not self._c:
             return self
-        return UniPoly(self.field, (self.field.zero,) * n + self.coeffs)
+        return UniPoly._make(self.field, [self.field._native_zero] * n + list(self._c))
 
     def divmod(self, other: "UniPoly"):
-        other = self._lift(other)
-        if other.is_zero():
+        b = self._lift(other)._c
+        if not b:
             raise DivisionByZero("polynomial division by zero")
         F = self.field
-        rem = list(self.coeffs)
-        db = other.degree()
-        lead = other.lead()
-        inv_lead = None if lead == F.one else F.inv(lead)
-        low = other.coeffs[:-1]  # the leading term cancels by construction
-        q = [F.zero] * max(len(rem) - db, 1)
-        while rem and len(rem) - 1 >= db:
-            c = rem.pop()
+        red = F._reduce
+        rem = list(self._c)
+        db = len(b) - 1
+        lead = b[-1]
+        inv_lead = None if lead == 1 else F._native(F.inv(F.coerce(lead)))
+        low = b[:-1]  # the leading term cancels by construction
+        q = [F._native_zero] * max(len(rem) - db, 1)
+        while len(rem) > db:
+            c = rem.pop()  # nonzero: rem never ends in a zero
             if inv_lead is not None:
-                c = c * inv_lead
+                c = red(c * inv_lead)
             shift = len(rem) - db
             q[shift] = c
-            if not F.is_zero(c):
-                for i, bi in enumerate(low):
-                    rem[shift + i] = rem[shift + i] - c * bi
-            while rem and F.is_zero(rem[-1]):
+            for i, bi in enumerate(low):
+                rem[shift + i] = red(rem[shift + i] - c * bi)
+            while rem and not rem[-1]:
                 rem.pop()
-        return UniPoly(F, q), UniPoly(F, rem)
+        return UniPoly._make(F, q), UniPoly._make(F, rem)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -152,15 +189,19 @@ class UniPoly:
         return self.scale(self.field.inv(self.lead()))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(self.field,
-                       [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        red = self.field._reduce
+        return UniPoly._make(self.field, [red(c * i) for i, c in enumerate(self._c) if i])
 
     def evaluate(self, x) -> FieldElement:
-        x = self.field.coerce(x)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        F = self.field
+        if not self._c:
+            return F.zero
+        x = F._native(F.coerce(x))
+        red = F._reduce
+        acc = self._c[-1]
+        for c in reversed(self._c[:-1]):
+            acc = red(acc * x + c)
+        return F.coerce(acc)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         acc = UniPoly.zero(self.field)

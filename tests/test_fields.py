@@ -171,6 +171,29 @@ def test_frobenius_fixes_exactly_base():
         assert len(fixed) == p
 
 
+def test_norm_inverse_and_frobenius_matrix():
+    # inv is the norm formula and frobenius the Frobenius matrix; both must
+    # agree with plain exponentiation: a^-1 = a^(q-2) and a^p
+    def check(field, elements):
+        q, p = field.order(), field.p
+        for a in elements:
+            if field.is_zero(a):
+                continue
+            assert field.inv(a) == field.pow(a, q - 2)
+            assert field.frobenius(a) == field.pow(a, p)
+        with pytest.raises(DivisionByZero):
+            field.inv(field.zero)
+        assert field.frobenius(field.zero) == field.zero
+
+    for (p, k) in ((3, 2), (3, 3), (3, 4), (7, 2)):
+        field = GF(p, k)
+        check(field, field.elements())
+    for (p, k) in ((31, 2), (13, 4), (1009, 2)):
+        field = GF(p, k)
+        rng = random.Random(p * k)
+        check(field, [_sample(field, rng) for _ in range(300)])
+
+
 def test_mixed_fields_rejected():
     with pytest.raises(MixedFields):
         GF(7).element(1) + GF(11).element(1)

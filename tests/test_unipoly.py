@@ -11,16 +11,37 @@ from g2div.unipoly import UniPoly, gcd, resultant, roots_in_field, xgcd
 
 F7 = GF(7)
 
+# one field per kind of native coefficient: int (F_7), the element itself
+# (F_9, F_{31^2}) and Fraction (Q)
+NATIVE_FIELDS = [GF(7), GF(3, 2), GF(31, 2), QQ()]
+
 
 def poly7(coeffs):
     return UniPoly(F7, coeffs)
 
 
-def test_divmod_invariant():
+def elem(field, n):
+    """A field element from an integer; every fifth n gives zero."""
+    if n % 5 == 0:
+        return field.zero
+    if field.order() is None:
+        return field.element(Fraction(n % 41 - 20, 1 + n % 7))
+    if getattr(field, "k", 1) > 1:
+        return field.from_coeffs([n // field.p ** i for i in range(field.k)])
+    return field.element(n)
+
+
+def rand_poly(field, rng, max_len):
+    return UniPoly(field, [elem(field, rng.randrange(10 ** 6))
+                           for _ in range(rng.randrange(1, max_len))])
+
+
+@pytest.mark.parametrize("field", NATIVE_FIELDS, ids=lambda f: f.short_name())
+def test_divmod_invariant(field):
     rng = random.Random(13)
     for _ in range(200):
-        a = poly7([rng.randrange(7) for _ in range(rng.randrange(1, 8))])
-        b = poly7([rng.randrange(7) for _ in range(rng.randrange(1, 5))])
+        a = rand_poly(field, rng, 8)
+        b = rand_poly(field, rng, 5)
         if b.is_zero():
             continue
         q, r = a.divmod(b)
@@ -33,18 +54,24 @@ def test_exact_div_raises():
         poly7([1, 0, 1]).exact_div(poly7([1, 1]))
 
 
-def test_gcd_and_xgcd():
+@pytest.mark.parametrize("field", NATIVE_FIELDS, ids=lambda f: f.short_name())
+def test_gcd_and_xgcd(field):
     rng = random.Random(29)
-    for _ in range(100):
-        a = poly7([rng.randrange(7) for _ in range(rng.randrange(1, 6))])
-        b = poly7([rng.randrange(7) for _ in range(rng.randrange(1, 6))])
+    common = UniPoly(field, [elem(field, 7), 1])  # gives some pairs a gcd of degree > 0
+    for i in range(100):
+        a = rand_poly(field, rng, 6)
+        b = rand_poly(field, rng, 6)
+        if i % 3 == 0:
+            a, b = a * common, b * common
         if a.is_zero() or b.is_zero():
             continue
         g, s, t = xgcd(a, b)
         assert s * a + t * b == g
         assert g == gcd(a, b)
-        if not g.is_zero():
-            assert (a % g).is_zero() and (b % g).is_zero()
+        assert g.lead() == field.one
+        if i % 3 == 0:
+            assert (g % common).is_zero()
+        assert (a % g).is_zero() and (b % g).is_zero()
 
 
 def test_resultant_discriminant_value():
@@ -87,11 +114,27 @@ def test_compose_and_shift():
     assert p.shift(2) == x ** 2 * p
 
 
+@pytest.mark.parametrize("field", NATIVE_FIELDS, ids=lambda f: f.short_name())
 @settings(max_examples=150)
-@given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6),
-       st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6))
-def test_mul_commutes_and_degree(ca, cb):
-    a, b = poly7(ca), poly7(cb)
+@given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=6),
+       st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=6))
+def test_mul_commutes_and_degree(field, ca, cb):
+    a = UniPoly(field, [elem(field, n) for n in ca])
+    b = UniPoly(field, [elem(field, n) for n in cb])
     assert a * b == b * a
     if not a.is_zero() and not b.is_zero():
         assert (a * b).degree() == a.degree() + b.degree()
+        # the schoolbook product, coefficient by coefficient on elements
+        for k in range(a.degree() + b.degree() + 1):
+            want = field.zero
+            for i in range(k + 1):
+                want = want + a[i] * b[k - i]
+            assert (a * b)[k] == want
+    else:
+        assert (a * b).is_zero()
+
+
+def test_negative_power_raises():
+    with pytest.raises(ValueError, match="negative power"):
+        UniPoly(F7, [1, 1]) ** -1
+    assert UniPoly(F7, [1, 1]) ** 0 == UniPoly.one(F7)
