@@ -15,7 +15,6 @@ from .errors import (
     InvolutionPair,
     MixedFields,
     OffCurve,
-    RepeatedX,
     SerializationError,
     SingularInterpolation,
 )
@@ -181,34 +180,6 @@ def is_on_jacobian(d: MumfordDivisor, curve: CanonicalCurve) -> bool:
     j8, j10 = jacobian_residuals(d, curve)
     F = curve.field
     return F.is_zero(j8) and F.is_zero(j10)
-
-
-def du_derivative(d: MumfordDivisor, direction: str, curve: CanonicalCurve):
-    """(d a2/du, d a4/du) along the first-kind flow u1 or u3.
-
-    Chain rule through dx_i/du entries; needs distinct x-support away from
-    branch points.
-    """
-    if direction not in ("u1", "u3"):
-        raise SerializationError("direction must be 'u1' or 'u3'")
-    (x1, y1), (x2, y2), big, emb = points_from_mumford(d, curve)
-    if x1 == x2:
-        raise RepeatedX("flow derivative needs x1 != x2")
-    if big.is_zero(y1) or big.is_zero(y2):
-        raise BranchPointInSupport("flow derivative undefined at a branch point")
-    dx = x1 - x2
-    if direction == "u1":
-        dx1 = (-2 * y1) / dx
-        dx2 = (2 * y2) / dx
-    else:
-        dx1 = (2 * x2 * y1) / dx
-        dx2 = (-2 * x1 * y2) / dx
-    da2 = -(dx1 + dx2)
-    da4 = x2 * dx1 + x1 * dx2
-    if emb is not None:
-        da2 = emb.pullback(da2)
-        da4 = emb.pullback(da4)
-    return da2, da4
 
 
 # ---------------------------------------------------------------------------

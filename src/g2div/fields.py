@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count
 from math import isqrt
 
 from .errors import (
@@ -56,51 +56,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# integer-coefficient polynomial helpers mod p (internal; also used by
-# find_irreducible, which must not depend on the Field classes below)
-
-def _pmod_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmod_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pmod_trim(out)
-
-
-def _pmod_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        monic = [(c * inv) % p for c in b]
-        a, b = b, _pmod_divmod(a, monic, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _pmod_powx(e: int, m, p):
-    # x^e modulo monic m
-    result = [1]
-    base = _pmod_divmod([0, 1], m, p)[1]
-    while e:
-        if e & 1:
-            result = _pmod_divmod(_pmod_mul(result, base, p), m, p)[1]
-        base = _pmod_divmod(_pmod_mul(base, base, p), m, p)[1]
-        e >>= 1
-    return result
-
-
 def is_irreducible_mod_p(coeffs, p: int) -> bool:
     """Rabin test for a monic polynomial (ascending coefficients) over F_p."""
     k = len(coeffs) - 1
@@ -108,22 +63,14 @@ def is_irreducible_mod_p(coeffs, p: int) -> bool:
         return False
     if k == 1:
         return True
-    m = [c % p for c in coeffs]
-    # x^(p^k) == x mod m
-    xq = _pmod_powx(p ** k, m, p)
-    if _pmod_trim([(a - b) % p for a, b in _zip_pad(xq, [0, 1])]):
+    # the Field classes are defined below and unipoly imports them
+    from .unipoly import UniPoly, gcd, powmod
+    x, m = UniPoly.x(GF(p)), UniPoly(GF(p), coeffs)
+    # x^(p^k) == x mod m, and x^(p^(k/l)) - x coprime to m for each prime l | k
+    if powmod(x, p ** k, m) != x:
         return False
-    for ell in {f for f in (2, 3) if k % f == 0}:
-        xr = _pmod_powx(p ** (k // ell), m, p)
-        diff = _pmod_trim([(a - b) % p for a, b in _zip_pad(xr, [0, 1])])
-        if len(_pmod_gcd(diff, m, p)) != 1:
-            return False
-    return True
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+    return all(gcd(powmod(x, p ** (k // ell), m) - x, m).degree() == 0
+               for ell in (2, 3) if k % ell == 0)
 
 
 def find_irreducible(p: int, k: int) -> list[int]:
@@ -542,6 +489,9 @@ class PrimeField(Field):
         except (ValueError, ZeroDivisionError) as exc:
             raise SerializationError(f"bad element {s!r} for {self}") from exc
 
+    def _element_at(self, n: int) -> FieldElement:
+        return FieldElement(self, n)
+
     def elements(self):
         for v in range(self.p):
             yield FieldElement(self, v)
@@ -590,8 +540,9 @@ class ExtensionField(Field):
                 rep = [(a + lead * b) % p for a, b in zip(rep, self._red[0])]
             self._red.append(tuple(rep))
         # Frobenius matrix: _frob[i] represents t^(i*p) as a degree < k vector
-        self._frob = [tuple(_pmod_powx(i * p, list(self.modulus), p) + [0] * k)[:k]
-                      for i in range(k)]
+        from .unipoly import UniPoly, powmod
+        t, m = UniPoly.x(GF(p)), UniPoly(GF(p), self.modulus)
+        self._frob = [tuple(powmod(t, i * p, m)[j].value for j in range(k)) for i in range(k)]
 
     def key(self):
         return ("extension", self.p, self.k, self.modulus)
@@ -717,13 +668,20 @@ class ExtensionField(Field):
 
     def _non_residue(self):
         """The first quadratic non-residue in elements() order, found once per
-        field.  For even k the prime subfield (the first p elements) consists
-        of squares, so the scan starts after it; otherwise after zero."""
+        field without enumerating the field.  For odd k an element of F_p is a
+        square in F_{p^k} exactly when it is one in F_p, so this is the least
+        non-residue mod p.  For even k the prime subfield (the first p
+        elements) consists of squares, so the Euler test starts at element p,
+        which is t."""
         if self._nonresidue is None:
-            e = (self.order() - 1) // 2
-            skip = self.p if self.k % 2 == 0 else 1
-            self._nonresidue = next(z for z in islice(self.elements(), skip, None)
-                                    if self.pow(z, e) != self.one)
+            p = self.p
+            if self.k % 2:
+                c = next(c for c in count(2) if pow(c, (p - 1) // 2, p) == p - 1)
+                self._nonresidue = self.element(c)
+            else:
+                e = (self.order() - 1) // 2
+                self._nonresidue = next(z for z in map(self._element_at, count(p))
+                                        if self.pow(z, e) != self.one)
         return self._nonresidue
 
     def sort_key(self, a):
@@ -738,35 +696,16 @@ class ExtensionField(Field):
         except ValueError as exc:
             raise SerializationError(f"bad element {s!r} for {self}") from exc
 
+    def _element_at(self, n: int) -> FieldElement:
+        """Element n of elements(): the base-p digits of n, lowest first."""
+        coeffs = []
+        for _ in range(self.k):
+            n, c = divmod(n, self.p)
+            coeffs.append(c)
+        return FieldElement(self, tuple(coeffs))
+
     def elements(self):
-        p, k = self.p, self.k
-        for n in range(p ** k):
-            coeffs = []
-            v = n
-            for _ in range(k):
-                coeffs.append(v % p)
-                v //= p
-            yield FieldElement(self, tuple(coeffs))
-
-
-def _pmod_divmod(a, b, p):
-    """Quotient and remainder of a by nonzero b over F_p (ascending lists)."""
-    a = [c % p for c in a]
-    b = _pmod_trim([c % p for c in b])
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - db, 1)
-    while a and len(a) - 1 >= db:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - db
-        q[shift] = c
-        if c:
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * bi) % p
-        a.pop()
-        while a and a[-1] % p == 0:
-            a.pop()
-    return _pmod_trim(q), _pmod_trim(a)
+        return map(self._element_at, range(self.order()))
 
 
 _FIELD_CACHE: dict = {}
@@ -820,9 +759,9 @@ def embedding(small: Field, big: "ExtensionField") -> "FieldEmbedding":
 class FieldEmbedding:
     """Embedding of a prime or extension field into a larger extension field.
 
-    The image of the small field's generator is a root of its modulus in the
-    big field, found by deterministic scan; pullback solves the resulting
-    linear system over F_p.
+    The image of the small field's generator is the least root (in sort_key
+    order) of its modulus in the big field, found by roots_in_field; pullback
+    solves the resulting linear system over F_p.
     """
 
     def __init__(self, small: Field, big: ExtensionField):
@@ -836,16 +775,11 @@ class FieldEmbedding:
         elif isinstance(small, ExtensionField):
             if big.k % small.k != 0:
                 raise UnsupportedField(f"degree {small.k} does not divide {big.k}")
-            root = None
-            for cand in big.elements():
-                acc = big.zero
-                for c in reversed(small.modulus):
-                    acc = big.add(big.mul(acc, cand), big.element(c))
-                if big.is_zero(acc):
-                    root = cand
-                    break
-            if root is None:
+            from .unipoly import UniPoly, roots_in_field
+            roots = roots_in_field(UniPoly(big, small.modulus))
+            if not roots:
                 raise UnsupportedField("modulus has no root in target field")
+            root = roots[0]
             self._basis = [big.one]
             for _ in range(small.k - 1):
                 self._basis.append(big.mul(self._basis[-1], root))

@@ -468,12 +468,6 @@ def find_four_torsion(curve: CanonicalCurve) -> list:
     return out
 
 
-def torsion_branch_classification(D: MumfordDivisor, curve: CanonicalCurve) -> str:
-    """Which 4-torsion residual branch applies, from the doubled divisor."""
-    doubled, _ = double_traced(D, curve)
-    return "special" if doubled.is_special() else "nonspecial"
-
-
 def find_n_torsion(curve: CanonicalCurve, n: int) -> list:
     if n == 2:
         return two_torsion_divisors(curve)

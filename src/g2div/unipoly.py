@@ -6,6 +6,8 @@ c0 + c1*x + c2*x^2.
 """
 from __future__ import annotations
 
+import random
+
 from .errors import DivisionByZero, InexactDivision
 from .fields import Field, FieldElement
 
@@ -270,21 +272,33 @@ def resultant(a: UniPoly, b: UniPoly) -> FieldElement:
     return sign * lead * resultant(b, r)
 
 
-def roots_in_field(poly: UniPoly) -> list:
-    """All roots of poly in its base field, deterministically sorted.
+def powmod(base: UniPoly, e: int, m: UniPoly) -> UniPoly:
+    """base^e mod m by repeated squaring, e >= 0."""
+    result = UniPoly.one(base.field) % m
+    base = base % m
+    while e:
+        if e & 1:
+            result = result * base % m
+        e >>= 1
+        if e:
+            base = base * base % m
+    return result
 
-    Finite fields are scanned exhaustively (desk scale).  Over Q the monic
-    rational-root search runs on the cleared-denominator model.
+
+def roots_in_field(poly: UniPoly) -> list:
+    """All distinct roots of poly in its base field, sorted by sort_key.
+
+    Over F_q: Rabin's g = gcd(f, x^q - x) collects the roots, and
+    Cantor-Zassenhaus equal-degree splitting separates them, so the cost is
+    polylogarithmic in q.  Over Q the monic rational-root search runs on the
+    cleared-denominator model.
     """
     F = poly.field
     if poly.is_zero():
         raise DivisionByZero("zero polynomial has every root")
-    found = []
     if F.order() is not None:
-        for x in F.elements():
-            if F.is_zero(poly.evaluate(x)):
-                found.append(x)
-        return found
+        return sorted(_split_roots(poly.monic()), key=F.sort_key)
+    found = []
     # rational roots: substitute x = u/c with c clearing denominators, monic in u
     from fractions import Fraction
     from math import lcm
@@ -315,3 +329,38 @@ def roots_in_field(poly: UniPoly) -> list:
             if F.is_zero(poly.evaluate(x)):
                 found.append(x)
     return sorted(set(found), key=F.sort_key)
+
+
+def _split_roots(f: UniPoly) -> list:
+    """The roots of monic f over F_q, q odd (Rabin; Cantor-Zassenhaus).
+
+    g = gcd(f, x^q - x) is the product of the distinct linear factors of f.
+    A factor h of g of degree >= 2 splits as gcd(h, (x + c)^((q-1)/2) - 1),
+    the roots r with r + c a nonzero square, whenever that gcd is proper;
+    for c uniform over F_q each pair of roots separates with probability
+    about 1/2.  The shifts c come from a fixed seed, so the work is
+    deterministic, and they range over the whole field: inside F_{p^k}, k
+    even, every element of F_p is a square, so shifts c in F_p would separate
+    two roots lying in F_p only at c = -r, after O(p) tries.
+    """
+    if f.degree() < 1:
+        return []
+    F = f.field
+    q = F.order()
+    x = UniPoly.x(F)
+    g = gcd(f, powmod(x, q, f) - x)
+    rng = random.Random(q)
+    e = (q - 1) // 2
+    roots, todo = [], [g] if g.degree() > 0 else []
+    while todo:
+        h = todo.pop()
+        if h.degree() == 1:
+            roots.append(-h[0])
+            continue
+        while True:
+            c = F._element_at(rng.randrange(q))
+            s = gcd(h, powmod(x + c, e, h) - 1)
+            if 0 < s.degree() < h.degree():
+                break
+        todo += [s, h.exact_div(s)]
+    return roots

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_divisor, random_point
+from grouplaw_helpers import torsion_branch_classification
 from g2div.cantor import (
     brute_force_n_torsion,
     cantor_add,
@@ -43,7 +44,6 @@ from g2div.torsion import (
     four_torsion_residuals,
     is_torsion,
     three_torsion_x_poly,
-    torsion_branch_classification,
     two_torsion_divisors,
     x_pair_ring,
     _dp_of,

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from conftest import random_divisor, random_point
+from grouplaw_helpers import du_derivative
 from g2div.curves import CanonicalCurve
 from g2div.divisors import (
     MumfordDivisor,
     build_polyfunction,
     divisor_from_json,
     divisor_to_json,
-    du_derivative,
     jacobian_residuals,
     monomial_ladder,
     mumford_from_points,

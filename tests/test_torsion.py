@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_divisor, random_point
+from grouplaw_helpers import torsion_branch_classification
 from g2div.cantor import brute_force_n_torsion, enumerate_jacobian, to_mumford
 from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, mumford_from_points, negate, points_from_mumford
@@ -22,7 +23,6 @@ from g2div.torsion import (
     three_torsion_x_poly,
     three_torsion_y_poly,
     t_quotient,
-    torsion_branch_classification,
     two_torsion_divisors,
     x_pair_ring,
     xy_ring,
