@@ -10,16 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import CanonicalCurve
-from .errors import (
-    BranchPointInSupport,
-    InvolutionPair,
-    MixedFields,
-    OffCurve,
-    SerializationError,
-    SingularInterpolation,
-)
-from .fields import Field, FieldElement, GF, embedding
-from .series import taylor_on_curve
+from .errors import InvolutionPair, MixedFields, OffCurve, SerializationError
+from .fields import Field, GF, embedding
 
 NONSPECIAL = "nonspecial"
 SPECIAL = "special"
@@ -180,160 +172,6 @@ def is_on_jacobian(d: MumfordDivisor, curve: CanonicalCurve) -> bool:
     j8, j10 = jacobian_residuals(d, curve)
     F = curve.field
     return F.is_zero(j8) and F.is_zero(j10)
-
-
-# ---------------------------------------------------------------------------
-# polynomial functions: the monomial ladder and the determinant construction
-
-def monomial_ladder(max_weight: int):
-    """Monomials of the function ring as (weight, x-exp, y-exp), ascending.
-
-    Even weights carry x^(w/2); odd weights >= 5 carry y*x^((w-5)/2); the
-    gaps 1 and 3 carry nothing.
-    """
-    out = []
-    for w in range(max_weight + 1):
-        if w % 2 == 0:
-            out.append((w, w // 2, 0))
-        elif w >= 5:
-            out.append((w, (w - 5) // 2, 1))
-    return out
-
-
-@dataclass(frozen=True)
-class PolyFunction:
-    """Monic weight-w element of the function ring, coefficients over the ladder."""
-
-    field: Field
-    weight: int
-    coeffs: tuple  # aligned with monomial_ladder(weight)
-
-    def monomials(self):
-        return monomial_ladder(self.weight)
-
-    def evaluate(self, x, y) -> FieldElement:
-        F = self.field
-        x, y = F.coerce(x), F.coerce(y)
-        acc = F.zero
-        for (w, xe, ye), c in zip(self.monomials(), self.coeffs):
-            t = c
-            if xe:
-                t = t * F.pow(x, xe)
-            if ye:
-                t = t * y
-            acc = acc + t
-        return acc
-
-
-def _det(field: Field, rows) -> FieldElement:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = field.one
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not field.is_zero(m[i][col])), None)
-        if piv is None:
-            return field.zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = field.inv(m[col][col])
-        for i in range(col + 1, n):
-            f = m[i][col] * inv
-            if field.is_zero(f):
-                continue
-            for j in range(col, n):
-                m[i][j] = m[i][j] - f * m[col][j]
-    return det
-
-
-def _point_rows(curve: CanonicalCurve, points, ladder):
-    """One evaluation row per point; repeated points get Taylor rows.
-
-    Row i of a multiplicity-m group holds the t^i Taylor coefficients of the
-    ladder monomials along the curve at that point (rescaling a row leaves
-    the determinant ratio unchanged, so Taylor coefficients replace plain
-    derivatives).
-    """
-    F = curve.field
-    groups: list = []
-    for pt in points:
-        for g in groups:
-            if g[0] == pt:
-                g[1] += 1
-                break
-        else:
-            groups.append([pt, 1])
-    rows = []
-    px_coeffs = curve.px().coeffs
-    for (x0, y0), mult in groups:
-        if mult == 1:
-            rows.append([F.pow(x0, xe) * (y0 if ye else F.one) if (xe or ye)
-                         else F.one for (_, xe, ye) in ladder])
-            continue
-        if F.is_zero(y0):
-            raise BranchPointInSupport("no Taylor rows at a branch point")
-        yser = taylor_on_curve(F, px_coeffs, x0, y0, mult)
-        # x(t) = x0 + t: binomial powers
-        for order in range(mult):
-            row = []
-            for (_, xe, ye) in ladder:
-                # t^order coefficient of (x0+t)^xe * y(t)^ye
-                acc = F.zero
-                for i in range(order + 1):
-                    xc = _binom_coeff(F, xe, i, x0)
-                    if ye:
-                        yc = yser[order - i] if order - i < len(yser) else F.zero
-                    else:
-                        yc = F.one if order - i == 0 else F.zero
-                    acc = acc + xc * yc
-                row.append(acc)
-            rows.append(row)
-    return rows
-
-
-def _binom_coeff(F: Field, e: int, i: int, x0) -> FieldElement:
-    # t^i coefficient of (x0 + t)^e
-    if i > e:
-        return F.zero
-    from math import comb
-    return F.element(comb(e, i)) * F.pow(x0, e - i)
-
-
-def build_polyfunction(curve: CanonicalCurve, points, weight: int) -> PolyFunction:
-    """Monic weight-w function through a positive divisor of degree w-2.
-
-    Determinant-ratio interpolation over the first w-g+1 ladder monomials;
-    repeated points contribute Taylor rows.  A vanishing denominator means
-    the divisor hides an involution pair (the function acquires an x-factor
-    and the interpolation is singular).
-    """
-    g = 2
-    if weight < 2 * g:
-        raise SingularInterpolation(f"weight {weight} below 2g = {2*g}")
-    ladder = monomial_ladder(weight)
-    if len(points) != weight - g:
-        raise SingularInterpolation(f"need {weight - g} points for weight {weight}")
-    F = curve.field
-    for pt in points:
-        if not curve.on_curve(pt):
-            raise OffCurve(f"{pt} not on the curve")
-    rows = _point_rows(curve, points, ladder)
-    n = len(ladder)  # = weight - g + 1
-    # minor j deletes ladder column j from the point rows
-    minors = []
-    for j in range(n):
-        sub = [[row[i] for i in range(n) if i != j] for row in rows]
-        minors.append(_det(F, sub))
-    top = minors[-1]  # coefficient of the weight-w monomial before normalizing
-    if F.is_zero(top):
-        raise SingularInterpolation("denominator minor vanishes (involution pair in the divisor)")
-    inv = F.inv(top)
-    coeffs = []
-    for j in range(n):
-        c = minors[j] * inv
-        coeffs.append(c if (n - 1 - j) % 2 == 0 else -c)
-    return PolyFunction(F, weight, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,17 @@ when the sum degenerates to a single point).  Every branch below carries a
 tag so oracle tests can prove each one is exercised:
 
   neutral, inverse, add_points, add_special, generic, double,
-  double_to_special, add_to_special, support_overlap (peel/interpolation).
+  double_to_special, add_to_special, support_overlap.
 
 The dispatch order guarantees each later branch's preconditions: neutral
 operands, then inverse pairs, then equal operands, then the generic solve
 (_add_generic, _double_generic on native values), and only where that
-declines, shared support and the singular interpolation matrix.
+declines, the singular gamma matrix and shared support.  Shared support
+takes two closed-form rules: P plus a point q above a root of u_P is the
+other point of P when q = -p1 for the point p1 of P there, and otherwise
+the weight-5 function y + b3*x + b5 + g1*u(x) tangent to the curve at p1;
+two degree-2 divisors sharing an x add as (P + q1) + q2 for the points of
+Q above the shared x and above the other root of u_Q.
 scalar_mul runs the two generic kernels directly and falls back to the
 dispatchers for everything they decline.
 """
@@ -23,11 +28,9 @@ from .curves import CanonicalCurve, GeneralCurve
 from .divisors import (
     MumfordDivisor,
     _chord,
-    build_polyfunction,
     is_on_jacobian,
     mumford_from_points,
     negate,
-    points_from_mumford,
 )
 from .errors import (
     BranchPointInSupport,
@@ -42,7 +45,6 @@ from .errors import (
     SupportOverlap,
 )
 from .series import taylor_on_curve
-from .unipoly import UniPoly
 
 
 @dataclass(frozen=True)
@@ -287,6 +289,13 @@ def _double_generic(F, lam, c):
     return _nonspecial_sum(F, c, c, _gamma_r6(c, g1, g2), inv_g1, lam[0])
 
 
+def _gamma_r5(c, g1) -> GammaR5:
+    """y + b3*x + b5 + g1*u(x): a weight-5 function through the support of
+    coordinates c."""
+    a2, a4, b3, b5 = c
+    return GammaR5(g1, b3 + g1 * a2, b5 + g1 * a4)
+
+
 def _weight5_sum(F, g: GammaR5, a2_sum, l2) -> MumfordDivisor:
     """The single point left on y + g1*x^2 + g3*x + g5 by a known support
     whose x-coordinates sum to -a2_sum (the quintic's roots sum to g1^2 - l2)."""
@@ -298,6 +307,50 @@ def _weight5_sum(F, g: GammaR5, a2_sum, l2) -> MumfordDivisor:
 def _weight5_nonspecial(F, g: GammaR5, a2s, a4s) -> MumfordDivisor:
     """The degree-2 sum with alpha (a2s, a4s) on y + g1*x^2 + g3*x + g5."""
     return MumfordDivisor.nonspecial(F, a2s, a4s, g.g1 * a2s - g.g3, g.g1 * a4s - g.g5)
+
+
+def _add_point_weight5(P: MumfordDivisor, xq, g1, curve: CanonicalCurve) -> MumfordDivisor:
+    """P + q from the weight-5 function y + b3*x + b5 + g1*u(x) through the
+    support of P and q = (xq, yq): the quintic P(x) - (g1*x^2 + g3*x + g5)^2
+    has the roots of u_P, xq and the x-coordinates of the sum."""
+    a2, a4 = P.a2, P.a4
+    gam = _gamma_r5(P.coords, g1)
+    s = xq + curve.lam[0] - g1 * g1
+    a4s = -a4 + a2 * a2 + (xq - a2) * s + curve.lam[1] - 2 * g1 * gam.g3
+    return _weight5_nonspecial(curve.field, gam, s - a2, a4s)
+
+
+def _add_point_in_support(P: MumfordDivisor, q, curve: CanonicalCurve) -> MumfordDivisor:
+    """P + q for a point q = (xq, yq) above a root of u_P, where add_special's
+    solve is singular; p1 is the point of P above xq, x2 the other root.
+
+    q = -p1 (a branch point included) leaves the other point of P.  q = p1
+    takes the weight-5 function tangent to the curve at p1, to third order
+    when P = 2*p1 (x2 = xq)."""
+    a2, _, b3, b5 = P.coords
+    xq, yq = q
+    x2 = -a2 - xq
+    if yq == b3 * xq + b5:
+        return MumfordDivisor.special(curve.field, x2, -(b3 * x2 + b5))
+    if xq != x2:
+        g1 = -(curve.dp_at(xq) / (yq + yq) + b3) / (xq - x2)
+    else:
+        g1 = -(curve.dpx().derivative().evaluate(xq) / 2 - b3 * b3) / (yq + yq)
+    return _add_point_weight5(P, xq, g1, curve)
+
+
+def _add_overlapping(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
+    """P + Q for degree-2 divisors whose supports share an x but which are
+    neither equal nor opposite: (P + q1) + q2 for the points q1, q2 of Q above
+    the shared x0 and above the other root of u_Q.  x0 is the common root of
+    the two u's, or where the two lines meet when the u's agree."""
+    F = curve.field
+    dA2, dA4, dB3, dB5, _ = _difference(P.coords, Q.coords)
+    x0 = -dB5 / dB3 if F.is_zero(dA2) else -dA4 / dA2
+    a2, _, b3, b5 = Q.coords
+    x1 = -a2 - x0
+    R = _add_point_in_support(P, (x0, -(b3 * x0 + b5)), curve)
+    return add(R, MumfordDivisor.special(F, x1, -(b3 * x1 + b5)), curve)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +377,7 @@ def add_special(P: MumfordDivisor, q_point, curve: CanonicalCurve) -> MumfordDiv
     den = xq * xq + xq * a2 + a4
     if F.is_zero(den):
         raise QInSupport("point lies in the support of P or -P")
-    inv = F.inv(den)
-    g1 = -(yq + xq * b3 + b5) * inv
-    g3 = (-yq * a2 + xq * xq * b3 + a4 * b3 - a2 * b5) * inv
-    g5 = (-yq * a4 + xq * xq * b5 - xq * (a4 * b3 - a2 * b5)) * inv
-    l2, l4 = curve.lam[0], curve.lam[1]
-    a2s = -a2 + xq + l2 - g1 * g1
-    a4s = -a4 + a2 * a2 + (xq - a2) * (xq + l2 - g1 * g1) + l4 - 2 * g1 * g3
-    return _weight5_nonspecial(F, GammaR5(g1, g3, g5), a2s, a4s)
+    return _add_point_weight5(P, xq, -(yq + xq * b3 + b5) / den, curve)
 
 
 def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
@@ -349,9 +395,7 @@ def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) 
         g1 = -dB5 / dA4
     else:
         raise SupportOverlap("identical x-support: not an add_to_special instance")
-    a2p, a4p, b3p, b5p = P.coords
-    gam = GammaR5(g1, a2p * g1 + b3p, a4p * g1 + b5p)
-    return _weight5_sum(F, gam, a2p + Q.a2, curve.lam[0])
+    return _weight5_sum(F, _gamma_r5(P.coords, g1), P.a2 + Q.a2, curve.lam[0])
 
 
 def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve,
@@ -360,110 +404,10 @@ def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve,
     F = curve.field
     if tang is None:
         tang = tangent_data(curve, Q)
-    a2, a4, b3, b5 = Q.coords
+    a2 = Q.a2
     if not F.is_zero(_duplication_denominator(a2, tang.b3p, tang.b5p)):
         raise ConditionViolated("2Q is not special: use the generic doubling")
-    g1 = tang.b3p / 2
-    g3 = (2 * b3 + a2 * tang.b3p) / 2
-    g5 = (2 * b5 + a4 * tang.b3p) / 2
-    return _weight5_sum(F, GammaR5(g1, g3, g5), a2 + a2, curve.lam[0])
-
-
-# ---------------------------------------------------------------------------
-# interpolation fallback for overlapping supports
-
-def _cancel_involutions(points):
-    pts = list(points)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                xi, yi = pts[i]
-                xj, yj = pts[j]
-                if xi == xj and yi == -yj:
-                    del pts[j]
-                    del pts[i]
-                    changed = True
-                    break
-            if changed:
-                break
-    return pts
-
-
-def _extract_complement(curve: CanonicalCurve, gam, points, weight: int) -> MumfordDivisor:
-    """Divide the norm polynomial of the interpolating function by the known
-    support roots; what is left is the complement divisor, and the reduced
-    sum is its negative."""
-    F = curve.field
-    if weight == 6:
-        # (x^3+g2 x^2+g4 x+g6)^2 - g1^2 P(x) = prod (x - x_i) * (x^2 + a2* x + a4*)
-        cubic = UniPoly(F, [gam.g6, gam.g4, gam.g2, F.one])
-        norm = cubic * cubic - curve.px().scale(gam.g1 * gam.g1)
-    else:
-        # quintic P(x) - (g1 x^2 + g3 x + g5)^2
-        quad = UniPoly(F, [gam.g5, gam.g3, gam.g1])
-        norm = curve.px() - quad * quad
-    for (x0, _) in points:
-        norm = norm.exact_div(UniPoly(F, [-x0, F.one]))
-    if norm.degree() == 2:
-        a2s, a4s = norm[1], norm[0]
-        if weight == 6:
-            return MumfordDivisor.nonspecial(F, a2s, a4s, *_sum_beta(F, a2s, a4s, gam))
-        return _weight5_nonspecial(F, gam, a2s, a4s)
-    # weight 5 through four points: the root left is (g1^2 - l2) - sum of x_i
-    return _weight5_sum(F, gam, -sum((x for x, _ in points), F.zero), curve.lam[0])
-
-
-def _reduce_point_multiset(curve: CanonicalCurve, points) -> MumfordDivisor:
-    """Total reduction of a degree <= 4 positive divisor given by points."""
-    F = curve.field
-    pts = _cancel_involutions(points)
-    m = len(pts)
-    if m == 0:
-        return MumfordDivisor.neutral(F)
-    if m == 1:
-        return MumfordDivisor.special(F, *pts[0])
-    if m == 2:
-        return mumford_from_points(curve, pts[0], pts[1])
-    if m == 3:
-        # prefer the explicit degree-2 + point formulas when supports split
-        counts = {}
-        for pt in pts:
-            counts[pt] = counts.get(pt, 0) + 1
-        if len(counts) >= 2:
-            rep = max(counts, key=lambda pt: counts[pt])
-            if counts[rep] == 2:
-                others = [pt for pt in pts if pt != rep]
-                base = mumford_from_points(curve, rep, rep)
-                return add_special(base, others[0], curve)
-            ordered = sorted(counts, key=lambda pt: (F.sort_key(pt[0]), F.sort_key(pt[1])))
-            base = mumford_from_points(curve, ordered[0], ordered[1])
-            try:
-                return add_special(base, ordered[2], curve)
-            except QInSupport:
-                pass  # x-collision: fall through to interpolation
-        try:
-            fn = build_polyfunction(curve, pts, 5)
-            gam = GammaR5(fn.coeffs[2], fn.coeffs[1], fn.coeffs[0])
-            return _extract_complement(curve, gam, pts, 5)
-        except SingularInterpolation as exc:
-            raise SupportOverlap(f"degree-3 reduction failed: {exc}") from exc
-    # m == 4
-    try:
-        fn = build_polyfunction(curve, pts, 6)
-    except SingularInterpolation:
-        # the sum is a single point: weight-5 function through any 3 of the
-        # points determines it; the 4th must lie on it
-        sub = pts[:3]
-        fn5 = build_polyfunction(curve, sub, 5)
-        x4, y4 = pts[3]
-        if not F.is_zero(fn5.evaluate(x4, y4)):
-            raise SupportOverlap("singular weight-6 interpolation without a weight-5 witness")
-        gam = GammaR5(fn5.coeffs[2], fn5.coeffs[1], fn5.coeffs[0])
-        return _extract_complement(curve, gam, pts, 5)
-    gam = GammaR6(fn.coeffs[3], fn.coeffs[2], fn.coeffs[1], fn.coeffs[0])
-    return _extract_complement(curve, gam, pts, 6)
+    return _weight5_sum(F, _gamma_r5(Q.coords, tang.b3p / 2), a2 + a2, curve.lam[0])
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +433,7 @@ def add_traced(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve):
         try:
             return add_special(P, Q.coords, curve), "add_special"
         except QInSupport:
-            pts = _support_points(P, curve) + [Q.coords]
-            return _reduce_point_multiset(curve, pts), "support_overlap"
+            return _add_point_in_support(P, Q.coords, curve), "support_overlap"
     # both degree 2
     if P == Q:
         return double_traced(P, curve)
@@ -503,8 +446,7 @@ def add_traced(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve):
         return MumfordDivisor.nonspecial(F, *s), "generic"
     if F._reduce(_shared_x(pc, qc)):
         return add_to_special(P, Q, curve), "add_to_special"
-    pts = _support_points(P, curve) + _support_points(Q, curve)
-    return _reduce_point_multiset(curve, pts), "support_overlap"
+    return _add_overlapping(P, Q, curve), "support_overlap"
 
 
 def _shared_x(pc, qc):
@@ -514,13 +456,6 @@ def _shared_x(pc, qc):
     a2p, a4p = pc[:2]
     dA2, dA4 = a2p - qc[0], a4p - qc[1]
     return dA4 * (dA4 - a2p * dA2) + a4p * dA2 * dA2
-
-
-def _support_points(D: MumfordDivisor, curve: CanonicalCurve):
-    (p1, p2, big, emb) = points_from_mumford(D, curve)
-    if emb is not None:
-        raise SupportOverlap("overlap resolution expected rational support")
-    return [p1, p2]
 
 
 def _lam_natives(curve: CanonicalCurve) -> tuple:
@@ -553,17 +488,13 @@ def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
         return _double_repeated(Q, curve)  # a repeated point is never a branch point
     n = red(_y1y2(a2, a4, b3, b5))
     if not n:
-        # exactly one branch point: 2Q ~ 2*(other point)
-        other = _non_branch_point(Q, curve)
+        # exactly one branch point, at x = -b5/b3: 2Q ~ 2*(the other point)
+        x = Q.b5 / Q.b3 - Q.a2
+        other = (x, -(Q.b3 * x + Q.b5))
         return mumford_from_points(curve, other, other), "double"
     num3, num5 = map(red, _tangent_numerators(a2, a4, b3, b5, *lam))
     tang = _tangent_from(F, Q.a2, Q.b3, *map(F.coerce, (n, num3, num5)))
     return double_to_special(Q, curve, tang), "double_to_special"
-
-
-def _non_branch_point(Q, curve):
-    p1, p2 = _support_points(Q, curve)
-    return p2 if curve.field.is_zero(p1[1]) else p1
 
 
 def _double_repeated(Q: MumfordDivisor, curve: CanonicalCurve):
@@ -573,15 +504,13 @@ def _double_repeated(Q: MumfordDivisor, curve: CanonicalCurve):
     and g1*r3 + 1 = 0 against the Taylor coefficients r_k of y(x) at S; when
     r3 = 0 the result is a single point via the weight-5 function."""
     F = curve.field
-    a2, a4, b3, b5 = Q.coords
+    a2, _, b3, b5 = Q.coords
     xs = -a2 / 2
     ys = -(b3 * xs + b5)
     r = taylor_on_curve(F, curve.px().coeffs, xs, ys, 4)
     r2, r3 = r[2], r[3]
     if F.is_zero(r3):
-        g1 = -r2
-        gam = GammaR5(g1, b3 + g1 * a2, b5 + g1 * a4)
-        return _weight5_sum(F, gam, a2 + a2, curve.lam[0]), "double_to_special"
+        return _weight5_sum(F, _gamma_r5(Q.coords, -r2), a2 + a2, curve.lam[0]), "double_to_special"
     g1 = -F.inv(r3)
     c = _natives(Q)
     gam = _gamma_r6(c, F._native(g1), F._native(a2 - xs - g1 * r2))

@@ -19,6 +19,7 @@ from .errors import DivisionByZero, InexactDivision, MixedFields
 from .fields import Field, FieldElement
 
 NEG_INF = float("-inf")
+_SCALARS = (int, Fraction, FieldElement)
 
 
 class PolyRing:
@@ -131,17 +132,22 @@ class WeightedPoly:
         return exp, self._terms[exp]
 
     # -- arithmetic --------------------------------------------------------------
-    def _check(self, other) -> "WeightedPoly":
+    def _check(self, other):
+        """other as a polynomial of this ring; NotImplemented for an operand
+        type this class does not know, so the other operand's reflected
+        operator runs."""
         if isinstance(other, WeightedPoly):
             if other.ring != self.ring:
                 raise MixedFields("polynomials from different rings")
             return other
-        return self.ring.const(other)
+        if isinstance(other, _SCALARS):
+            return self.ring.const(other)
+        return NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, RationalPoly):
-            return NotImplemented
         other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
         F = self.ring.field
         out = dict(self._terms)
         for e, c in other._terms.items():
@@ -162,19 +168,19 @@ class WeightedPoly:
         return WeightedPoly(self.ring, {e: F.neg(c) for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, RationalPoly):
-            return NotImplemented
-        return self + (-self._check(other))
+        other = self._check(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return self._check(other) - self
+        other = self._check(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other):
-        if isinstance(other, RationalPoly):
-            return NotImplemented
-        if isinstance(other, (int, Fraction, FieldElement)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
         F = self.ring.field
         if not self._terms or not other._terms:
             return self.ring.zero()
@@ -220,6 +226,8 @@ class WeightedPoly:
     def exact_div(self, g: "WeightedPoly") -> "WeightedPoly":
         """Quotient self/g; raises InexactDivision unless g divides exactly."""
         g = self._check(g)
+        if g is NotImplemented:
+            raise MixedFields("divisor is not a polynomial of this ring")
         if g.is_zero():
             raise DivisionByZero("division by zero polynomial")
         F = self.ring.field
@@ -318,22 +326,6 @@ class WeightedPoly:
                 if ei:
                     t = F.mul(t, power(i, ei))
             acc = F.add(acc, t)
-        return acc
-
-    def reduce_power(self, name: str, deg: int, replacement: "WeightedPoly") -> "WeightedPoly":
-        """Rewrite name^e as name^(e mod deg) * replacement^(e // deg)."""
-        i = self.ring.index[name]
-        repl_pows: dict = {}
-        acc = self.ring.zero()
-        for e, c in self._terms.items():
-            q, r = divmod(e[i], deg)
-            if q == 0:
-                acc = acc + WeightedPoly(self.ring, {e: c})
-                continue
-            if q not in repl_pows:
-                repl_pows[q] = replacement ** q
-            ne = e[:i] + (r,) + e[i + 1:]
-            acc = acc + WeightedPoly(self.ring, {ne: c}) * repl_pows[q]
         return acc
 
     # -- univariate views -------------------------------------------------------
@@ -465,97 +457,3 @@ def resultant(p: WeightedPoly, q: WeightedPoly, name: str) -> WeightedPoly:
     dA = len(A) - 1
     res = (B[0] ** dA).exact_div(h ** (dA - 1)) if dA > 1 else (B[0] ** dA)
     return res.scale(sign)
-
-
-# -------------------------------------------------------------------------
-# rational expressions (numerator/denominator pairs, no gcd machinery)
-
-class RationalPoly:
-    """Quotient of two WeightedPolys; cancellation only by exact division."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: WeightedPoly, den: WeightedPoly = None):
-        if den is None:
-            den = num.ring.one()
-        if den.is_zero():
-            raise DivisionByZero("zero denominator")
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def of(p: WeightedPoly) -> "RationalPoly":
-        return RationalPoly(p)
-
-    def _lift(self, other) -> "RationalPoly":
-        if isinstance(other, RationalPoly):
-            return other
-        if isinstance(other, WeightedPoly):
-            return RationalPoly(other)
-        return RationalPoly(self.num.ring.const(other))
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if self.den == o.den:
-            return RationalPoly(self.num + o.num, self.den)
-        return RationalPoly(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalPoly(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return RationalPoly(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o.num.is_zero():
-            raise DivisionByZero("division by zero rational expression")
-        return RationalPoly(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return RationalPoly(self.den, self.num) ** (-e)
-        return RationalPoly(self.num ** e, self.den ** e)
-
-    def cancel(self) -> "RationalPoly":
-        """Try to divide numerator by denominator exactly."""
-        if self.num.is_zero():
-            return RationalPoly(self.num.ring.zero())
-        try:
-            return RationalPoly(self.num.exact_div(self.den))
-        except InexactDivision:
-            return self
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        return (self.num * o.den) == (o.num * self.den)
-
-    __hash__ = None
-
-    def weight(self):
-        if self.num.is_zero():
-            return NEG_INF
-        return self.num.weighted_degree() - self.den.weighted_degree()
-
-    def is_homogeneous(self) -> bool:
-        return self.num.is_homogeneous() and self.den.is_homogeneous()
-
-    def __repr__(self):
-        return f"RationalPoly(({self.num.to_text()}) / ({self.den.to_text()}))"

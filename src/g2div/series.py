@@ -2,7 +2,7 @@
 
 Coefficients are either FieldElements or WeightedPolys; the series is a
 plain coefficient list modulo O(t^order).  Used for the expansion of the
-curve at infinity and for Taylor rows in confluent interpolation.
+curve at infinity and for y(x) about a point in confluent duplication.
 """
 from __future__ import annotations
 

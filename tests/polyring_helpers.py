@@ -1,5 +1,6 @@
 """Polynomial-ring cross-check helpers that only the tests use."""
-from g2div.polyring import PolyRing, WeightedPoly
+from g2div.errors import DivisionByZero, InexactDivision
+from g2div.polyring import NEG_INF, PolyRing, WeightedPoly
 
 
 def partial_derivative(poly: WeightedPoly, name: str) -> WeightedPoly:
@@ -63,3 +64,112 @@ def det_bareiss(rows: list, ring: PolyRing) -> WeightedPoly:
             M[i][k] = ring.zero()
         prev = M[k][k]
     return M[n - 1][n - 1].scale(sign)
+
+
+def reduce_power(poly: WeightedPoly, name: str, deg: int,
+                 replacement: WeightedPoly) -> WeightedPoly:
+    """Rewrite name^e as name^(e mod deg) * replacement^(e // deg)."""
+    ring = poly.ring
+    i = ring.index[name]
+    repl_pows: dict = {}
+    acc = ring.zero()
+    for e, c in poly.terms():
+        q, r = divmod(e[i], deg)
+        if q == 0:
+            acc = acc + WeightedPoly(ring, {e: c})
+            continue
+        if q not in repl_pows:
+            repl_pows[q] = replacement ** q
+        ne = e[:i] + (r,) + e[i + 1:]
+        acc = acc + WeightedPoly(ring, {ne: c}) * repl_pows[q]
+    return acc
+
+
+# -------------------------------------------------------------------------
+# rational expressions (numerator/denominator pairs, no gcd machinery)
+
+class RationalPoly:
+    """Quotient of two WeightedPolys; cancellation only by exact division."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: WeightedPoly, den: WeightedPoly = None):
+        if den is None:
+            den = num.ring.one()
+        if den.is_zero():
+            raise DivisionByZero("zero denominator")
+        self.num = num
+        self.den = den
+
+    def _lift(self, other) -> "RationalPoly":
+        if isinstance(other, RationalPoly):
+            return other
+        if isinstance(other, WeightedPoly):
+            return RationalPoly(other)
+        return RationalPoly(self.num.ring.const(other))
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if self.den == o.den:
+            return RationalPoly(self.num + o.num, self.den)
+        return RationalPoly(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RationalPoly(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return RationalPoly(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o.num.is_zero():
+            raise DivisionByZero("division by zero rational expression")
+        return RationalPoly(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return RationalPoly(self.den, self.num) ** (-e)
+        return RationalPoly(self.num ** e, self.den ** e)
+
+    def cancel(self) -> "RationalPoly":
+        """Try to divide numerator by denominator exactly."""
+        if self.num.is_zero():
+            return RationalPoly(self.num.ring.zero())
+        try:
+            return RationalPoly(self.num.exact_div(self.den))
+        except InexactDivision:
+            return self
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __eq__(self, other):
+        o = self._lift(other)
+        return (self.num * o.den) == (o.num * self.den)
+
+    __hash__ = None
+
+    def weight(self):
+        if self.num.is_zero():
+            return NEG_INF
+        return self.num.weighted_degree() - self.den.weighted_degree()
+
+    def is_homogeneous(self) -> bool:
+        return self.num.is_homogeneous() and self.den.is_homogeneous()
+
+    def __repr__(self):
+        return f"RationalPoly(({self.num.to_text()}) / ({self.den.to_text()}))"

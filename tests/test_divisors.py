@@ -2,32 +2,23 @@ import random
 
 import pytest
 
-from conftest import random_divisor, random_point
+from conftest import random_divisor
 from grouplaw_helpers import du_derivative
+from polyring_helpers import RationalPoly, reduce_power
 from g2div.curves import CanonicalCurve
 from g2div.divisors import (
     MumfordDivisor,
-    build_polyfunction,
     divisor_from_json,
     divisor_to_json,
     jacobian_residuals,
-    monomial_ladder,
     mumford_from_points,
     negate,
     points_from_mumford,
 )
-from g2div.errors import InvolutionPair, OffCurve, SingularInterpolation
+from g2div.errors import InvolutionPair, OffCurve
 from g2div.fields import GF, QQ
 from g2div.grouplaw import add
-from g2div.polyring import PolyRing, RationalPoly
-
-
-def test_monomial_ladder_gap_sequence():
-    ladder = monomial_ladder(9)
-    weights = [w for (w, _, _) in ladder]
-    assert weights == [0, 2, 4, 5, 6, 7, 8, 9]  # gaps at 1 and 3
-    assert ladder[3] == (5, 0, 1)  # y
-    assert ladder[5] == (7, 1, 1)  # y*x
+from g2div.polyring import PolyRing
 
 
 def test_mumford_from_points_frozen_example(c7, f7):
@@ -148,8 +139,8 @@ def test_jacobian_model_symbolic_identity():
     j10 = b5 * b5 - 2 * a2 * a4 * a4 + lam[0] * a4 * a4 - lam[4] - a4 * bracket
     for expr in (j8, j10):
         num = expr.num
-        num = num.reduce_power("y1", 2, p_of(x1))
-        num = num.reduce_power("y2", 2, p_of(x2))
+        num = reduce_power(num, "y1", 2, p_of(x1))
+        num = reduce_power(num, "y2", 2, p_of(x2))
         assert num.is_zero()
 
 
@@ -174,65 +165,6 @@ def test_du_derivative_numeric_example(c7, f7):
     (x1, y1), (x2, y2) = p1, p2
     dx = x1 - x2
     assert da2_3 == -((2 * x2 * y1) / dx + (-2 * x1 * y2) / dx)
-
-
-class TestBuildPolyfunction:
-    def test_weight4_matches_mumford_u(self, c7, f7):
-        pts = [(f7.element(0), f7.element(1)), (f7.element(1), f7.element(3))]
-        fn = build_polyfunction(c7, pts, 4)
-        assert [c.value for c in fn.coeffs] == [0, 6, 1]
-
-    def test_vanishes_and_monic(self, c1009, rng):
-        for w in (4, 5, 6):
-            pts = []
-            while len(pts) < w - 2:
-                pt = random_point(c1009, rng, nonzero_y=True)
-                if all(pt[0] != q[0] for q in pts):
-                    pts.append(pt)
-            fn = build_polyfunction(c1009, pts, w)
-            assert fn.coeffs[-1] == c1009.field.one
-            for pt in pts:
-                assert c1009.field.is_zero(fn.evaluate(*pt))
-
-    def test_involution_pair_gives_x_factor(self, c7, f7):
-        pts = [(f7.element(0), f7.element(1)), (f7.element(1), f7.element(3)),
-               (f7.element(5), f7.element(2)), (f7.element(5), f7.element(5))]
-        fn = build_polyfunction(c7, pts, 6)
-        for pt in pts:
-            assert f7.is_zero(fn.evaluate(*pt))
-        # the factor (x - 5) makes the function vanish on both sheets at x = 5
-        for y in f7.elements():
-            if c7.on_curve((f7.element(5), y)):
-                assert f7.is_zero(fn.evaluate(f7.element(5), y))
-
-    def test_two_involution_pairs_singular(self, c7, f7):
-        pts = [(f7.element(0), f7.element(1)), (f7.element(0), f7.element(6)),
-               (f7.element(5), f7.element(2)), (f7.element(5), f7.element(5))]
-        with pytest.raises(SingularInterpolation):
-            build_polyfunction(c7, pts, 6)
-
-    def test_taylor_rows_multiplicity(self, c1009, rng):
-        pt = random_point(c1009, rng, nonzero_y=True)
-        other = random_point(c1009, rng, nonzero_y=True)
-        while other[0] == pt[0]:
-            other = random_point(c1009, rng, nonzero_y=True)
-        fn = build_polyfunction(c1009, [pt, pt, other, other], 6)
-        F = c1009.field
-        assert F.is_zero(fn.evaluate(*pt)) and F.is_zero(fn.evaluate(*other))
-        # tangency: the function composed with the local section vanishes to order 2
-        from g2div.series import taylor_on_curve
-        ys = taylor_on_curve(F, c1009.px().coeffs, pt[0], pt[1], 2)
-        # derivative along the curve of fn at pt:
-        ladder = fn.monomials()
-        d1 = F.zero
-        for (w, xe, ye), c in zip(ladder, fn.coeffs):
-            term = F.zero
-            if xe:
-                term = term + F.element(xe) * F.pow(pt[0], xe - 1) * (pt[1] if ye else F.one)
-            if ye:
-                term = term + F.pow(pt[0], xe) * ys[1]
-            d1 = d1 + c * term
-        assert F.is_zero(d1)
 
 
 def test_divisor_json_round_trip(f7):

@@ -4,7 +4,15 @@ import pytest
 
 from conftest import random_divisor, random_point
 from grouplaw_helpers import addition_system, tangent_data_from_points
-from g2div.cantor import cantor_add, cantor_neg, cantor_scalar_mul, from_mumford, to_mumford
+from polyring_helpers import RationalPoly
+from g2div.cantor import (
+    cantor_add,
+    cantor_neg,
+    cantor_scalar_mul,
+    enumerate_jacobian,
+    from_mumford,
+    to_mumford,
+)
 from g2div.curves import CanonicalCurve, GeneralCurve, to_canonical
 from g2div.divisors import (
     MumfordDivisor,
@@ -13,7 +21,13 @@ from g2div.divisors import (
     negate,
     points_from_mumford,
 )
-from g2div.errors import ConditionViolated, InvolutionPair, QInSupport, SingularInterpolation
+from g2div.errors import (
+    ConditionViolated,
+    DegenerateCurve,
+    InvolutionPair,
+    QInSupport,
+    SingularInterpolation,
+)
 from g2div.fields import GF, QQ
 from g2div.grouplaw import (
     add,
@@ -30,7 +44,7 @@ from g2div.grouplaw import (
     tangent_data,
     add_extended_alpha,
 )
-from g2div.polyring import PolyRing, RationalPoly
+from g2div.polyring import PolyRing
 
 ADD_RING_VARS = ("a2p", "a4p", "b3p", "b5p", "a2q", "a4q", "b3q", "b5q",
                  "l2", "l4", "l6", "l8", "l10")
@@ -134,6 +148,58 @@ def test_support_overlap_paths(c1009, rng):
         got2, tag2 = add_traced(P, Qi, c1009)
         expect2 = to_mumford(cantor_add(from_mumford(P), from_mumford(Qi), c1009))
         assert got2 == expect2
+
+
+def _seeded_curve(F, seed):
+    rng = random.Random(seed)
+    elems = list(F.elements())
+    while True:
+        try:
+            return CanonicalCurve(F, tuple(rng.choice(elems) for _ in range(5)))
+        except DegenerateCurve:
+            continue
+
+
+def _rational_support_divisors(curve):
+    """The neutral class, every point and every degree-2 divisor whose
+    support is rational."""
+    F = curve.field
+    pts = [(x, y) for x in F.elements() for y in F.sqrt(curve.p_at(x))]
+    out = [MumfordDivisor.neutral(F)] + [MumfordDivisor.special(F, *pt) for pt in pts]
+    for i, p1 in enumerate(pts):
+        for p2 in pts[i:]:
+            if p1[0] != p2[0] or (p1 == p2 and not F.is_zero(p1[1])):
+                out.append(mumford_from_points(curve, p1, p2))
+    return out
+
+
+@pytest.mark.parametrize("p, k, seed", [(7, 1, 0), (7, 1, 2), (13, 1, 1), (13, 1, 4), (3, 2, 0)])
+def test_overlap_rules_match_cantor(p, k, seed):
+    # every support_overlap pair and every double with exactly one branch
+    # point in the support, over the whole Jacobian of a prime field and
+    # over every rational-support divisor of F_9
+    F = GF(p, k)
+    curve = _seeded_curve(F, seed)
+    if k == 1:
+        ds = [to_mumford(d) for d in enumerate_jacobian(curve)]
+    else:
+        ds = _rational_support_divisors(curve)
+    overlaps = one_branch = 0
+    for P in ds:
+        if P.is_nonspecial():
+            a2, a4, b3, b5 = P.coords
+            y1y2 = b3 * b3 * a4 - a2 * b3 * b5 + b5 * b5
+            if F.is_zero(y1y2) and not (F.is_zero(b3) and F.is_zero(b5)):
+                one_branch += 1
+                assert double_traced(P, curve)[0] == to_mumford(
+                    cantor_add(from_mumford(P), from_mumford(P), curve))
+        for Q in ds:
+            got, tag = add_traced(P, Q, curve)
+            if tag == "support_overlap":
+                overlaps += 1
+                expect = to_mumford(cantor_add(from_mumford(P), from_mumford(Q), curve))
+                assert got == expect, (P, Q)
+    assert overlaps > 0 and one_branch > 0
 
 
 def test_mixed_beta_same_u(c1009, rng):
