@@ -10,7 +10,7 @@ support means v(x) = -b3*x - b5.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curves import CanonicalCurve
 from .divisors import NEUTRAL, SPECIAL, MumfordDivisor
@@ -19,14 +19,15 @@ from .fields import Field
 from .unipoly import UniPoly, xgcd
 
 
-@dataclass(frozen=True)
-class CantorDivisor:
-    u: UniPoly  # monic, deg <= 2
-    v: UniPoly  # deg v < deg u
+class CantorDivisor(namedtuple("CantorDivisor", "u v")):
+    """u: monic UniPoly of degree <= 2; v: UniPoly with deg v < deg u."""
 
-    def __post_init__(self):
-        if not self.u.is_zero() and self.u.lead() != self.u.field.one:
+    __slots__ = ()
+
+    def __new__(cls, u: UniPoly, v: UniPoly):
+        if not u.is_zero() and u.lead() != u.field.one:
             raise SerializationError("u must be monic")
+        return super().__new__(cls, u, v)
 
     def degree(self) -> int:
         return self.u.degree()

@@ -4,6 +4,9 @@ Verbs: curve transform, jac add/double/mul/verify, torsion find/check,
 divpoly emit, oracle enumerate/torsion.  All I/O is JSON (newline-delimited
 for lists); field elements travel as strings.  Exit codes: 0 success,
 1 domain error (machine-readable error JSON on stdout), 2 usage error.
+
+The torsion, divpoly and oracle handlers import torsion or cantor
+themselves, so curve and jac calls never load them.
 """
 from __future__ import annotations
 
@@ -11,7 +14,6 @@ import argparse
 import json
 import sys
 
-from . import cantor
 from .curves import (
     CanonicalCurve,
     GeneralCurve,
@@ -24,7 +26,6 @@ from .divisors import divisor_from_json, divisor_to_json, is_on_jacobian, jacobi
 from .errors import G2DivError, OffCurve, SerializationError
 from .fields import GF
 from .grouplaw import add, double, scalar_mul
-from .torsion import emit_division_polynomials, find_n_torsion, is_torsion, four_torsion_residuals, three_torsion_mumford_residuals
 
 PROG = "g2div"
 
@@ -114,6 +115,8 @@ def _cmd_jac(args) -> int:
 
 
 def _cmd_torsion(args) -> int:
+    from .torsion import (find_n_torsion, four_torsion_residuals, is_torsion,
+                          three_torsion_mumford_residuals)
     curve = _load_canonical(args.curve)
     if args.torsion_verb == "find":
         if args.ext and args.ext > 1:
@@ -146,6 +149,7 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_divpoly(args) -> int:
+    from .torsion import emit_division_polynomials
     curve = _load_canonical(args.curve) if args.curve else None
     ds = emit_division_polynomials(args.n, args.coords, curve)
     for name, poly in zip(ds.names, ds.polys):
@@ -163,6 +167,7 @@ def _cmd_divpoly(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import cantor
     curve = _load_canonical(args.curve)
     if args.oracle_verb == "enumerate":
         els = cantor.enumerate_jacobian(curve)

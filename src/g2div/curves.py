@@ -12,8 +12,8 @@ a finite field "smallest" means least residue order, over Q numeric order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from . import unipoly
 from .errors import (
@@ -24,24 +24,23 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import Field, FieldElement, FieldSpec, GF, QQ, make_field
-from .polyring import PolyRing, WeightedPoly
-from .series import SeriesDomain, TruncatedSeries
 from .unipoly import UniPoly
 
 LAMBDA_WEIGHTS = (2, 4, 6, 8, 10)
 
 
-@dataclass(frozen=True)
-class CanonicalCurve:
-    field: Field
-    lam: tuple  # (l2, l4, l6, l8, l10) as FieldElements
+class CanonicalCurve(namedtuple("CanonicalCurve", "field lam")):
+    """lam: (l2, l4, l6, l8, l10) as FieldElements."""
 
-    def __post_init__(self):
-        if len(self.lam) != 5:
+    __slots__ = ()
+
+    def __new__(cls, field: Field, lam: tuple):
+        if len(lam) != 5:
             raise DegenerateCurve("expected 5 curve coefficients")
-        object.__setattr__(self, "lam", tuple(self.field.coerce(c) for c in self.lam))
-        if self.field.is_zero(self.discriminant()):
+        self = super().__new__(cls, field, tuple(map(field.coerce, lam)))
+        if field.is_zero(self.discriminant()):
             raise DegenerateCurve("quintic has a repeated root")
+        return self
 
     # -- polynomial views ------------------------------------------------------
     def px(self) -> UniPoly:
@@ -75,8 +74,7 @@ class CanonicalCurve:
         return f"CanonicalCurve({self.field.short_name()}; {ls})"
 
 
-@dataclass(frozen=True)
-class GeneralCurve:
+class GeneralCurve(namedtuple("GeneralCurve", "field form nu a b")):
     """Forms I/II/III prior to canonicalization.
 
     nu: (nu1, nu2, nu3, nu4, nu5, nu6, nu8, nu10) for form I;
@@ -84,31 +82,28 @@ class GeneralCurve:
     b:  (b0 .. b3) descending for form III.
     """
 
-    field: Field
-    form: str
-    nu: tuple = None
-    a: tuple = None
-    b: tuple = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        F = self.field
-        if self.form == "I":
-            if self.nu is None or len(self.nu) != 8:
+    def __new__(cls, field: Field, form: str, nu: tuple = None, a: tuple = None,
+                b: tuple = None):
+        F = field
+        if form == "I":
+            if nu is None or len(nu) != 8:
                 raise DegenerateCurve("form I needs 8 coefficients")
-            object.__setattr__(self, "nu", tuple(F.coerce(c) for c in self.nu))
-        elif self.form == "II":
-            if self.a is None or len(self.a) != 7:
+            nu = tuple(map(F.coerce, nu))
+        elif form == "II":
+            if a is None or len(a) != 7:
                 raise DegenerateCurve("form II needs 7 coefficients")
-            object.__setattr__(self, "a", tuple(F.coerce(c) for c in self.a))
-            if F.is_zero(self.a[0]) and F.is_zero(self.a[1]):
+            a = tuple(map(F.coerce, a))
+            if F.is_zero(a[0]) and F.is_zero(a[1]):
                 raise DegenerateCurve("form II must have degree 5 or 6")
-        elif self.form == "III":
-            if self.a is None or len(self.a) != 7 or self.b is None or len(self.b) != 4:
+        elif form == "III":
+            if a is None or len(a) != 7 or b is None or len(b) != 4:
                 raise DegenerateCurve("form III needs 7+4 coefficients")
-            object.__setattr__(self, "a", tuple(F.coerce(c) for c in self.a))
-            object.__setattr__(self, "b", tuple(F.coerce(c) for c in self.b))
+            a, b = tuple(map(F.coerce, a)), tuple(map(F.coerce, b))
         else:
-            raise DegenerateCurve(f"unknown form {self.form!r}")
+            raise DegenerateCurve(f"unknown form {form!r}")
+        return super().__new__(cls, field, form, nu, a, b)
 
     def q_poly(self) -> UniPoly:
         """The y-linear part (Q for form I, Qbar for form III)."""
@@ -292,7 +287,9 @@ def to_canonical_allow_extension(g: GeneralCurve, max_degree: int = 4):
 _SERIES_CACHE: dict = {}
 
 
-def lambda_ring() -> PolyRing:
+def lambda_ring():
+    """The weighted ring Q[l2, l4, l6, l8, l10], a polyring.PolyRing."""
+    from .polyring import PolyRing  # only the symbolic layer needs polyring
     return PolyRing(QQ(), ("l2", "l4", "l6", "l8", "l10"), LAMBDA_WEIGHTS)
 
 
@@ -304,6 +301,7 @@ def expand_at_infinity_symbolic(order: int):
     """
     if order in _SERIES_CACHE:
         return _SERIES_CACHE[order]
+    from .series import SeriesDomain, TruncatedSeries
     ring = lambda_ring()
     dom = SeriesDomain.for_ring(ring)
     target = [ring.one()] + [ring.zero()] * (order - 1)
@@ -317,13 +315,10 @@ def expand_at_infinity_symbolic(order: int):
     return result
 
 
-@dataclass(frozen=True)
-class InfinityExpansion:
+class InfinityExpansion(namedtuple("InfinityExpansion", "order y_unit_coeffs")):
     """x = xi^-2, y = xi^-5 * (c_0 + c_1 xi + ... ) with c_0 = 1."""
 
-    order: int
-    y_unit_coeffs: tuple
-
+    __slots__ = ()
     X_POLE = 2
     Y_POLE = 5
 

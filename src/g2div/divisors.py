@@ -7,7 +7,7 @@ two model equations J8, J10 vanish exactly on valid degree-2 coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curves import CanonicalCurve
 from .errors import InvolutionPair, MixedFields, OffCurve, SerializationError
@@ -19,19 +19,18 @@ NEUTRAL = "neutral"
 _ARITY = {NONSPECIAL: 4, SPECIAL: 2, NEUTRAL: 0}
 
 
-@dataclass(frozen=True, slots=True)
-class MumfordDivisor:
-    field: Field
-    variant: str
-    coords: tuple  # (a2, a4, b3, b5) | (x, y) | ()
+class MumfordDivisor(namedtuple("MumfordDivisor", "field variant coords")):
+    """coords: (a2, a4, b3, b5) | (x, y) | (), by variant."""
 
-    def __post_init__(self):
-        expected = _ARITY.get(self.variant)
+    __slots__ = ()
+
+    def __new__(cls, field: Field, variant: str, coords: tuple):
+        expected = _ARITY.get(variant)
         if expected is None:
-            raise SerializationError(f"unknown divisor variant {self.variant}")
-        if len(self.coords) != expected:
+            raise SerializationError(f"unknown divisor variant {variant}")
+        if len(coords) != expected:
             raise SerializationError("wrong coordinate count")
-        object.__setattr__(self, "coords", tuple(map(self.field.coerce, self.coords)))
+        return super().__new__(cls, field, variant, tuple(map(field.coerce, coords)))
 
     # -- constructors ---------------------------------------------------------
     @staticmethod

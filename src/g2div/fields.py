@@ -8,7 +8,7 @@ characteristic 5.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count
 from math import isqrt
@@ -101,34 +101,34 @@ def find_irreducible(p: int, k: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # field specification
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Serializable description of a coefficient field."""
+class FieldSpec(namedtuple("FieldSpec", "kind p k modulus")):
+    """Serializable description of a coefficient field.
 
-    kind: str  # "rational" | "prime" | "extension"
-    p: int | None = None
-    k: int | None = None
-    modulus: tuple[int, ...] | None = None  # ascending, monic, length k+1
+    kind is "rational", "prime" or "extension"; an extension's modulus is
+    ascending, monic and of length k+1."""
 
-    def __post_init__(self):
-        if self.kind == "rational":
-            return
-        if self.kind not in ("prime", "extension"):
-            raise UnsupportedField(f"unknown field kind {self.kind!r}")
-        if self.p is None or not is_prime(self.p):
-            raise UnsupportedField(f"p={self.p} is not prime")
-        if self.p in EXCLUDED_CHARACTERISTICS:
-            raise UnsupportedField(f"characteristic {self.p} is excluded")
-        if self.kind == "extension":
-            if self.k is None or not 2 <= self.k <= MAX_EXTENSION_DEGREE:
-                raise UnsupportedField(f"extension degree {self.k} outside 2..{MAX_EXTENSION_DEGREE}")
-            if self.modulus is None or len(self.modulus) != self.k + 1:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, p: int | None = None, k: int | None = None,
+                modulus: tuple[int, ...] | None = None):
+        if kind != "rational":
+            if kind not in ("prime", "extension"):
+                raise UnsupportedField(f"unknown field kind {kind!r}")
+            if p is None or not is_prime(p):
+                raise UnsupportedField(f"p={p} is not prime")
+            if p in EXCLUDED_CHARACTERISTICS:
+                raise UnsupportedField(f"characteristic {p} is excluded")
+        if kind == "extension":
+            if k is None or not 2 <= k <= MAX_EXTENSION_DEGREE:
+                raise UnsupportedField(f"extension degree {k} outside 2..{MAX_EXTENSION_DEGREE}")
+            if modulus is None or len(modulus) != k + 1:
                 raise UnsupportedField("modulus length must be k+1")
-            object.__setattr__(self, "modulus", tuple(m % self.p for m in self.modulus))
-            if self.modulus[-1] % self.p != 1:
+            modulus = tuple(m % p for m in modulus)
+            if modulus[-1] % p != 1:
                 raise UnsupportedField("modulus must be monic")
-            if not is_irreducible_mod_p(list(self.modulus), self.p):
+            if not is_irreducible_mod_p(list(modulus), p):
                 raise UnsupportedField("modulus is reducible")
+        return super().__new__(cls, kind, p, k, modulus)
 
     def to_json(self) -> dict:
         if self.kind == "rational":
@@ -202,7 +202,10 @@ class FieldElement:
                 raise MixedFields(f"{self.field} vs {other.field}")
             return self.value == other.value
         if isinstance(other, (int, Fraction)):
-            return self.value == self.field.coerce(other).value
+            try:
+                return self.value == self.field.coerce(other).value
+            except DivisionByZero:  # a rational whose denominator p divides
+                return False
         return NotImplemented
 
     def __hash__(self):

@@ -22,7 +22,7 @@ dispatchers for everything they decline.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curves import CanonicalCurve, GeneralCurve
 from .divisors import (
@@ -47,30 +47,13 @@ from .errors import (
 from .series import taylor_on_curve
 
 
-@dataclass(frozen=True)
-class GammaR6:
-    """Coefficients of the weight-6 interpolating function."""
-    g1: object
-    g2: object
-    g4: object
-    g6: object
-
-
-@dataclass(frozen=True)
-class GammaR5:
-    """Coefficients of the weight-5 function used for special sums."""
-    g1: object
-    g3: object
-    g5: object
-
-
-@dataclass(frozen=True)
-class TangentData:
-    """Directional derivatives of the Mumford coordinates under x1+x2 flow."""
-    a2p: object  # always -2
-    a4p: object  # = -a2
-    b3p: object
-    b5p: object
+# coefficients of the weight-6 interpolating function
+GammaR6 = namedtuple("GammaR6", "g1 g2 g4 g6")
+# coefficients of the weight-5 function used for special sums
+GammaR5 = namedtuple("GammaR5", "g1 g3 g5")
+# directional derivatives of the Mumford coordinates under x1+x2 flow;
+# a2p is always -2 and a4p = -a2
+TangentData = namedtuple("TangentData", "a2p a4p b3p b5p")
 
 
 # The helpers below are plain ring arithmetic on coordinate tuples, so the

@@ -14,7 +14,7 @@ Mumford coordinates; the cleared system is only quoted on the locus E != 0
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .curves import CanonicalCurve
@@ -26,7 +26,7 @@ from .errors import (
     SerializationError,
     UnsupportedField,
 )
-from .fields import Field, FieldEmbedding, GF, QQ, embedding
+from .fields import Field, FieldEmbedding, GF, QQ, embedding, is_prime
 from .grouplaw import (
     _scaled_duplication,
     _sum_alpha,
@@ -48,30 +48,40 @@ X_VARS = ("x1", "x2", "l2", "l4", "l6", "l8", "l10")
 X_WEIGHTS = (2, 2, 2, 4, 6, 8, 10)
 
 
-@dataclass(frozen=True)
-class DivisionPolySet:
-    n: int
-    coords: str  # "mumford" | "xy"
-    names: tuple
-    polys: tuple  # WeightedPoly, aligned with names
+# coords is "mumford" or "xy"; polys are WeightedPolys aligned with names
+DivisionPolySet = namedtuple("DivisionPolySet", "n coords names polys")
 
 
 # ---------------------------------------------------------------------------
 # order tests
 
+def _prime_divisors(n: int) -> list:
+    """The distinct primes dividing n >= 1, by trial division that stops once
+    the cofactor is prime."""
+    primes, ell = [], 2
+    while n > 1 and not is_prime(n):
+        if n % ell == 0:
+            primes.append(ell)
+            while n % ell == 0:
+                n //= ell
+        ell += 1
+    return primes + [n] if n > 1 else primes
+
+
 def is_torsion(D: MumfordDivisor, n: int, curve: CanonicalCurve,
                exact: bool = True) -> bool:
-    """Exact order n (or order dividing n when exact=False)."""
+    """Exact order n (or order dividing n when exact=False).
+
+    D has exact order n when nD = 0 and (n/l)D != 0 for each prime l | n,
+    so the test takes 1 + omega(n) scalar multiplications."""
     if n < 1:
         raise SerializationError("torsion order must be positive")
     if scalar_mul(n, D, curve).variant != "neutral":
         return False
     if not exact:
         return True
-    for m in range(1, n):
-        if n % m == 0 and scalar_mul(m, D, curve).variant == "neutral":
-            return False
-    return True
+    return all(scalar_mul(n // ell, D, curve).variant != "neutral"
+               for ell in _prime_divisors(n))
 
 
 def two_torsion_divisors(curve: CanonicalCurve) -> list:

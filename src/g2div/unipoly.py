@@ -6,8 +6,6 @@ c0 + c1*x + c2*x^2.
 """
 from __future__ import annotations
 
-import random
-
 from .errors import DivisionByZero, InexactDivision
 from .fields import Field, FieldElement
 
@@ -349,6 +347,7 @@ def _split_roots(f: UniPoly) -> list:
     q = F.order()
     x = UniPoly.x(F)
     g = gcd(f, powmod(x, q, f) - x)
+    import random  # only this split draws shifts
     rng = random.Random(q)
     e = (q - 1) // 2
     roots, todo = [], [g] if g.degree() > 0 else []

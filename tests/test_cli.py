@@ -182,3 +182,61 @@ def test_json_round_trip_parse_emit(files, capsys):
     c, d = files
     code, out = run(capsys, "jac", "mul", "1", d, "--curve", c)
     assert out[-1] == D1
+
+
+def _torsion_divisor_file(tmp_path, lam, n):
+    from g2div.curves import CanonicalCurve, curve_to_json
+    from g2div.divisors import divisor_to_json
+    from g2div.fields import GF
+    from g2div.torsion import find_n_torsion
+    curve = CanonicalCurve(GF(7), lam)
+    d = next(d for d in find_n_torsion(curve, n) if d.is_nonspecial())
+    c, f = tmp_path / f"c{n}.json", tmp_path / f"t{n}.json"
+    c.write_text(json.dumps(curve_to_json(curve)))
+    f.write_text(json.dumps(divisor_to_json(d)))
+    return str(c), str(f)
+
+
+def test_torsion_check_three_residuals(tmp_path, files, capsys):
+    c, f = _torsion_divisor_file(tmp_path, (0, 0, 0, 1, 2), 3)
+    code, out = run(capsys, "torsion", "check", "--n", "3", "--divisor", f, "--curve", c)
+    assert code == 0
+    assert out == [{"n": 3, "is_torsion": True, "residuals": ["0", "0"]}]
+    c, d = files  # D1 is not 3-torsion: the residuals say so too
+    code, out = run(capsys, "torsion", "check", "--n", "3", "--divisor", d, "--curve", c)
+    assert out == [{"n": 3, "is_torsion": False, "residuals": ["3", "5"]}]
+
+
+def test_torsion_check_four_residuals(tmp_path, files, capsys):
+    c, f = _torsion_divisor_file(tmp_path, (0, 0, 0, 3, 3), 4)
+    code, out = run(capsys, "torsion", "check", "--n", "4", "--divisor", f, "--curve", c)
+    assert code == 0
+    assert out[0]["is_torsion"] is True and out[0]["branch"] in ("special", "nonspecial")
+    assert set(out[0]["residuals"]) == {"0"}
+    c, d = files
+    code, out = run(capsys, "torsion", "check", "--n", "4", "--divisor", d, "--curve", c)
+    assert out == [{"n": 4, "is_torsion": False, "branch": "nonspecial",
+                    "residuals": ["1", "1"]}]
+
+
+def test_every_handler_renders_text(files, tmp_path, capsys):
+    c, d = files
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"field": {"kind": "prime", "p": 101}, "form": "II",
+                             "a": ["1", "0", "0", "0", "0", "0", "-1"]}))
+    expected = {
+        ("curve", "transform", "--curve", str(g)): "lambda: [0, 30, 0, 81, 0]",
+        ("jac", "verify", d, "--curve", c): "J10: 0\nJ8: 0",
+        ("jac", "mul", "3", d, "--curve", c): "alpha: [0, 1]\nbeta: [1, 4]\ntype: nonspecial",
+        ("torsion", "check", "--n", "2", "--divisor", d, "--curve", c): "is_torsion: False\nn: 2",
+        ("torsion", "find", "--n", "2", "--curve", c): "point: [6, 0]\ntype: special",
+        ("divpoly", "emit", "--n", "3", "--coords", "mumford"):
+            "# a2_relation (n=3, mumford, weight 28)\n25*a2^9*b5^2 - ",
+        ("oracle", "enumerate", "--curve", c): "type: neutral",
+        ("oracle", "torsion", "--n", "2", "--curve", c): "point: [6, 0]\ntype: special\ncount: 1",
+    }
+    for argv, text in expected.items():
+        assert main([*argv, "--format", "text"]) == 0, argv
+        out = capsys.readouterr().out
+        assert text in out, argv
+    assert out.rstrip().endswith("count: 1")

@@ -204,6 +204,15 @@ def test_division_by_zero():
         GF(7).one / GF(7).zero
 
 
+def test_eq_rational_with_p_in_denominator_is_false():
+    # no element of F_p or F_{p^k} equals a rational whose denominator p divides
+    for F in (GF(7), GF(7, 2)):
+        assert (F.element(3) == Fraction(1, 7)) is False
+        assert (F.zero == Fraction(7, 49)) is False  # Fraction(1, 7) again
+        assert F.element(4) == Fraction(1, 2)  # 2 * 4 = 1 mod 7
+        assert F.element(3) != Fraction(3, 14)
+
+
 def test_field_spec_json_round_trip():
     for spec in (FieldSpec("rational"), FieldSpec("prime", p=7),
                  FieldSpec("extension", p=7, k=2, modulus=(1, 0, 1))):

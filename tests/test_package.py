@@ -1,0 +1,141 @@
+"""Package surface: lazy exports, verb-scoped imports and the record types."""
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import g2div
+from g2div import grouplaw
+from g2div.cantor import CantorDivisor, from_mumford
+from g2div.curves import CanonicalCurve, GeneralCurve, InfinityExpansion
+from g2div.divisors import MumfordDivisor
+from g2div.errors import DegenerateCurve, SerializationError, UnsupportedField
+from g2div.fields import GF, FieldSpec
+from g2div.unipoly import UniPoly
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("dataclasses", "g2div.torsion", "g2div.polyring", "g2div.cantor")
+C7 = {"field": {"kind": "prime", "p": 7}, "form": "canonical",
+      "lambda": ["0", "0", "0", "0", "1"]}
+D1 = {"type": "nonspecial", "alpha": ["6", "0"], "beta": ["5", "6"]}
+
+
+def loaded_after(code):
+    """The g2div and dataclasses modules a fresh interpreter holds after code."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    return {m for m in json.loads(out.splitlines()[-1])
+            if m == "dataclasses" or m.startswith("g2div")}
+
+
+@pytest.fixture
+def files(tmp_path):
+    c, d = tmp_path / "c.json", tmp_path / "d.json"
+    c.write_text(json.dumps(C7))
+    d.write_text(json.dumps(D1))
+    return str(c), str(d)
+
+
+def cli_calls(*argvs):
+    return ("import contextlib, io\nfrom g2div import cli\n"
+            f"for argv in {list(map(list, argvs))!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv")
+
+
+def test_import_cli_loads_no_heavy_module():
+    assert not loaded_after("import g2div.cli") & set(HEAVY)
+    assert loaded_after("import g2div") == {"g2div"}
+
+
+def test_jac_verbs_load_no_heavy_module(files):
+    c, d = files
+    loaded = loaded_after(cli_calls(
+        ["jac", "add", d, d, "--curve", c], ["jac", "double", d, "--curve", c],
+        ["jac", "mul", "5", d, "--curve", c], ["jac", "verify", d, "--curve", c]))
+    assert "g2div.grouplaw" in loaded
+    assert not loaded & set(HEAVY)
+
+
+def test_oracle_enumerate_loads_neither_torsion_nor_polyring(files):
+    c, _ = files
+    loaded = loaded_after(cli_calls(["oracle", "enumerate", "--curve", c]))
+    assert "g2div.cantor" in loaded
+    assert not loaded & {"g2div.torsion", "g2div.polyring"}
+
+
+def test_lazy_exports_resolve():
+    for name in g2div.__all__:
+        assert getattr(g2div, name) is not None
+        assert name in dir(g2div)
+    namespace = {}
+    exec("from g2div import *", namespace)
+    assert set(g2div.__all__) <= set(namespace)
+    assert namespace["scalar_mul"] is grouplaw.scalar_mul
+    with pytest.raises(AttributeError):
+        g2div.no_such_name
+
+
+# ---------------------------------------------------------------------------
+# records
+
+def records():
+    F = GF(7)
+    return [
+        MumfordDivisor.nonspecial(F, 6, 0, 5, 6),
+        CanonicalCurve(F, (0, 0, 0, 0, 1)),
+        GeneralCurve(F, "II", a=(1, 0, 0, 0, 0, 0, 6)),
+        FieldSpec("extension", p=7, k=2, modulus=(1, 0, 1)),
+        from_mumford(MumfordDivisor.special(F, 6, 0)),
+    ]
+
+
+def test_records_are_immutable():
+    for r in records():
+        with pytest.raises(AttributeError):
+            setattr(r, r._fields[0], r[0])
+        with pytest.raises(AttributeError):
+            r.extra = 1
+
+
+def test_equal_records_hash_equal():
+    for a, b in zip(records(), records()):
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+    F = GF(7)
+    assert MumfordDivisor(F, "neutral", ()) == (F, "neutral", ())
+    assert len({MumfordDivisor.neutral(F), MumfordDivisor(F, "neutral", [])}) == 1
+
+
+def test_records_pickle_on_interned_field():
+    for r in records()[:2]:
+        back = pickle.loads(pickle.dumps(r))
+        assert back == r and type(back) is type(r)
+        assert back.field is r.field
+
+
+def test_constructors_validate_and_coerce():
+    F = GF(7)
+    d = MumfordDivisor(F, "special", (13, 0))
+    assert d.coords == (F.element(6), F.zero) and d.coords[0].field is F
+    with pytest.raises(SerializationError):
+        MumfordDivisor(F, "special", (1,))
+    with pytest.raises(SerializationError):
+        MumfordDivisor(F, "double", ())
+    with pytest.raises(DegenerateCurve):
+        CanonicalCurve(F, (0, 0, 0, 0, 0))
+    with pytest.raises(DegenerateCurve):
+        GeneralCurve(F, "II", a=(0, 0, 1, 0, 0, 0, 1))
+    with pytest.raises(SerializationError):
+        CantorDivisor(UniPoly(F, [1, 2]), UniPoly.zero(F))
+    assert FieldSpec("extension", p=7, k=2, modulus=(8, 7, 1)).modulus == (1, 0, 1)
+    with pytest.raises(UnsupportedField):
+        FieldSpec("extension", p=7, k=2, modulus=(6, 0, 1))  # x^2 - 1 is reducible
+    assert FieldSpec("prime", 7) == FieldSpec(kind="prime", p=7, k=None, modulus=None)
+    assert InfinityExpansion(3, (1, 0, 0)).X_POLE == 2

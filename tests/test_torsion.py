@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_divisor, random_point
 from grouplaw_helpers import torsion_branch_classification
-from g2div.cantor import brute_force_n_torsion, enumerate_jacobian, to_mumford
+from g2div.cantor import brute_force_n_torsion, cantor_add, enumerate_jacobian, to_mumford
 from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, mumford_from_points, negate, points_from_mumford
 from g2div.errors import GammaUndefined, SerializationError
@@ -40,6 +40,18 @@ FOUR_TORSION_CURVES = ((7, (0, 0, 0, 3, 3)), (7, (0, 0, 0, 1, 0)),
                        (11, (0, 0, 0, 1, 1)), (13, (1, 1, 1, 0, 2)))
 
 
+def _cantor_order(d, curve):
+    acc, k = d, 1
+    while acc.degree() != 0:
+        acc = cantor_add(acc, d, curve)
+        k += 1
+    return k
+
+
+def _omega(n):
+    return sum(1 for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
+
+
 class TestIsTorsion:
     def test_branch_point_is_two_torsion(self, c7, f7):
         assert is_torsion(MumfordDivisor.special(f7, 6, 0), 2, c7)
@@ -57,6 +69,27 @@ class TestIsTorsion:
             got = {to_mumford(d).sort_key() for d in els
                    if is_torsion(to_mumford(d), n, c7)}
             assert got == expected
+
+    @pytest.mark.parametrize("lam", ((0, 0, 0, 0, 1), (0, 0, 0, 1, 2)))
+    def test_prime_cofactor_test_matches_cantor_orders(self, lam, monkeypatch):
+        import g2div.torsion as torsion_mod
+        curve = CanonicalCurve(GF(7), lam)
+        calls = [0]
+
+        def counting(n, D, c):
+            calls[0] += 1
+            return scalar_mul(n, D, c)
+
+        monkeypatch.setattr(torsion_mod, "scalar_mul", counting)
+        for d in enumerate_jacobian(curve):
+            order, m = _cantor_order(d, curve), to_mumford(d)
+            for n in range(1, 61):
+                calls[0] = 0
+                assert is_torsion(m, n, curve) == (order == n), (m, n)
+                assert calls[0] <= 1 + _omega(n)
+                if order == n:
+                    assert calls[0] == 1 + _omega(n)
+                assert is_torsion(m, n, curve, exact=False) == (n % order == 0)
 
 
 class TestTwoTorsion:
