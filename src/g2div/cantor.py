@@ -189,17 +189,18 @@ def enumerate_jacobian(curve: CanonicalCurve, limit: int = 31):
         val = f.evaluate(a)
         for c in F.sqrt(val):
             out.append(CantorDivisor(UniPoly(F, [-a, 1]), UniPoly(F, [c])))
-    # degree 2: u = x^2 + u1 x + u0, v = v1 x + v0 with u | v^2 - P
-    for u1 in F.elements():
-        for u0 in F.elements():
+    # degree 2: u = x^2 + u1 x + u0, v = v1 x + v0 with u | v^2 - P, on residues
+    # mod p: v^2 mod u = (2 v1 v0 - v1^2 u1) x + (v0^2 - v1^2 u0) = P mod u
+    for u1 in range(p):
+        for u0 in range(p):
             u = UniPoly(F, [u0, u1, 1])
             fr = f % u
-            # (v1 x + v0)^2 mod u must equal fr
-            for v1 in F.elements():
-                for v0 in F.elements():
-                    v = UniPoly(F, [v0, v1])
-                    if ((v * v - fr) % u).is_zero():
-                        out.append(CantorDivisor(u, v))
+            r0, r1 = fr[0].value, fr[1].value
+            for v1 in range(p):
+                w1, w0 = v1 * v1 * u1 + r1, v1 * v1 * u0 + r0
+                for v0 in range(p):
+                    if (2 * v1 * v0 - w1) % p == 0 and (v0 * v0 - w0) % p == 0:
+                        out.append(CantorDivisor(u, UniPoly(F, [v0, v1])))
     return out
 
 

@@ -61,8 +61,9 @@ def _emit(obj, fmt: str):
 
 
 def _render_text(obj, indent=""):
-    if isinstance(obj, dict):
-        return "\n".join(f"{indent}{k}: {_render_text(v, indent)}" for k, v in sorted(obj.items()))
+    if isinstance(obj, dict):  # a nested dict's keys go on indented lines below its key
+        return "\n".join(f"{indent}{k}:\n{_render_text(v, indent + '  ')}" if isinstance(v, dict)
+                         else f"{indent}{k}: {_render_text(v)}" for k, v in sorted(obj.items()))
     if isinstance(obj, list):
         return "[" + ", ".join(str(_render_text(v)) for v in obj) + "]"
     return str(obj)

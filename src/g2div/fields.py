@@ -311,10 +311,10 @@ class Field:
 
     # -- native values --------------------------------------------------------
     # The group law's hot branches compute on native values: int for F_p
-    # (reduced only by _reduce), Fraction for Q, and the element itself for
-    # F_{p^k}.  coerce turns any of them back into an element.  Each field
-    # sets _native_zero in __init__: an attribute added later (as by
-    # functools.cached_property) moves the instance's attributes out of
+    # (reduced only by _reduce), an int or a Fraction for Q, and the element
+    # itself for F_{p^k}.  coerce turns any of them back into an element.
+    # Each field sets _native_zero in __init__: an attribute added later (as
+    # by functools.cached_property) moves the instance's attributes out of
     # CPython's inline-values layout and slows every self.p and self._reduce.
     _native_zero = None
 
@@ -358,7 +358,7 @@ class RationalField(Field):
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
-        self._native_zero = Fraction(0)
+        self._native_zero = 0
 
     def key(self):
         return ("rational",)
@@ -388,6 +388,16 @@ class RationalField(Field):
 
     def is_zero(self, a):
         return not a.value
+
+    def _native(self, a):
+        return self._reduce(a.value)
+
+    def _reduce(self, v):
+        # an int while integral (faster than Fraction), else a Fraction; no
+        # native path divides (int / int gives a float): inverses use inv
+        if type(v) is int:
+            return v
+        return v.numerator if v.denominator == 1 else v
 
     def sqrt(self, a):
         v = a.value

@@ -6,20 +6,51 @@ transcribed from the addition/duplication laws are homogeneous in this
 grading, and ``is_homogeneous`` is the standing sanity check after any
 transcription.
 
-Terms live in a dict keyed by exponent vectors; the deterministic term
-order is graded-lexicographic: first by weighted degree, then by exponent
-vector.  Resultants use the subresultant polynomial-remainder sequence,
-cross-checked against the Sylvester determinant on small instances.
+Terms live in a dict {packed exponent: native coefficient}.  The packed
+exponent of prod x_i^e_i is sum(e_i << SLOT*i) + (sum(e_i*w_i) << SLOT*n):
+each slot holds an exponent below 2^EXP_BITS under a guard bit, and the
+weight sits on top, so a monomial product is one int addition and an
+exponent reaching 2^EXP_BITS sets a guard bit (OverflowError) instead of
+spilling over.  Coefficients are Field._native values reduced by
+Field._reduce; terms(), coefficient(), the display (by weight, then
+exponent vector) and JSON present exponent tuples and FieldElements.
+Exact division runs on a mutable remainder whose terms leave a heap in
+packed order, a monomial order (cf. the heap division of M. Monagan and
+R. Pearce, J. Symbolic Comput. 46, 2011).  Resultants use the
+subresultant polynomial-remainder sequence.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from operator import itemgetter, or_
+from struct import Struct
 
 from .errors import DivisionByZero, InexactDivision, MixedFields
 from .fields import Field, FieldElement
 
 NEG_INF = float("-inf")
+EXP_BITS = 15
+SLOT = EXP_BITS + 1
+_SLOT_MASK = (1 << SLOT) - 1
 _SCALARS = (int, Fraction, FieldElement)
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two term dicts, sums unreduced."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        (eb, cb), = b.items()
+        return {ea + eb: ca * cb for ea, ca in a.items()}
+    out: dict = {}
+    get = out.get
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    return out
 
 
 class PolyRing:
@@ -36,7 +67,11 @@ class PolyRing:
         self.variables = variables
         self.weights = weights
         self.index = {v: i for i, v in enumerate(variables)}
-        self._zero_exp = (0,) * len(variables)
+        self._shifts = tuple(SLOT * i for i in range(len(variables)))
+        self._guard = sum(1 << (s + EXP_BITS) for s in self._shifts)
+        self._top = SLOT * len(variables)  # where the weight starts
+        self._low = (1 << self._top) - 1
+        self._slots = Struct(f"<{len(variables)}H")  # SLOT is 16 bits
 
     def key(self):
         return (self.field.key(), self.variables, self.weights)
@@ -51,47 +86,74 @@ class PolyRing:
         ws = ",".join(f"{v}:{w}" for v, w in zip(self.variables, self.weights))
         return f"PolyRing({self.field.short_name()}; {ws})"
 
+    # -- packed exponents -----------------------------------------------------
+    def _pack(self, exp) -> int:
+        exp = tuple(exp)
+        if len(exp) != len(self.variables):
+            raise ValueError("exponent vector does not match the variables")
+        key = 0
+        for e, s, w in zip(exp, self._shifts, self.weights):
+            if e < 0 or e >> EXP_BITS:
+                raise OverflowError(f"exponent {e} outside 0..2^{EXP_BITS} - 1")
+            key += (e << s) + (e * w << self._top)
+        return key
+
+    def _unpack(self, key: int) -> tuple:
+        return self._slots.unpack((key & self._low).to_bytes(self._slots.size, "little"))
+
+    def _finish(self, sums: dict) -> "WeightedPoly":
+        """The polynomial of unreduced native sums keyed by packed exponents."""
+        if reduce(or_, sums, 0) & self._guard:
+            raise OverflowError(f"an exponent reaches 2^{EXP_BITS}")
+        red = self.field._reduce
+        return WeightedPoly._make(self, {k: r for k, c in sums.items() if (r := red(c))})
+
     # -- construction --------------------------------------------------------
     def zero(self) -> "WeightedPoly":
-        return WeightedPoly(self, {})
+        return WeightedPoly._make(self, {})
 
     def one(self) -> "WeightedPoly":
         return self.const(1)
 
     def const(self, c) -> "WeightedPoly":
-        c = self.field.coerce(c)
-        if self.field.is_zero(c):
-            return self.zero()
-        return WeightedPoly(self, {self._zero_exp: c})
+        c = self.field._native(self.field.coerce(c))
+        return WeightedPoly._make(self, {0: c} if c else {})
 
     def var(self, name: str) -> "WeightedPoly":
         i = self.index[name]
-        exp = tuple(1 if j == i else 0 for j in range(len(self.variables)))
-        return WeightedPoly(self, {exp: self.field.one})
+        key = (1 << self._shifts[i]) + (self.weights[i] << self._top)
+        return WeightedPoly._make(self, {key: self.field._native(self.field.one)})
 
     def gens(self) -> dict:
         return {v: self.var(v) for v in self.variables}
 
-    def term_weight(self, exp) -> int:
-        return sum(e * w for e, w in zip(exp, self.weights))
-
     def monomial(self, exp, coeff=1) -> "WeightedPoly":
-        c = self.field.coerce(coeff)
-        if self.field.is_zero(c):
-            return self.zero()
-        return WeightedPoly(self, {tuple(exp): c})
+        key = self._pack(exp)
+        c = self.field._native(self.field.coerce(coeff))
+        return WeightedPoly._make(self, {key: c} if c else {})
 
 
 class WeightedPoly:
+    """WeightedPoly(ring, {exponent tuple: element, int or Fraction})."""
+
     __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
+        F = ring.field
+        native = (F._native(F.coerce(c)) for c in terms.values())
         self.ring = ring
-        self._terms = terms  # exponent tuple -> nonzero FieldElement
+        self._terms = {ring._pack(e): c for e, c in zip(terms, native) if c}
+
+    @staticmethod
+    def _make(ring: PolyRing, terms: dict) -> "WeightedPoly":  # {packed: reduced native}
+        p = WeightedPoly.__new__(WeightedPoly)
+        p.ring, p._terms = ring, terms
+        return p
 
     # -- inspection ------------------------------------------------------------
-    def terms(self):
-        return self._terms.items()
+    def terms(self) -> list:
+        unpack, coerce = self.ring._unpack, self.ring.field.coerce
+        return [(unpack(k), coerce(c)) for k, c in self._terms.items()]
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -100,36 +162,21 @@ class WeightedPoly:
         return not self._terms
 
     def coefficient(self, exp) -> FieldElement:
-        return self._terms.get(tuple(exp), self.ring.field.zero)
+        return self.ring.field.coerce(self._terms.get(self.ring._pack(exp), 0))
 
     def weighted_degree(self):
-        if not self._terms:
-            return NEG_INF
-        tw = self.ring.term_weight
-        return max(tw(e) for e in self._terms)
+        return max(self._terms) >> self.ring._top if self._terms else NEG_INF
 
     def is_homogeneous(self) -> bool:
-        if not self._terms:
-            return True
-        tw = self.ring.term_weight
-        it = iter(self._terms)
-        w0 = tw(next(it))
-        return all(tw(e) == w0 for e in it)
+        top = self.ring._top
+        return len({k >> top for k in self._terms}) <= 1
 
     def degree_in(self, name: str) -> int:
         """Ordinary degree in one variable; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        i = self.ring.index[name]
-        return max(e[i] for e in self._terms)
-
-    def leading(self):
-        """(exponent, coefficient) under grlex-by-weight order."""
-        if not self._terms:
-            raise DivisionByZero("leading term of zero polynomial")
-        tw = self.ring.term_weight
-        exp = max(self._terms, key=lambda e: (tw(e), e))
-        return exp, self._terms[exp]
+        s = self.ring._shifts[self.ring.index[name]]
+        return max((k >> s) & _SLOT_MASK for k in self._terms)
 
     # -- arithmetic --------------------------------------------------------------
     def _check(self, other):
@@ -137,39 +184,35 @@ class WeightedPoly:
         type this class does not know, so the other operand's reflected
         operator runs."""
         if isinstance(other, WeightedPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise MixedFields("polynomials from different rings")
             return other
         if isinstance(other, _SCALARS):
             return self.ring.const(other)
         return NotImplemented
 
+    def _plus(self, terms):
+        red, zero = self.ring.field._reduce, self.ring.field._native_zero
+        out = dict(self._terms)
+        for k, c in terms:
+            c = red(out.pop(k, zero) + c)
+            if c:
+                out[k] = c
+        return WeightedPoly._make(self.ring, out)
+
     def __add__(self, other):
         other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        F = self.ring.field
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            if e in out:
-                s = F.add(out[e], c)
-                if F.is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        return WeightedPoly(self.ring, out)
+        return NotImplemented if other is NotImplemented else self._plus(other._terms.items())
 
     __radd__ = __add__
 
     def __neg__(self):
-        F = self.ring.field
-        return WeightedPoly(self.ring, {e: F.neg(c) for e, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         other = self._check(other)
-        return NotImplemented if other is NotImplemented else self + (-other)
+        return NotImplemented if other is NotImplemented else self._plus(
+            (k, -c) for k, c in other._terms.items())
 
     def __rsub__(self, other):
         other = self._check(other)
@@ -181,35 +224,17 @@ class WeightedPoly:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        F = self.ring.field
-        if not self._terms or not other._terms:
-            return self.ring.zero()
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
-            a, b = b, a
-        out: dict = {}
-        for eb, cb in b.items():
-            for ea, ca in a.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = F.mul(ca, cb)
-                if e in out:
-                    s = F.add(out[e], c)
-                    if F.is_zero(s):
-                        del out[e]
-                    else:
-                        out[e] = s
-                else:
-                    out[e] = c
-        return WeightedPoly(self.ring, out)
+        return self.ring._finish(_product(self._terms, other._terms))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "WeightedPoly":
         F = self.ring.field
-        c = F.coerce(c)
-        if F.is_zero(c):
+        c = F._native(F.coerce(c))
+        if not c:
             return self.ring.zero()
-        return WeightedPoly(self.ring, {e: F.mul(v, c) for e, v in self._terms.items()})
+        red = F._reduce
+        return WeightedPoly._make(self.ring, {k: red(v * c) for k, v in self._terms.items()})
 
     def __pow__(self, e: int):
         if e < 0:
@@ -224,34 +249,50 @@ class WeightedPoly:
         return result
 
     def exact_div(self, g: "WeightedPoly") -> "WeightedPoly":
-        """Quotient self/g; raises InexactDivision unless g divides exactly."""
+        """Quotient self/g; raises InexactDivision unless g divides exactly.
+        Each step costs one pass over g, not over the remainder."""
         g = self._check(g)
         if g is NotImplemented:
             raise MixedFields("divisor is not a polynomial of this ring")
         if g.is_zero():
             raise DivisionByZero("division by zero polynomial")
-        F = self.ring.field
-        ge, gc = g.leading()
-        gc_inv = F.inv(gc)
-        rem = self
-        qt: dict = {}
-        while not rem.is_zero():
-            re, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re, ge))
-            if any(x < 0 for x in qe):
+        F, guard = self.ring.field, self.ring._guard
+        red, zero = F._reduce, F._native_zero
+        ge = max(g._terms)
+        g_inv = F._native(F.inv(F.coerce(g._terms[ge])))
+        tail = [(k, red(-c)) for k, c in g._terms.items() if k != ge]
+        rem = dict(self._terms)
+        heap = [-k for k in rem]
+        heapify(heap)
+        quotient: dict = {}
+        while heap:
+            re = -heappop(heap)
+            rc = red(rem.pop(re))
+            if not rc:
+                continue
+            # slot by slot re - ge; a slot below zero clears its guard bit
+            qe = (re | guard) - ge
+            if qe & guard != guard:
                 raise InexactDivision("leading term not divisible")
-            qc = F.mul(rc, gc_inv)
-            qt[qe] = qc
-            rem = rem - WeightedPoly(self.ring, {qe: qc}) * g
-        return WeightedPoly(self.ring, qt)
+            qe ^= guard
+            qc = quotient[qe] = red(rc * g_inv)
+            for k, c in tail:
+                k += qe
+                if k not in rem:
+                    heappush(heap, -k)
+                rem[k] = rem.get(k, zero) + qc * c
+        return WeightedPoly._make(self.ring, quotient)
 
     def __eq__(self, other):
         if isinstance(other, WeightedPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise MixedFields("polynomials from different rings")
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == self.ring.const(other)
+        if isinstance(other, _SCALARS):
+            try:
+                return self._terms == self.ring.const(other)._terms
+            except DivisionByZero:  # a rational whose denominator p divides
+                return False
         return NotImplemented
 
     __hash__ = None
@@ -259,90 +300,90 @@ class WeightedPoly:
     # -- calculus / substitution ---------------------------------------------------
     def substitute(self, bindings: dict) -> "WeightedPoly":
         """Simultaneous substitution var -> WeightedPoly/FieldElement/int."""
-        images = {}
-        for name, v in bindings.items():
-            if isinstance(v, WeightedPoly):
-                images[self.ring.index[name]] = v
-            else:
-                images[self.ring.index[name]] = self.ring.const(v)
-        return self._transport(self.ring, images, lambda c: c)
+        return self._transport(self.ring, bindings, None)
 
     def transport(self, target: PolyRing, var_images: dict, coeff_map=None) -> "WeightedPoly":
         """Rebuild in another ring; var_images maps names to target polynomials."""
-        images = {}
-        for name, v in var_images.items():
-            if not isinstance(v, WeightedPoly):
-                v = target.const(v)
-            images[self.ring.index[name]] = v
         if coeff_map is None:
             coeff_map = lambda c: target.field.coerce(c.value)
-        return self._transport(target, images, coeff_map)
+        return self._transport(target, var_images, coeff_map)
 
-    def _transport(self, target: PolyRing, images: dict, coeff_map) -> "WeightedPoly":
-        n = len(self.ring.variables)
-        for i in range(n):
+    def _transport(self, target: PolyRing, var_images: dict, coeff_map) -> "WeightedPoly":
+        """coeff_map takes and returns FieldElements; None keeps the natives."""
+        ring = self.ring
+        images = {ring.index[name]: v if isinstance(v, WeightedPoly) else target.const(v)
+                  for name, v in var_images.items()}
+        for i, name in enumerate(ring.variables):
             if i not in images:
-                if target is self.ring or self.ring.variables[i] in target.index:
-                    images[i] = target.var(self.ring.variables[i])
+                if target is ring or name in target.index:
+                    images[i] = target.var(name)
                 else:
-                    raise MixedFields(f"no image for variable {self.ring.variables[i]}")
+                    raise MixedFields(f"no image for variable {name}")
         pow_cache: dict = {}
-
-        def power(i, e):
-            if e == 0:
-                return target.one()
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = images[i] ** e
-            return pow_cache[key]
-
-        acc = target.zero()
+        coerce, guard = ring.field.coerce, target._guard
+        out: dict = {}
+        get = out.get
+        zero = target.field._native_zero
         for e, c in self._terms.items():
-            t = target.const(coeff_map(c))
-            for i, ei in enumerate(e):
-                if ei:
-                    t = t * power(i, ei)
-            acc = acc + t
-        return acc
+            t = {0: c} if coeff_map is None else target.const(coeff_map(coerce(c)))._terms
+            for i, k in enumerate(ring._unpack(e)):
+                if k and t:
+                    if (i, k) not in pow_cache:
+                        pow_cache[i, k] = (images[i] ** k)._terms
+                    t = _product(t, pow_cache[i, k])
+                    if reduce(or_, t, 0) & guard:
+                        raise OverflowError(f"an exponent reaches 2^{EXP_BITS}")
+            for k, v in t.items():
+                out[k] = get(k, zero) + v
+        return target._finish(out)
 
     def evaluate(self, values: dict) -> FieldElement:
         """Full numeric evaluation; values maps every occurring var to a field element."""
-        F = self.ring.field
-        idx_vals = {}
-        for name, v in values.items():
-            idx_vals[self.ring.index[name]] = F.coerce(v)
-        pow_cache: dict = {}
-
-        def power(i, e):
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = F.pow(idx_vals[i], e)
-            return pow_cache[key]
-
-        acc = F.zero
-        for e, c in self._terms.items():
-            t = c
-            for i, ei in enumerate(e):
-                if ei:
-                    t = F.mul(t, power(i, ei))
-            acc = F.add(acc, t)
-        return acc
+        ring = self.ring
+        F = ring.field
+        red = F._reduce
+        base = {ring.index[name]: F._native(F.coerce(v)) for name, v in values.items()}
+        exps = list(map(ring._unpack, self._terms))
+        # per variable, its powers up to the degree that occurs, by repeated products
+        powers = []
+        for i, degree in enumerate(map(max, zip(*exps))):
+            row = [F._native(F.one)]
+            for _ in range(degree):
+                row.append(red(row[-1] * base[i]))
+            powers.append(row)
+        # the first variable's powers scale the coefficients, summed per
+        # monomial in the other variables, which then multiplies once
+        zero = F._native_zero
+        groups: dict = {}
+        for e, c in zip(exps, self._terms.values()):
+            if e and e[0]:
+                c = c * powers[0][e[0]]
+            groups[e[1:]] = groups.get(e[1:], zero) + c
+        acc = zero
+        for rest, c in groups.items():
+            for i, k in enumerate(rest, 1):
+                if k:
+                    c = c * powers[i][k]
+            acc += c
+        return F.coerce(red(acc))
 
     # -- univariate views -------------------------------------------------------
     def coeffs_in(self, name: str) -> list:
         """Coefficients (as WeightedPoly without name) ascending in name."""
-        i = self.ring.index[name]
-        d = self.degree_in(name)
-        buckets: list = [dict() for _ in range(d + 1)]
-        for e, c in self._terms.items():
-            ne = e[:i] + (0,) + e[i + 1:]
-            buckets[e[i]][ne] = c
-        return [WeightedPoly(self.ring, b) for b in buckets]
+        s = self.ring._shifts[self.ring.index[name]]
+        (unit,) = self.ring.var(name)._terms
+        buckets: list = [{} for _ in range(self.degree_in(name) + 1)]
+        for k, c in self._terms.items():
+            e = (k >> s) & _SLOT_MASK
+            buckets[e][k - e * unit] = c
+        return [WeightedPoly._make(self.ring, b) for b in buckets]
 
     # -- display --------------------------------------------------------------
-    def sorted_terms(self):
-        tw = self.ring.term_weight
-        return sorted(self._terms.items(), key=lambda ec: (tw(ec[0]), ec[0]), reverse=True)
+    def sorted_terms(self) -> list:
+        ring = self.ring
+        keyed = sorted(((k >> ring._top, ring._unpack(k), c) for k, c in self._terms.items()),
+                       key=itemgetter(0, 1), reverse=True)
+        return [(e, ring.field.coerce(c)) for _, e, c in keyed]
 
     def to_text(self) -> str:
         if self.is_zero():
@@ -379,10 +420,12 @@ class WeightedPoly:
     def from_json(ring: PolyRing, obj: dict) -> "WeightedPoly":
         if tuple(obj["vars"]) != ring.variables:
             raise MixedFields("variable header mismatch")
-        acc = ring.zero()
+        F = ring.field
+        out: dict = {}
         for t in obj["terms"]:
-            acc = acc + ring.monomial(tuple(t["exps"]), ring.field.from_str(t["coeff"]))
-        return acc
+            k = ring._pack(t["exps"])
+            out[k] = out.get(k, F._native_zero) + F._native(F.from_str(t["coeff"]))
+        return ring._finish(out)
 
     def __repr__(self):
         text = self.to_text()

@@ -38,7 +38,6 @@ from .grouplaw import (
     scalar_mul,
     tangent_data,
 )
-from .polyring import PolyRing, WeightedPoly
 
 MUMFORD_VARS = ("a2", "a4", "b3", "b5", "l2", "l4", "l6", "l8", "l10")
 MUMFORD_WEIGHTS = (2, 4, 3, 5, 2, 4, 6, 8, 10)
@@ -164,16 +163,21 @@ def four_torsion_residuals(D: MumfordDivisor, curve: CanonicalCurve):
 # ---------------------------------------------------------------------------
 # symbolic division polynomials
 
+def _ring(field: Field, variables, weights) -> PolyRing:
+    from .polyring import PolyRing  # not loaded by the residuals and order tests
+    return PolyRing(field or QQ(), variables, weights)
+
+
 def mumford_ring(field: Field = None) -> PolyRing:
-    return PolyRing(field or QQ(), MUMFORD_VARS, MUMFORD_WEIGHTS)
+    return _ring(field, MUMFORD_VARS, MUMFORD_WEIGHTS)
 
 
 def xy_ring(field: Field = None) -> PolyRing:
-    return PolyRing(field or QQ(), XY_VARS, XY_WEIGHTS)
+    return _ring(field, XY_VARS, XY_WEIGHTS)
 
 
 def x_pair_ring(field: Field = None) -> PolyRing:
-    return PolyRing(field or QQ(), X_VARS, X_WEIGHTS)
+    return _ring(field, X_VARS, X_WEIGHTS)
 
 
 def _duplication_data(ring: PolyRing):
@@ -198,10 +202,11 @@ def _three_torsion_mumford_polys(ring: PolyRing):
     a2, a4, l2 = g["a2"], g["a4"], g["l2"]
     d = _duplication_data(ring)
     E, g1n, g2n, g4n = d["E"], d["g1"], d["g2"], d["g4"]
-    E2 = E * E
-    r1 = 3 * a2 * E2 - 2 * g2n * E + g1n * g1n
-    r2 = (3 * a4 * E2 - 3 * a2 * a2 * E2 + 2 * a2 * (2 * g2n * E - g1n * g1n)
-          - 2 * g4n * E - g2n * g2n + l2 * g1n * g1n)
+    # 3 a2 E^2 - 2 g2 E + g1^2 and 3 a4 E^2 - 3 a2^2 E^2 + 2 a2 (2 g2 E - g1^2)
+    # - 2 g4 E - g2^2 + l2 g1^2, with E factored out of its multiples
+    g1sq = g1n * g1n
+    r1 = E * (3 * a2 * E - 2 * g2n) + g1sq
+    r2 = E * (3 * (a4 - a2 * a2) * E + 4 * a2 * g2n - 2 * g4n) + (l2 - 2 * a2) * g1sq - g2n * g2n
     return r1, r2
 
 
@@ -340,7 +345,7 @@ def emit_division_polynomials(n: int, coords: str, curve: CanonicalCurve = None)
     for poly in result.polys:
         keep = [v for v in poly.ring.variables if v not in lam_names]
         keep_w = [poly.ring.weights[poly.ring.index[v]] for v in keep]
-        target = PolyRing(F, tuple(keep), tuple(keep_w))
+        target = _ring(F, keep, keep_w)
         images = {v: target.var(v) for v in keep}
         images.update({v: target.const(values[v]) for v in lam_names})
         out.append(poly.transport(target, images, lambda c: F.element(c.value)))
@@ -439,9 +444,9 @@ def find_three_torsion(curve: CanonicalCurve) -> list:
     sets = emit_division_polynomials(3, "xy", curve)
     xpoly, ypoly = sets.polys
     big, emb = _quadratic_extension(F)
-    bx = xpoly.transport(PolyRing(big, xpoly.ring.variables, xpoly.ring.weights),
+    bx = xpoly.transport(_ring(big, xpoly.ring.variables, xpoly.ring.weights),
                          {}, lambda c: emb.embed(c))
-    by = ypoly.transport(PolyRing(big, ypoly.ring.variables, ypoly.ring.weights),
+    by = ypoly.transport(_ring(big, ypoly.ring.variables, ypoly.ring.weights),
                          {}, lambda c: emb.embed(c))
 
     def keep(x1, y1, x2, y2, wf):

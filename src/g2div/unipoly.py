@@ -12,7 +12,7 @@ from .fields import Field, FieldElement
 
 class UniPoly:
     """Coefficients are stored as the field's native values (Field._native:
-    int for F_p, Fraction for Q, the element itself for F_{p^k}), reduced and
+    int for F_p, int or Fraction for Q, the element itself for F_{p^k}), reduced and
     without trailing zeros; arithmetic runs on them with Field._reduce, and
     coeffs, __getitem__, lead and evaluate wrap them back into elements."""
 

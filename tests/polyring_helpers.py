@@ -1,5 +1,6 @@
 """Polynomial-ring cross-check helpers that only the tests use."""
 from g2div.errors import DivisionByZero, InexactDivision
+from g2div.fields import FieldElement
 from g2div.polyring import NEG_INF, PolyRing, WeightedPoly
 
 
@@ -173,3 +174,101 @@ class RationalPoly:
 
     def __repr__(self):
         return f"RationalPoly(({self.num.to_text()}) / ({self.den.to_text()}))"
+
+
+# -------------------------------------------------------------------------
+# tuple-keyed reference for differential tests of the packed WeightedPoly
+
+class RefPoly:
+    """{exponent tuple: nonzero FieldElement} with schoolbook algorithms on
+    field elements, the representation WeightedPoly had before it packed
+    exponents and stored native coefficients."""
+
+    __slots__ = ("field", "nvars", "terms")
+
+    def __init__(self, field, nvars: int, terms: dict):
+        self.field = field
+        self.nvars = nvars
+        self.terms = {e: c for e, c in terms.items() if not field.is_zero(c)}
+
+    @staticmethod
+    def of(poly: WeightedPoly) -> "RefPoly":
+        return RefPoly(poly.ring.field, len(poly.ring.variables), dict(poly.terms()))
+
+    def const(self, c) -> "RefPoly":
+        return RefPoly(self.field, self.nvars, {(0,) * self.nvars: self.field.coerce(c)})
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __repr__(self):
+        return f"RefPoly({self.terms!r})"
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, self.field.zero) + c
+        return RefPoly(self.field, self.nvars, out)
+
+    def __neg__(self):
+        return RefPoly(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out: dict = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, self.field.zero) + ca * cb
+        return RefPoly(self.field, self.nvars, out)
+
+    def __pow__(self, k: int) -> "RefPoly":
+        out = self.const(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def exact_div(self, g: "RefPoly", weights) -> "RefPoly":
+        """Long division by the leading term under (weight, exponent) order,
+        rebuilding the remainder at each step."""
+        def order(e):
+            return (sum(x * w for x, w in zip(e, weights)), e)
+
+        ge = max(g.terms, key=order)
+        inv = self.field.inv(g.terms[ge])
+        rem, out = self, {}
+        while rem.terms:
+            re = max(rem.terms, key=order)
+            qe = tuple(x - y for x, y in zip(re, ge))
+            if min(qe) < 0:
+                raise InexactDivision("leading term not divisible")
+            out[qe] = rem.terms[re] * inv
+            rem = rem - RefPoly(self.field, self.nvars, {qe: out[qe]}) * g
+        return RefPoly(self.field, self.nvars, out)
+
+    def substitute(self, images: list) -> "RefPoly":
+        """Variable i -> images[i], a RefPoly with the same variable count."""
+        acc = RefPoly(self.field, images[0].nvars, {})
+        for e, c in self.terms.items():
+            t = images[0].const(c)
+            for img, k in zip(images, e):
+                t = t * img ** k
+            acc = acc + t
+        return acc
+
+    def evaluate(self, point) -> FieldElement:
+        acc = self.field.zero
+        for e, c in self.terms.items():
+            for v, k in zip(point, e):
+                c = c * self.field.pow(v, k)
+            acc = acc + c
+        return acc
+
+    def coeffs_in(self, i: int) -> list:
+        degree = max((e[i] for e in self.terms), default=-1)
+        buckets = [dict() for _ in range(degree + 1)]
+        for e, c in self.terms.items():
+            buckets[e[i]][e[:i] + (0,) + e[i + 1:]] = c
+        return [RefPoly(self.field, self.nvars, b) for b in buckets]

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_divisor
 from g2div.cantor import (
+    CantorDivisor,
     brute_force_n_torsion,
     cantor_add,
     cantor_neg,
@@ -17,8 +18,9 @@ from g2div.cantor import (
     to_mumford,
 )
 from g2div.curves import CanonicalCurve
-from g2div.errors import UnsupportedField
+from g2div.errors import DegenerateCurve, UnsupportedField
 from g2div.fields import GF
+from g2div.unipoly import UniPoly
 
 
 @pytest.fixture(scope="module")
@@ -136,3 +138,38 @@ def test_matches_coordinate_law_on_random_f1009(c1009, rng):
         lhs = add(P, Q, c1009)
         rhs = to_mumford(cantor_add(from_mumford(P), from_mumford(Q), c1009))
         assert lhs == rhs
+
+
+def scan_with_unipoly(curve):
+    """enumerate_jacobian's loops with every candidate built and tested as
+    UniPolys: (v^2 - P) mod u == 0."""
+    F = curve.field
+    f = curve.px()
+    out = [neutral_divisor(F)]
+    for a in F.elements():
+        for c in F.sqrt(f.evaluate(a)):
+            out.append(CantorDivisor(UniPoly(F, [-a, 1]), UniPoly(F, [c])))
+    for u1 in F.elements():
+        for u0 in F.elements():
+            u = UniPoly(F, [u0, u1, 1])
+            for v1 in F.elements():
+                for v0 in F.elements():
+                    v = UniPoly(F, [v0, v1])
+                    if ((v * v - f) % u).is_zero():
+                        out.append(CantorDivisor(u, v))
+    return out
+
+
+def test_native_scan_matches_unipoly_scan():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 7:
+        p = rng.choice((3, 7, 11))
+        try:
+            curve = CanonicalCurve(GF(p), tuple(rng.randrange(p) for _ in range(5)))
+        except DegenerateCurve:
+            continue
+        els = enumerate_jacobian(curve)
+        assert els == scan_with_unipoly(curve)  # same divisors in the same order
+        assert all(is_valid(d, curve) for d in els)
+        checked += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -240,3 +241,28 @@ def test_every_handler_renders_text(files, tmp_path, capsys):
         out = capsys.readouterr().out
         assert text in out, argv
     assert out.rstrip().endswith("count: 1")
+
+
+def test_nested_dict_renders_indented(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"field": {"kind": "prime", "p": 101}, "form": "II",
+                             "a": ["1", "0", "0", "0", "0", "0", "-1"]}))
+    assert main(["curve", "transform", "--curve", str(g), "--format", "text"]) == 0
+    assert capsys.readouterr().out == ("field:\n  kind: prime\n  p: 101\n"
+                                       "form: canonical\nlambda: [0, 30, 0, 81, 0]\n")
+
+
+# SHA-256 of the stdout of `divpoly emit --format json` for the formal systems,
+# recorded before WeightedPoly packed its exponents
+FORMAL_EMISSION_SHA256 = {
+    (3, "mumford"): "d5f3c460e6cc22c801d7048d5f9b9756b0981a531179e527f2ff5be9b54504c3",
+    (4, "mumford"): "c7adefd4035213e95f0214e5e5d66b6f9df7263141fd8a8a152b8ed9ae1b01f9",
+    (3, "xy"): "ff5900cc006de69e36342b6e92523ba5ba50581422ccf5244d76b3106430f6cb",
+}
+
+
+@pytest.mark.parametrize("n,coords", sorted(FORMAL_EMISSION_SHA256))
+def test_formal_emission_digest(n, coords, capsys):
+    assert main(["divpoly", "emit", "--n", str(n), "--coords", coords, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAL_EMISSION_SHA256[n, coords]

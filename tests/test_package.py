@@ -63,6 +63,14 @@ def test_jac_verbs_load_no_heavy_module(files):
     assert not loaded & set(HEAVY)
 
 
+def test_torsion_check_loads_no_polyring(files):
+    c, d = files
+    loaded = loaded_after(cli_calls(*(["torsion", "check", "--n", str(n), "--divisor", d,
+                                       "--curve", c] for n in (2, 3, 4))))
+    assert "g2div.torsion" in loaded
+    assert not loaded & {"g2div.polyring", "g2div.cantor"}
+
+
 def test_oracle_enumerate_loads_neither_torsion_nor_polyring(files):
     c, _ = files
     loaded = loaded_after(cli_calls(["oracle", "enumerate", "--curve", c]))

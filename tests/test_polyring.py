@@ -5,14 +5,16 @@ import pytest
 
 from polyring_helpers import (
     RationalPoly,
+    RefPoly,
     det_bareiss,
     partial_derivative,
     reduce_power,
     sylvester_resultant,
 )
-from g2div.errors import InexactDivision
+from g2div.errors import InexactDivision, MixedFields
 from g2div.fields import GF, QQ
 from g2div.polyring import (
+    EXP_BITS,
     NEG_INF,
     PolyRing,
     WeightedPoly,
@@ -230,3 +232,178 @@ def test_series_sqrt_and_mul():
     s = TruncatedSeries(dom, target, 8)
     r = s.sqrt_one_plus()
     assert all((a - b).is_zero() for a, b in zip((r * r).coeffs, target))
+
+
+# ---------------------------------------------------------------------------
+# the packed, native-coefficient WeightedPoly against the tuple-keyed RefPoly
+
+DIFF_FIELDS = {"Q": QQ(), "F7": GF(7), "F3^2": GF(3, 2)}
+
+
+def diff_coeff(F, rng):
+    """A random coefficient, zero included; over Q a third are non-integral."""
+    if F.order() is None:
+        return F.element(Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3, 4))))
+    return rng.choice(list(F.elements()))
+
+
+def diff_poly(ring, rng, terms=6, max_deg=3):
+    acc = ring.zero()
+    for _ in range(rng.randrange(terms + 1)):
+        exp = tuple(rng.randrange(max_deg + 1) for _ in ring.variables)
+        acc = acc + ring.monomial(exp, diff_coeff(ring.field, rng))
+    return acc
+
+
+@pytest.fixture(params=sorted(DIFF_FIELDS))
+def xyz(request):
+    return PolyRing(DIFF_FIELDS[request.param], ("x", "y", "z"), (2, 3, 5))
+
+
+def test_native_arithmetic_matches_reference(xyz):
+    rng = random.Random(101)
+    F = xyz.field
+    for _ in range(60):
+        a, b = diff_poly(xyz, rng), diff_poly(xyz, rng)
+        ra, rb = RefPoly.of(a), RefPoly.of(b)
+        c = diff_coeff(F, rng)
+        k = rng.randrange(4)
+        assert RefPoly.of(a + b) == ra + rb
+        assert RefPoly.of(a - b) == ra - rb
+        assert RefPoly.of(-a) == -ra
+        assert RefPoly.of(a * b) == ra * rb
+        assert RefPoly.of(a ** k) == ra ** k
+        assert RefPoly.of(a * c) == ra.const(c) * ra
+        assert RefPoly.of(k - a) == ra.const(k) - ra and RefPoly.of(a - c) == ra - ra.const(c)
+        assert RefPoly.of(a.scale(c)) == ra.const(c) * ra
+        assert a * b == b * a and (a + b) - b == a
+
+
+def test_native_exact_div_matches_reference(xyz):
+    rng = random.Random(103)
+    for _ in range(40):
+        q, g = diff_poly(xyz, rng), diff_poly(xyz, rng)
+        if g.is_zero():
+            continue
+        f = q * g
+        assert f.exact_div(g) == q
+        assert RefPoly.of(f).exact_div(RefPoly.of(g), xyz.weights) == RefPoly.of(q)
+        if g.weighted_degree() > 0:
+            # f + 1 is 1 mod g, so g does not divide it
+            with pytest.raises(InexactDivision):
+                (f + 1).exact_div(g)
+            with pytest.raises(InexactDivision):
+                RefPoly.of(f + 1).exact_div(RefPoly.of(g), xyz.weights)
+
+
+def test_native_resultant_matches_sylvester(xyz):
+    rng = random.Random(107)
+    seen = 0
+    for _ in range(40):
+        p, q = diff_poly(xyz, rng, max_deg=2), diff_poly(xyz, rng, max_deg=2)
+        if p.degree_in("y") < 1 or q.degree_in("y") < 1:
+            continue
+        seen += 1
+        assert resultant(p, q, "y") == sylvester_resultant(p, q, "y")
+    assert seen >= 10
+
+
+def test_native_substitute_evaluate_coeffs_in(xyz):
+    rng = random.Random(109)
+    F = xyz.field
+    for _ in range(30):
+        p = diff_poly(xyz, rng)
+        images = [diff_poly(xyz, rng, terms=3, max_deg=2) for _ in range(3)]
+        ref = RefPoly.of(p)
+        sub = p.substitute(dict(zip(xyz.variables, images)))
+        assert RefPoly.of(sub) == ref.substitute([RefPoly.of(v) for v in images])
+        point = [diff_coeff(F, rng) for _ in range(3)]
+        assert p.evaluate(dict(zip(xyz.variables, point))) == ref.evaluate(point)
+        for i, name in enumerate(xyz.variables):
+            coeffs = p.coeffs_in(name)
+            assert [RefPoly.of(c) for c in coeffs] == ref.coeffs_in(i)
+            # rebuilt from its exponent tuples, each equals itself term for term
+            assert all(c == WeightedPoly(xyz, dict(c.terms())) for c in coeffs + [sub])
+
+
+def test_native_transport(xyz):
+    rng = random.Random(113)
+    F = xyz.field
+    xy = PolyRing(F, ("x", "y"), (2, 3))
+    x, y = xy.var("x"), xy.var("y")
+    for _ in range(30):
+        p = diff_poly(xyz, rng)
+        c = diff_coeff(F, rng)
+        moved = p.transport(xy, {"x": x + y, "z": c}, lambda v: v)
+        images = [RefPoly.of(x + y), RefPoly.of(y), RefPoly.of(xy.const(c))]
+        assert RefPoly.of(moved) == RefPoly.of(p).substitute(images)
+    if F.order() is None:
+        # Q -> F_7 on coefficients whose denominators 7 does not divide
+        F7 = GF(7)
+        target = PolyRing(F7, xyz.variables, xyz.weights)
+        for _ in range(30):
+            p = diff_poly(xyz, rng)
+            moved = p.transport(target, {}, lambda v: F7.element(v.value))
+            want = {e: F7.element(v.value) for e, v in p.terms()}
+            assert RefPoly.of(moved) == RefPoly(F7, 3, want)
+    else:
+        with pytest.raises(MixedFields):
+            xyz.var("z").transport(xy, {})
+
+
+def test_native_json_round_trip_and_order(xyz):
+    rng = random.Random(127)
+    F = xyz.field
+    for _ in range(30):
+        p = diff_poly(xyz, rng)
+        obj = p.to_json()
+        assert WeightedPoly.from_json(xyz, obj) == p
+        ref = RefPoly.of(p).terms
+        order = sorted(ref, key=lambda e: (sum(a * w for a, w in zip(e, xyz.weights)), e),
+                       reverse=True)
+        assert obj["terms"] == [{"exps": list(e), "coeff": F.to_str(ref[e])} for e in order]
+        assert [e for e, _ in p.sorted_terms()] == order
+        for e, c in ref.items():
+            assert p.coefficient(e) == c
+        assert p.coefficient((3, 3, 3)) == ref.get((3, 3, 3), F.zero)
+        w = {sum(a * b for a, b in zip(e, xyz.weights)) for e in ref}
+        assert p.is_homogeneous() == (len(w) <= 1)
+        assert p.weighted_degree() == (max(w) if w else NEG_INF)
+
+
+def test_exponent_overflow_raises():
+    ring = PolyRing(GF(7), ("x", "y"), (2, 3))
+    x, y = ring.var("x"), ring.var("y")
+    top = 2 ** EXP_BITS - 1
+    assert ring.monomial((top, 1)).degree_in("x") == top
+    assert (x ** top * y).degree_in("x") == top
+    with pytest.raises(OverflowError):
+        ring.monomial((top + 1, 0))
+    with pytest.raises(OverflowError):
+        x ** (top + 1)
+    with pytest.raises(OverflowError):
+        x ** 2 ** (EXP_BITS - 1) * x ** 2 ** (EXP_BITS - 1)
+    with pytest.raises(OverflowError):  # a slot that fills must not carry into y
+        (x ** top + y) * (x + 1)
+    with pytest.raises(OverflowError):
+        (x ** top).substitute({"x": x ** 2})
+    four = PolyRing(GF(7), ("x", "y", "z", "w"), (1, 1, 1, 1))
+    half = four.var("x") ** 2 ** (EXP_BITS - 1)
+    with pytest.raises(OverflowError):  # 4 * 2^14 would carry out of x's slot
+        four.monomial((1, 1, 1, 1)).substitute(dict.fromkeys(four.variables, half))
+    with pytest.raises(OverflowError):
+        ring.monomial((-1, 0))
+    with pytest.raises(InexactDivision):  # a negative slot
+        (x * y ** 2).exact_div(x ** 2 * y)
+
+
+def test_eq_against_field_scalars():
+    R = PolyRing(GF(7), ("x",), (1,))
+    assert R.one() == GF(7).one and R.one() == 1 and R.one() == Fraction(8, 1)
+    assert R.const(3) == GF(7).element(3) and R.const(3) != GF(7).element(4)
+    assert (R.one() == Fraction(1, 7)) is False
+    assert R.var("x") != 1 and R.zero() == 0
+    with pytest.raises(MixedFields):
+        R.one() == GF(11).one
+    Q = PolyRing(QQ(), ("x",), (1,))
+    assert Q.const(Fraction(1, 2)) == Fraction(1, 2) and Q.const(Fraction(1, 2)) == QQ().element(Fraction(2, 4))
