@@ -159,6 +159,16 @@ class FieldSpec(namedtuple("FieldSpec", "kind p k modulus")):
 # ---------------------------------------------------------------------------
 # elements
 
+def _uncoercible(a: "FieldElement", other):
+    """The result of an operator on a and an operand its field cannot coerce:
+    NotImplemented for a type no field knows, so that Python runs the
+    operand's reflected operator (a polynomial's, say); an element of
+    another field still raises MixedFields."""
+    if isinstance(other, FieldElement):
+        raise MixedFields(f"{a.field} vs {other.field}")
+    return NotImplemented
+
+
 class FieldElement:
     """Immutable element of a Field; arithmetic delegates to the field."""
 
@@ -169,26 +179,44 @@ class FieldElement:
         self.value = value
 
     def __add__(self, other):
-        return self.field.add(self, self.field.coerce(other))
+        try:
+            return self.field.add(self, self.field.coerce(other))
+        except MixedFields:
+            return _uncoercible(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self.field.sub(self, self.field.coerce(other))
+        try:
+            return self.field.sub(self, self.field.coerce(other))
+        except MixedFields:
+            return _uncoercible(self, other)
 
     def __rsub__(self, other):
-        return self.field.sub(self.field.coerce(other), self)
+        try:
+            return self.field.sub(self.field.coerce(other), self)
+        except MixedFields:
+            return _uncoercible(self, other)
 
     def __mul__(self, other):
-        return self.field.mul(self, self.field.coerce(other))
+        try:
+            return self.field.mul(self, self.field.coerce(other))
+        except MixedFields:
+            return _uncoercible(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self.field.div(self, self.field.coerce(other))
+        try:
+            return self.field.div(self, self.field.coerce(other))
+        except MixedFields:
+            return _uncoercible(self, other)
 
     def __rtruediv__(self, other):
-        return self.field.div(self.field.coerce(other), self)
+        try:
+            return self.field.div(self.field.coerce(other), self)
+        except MixedFields:
+            return _uncoercible(self, other)
 
     def __neg__(self):
         return self.field.neg(self)

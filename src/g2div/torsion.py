@@ -11,6 +11,10 @@ Denominator clearing multiplies by powers of E = 2N*(2*b5' - a2*b3'), the
 numerator of the duplication denominator over N = y1*y2 expressed in
 Mumford coordinates; the cleared system is only quoted on the locus E != 0
 (the degenerate locus belongs to the double-to-special branch).
+
+The finite-field searches run in the curve's own field: they scan every
+alpha (a2, a4), solve the model equations for the betas above it with two
+square roots, and keep the divisors on which the Mumford residuals vanish.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .curves import CanonicalCurve
-from .divisors import MumfordDivisor, mumford_from_points
+from .divisors import MumfordDivisor
 from .errors import (
     BranchPointInSupport,
     CharacteristicTooSmall,
@@ -26,7 +30,7 @@ from .errors import (
     SerializationError,
     UnsupportedField,
 )
-from .fields import Field, FieldEmbedding, GF, QQ, embedding, is_prime
+from .fields import Field, QQ, is_prime
 from .grouplaw import (
     _scaled_duplication,
     _sum_alpha,
@@ -355,132 +359,77 @@ def emit_division_polynomials(n: int, coords: str, curve: CanonicalCurve = None)
 # ---------------------------------------------------------------------------
 # torsion search over finite fields
 
-def _sqrt_table(field: Field, curve_px):
-    table = {}
-    for x in field.elements():
-        table[x] = field.sqrt(curve_px.evaluate(x))
-    return table
+def _divisors_above(curve: CanonicalCurve, a2, a4) -> list:
+    """The degree-2 divisors over the curve's field with alpha (a2, a4).
 
-
-def _embedded_curve(curve: CanonicalCurve, big: Field, emb: FieldEmbedding) -> CanonicalCurve:
-    return CanonicalCurve(big, tuple(emb.embed(c) for c in curve.lam))
-
-
-def _quadratic_extension(field: Field):
-    p = field.characteristic
-    k = getattr(field, "k", 1)
-    if 2 * k > 4:
-        raise UnsupportedField("torsion scan supports base degree <= 2")
-    big = GF(p, 2 * k)
-    return big, embedding(field, big)
-
-
-def _candidate_divisors(curve: CanonicalCurve, keep_pair) -> list:
-    """Divisors with base-field Mumford coordinates built from support scans.
-
-    keep_pair(x1, y1, x2, y2, working_field) decides whether a sign choice
-    survives; rational pairs and Frobenius-conjugate pairs are both scanned.
-    Repeated-point divisors 2*(x, y) are always kept (the pair systems do
-    not see the diagonal) and left to the caller's final order check.
-    """
+    With P = r1*x + r0 mod u = x^2 + a2*x + a4, the model equations
+    J8 = J10 = 0 read 2*b3*b5 - a2*b3^2 = r1 and b5^2 - a4*b3^2 = r0.  So
+    t = b3^2 solves (a2^2 - 4*a4)*t^2 + (2*a2*r1 - 4*r0)*t + r1^2 = 0, a
+    linear equation when u is a square, and b5 = (r1 + a2*t) / (2*b3);
+    b3 = 0 needs r1 = 0 and b5^2 = r0."""
     F = curve.field
-    q = F.order()
-    if q is None:
+    r1, r0 = F.zero, F.one
+    for lam in curve.lam:  # Horner's rule for P mod u
+        r1, r0 = r0 - a2 * r1, lam - a4 * r1
+    A = a2 * a2 - 4 * a4
+    B = 2 * a2 * r1 - 4 * r0
+    C = r1 * r1
+    if not F.is_zero(A):
+        ts = [(s - B) / (2 * A) for s in F.sqrt(B * B - 4 * A * C)]
+    else:  # u = (x - x0)^2 and B = -4*P(x0): a branch point x0 has no divisor
+        ts = [] if F.is_zero(B) else [-C / B]
+    out = []
+    for t in ts:
+        if F.is_zero(t):
+            out.extend(MumfordDivisor.nonspecial(F, a2, a4, F.zero, b5) for b5 in F.sqrt(r0))
+        else:
+            out.extend(MumfordDivisor.nonspecial(F, a2, a4, b3, (r1 + a2 * t) / (2 * b3))
+                       for b3 in F.sqrt(t))
+    return out
+
+
+def _search(curve: CanonicalCurve, n: int, residuals) -> list:
+    """The classes of exact order n among the degree-2 divisors over the
+    curve's field whose Mumford residuals vanish, sorted.
+
+    Every alpha (a2, a4) in F_q^2 is scanned and its betas solved by
+    _divisors_above, so no extension field is built.  Divisors with
+    y1*y2 = 0 and degree-1 classes are skipped: L(4*inf) = <1, x, x^2>, so
+    no such class has order 3 or 4."""
+    F = curve.field
+    if F.order() is None:
         raise UnsupportedField("torsion search needs a finite field")
     out = []
-    table = _sqrt_table(F, curve.px())
-    elems = sorted(F.elements(), key=F.sort_key)
-    for x0 in elems:
-        for y0 in table[x0]:
-            if not F.is_zero(y0):
-                out.append(mumford_from_points(curve, (x0, y0), (x0, y0)))
-    for i, x1 in enumerate(elems):
-        y1s = table[x1]
-        if not y1s:
-            continue
-        for x2 in elems[i + 1:]:
-            y2s = table[x2]
-            if not y2s:
-                continue
-            for y1 in y1s:
-                for y2 in y2s:
-                    if keep_pair(x1, y1, x2, y2, F):
-                        out.append(mumford_from_points(curve, (x1, y1), (x2, y2)))
-    # conjugate supports over the quadratic extension
-    big, emb = _quadratic_extension(F)
-    bcurve = _embedded_curve(curve, big, emb)
-    qf = q
-    seen = set()
-    for x1 in big.elements():
-        x2 = big.pow(x1, qf)
-        if x1 == x2:
-            continue  # base-field element, already scanned
-        orbit = tuple(sorted((big.sort_key(x1), big.sort_key(x2))))
-        if orbit in seen:
-            continue
-        seen.add(orbit)
-        y1s = big.sqrt(bcurve.p_at(x1))
-        if not y1s:
-            continue
-        for y1 in y1s:
-            y2 = big.pow(y1, qf)
-            if not keep_pair(x1, y1, x2, y2, big):
-                continue
-            D = mumford_from_points(bcurve, (x1, y1), (x2, y2))
-            coords = tuple(emb.pullback(c) for c in D.coords)
-            out.append(MumfordDivisor.nonspecial(F, *coords))
-    uniq = {}
-    for d in out:
-        uniq[d.sort_key()] = d
-    return [uniq[k] for k in sorted(uniq)]
+    for a2 in F.elements():
+        for a4 in F.elements():
+            for D in _divisors_above(curve, a2, a4):
+                if F.is_zero(_y1y2(*D.coords)):
+                    continue
+                try:
+                    res = residuals(D, curve)
+                except GammaUndefined:
+                    continue
+                if all(F.is_zero(r) for r in res) and is_torsion(D, n, curve):
+                    out.append(D)
+    return sorted(out, key=MumfordDivisor.sort_key)
 
 
 def find_three_torsion(curve: CanonicalCurve) -> list:
     """All 3-torsion divisor classes with base-field Mumford coordinates.
 
-    Solves the x-support polynomial, filters with the y-equation and the
-    curve, and certifies every hit by exact order check."""
-    F = curve.field
-    sets = emit_division_polynomials(3, "xy", curve)
-    xpoly, ypoly = sets.polys
-    big, emb = _quadratic_extension(F)
-    bx = xpoly.transport(_ring(big, xpoly.ring.variables, xpoly.ring.weights),
-                         {}, lambda c: emb.embed(c))
-    by = ypoly.transport(_ring(big, ypoly.ring.variables, ypoly.ring.weights),
-                         {}, lambda c: emb.embed(c))
-
-    def keep(x1, y1, x2, y2, wf):
-        if wf.is_zero(y1) or wf.is_zero(y2):
-            return False
-        if wf is F:
-            if not F.is_zero(xpoly.evaluate({"x1": x1, "x2": x2})):
-                return False
-            return F.is_zero(ypoly.evaluate({"x1": x1, "y1": y1, "x2": x2, "y2": y2}))
-        if not wf.is_zero(bx.evaluate({"x1": x1, "x2": x2})):
-            return False
-        return wf.is_zero(by.evaluate({"x1": x1, "y1": y1, "x2": x2, "y2": y2}))
-
-    cands = _candidate_divisors(curve, keep)
-    return [d for d in cands if is_torsion(d, 3, curve)]
+    Keeps the divisors on which the Mumford division polynomials (the
+    a-coordinates of 2D against those of D, through the duplication gammas)
+    vanish and certifies every hit by exact order check."""
+    if 0 < curve.field.characteristic <= 5:
+        raise CharacteristicTooSmall("division polynomials need characteristic 0 or > 5")
+    return _search(curve, 3, three_torsion_mumford_residuals)
 
 
 def find_four_torsion(curve: CanonicalCurve) -> list:
-    """All exact-order-4 classes with base-field Mumford coordinates, found
-    by the residual systems on scanned supports and certified by order."""
-    F = curve.field
-
-    def keep(x1, y1, x2, y2, wf):
-        return not (wf.is_zero(y1) or wf.is_zero(y2))
-
-    out = []
-    for d in _candidate_divisors(curve, keep):
-        try:
-            _, residuals = four_torsion_residuals(d, curve)
-        except GammaUndefined:
-            continue
-        if all(F.is_zero(r) for r in residuals) and is_torsion(d, 4, curve):
-            out.append(d)
-    return out
+    """All exact-order-4 classes with base-field Mumford coordinates: the
+    divisors whose 2D is 2-torsion by the residual systems, certified by
+    order."""
+    return _search(curve, 4, lambda D, c: four_torsion_residuals(D, c)[1])
 
 
 def find_n_torsion(curve: CanonicalCurve, n: int) -> list:

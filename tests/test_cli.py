@@ -134,16 +134,32 @@ def test_curve_transform_allow_extension(tmp_path, capsys):
     assert out[-1]["field"]["kind"] == "extension"
 
 
+# SHA-256 of the stdout of `torsion find --ext 2` on two F_7 curves, recorded
+# while the search still scanned support pairs over F_{q^2} (no oracle covers
+# F_{p^2}: enumerate_jacobian runs over prime fields only)
+EXT_FIND_SHA256 = {
+    ("0 0 0 1 2", 3): ("3edf090eabfd5fb0e2981463a62349cdb843d4b99e629afc8eba2ca6046da1e5", 2),
+    ("0 0 0 1 2", 4): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("0 1 0 1 3", 3): ("8e354c38f48173b27c34c1b49166ea894b37c784614616c02956e8ec109a2d2b", 8),
+    ("0 1 0 1 3", 4): ("6bacd852b2c395ad7274aad05c2ac1201e8dea5b7d58c3aed5c5c4a730b9dbe2", 12),
+}
+
+
 def test_torsion_find_ext_flag(tmp_path, capsys):
-    c = {"field": {"kind": "prime", "p": 7}, "form": "canonical",
-         "lambda": ["0", "0", "0", "1", "2"]}
+    from g2div.divisors import divisor_from_json, divisor_to_json
+    from g2div.fields import GF
     f = tmp_path / "c.json"
-    f.write_text(json.dumps(c))
-    code, base = run(capsys, "torsion", "find", "--n", "3", "--curve", str(f))
-    assert code == 0 and len(base) == 2
-    code, ext = run(capsys, "torsion", "find", "--n", "3", "--curve", str(f), "--ext", "2")
-    assert code == 0
-    assert len(ext) >= len(base)  # the extension can only reveal more classes
+    for (lam, n), want in EXT_FIND_SHA256.items():
+        f.write_text(json.dumps({"field": {"kind": "prime", "p": 7}, "form": "canonical",
+                                 "lambda": lam.split()}))
+        code, base = run(capsys, "torsion", "find", "--n", str(n), "--curve", str(f))
+        assert code == 0
+        assert main(["torsion", "find", "--n", str(n), "--curve", str(f), "--ext", "2"]) == 0
+        out = capsys.readouterr().out
+        ext = [json.loads(line) for line in out.splitlines()]
+        assert (hashlib.sha256(out.encode()).hexdigest(), len(ext)) == want
+        for d in base:  # every base-field class, embedded, is found over F_49
+            assert divisor_to_json(divisor_from_json(GF(7, 2), d)) in ext
 
 
 def test_usage_error_exit_2(capsys):

@@ -265,6 +265,25 @@ def test_mixed_fields_still_raise_when_interned():
             op()
 
 
+def test_element_defers_to_polynomial_reflected_operators():
+    from g2div.polyring import PolyRing
+    from g2div.unipoly import UniPoly
+
+    for F in (GF(7), GF(7, 2)):
+        c = F.element(2)
+        x = PolyRing(F, ("x",), (2,)).var("x")
+        poly = x * x + 3
+        assert c * poly == poly * c and c + poly == poly + c
+        assert c - poly == -(poly - c)
+        u = UniPoly(F, [1, 0, 3])
+        assert c * u == u * c
+        for op in (lambda: c * "2", lambda: c - None, lambda: c / [2]):
+            with pytest.raises(TypeError):
+                op()
+        with pytest.raises(MixedFields):
+            c * GF(11).element(2)
+
+
 def test_repeated_extension_field_is_not_searched_again():
     first = GF(31, 4)
     start = time.perf_counter()

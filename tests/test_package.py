@@ -63,10 +63,12 @@ def test_jac_verbs_load_no_heavy_module(files):
     assert not loaded & set(HEAVY)
 
 
-def test_torsion_check_loads_no_polyring(files):
+def test_torsion_verbs_load_no_polyring(files):
     c, d = files
     loaded = loaded_after(cli_calls(*(["torsion", "check", "--n", str(n), "--divisor", d,
-                                       "--curve", c] for n in (2, 3, 4))))
+                                       "--curve", c] for n in (2, 3, 4)),
+                                    *(["torsion", "find", "--n", str(n), "--curve", c]
+                                      for n in (3, 4))))
     assert "g2div.torsion" in loaded
     assert not loaded & {"g2div.polyring", "g2div.cantor"}
 

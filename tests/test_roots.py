@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from g2div import cli, fields
+from g2div import cantor, cli, fields
 from g2div.curves import CanonicalCurve, GeneralCurve, to_canonical
 from g2div.divisors import MumfordDivisor, mumford_from_points, points_from_mumford
 from g2div.errors import DivisionByZero
@@ -142,6 +142,20 @@ def test_no_entry_point_enumerates_a_field(monkeypatch):
     for D, curve in zip(divisors, (c1009, c31)):
         (x1, y1), (x2, y2), big, _ = points_from_mumford(D, curve)
         assert x1 != x2 and big.k == 2 * getattr(curve.field, "k", 1)
+
+
+def test_torsion_search_walks_no_extension_field(monkeypatch):
+    # every 3- and 4-torsion class on this curve has a support conjugate over
+    # F_49; the search must reach them through their Mumford coordinates
+    curve = CanonicalCurve(GF(7), (0, 1, 0, 1, 3))
+    els = cantor.enumerate_jacobian(curve)
+    want = {n: sorted(cantor.to_mumford(d).sort_key()
+                      for d in cantor.brute_force_n_torsion(curve, n, els)) for n in (3, 4)}
+    monkeypatch.setattr(ExtensionField, "elements", _refuse)
+    for n in (3, 4):
+        found = find_n_torsion(curve, n)
+        assert len(found) == 2 and [d.sort_key() for d in found] == want[n]
+        assert not any(GF(7).sqrt(d.coords[0] ** 2 - 4 * d.coords[1]) for d in found)
 
 
 # ---------------------------------------------------------------------------
