@@ -6,10 +6,11 @@ The names in __all__ resolve on access through their home module (PEP 562),
 so ``import g2div`` or ``import g2div.cli`` loads only the modules used."""
 
 _EXPORTS = {
-    "curves": ("CanonicalCurve", "GeneralCurve", "PointMap", "to_canonical"),
+    "curves": ("CanonicalCurve",),
     "divisors": ("MumfordDivisor", "mumford_from_points", "points_from_mumford", "negate"),
     "fields": ("GF", "QQ", "FieldElement", "FieldSpec"),
     "grouplaw": ("add", "double", "scalar_mul"),
+    "models": ("GeneralCurve", "PointMap", "to_canonical"),
     "torsion": ("is_torsion", "two_torsion_divisors", "find_three_torsion",
                 "find_four_torsion", "emit_division_polynomials"),
 }

@@ -5,8 +5,9 @@ divpoly emit, oracle enumerate/torsion.  All I/O is JSON (newline-delimited
 for lists); field elements travel as strings.  Exit codes: 0 success,
 1 domain error (machine-readable error JSON on stdout), 2 usage error.
 
-The torsion, divpoly and oracle handlers import torsion or cantor
-themselves, so curve and jac calls never load them.
+Each handler imports what only it runs: jac add/double/mul the group law,
+torsion and divpoly the torsion module, oracle the Cantor oracle, and a
+curve that is not canonical the general models.
 """
 from __future__ import annotations
 
@@ -14,18 +15,10 @@ import argparse
 import json
 import sys
 
-from .curves import (
-    CanonicalCurve,
-    GeneralCurve,
-    curve_from_json,
-    curve_to_json,
-    to_canonical,
-    to_canonical_allow_extension,
-)
+from .curves import CanonicalCurve, curve_from_json, curve_to_json
 from .divisors import divisor_from_json, divisor_to_json, is_on_jacobian, jacobian_residuals
 from .errors import G2DivError, OffCurve, SerializationError
 from .fields import GF
-from .grouplaw import add, double, scalar_mul
 
 PROG = "g2div"
 
@@ -40,7 +33,8 @@ def _load_json(path: str) -> dict:
 
 def _load_canonical(path: str) -> CanonicalCurve:
     curve = curve_from_json(_load_json(path))
-    if isinstance(curve, GeneralCurve):
+    if not isinstance(curve, CanonicalCurve):
+        from .models import to_canonical
         curve, _ = to_canonical(curve)
     return curve
 
@@ -74,13 +68,11 @@ def _render_text(obj, indent=""):
 
 def _cmd_curve_transform(args) -> int:
     curve = curve_from_json(_load_json(args.curve))
-    if isinstance(curve, CanonicalCurve):
-        canonical = curve
-    elif args.allow_extension:
-        canonical, _, _ = to_canonical_allow_extension(curve)
-    else:
-        canonical, _ = to_canonical(curve)
-    _emit(curve_to_json(canonical), args.format)
+    if not isinstance(curve, CanonicalCurve):
+        from .models import to_canonical, to_canonical_allow_extension
+        reduce = to_canonical_allow_extension if args.allow_extension else to_canonical
+        curve = reduce(curve)[0]
+    _emit(curve_to_json(curve), args.format)
     return 0
 
 
@@ -88,6 +80,7 @@ def _cmd_jac(args) -> int:
     curve = _load_canonical(args.curve)
     F = curve.field
     if args.jac_verb != "verify":
+        from .grouplaw import add, double, scalar_mul
         ds = [_load_divisor(path, curve) for path in args.divisors]
         if args.jac_verb == "add":
             result = add(ds[0], ds[1], curve)

@@ -24,14 +24,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .curves import CanonicalCurve, GeneralCurve
-from .divisors import (
-    MumfordDivisor,
-    _chord,
-    is_on_jacobian,
-    mumford_from_points,
-    negate,
-)
+from .curves import CanonicalCurve
+from .divisors import MumfordDivisor, is_on_jacobian, mumford_from_points, negate
 from .errors import (
     BranchPointInSupport,
     ConditionViolated,
@@ -40,11 +34,10 @@ from .errors import (
     MixedFields,
     OffCurve,
     QInSupport,
-    SameDivisor,
     SingularInterpolation,
     SupportOverlap,
 )
-from .series import taylor_on_curve
+from .unipoly import UniPoly
 
 
 # coefficients of the weight-6 interpolating function
@@ -480,6 +473,19 @@ def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
     return double_to_special(Q, curve, tang), "double_to_special"
 
 
+def _y_taylor(curve: CanonicalCurve, xs, ys) -> tuple:
+    """(r1, r2, r3): y = ys + r1*e + r2*e^2 + r3*e^3 + ... near (xs, ys), ys != 0,
+    with e = x - xs.  From y^2 = P and the Taylor coefficients P_k of P at xs
+    (binomial sums, no factorials): 2*ys*r1 = P1, 2*ys*r2 = P2 - r1^2 and
+    2*ys*r3 = P3 - 2*r1*r2."""
+    F = curve.field
+    shifted = curve.px().compose(UniPoly(F, [xs, F.one]))
+    inv = F.inv(ys + ys)
+    r1 = shifted[1] * inv
+    r2 = (shifted[2] - r1 * r1) * inv
+    return r1, r2, (shifted[3] - 2 * r1 * r2) * inv
+
+
 def _double_repeated(Q: MumfordDivisor, curve: CanonicalCurve):
     """Confluent duplication of 2S: fourth-order tangency conditions.
 
@@ -489,9 +495,7 @@ def _double_repeated(Q: MumfordDivisor, curve: CanonicalCurve):
     F = curve.field
     a2, _, b3, b5 = Q.coords
     xs = -a2 / 2
-    ys = -(b3 * xs + b5)
-    r = taylor_on_curve(F, curve.px().coeffs, xs, ys, 4)
-    r2, r3 = r[2], r[3]
+    _, r2, r3 = _y_taylor(curve, xs, -(b3 * xs + b5))
     if F.is_zero(r3):
         return _weight5_sum(F, _gamma_r5(Q.coords, -r2), a2 + a2, curve.lam[0]), "double_to_special"
     g1 = -F.inv(r3)
@@ -585,45 +589,3 @@ def scalar_mul(n: int, D: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivis
         if d:
             acc = add_(acc, multiple(d))
     return wrap(acc)
-
-
-# ---------------------------------------------------------------------------
-# extended-curve alpha laws (model with a y*Q(x) cross term, Q != 0)
-
-def _extended_slope(g: GeneralCurve, x, y):
-    F = g.field
-    q = g.q_poly()
-    num = y * q.derivative().evaluate(x) + g.p_poly().derivative().evaluate(x)
-    den = y + y - q.evaluate(x)
-    if F.is_zero(den):
-        raise BranchPointInSupport("vertical tangent on the extended curve")
-    return num / den
-
-
-def _pair_divisor(F, pp) -> MumfordDivisor:
-    (x1, y1), (x2, y2) = pp
-    if x1 == x2:
-        raise SameDivisor("extended law needs distinct x in each pair")
-    return MumfordDivisor.nonspecial(F, *_chord(x1, y1, x2, y2))
-
-
-def add_extended_alpha(g: GeneralCurve, pp, qq=None):
-    """Alpha coordinates of a sum (or double, qq=None) on a form-I curve.
-
-    Only the alpha law is exposed; the nu-corrections enter through
-    2*g2 - g1^2 + nu1*g1 and (nu1*g2 - nu2*g1 + nu3)*g1."""
-    if g.form != "I":
-        raise MixedFields("extended alpha law applies to form I models")
-    F = g.field
-    for (x, y) in (list(pp) + (list(qq) if qq else [])):
-        if not g.on_curve((x, y)):
-            raise OffCurve("point not on the extended curve")
-    P = _pair_divisor(F, pp)
-    if qq is None:
-        Q = P
-        s1, s2 = (_extended_slope(g, x, y) for x, y in pp)
-        gam = gamma_double(P, _slope_tangent(F, pp[0], pp[1], s1, s2))
-    else:
-        Q = _pair_divisor(F, qq)
-        gam = gamma_add(P, Q)
-    return _sum_alpha(P.a2, Q.a2, P.a4, Q.a4, gam, g.nu[1], g.nu[0], g.nu[2])

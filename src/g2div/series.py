@@ -1,12 +1,19 @@
-"""Truncated power series in one local parameter.
+"""Truncated power series in one local parameter, and the expansion of the
+canonical curve at infinity.
 
 Coefficients are either FieldElements or WeightedPolys; the series is a
-plain coefficient list modulo O(t^order).  Used for the expansion of the
-curve at infinity and for y(x) about a point in confluent duplication.
+plain coefficient list modulo O(t^order).  taylor_on_curve expands y(x)
+about an affine point; the confluent doubling in grouplaw computes the
+first three of those coefficients in closed form instead.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import CharacteristicTooSmall, DivisionByZero
+from .fields import QQ
+
+LAMBDA_WEIGHTS = (2, 4, 6, 8, 10)
 
 
 class SeriesDomain:
@@ -115,3 +122,85 @@ def taylor_on_curve(field, px_coeffs, x0, y0, order: int):
     normalized = acc.scale(y0sq_inv)
     root = normalized.sqrt_one_plus()
     return [c * y0 for c in root.coeffs]
+
+
+# ---------------------------------------------------------------------------
+# expansion at infinity
+
+_SERIES_CACHE: dict = {}
+
+
+def lambda_ring():
+    """The weighted ring Q[l2, l4, l6, l8, l10], a polyring.PolyRing."""
+    from .polyring import PolyRing  # only the symbolic layer needs polyring
+    return PolyRing(QQ(), ("l2", "l4", "l6", "l8", "l10"), LAMBDA_WEIGHTS)
+
+
+def expand_at_infinity_symbolic(order: int):
+    """Coefficients (in Q[lambda]) of the normalized y-series at infinity.
+
+    x = xi^-2 and y = xi^-5 * (sum_j c_j xi^j); returns [c_0 .. c_{order-1}]
+    as WeightedPolys, c_0 = 1 and odd entries 0.
+    """
+    if order in _SERIES_CACHE:
+        return _SERIES_CACHE[order]
+    ring = lambda_ring()
+    dom = SeriesDomain.for_ring(ring)
+    target = [ring.one()] + [ring.zero()] * (order - 1)
+    for i, name in enumerate(("l2", "l4", "l6", "l8", "l10")):
+        k = 2 * (i + 1)
+        if k < order:
+            target[k] = ring.var(name)
+    series = TruncatedSeries(dom, target, order)
+    result = series.sqrt_one_plus().coeffs
+    _SERIES_CACHE[order] = result
+    return result
+
+
+class InfinityExpansion(namedtuple("InfinityExpansion", "order y_unit_coeffs")):
+    """x = xi^-2, y = xi^-5 * (c_0 + c_1 xi + ... ) with c_0 = 1."""
+
+    __slots__ = ()
+    X_POLE = 2
+    Y_POLE = 5
+
+    def residual_is_zero(self, curve) -> bool:
+        """y(xi)^2 - P(x(xi)) vanishes through the computed order."""
+        F = curve.field
+        n = self.order
+        sq = [F.zero] * n
+        for i, a in enumerate(self.y_unit_coeffs):
+            for j, b in enumerate(self.y_unit_coeffs[: n - i]):
+                sq[i + j] = sq[i + j] + a * b
+        target = [F.zero] * n
+        target[0] = F.one
+        for i, c in enumerate(curve.lam):
+            k = 2 * (i + 1)
+            if k < n:
+                target[k] = c
+        return all(a == b for a, b in zip(sq, target))
+
+
+def expand_at_infinity(curve, order: int = 12) -> InfinityExpansion:
+    """The y-series of a CanonicalCurve at infinity through xi^(order-1)."""
+    if order > 12 or order < 1:
+        raise CharacteristicTooSmall("order must lie in 1..12")
+    p = curve.field.characteristic
+    if p and p <= order:
+        raise CharacteristicTooSmall(f"characteristic {p} <= order {order}")
+    sym = expand_at_infinity_symbolic(order)
+    values = {name: curve.lam[i] for i, name in enumerate(("l2", "l4", "l6", "l8", "l10"))}
+    F = curve.field
+
+    def specialize(poly):
+        acc = F.zero
+        for e, c in poly.terms():
+            t = F.element(c.value)
+            for idx, ei in enumerate(e):
+                if ei:
+                    t = t * F.pow(values[poly.ring.variables[idx]], ei)
+            acc = acc + t
+        return acc
+
+    coeffs = tuple(specialize(c) for c in sym)
+    return InfinityExpansion(order, coeffs)

@@ -42,6 +42,7 @@ from .grouplaw import (
     scalar_mul,
     tangent_data,
 )
+from .unipoly import factors_of_degree
 
 MUMFORD_VARS = ("a2", "a4", "b3", "b5", "l2", "l4", "l6", "l8", "l10")
 MUMFORD_WEIGHTS = (2, 4, 3, 5, 2, 4, 6, 8, 10)
@@ -91,13 +92,19 @@ def two_torsion_divisors(curve: CanonicalCurve) -> list:
     """All 2-torsion classes rational over the base field.
 
     Single branch points give degree-1 classes; unordered pairs of distinct
-    branch points give degree-2 classes with vanishing b-coordinates.  Over
-    a splitting field the count is C(5,2) + 5 = 15."""
+    branch points, and over F_q each quadratic factor w of P irreducible
+    there, give degree-2 classes u = (x - e1)(x - e2) or u = w with vanishing
+    b-coordinates.  Over Q quadratic factors of P are not searched, so only
+    the branch points and their pairs are returned.  Over a splitting field
+    the count is C(5,2) + 5 = 15."""
     F = curve.field
     bps = curve.branch_points()
     out = [MumfordDivisor.special(F, b, 0) for b in bps]
     for b1, b2 in combinations(bps, 2):
         out.append(MumfordDivisor.nonspecial(F, -(b1 + b2), b1 * b2, 0, 0))
+    if F.order() is not None:
+        for w in factors_of_degree(curve.px(), 2):
+            out.append(MumfordDivisor.nonspecial(F, w[1], w[0], 0, 0))
     return sorted(out, key=lambda d: d.sort_key())
 
 

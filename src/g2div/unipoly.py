@@ -89,6 +89,8 @@ class UniPoly:
             out[i] = red(out[i] + y)
         return UniPoly._make(self.field, out)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         a, b = self._c, self._lift(other)._c
         red = self.field._reduce
@@ -96,6 +98,9 @@ class UniPoly:
         out += a[len(b):]
         out += [red(-y) for y in b[len(a):]]
         return UniPoly._make(self.field, out)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
 
     def __neg__(self):
         red = self.field._reduce
@@ -295,7 +300,7 @@ def roots_in_field(poly: UniPoly) -> list:
     if poly.is_zero():
         raise DivisionByZero("zero polynomial has every root")
     if F.order() is not None:
-        return sorted(_split_roots(poly.monic()), key=F.sort_key)
+        return sorted((-h[0] for h in factors_of_degree(poly.monic(), 1)), key=F.sort_key)
     found = []
     # rational roots: substitute x = u/c with c clearing denominators, monic in u
     from fractions import Fraction
@@ -329,32 +334,40 @@ def roots_in_field(poly: UniPoly) -> list:
     return sorted(set(found), key=F.sort_key)
 
 
-def _split_roots(f: UniPoly) -> list:
-    """The roots of monic f over F_q, q odd (Rabin; Cantor-Zassenhaus).
+def factors_of_degree(f: UniPoly, d: int) -> list:
+    """The distinct monic irreducible factors of degree d (1 or 2) of monic f
+    over F_q, q odd (Rabin; Cantor-Zassenhaus).
 
-    g = gcd(f, x^q - x) is the product of the distinct linear factors of f.
-    A factor h of g of degree >= 2 splits as gcd(h, (x + c)^((q-1)/2) - 1),
-    the roots r with r + c a nonzero square, whenever that gcd is proper;
-    for c uniform over F_q each pair of roots separates with probability
-    about 1/2.  The shifts c come from a fixed seed, so the work is
-    deterministic, and they range over the whole field: inside F_{p^k}, k
-    even, every element of F_p is a square, so shifts c in F_p would separate
-    two roots lying in F_p only at c = -r, after O(p) tries.
+    g = gcd(f, x^(q^d) - x) is the product of the distinct irreducible
+    factors whose degree divides d; for d = 2 the linear ones are divided out.
+    A factor h of g of degree above d splits as
+    gcd(h, (x + c)^((q^d-1)/2) - 1), the factors w whose roots r have r + c
+    a nonzero square in F_{q^d}, that is (-1)^d * w(-c) a nonzero square in
+    F_q, whenever that gcd is proper.  For d <= 2 some c in F_q separates any
+    two factors (for d = 2 by the Weil bound once q > 9, and by a full check
+    of every pair for q in {3, 7, 9}); for c uniform over F_q each pair
+    separates with probability about 1/2.  The shifts c come from a fixed
+    seed, so the work is deterministic, and they range over the whole field:
+    inside F_{p^k}, k even, every element of F_p is a square, so shifts c in
+    F_p would separate two roots lying in F_p only at c = -r, after O(p)
+    tries.
     """
     if f.degree() < 1:
         return []
     F = f.field
     q = F.order()
     x = UniPoly.x(F)
-    g = gcd(f, powmod(x, q, f) - x)
+    g = gcd(f, powmod(x, q ** d, f) - x)
+    if d == 2:
+        g = g.exact_div(gcd(g, powmod(x, q, g) - x))
     import random  # only this split draws shifts
     rng = random.Random(q)
-    e = (q - 1) // 2
-    roots, todo = [], [g] if g.degree() > 0 else []
+    e = (q ** d - 1) // 2
+    factors, todo = [], [g] if g.degree() > 0 else []
     while todo:
         h = todo.pop()
-        if h.degree() == 1:
-            roots.append(-h[0])
+        if h.degree() == d:
+            factors.append(h)
             continue
         while True:
             c = F._element_at(rng.randrange(q))
@@ -362,4 +375,4 @@ def _split_roots(f: UniPoly) -> list:
             if 0 < s.degree() < h.degree():
                 break
         todo += [s, h.exact_div(s)]
-    return roots
+    return factors

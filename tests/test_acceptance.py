@@ -21,23 +21,19 @@ from g2div.cantor import (
     from_mumford,
     to_mumford,
 )
-from g2div.curves import (
-    CanonicalCurve,
-    GeneralCurve,
-    expand_at_infinity_symbolic,
-    to_canonical,
-)
+from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, mumford_from_points, negate
 from g2div.errors import DegenerateCurve
 from g2div.fields import GF, QQ
 from g2div.grouplaw import (
-    add_extended_alpha,
     add_special,
     add_traced,
     double_traced,
     scalar_mul,
 )
+from g2div.models import GeneralCurve, add_extended_alpha, to_canonical
 from g2div.polyring import PolyRing, resultant
+from g2div.series import expand_at_infinity_symbolic
 from g2div.torsion import (
     emit_division_polynomials,
     find_four_torsion,

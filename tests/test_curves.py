@@ -3,19 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from g2div.curves import (
-    CanonicalCurve,
-    GeneralCurve,
-    curve_from_json,
-    curve_to_json,
-    expand_at_infinity,
-    expand_at_infinity_symbolic,
-    to_canonical,
-    to_canonical_allow_extension,
-)
+from g2div.curves import CanonicalCurve, curve_from_json, curve_to_json
 from g2div.errors import CharacteristicTooSmall, DegenerateCurve, NoRationalRoot
 from g2div.fields import GF, QQ
-from g2div.series import SeriesDomain, TruncatedSeries
+from g2div.models import GeneralCurve, to_canonical, to_canonical_allow_extension
+from g2div.series import (
+    SeriesDomain,
+    TruncatedSeries,
+    expand_at_infinity,
+    expand_at_infinity_symbolic,
+)
 from g2div.unipoly import UniPoly
 
 

@@ -13,7 +13,7 @@ from g2div.cantor import (
     from_mumford,
     to_mumford,
 )
-from g2div.curves import CanonicalCurve, GeneralCurve, to_canonical
+from g2div.curves import CanonicalCurve
 from g2div.divisors import (
     MumfordDivisor,
     is_on_jacobian,
@@ -42,9 +42,11 @@ from g2div.grouplaw import (
     gamma_double,
     scalar_mul,
     tangent_data,
-    add_extended_alpha,
+    _y_taylor,
 )
+from g2div.models import GeneralCurve, add_extended_alpha, to_canonical
 from g2div.polyring import PolyRing
+from g2div.series import taylor_on_curve
 
 ADD_RING_VARS = ("a2p", "a4p", "b3p", "b5p", "a2q", "a4q", "b3q", "b5q",
                  "l2", "l4", "l6", "l8", "l10")
@@ -127,6 +129,28 @@ def test_double_repeated_point_confluent(c1009, rng):
         got, tag = double_traced(D, c1009)
         expect = to_mumford(cantor_add(from_mumford(D), from_mumford(D), c1009))
         assert got == expect
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (13, 1)])
+def test_confluent_doubling_closed_form(p, k):
+    # 2*S for every affine S with y != 0 on seeded curves, characteristic 3
+    # included: the closed-form Taylor coefficients against the series
+    # expansion, and the double against Cantor
+    F = GF(p, k)
+    tags = set()
+    for seed in range(6):
+        curve = _seeded_curve(F, seed)
+        for x in F.elements():
+            for y in F.sqrt(curve.p_at(x)):
+                if F.is_zero(y):
+                    continue
+                series = taylor_on_curve(F, curve.px().coeffs, x, y, 4)
+                assert _y_taylor(curve, x, y) == tuple(series[1:])
+                D = mumford_from_points(curve, (x, y), (x, y))
+                got, tag = double_traced(D, curve)
+                assert got == to_mumford(cantor_add(from_mumford(D), from_mumford(D), curve))
+                tags.add(tag)
+    assert tags == {"double", "double_to_special"}
 
 
 def test_support_overlap_paths(c1009, rng):

@@ -11,13 +11,16 @@ import pytest
 import g2div
 from g2div import grouplaw
 from g2div.cantor import CantorDivisor, from_mumford
-from g2div.curves import CanonicalCurve, GeneralCurve, InfinityExpansion
+from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor
 from g2div.errors import DegenerateCurve, SerializationError, UnsupportedField
 from g2div.fields import GF, FieldSpec
+from g2div.models import GeneralCurve
+from g2div.series import InfinityExpansion
 from g2div.unipoly import UniPoly
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 HEAVY = ("dataclasses", "g2div.torsion", "g2div.polyring", "g2div.cantor")
 C7 = {"field": {"kind": "prime", "p": 7}, "form": "canonical",
       "lambda": ["0", "0", "0", "0", "1"]}
@@ -78,6 +81,44 @@ def test_oracle_enumerate_loads_neither_torsion_nor_polyring(files):
     loaded = loaded_after(cli_calls(["oracle", "enumerate", "--curve", c]))
     assert "g2div.cantor" in loaded
     assert not loaded & {"g2div.torsion", "g2div.polyring"}
+
+
+def test_group_law_verbs_load_exactly_their_modules(files):
+    c, d = files
+    for argv in (["jac", "add", d, d, "--curve", c], ["jac", "double", d, "--curve", c],
+                 ["jac", "mul", "5", d, "--curve", c]):
+        assert loaded_after(cli_calls(argv)) == {
+            "g2div", "g2div.errors", "g2div.fields", "g2div.unipoly", "g2div.curves",
+            "g2div.divisors", "g2div.grouplaw", "g2div.cli"}, argv
+
+
+def test_verify_and_oracle_verbs_load_no_grouplaw(files):
+    c, d = files
+    for argv in (["jac", "verify", d, "--curve", c], ["oracle", "enumerate", "--curve", c],
+                 ["oracle", "torsion", "--n", "2", "--curve", c]):
+        assert "g2div.grouplaw" not in loaded_after(cli_calls(argv)), argv
+
+
+def test_canonical_curve_verbs_load_neither_models_nor_series(files):
+    c, d = files
+    loaded = loaded_after(cli_calls(
+        ["curve", "transform", "--curve", c],
+        ["jac", "add", d, d, "--curve", c], ["jac", "double", d, "--curve", c],
+        ["jac", "mul", "5", d, "--curve", c], ["jac", "verify", d, "--curve", c],
+        *(["torsion", "check", "--n", str(n), "--divisor", d, "--curve", c] for n in (2, 3, 4)),
+        *(["torsion", "find", "--n", str(n), "--curve", c] for n in (2, 3, 4)),
+        ["divpoly", "emit", "--n", "3", "--coords", "mumford", "--curve", c],
+        ["oracle", "enumerate", "--curve", c], ["oracle", "torsion", "--n", "2", "--curve", c]))
+    assert {"g2div.grouplaw", "g2div.torsion", "g2div.polyring", "g2div.cantor"} <= loaded
+    assert not loaded & {"g2div.models", "g2div.series"}
+
+
+@pytest.mark.parametrize("form", ("I", "II", "III"))
+def test_curve_transform_of_a_general_model_loads_models(form):
+    f = str(DATA / f"form_{form}.json")
+    loaded = loaded_after(cli_calls(["curve", "transform", "--curve", f]))
+    assert "g2div.models" in loaded
+    assert not loaded & {"g2div.grouplaw", "g2div.series"}
 
 
 def test_lazy_exports_resolve():

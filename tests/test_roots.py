@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from g2div import cantor, cli, fields
-from g2div.curves import CanonicalCurve, GeneralCurve, to_canonical
+from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, mumford_from_points, points_from_mumford
 from g2div.errors import DivisionByZero
 from g2div.fields import GF, ExtensionField, Field, FieldEmbedding, PrimeField, RationalField
+from g2div.models import GeneralCurve, to_canonical
 from g2div.torsion import find_n_torsion
-from g2div.unipoly import UniPoly, roots_in_field
+from g2div.unipoly import UniPoly, factors_of_degree, roots_in_field
 
 P61 = 2 ** 61 - 1
 P127 = 2 ** 127 - 1
@@ -82,6 +83,21 @@ def test_roots_match_scan(F):
         assert got == scan_roots(f), f
         if expected is not None:
             assert got == expected, f
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(7), GF(3, 2)], ids=lambda f: f.short_name())
+def test_every_pair_of_irreducible_quadratics_splits(F):
+    # for q <= 9 the Weil bound does not promise a shift c with w1(-c) and
+    # w2(-c) of different quadratic character, so check each pair directly
+    els = list(F.elements())
+    irreducible = [w for w in (UniPoly(F, [b, a, 1]) for a in els for b in els)
+                   if not roots_in_field(w)]
+    for i, w1 in enumerate(irreducible):
+        for w2 in irreducible[i + 1:]:
+            assert any(bool(F.sqrt(w1.evaluate(-c))) != bool(F.sqrt(w2.evaluate(-c)))
+                       for c in els), (w1, w2)
+            f = w1 * w2 * UniPoly(F, [1, 1])
+            assert sorted(factors_of_degree(f, 2), key=repr) == sorted([w1, w2], key=repr)
 
 
 @pytest.mark.parametrize("F", ROOT_FIELDS + [fields.QQ()], ids=lambda f: f.short_name())
@@ -184,7 +200,7 @@ def test_large_prime_entry_points(p, monkeypatch):
     # P = (x - 1)(x - 2)(x - 3)(x^2 + 1); x^2 + 1 is irreducible for p = 3 mod 4
     curve = CanonicalCurve(F, (-6, 12, -12, 11, -6))
     assert [b.value for b in _timed(curve.branch_points)] == [1, 2, 3]
-    assert len(_timed(find_n_torsion, curve, 2)) == 6
+    assert len(_timed(find_n_torsion, curve, 2)) == 7  # 3 points, 3 pairs, u = x^2 + 1
     big = GF(p, 2)
     # roots in F_p inside F_{p^2}: shifts drawn from F_p alone would need O(p) tries
     subfield_roots = [big.element(c) for c in (1, 2, 3, p - 1)]
@@ -203,4 +219,7 @@ def test_cli_two_torsion_over_p127(capsys):
     lines = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
     assert code == 0
     assert [d["point"] for d in lines if d["type"] == "special"] == [["1", "0"], ["2", "0"], ["3", "0"]]
-    assert sum(d["type"] == "nonspecial" for d in lines) == 3
+    # P = (x-1)(x-2)(x-3)(x^2+1): three pairs of branch points and u = x^2 + 1
+    assert [d["alpha"] for d in lines if d["type"] == "nonspecial"] == [
+        ["0", "1"], [str(P127 - 5), "6"], [str(P127 - 4), "3"], [str(P127 - 3), "2"]]
+    assert len(lines) == 7

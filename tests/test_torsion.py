@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,10 +6,17 @@ import pytest
 
 from conftest import random_divisor, random_point
 from grouplaw_helpers import torsion_branch_classification
+from g2div import cli
 from g2div.cantor import brute_force_n_torsion, cantor_add, enumerate_jacobian, to_mumford
-from g2div.curves import CanonicalCurve
-from g2div.divisors import MumfordDivisor, mumford_from_points, negate, points_from_mumford
-from g2div.errors import GammaUndefined, SerializationError
+from g2div.curves import CanonicalCurve, curve_to_json
+from g2div.divisors import (
+    MumfordDivisor,
+    divisor_to_json,
+    mumford_from_points,
+    negate,
+    points_from_mumford,
+)
+from g2div.errors import DegenerateCurve, GammaUndefined, SerializationError
 from g2div.fields import GF, QQ, FieldEmbedding
 from g2div.grouplaw import double_traced, scalar_mul
 from g2div.polyring import PolyRing, resultant
@@ -30,6 +38,7 @@ from g2div.torsion import (
     _int_fraction,
     _p_of,
 )
+from g2div.unipoly import UniPoly, roots_in_field
 
 # curves frozen after an oracle scan: each (p, lam) has nonempty exact-order
 # sets for the annotated n
@@ -119,6 +128,57 @@ class TestTwoTorsion:
             oracle = {to_mumford(d).sort_key()
                       for d in brute_force_n_torsion(c, 2, enumerate_jacobian(c))}
             assert got == oracle
+
+
+def seeded_curves(count, primes, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = rng.choice(primes)
+        try:
+            out.append(CanonicalCurve(GF(p), tuple(rng.randrange(p) for _ in range(5))))
+        except DegenerateCurve:
+            pass
+    return out
+
+
+def irreducible_support(d):
+    return d.is_nonspecial() and not roots_in_field(UniPoly(d.field, [d.a4, d.a2, 1]))
+
+
+class TestTwoTorsionQuadraticFactors:
+    """u = w for a quadratic factor w of P irreducible over the base field."""
+
+    def test_matches_oracle_on_seeded_curves(self):
+        curves = [CanonicalCurve(GF(7), (1, 4, 4, 1, 2))] + seeded_curves(32, (7, 11, 13), 2)
+        with_quadratic = 0
+        for c in curves:
+            got = two_torsion_divisors(c)
+            oracle = {to_mumford(d).sort_key()
+                      for d in brute_force_n_torsion(c, 2, enumerate_jacobian(c))}
+            assert {d.sort_key() for d in got} == oracle, c
+            with_quadratic += any(map(irreducible_support, got))
+        assert with_quadratic >= 5
+
+    # (lam, classes whose u is irreducible over F_49): over F_7, P factors as
+    # 1 + 4, 2 + 3 and 1 + 4, and the quartics split into two quadratics
+    @pytest.mark.parametrize("lam, quadratic", (((0, 0, 0, 0, 1), 2), ((1, 4, 4, 1, 2), 0),
+                                                ((0, 0, 0, 1, 2), 2)))
+    def test_cli_ext2_matches_divisor_scan(self, lam, quadratic, tmp_path, capsys):
+        """Over F_49 a reduced D has D = -D exactly when v = 0 and u | P, so a
+        scan of the monic u of degree 1 and 2 is a brute force of J[2]."""
+        F = GF(7, 2)
+        P = CanonicalCurve(F, tuple(F.element(c) for c in lam)).px()
+        want = [MumfordDivisor.special(F, e, 0) for e in F.elements()
+                if F.is_zero(P.evaluate(e))]
+        want += [MumfordDivisor.nonspecial(F, a, b, 0, 0) for a in F.elements()
+                 for b in F.elements() if (P % UniPoly(F, [b, a, 1])).is_zero()]
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(curve_to_json(CanonicalCurve(GF(7), lam))))
+        assert cli.main(["torsion", "find", "--n", "2", "--curve", str(f), "--ext", "2"]) == 0
+        got = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert got == [divisor_to_json(d) for d in sorted(want, key=lambda d: d.sort_key())]
+        assert sum(map(irreducible_support, want)) == quadratic
 
 
 class TestTQuotient:

@@ -134,6 +134,19 @@ def test_mul_commutes_and_degree(field, ca, cb):
         assert (a * b).is_zero()
 
 
+@pytest.mark.parametrize("field", NATIVE_FIELDS, ids=lambda f: f.short_name())
+def test_reflected_add_and_sub(field):
+    rng = random.Random(11)
+    for _ in range(40):
+        p = rand_poly(field, rng, 6)
+        n = rng.randrange(-50, 50)
+        for c in (n, field.element(n), elem(field, rng.randrange(10 ** 6))):
+            const = UniPoly.constant(field, c)
+            assert isinstance(c + p, UniPoly) and isinstance(c - p, UniPoly)
+            assert c + p == p + c == const + p
+            assert c - p == const - p == -(p - c)
+
+
 def test_negative_power_raises():
     with pytest.raises(ValueError, match="negative power"):
         UniPoly(F7, [1, 1]) ** -1
