@@ -9,12 +9,14 @@ polynomials - or, after elimination, on the x-coordinates of the support.
 
 Denominator clearing multiplies by powers of E = 2N*(2*b5' - a2*b3'), the
 numerator of the duplication denominator over N = y1*y2 expressed in
-Mumford coordinates; the cleared system is only quoted on the locus E != 0
-(the degenerate locus belongs to the double-to-special branch).
+Mumford coordinates, and the special branch of n = 4 (E = 0) by 1024*N^5.
+One plain-ring transcription builds each system: `divpoly emit` runs it on
+the generators of the weighted ring, and the residuals (`torsion check`, the
+searches' filter) on a divisor's native values, divided by the factor.
 
 The finite-field searches run in the curve's own field: they scan every
 alpha (a2, a4), solve the model equations for the betas above it with two
-square roots, and keep the divisors on which the Mumford residuals vanish.
+square roots, and keep the divisors on which the residuals vanish.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ from itertools import combinations
 from .curves import CanonicalCurve
 from .divisors import MumfordDivisor
 from .errors import (
-    BranchPointInSupport,
     CharacteristicTooSmall,
     GammaUndefined,
     SerializationError,
@@ -32,15 +33,13 @@ from .errors import (
 )
 from .fields import Field, QQ, is_prime
 from .grouplaw import (
+    _lam_natives,
+    _natives,
     _scaled_duplication,
-    _sum_alpha,
     _tangent_numerators,
     _y1y2,
-    double_to_special,
     double_traced,
-    gamma_double,
     scalar_mul,
-    tangent_data,
 )
 from .unipoly import factors_of_degree
 
@@ -111,13 +110,26 @@ def two_torsion_divisors(curve: CanonicalCurve) -> list:
 # ---------------------------------------------------------------------------
 # numeric residual systems
 
-def three_torsion_mumford_residuals(D: MumfordDivisor, curve: CanonicalCurve):
-    """Residuals of 3*a2 = 2*g2 - g1^2 and the companion a4 relation.
+def _native_duplication(D: MumfordDivisor, curve: CanonicalCurve):
+    """(c, d): the native values c = (a2, a4, b3, b5, l2, l4, l6, l8) of the
+    degree-2 divisor D and its duplication data d, each entry reduced once.
+    A branch point in the support (N = 0) leaves the gammas undefined."""
+    red = curve.field._reduce
+    c = _natives(D) + _lam_natives(curve)
+    d = {k: red(v) for k, v in _duplication_data(*c).items()}
+    if not d["N"]:
+        raise GammaUndefined("duplication degenerate: branch point in support")
+    return c, d
 
-    Both vanish exactly on 3-torsion divisors (2D ~ -D); the duplication
-    coefficients must be defined (2D non-special).  Repeated-support
-    divisors (possible over small finite fields) fall outside the printed
-    coefficient solve and are compared through the confluent doubling."""
+
+def three_torsion_mumford_residuals(D: MumfordDivisor, curve: CanonicalCurve):
+    """alpha(D) - alpha(2D): the residuals of 3*a2 = 2*g2 - g1^2 and the
+    companion a4 relation, both zero exactly on 3-torsion divisors (2D ~ -D).
+
+    Distinct-support divisors evaluate the emitted n = 3 system and divide by
+    its clearing factor E^2 (E = 0: 2D is special).  Repeated-support
+    divisors (possible over small finite fields) fall outside the gamma
+    solve and are compared through the confluent doubling."""
     F = curve.field
     if not D.is_nonspecial():
         raise GammaUndefined("3-torsion residuals need a degree-2 divisor")
@@ -127,26 +139,26 @@ def three_torsion_mumford_residuals(D: MumfordDivisor, curve: CanonicalCurve):
         if not doubled.is_nonspecial():
             raise GammaUndefined("doubling left the degree-2 locus")
         return doubled.coords[0] - a2, doubled.coords[1] - a4
-    try:
-        tang = tangent_data(curve, D)
-    except BranchPointInSupport as exc:
-        raise GammaUndefined(f"duplication degenerate: {exc}") from exc
-    a2s, a4s = _sum_alpha(a2, a2, a4, a4, gamma_double(D, tang), curve.lam[0])
-    return a2 - a2s, a4 - a4s
+    c, d = _native_duplication(D, curve)
+    E = d["E"]
+    if not E:
+        raise GammaUndefined("duplication denominator vanishes: 2D is special")
+    inv = F.inv(F.coerce(E * E))
+    return tuple(F.coerce(r) * inv for r in _three_torsion_mumford_polys(c, d))
 
 
 def four_torsion_residuals(D: MumfordDivisor, curve: CanonicalCurve):
     """(branch, residuals): branch "nonspecial" checks the two vanishing
     b-coordinate conditions of 2D; branch "special" checks y_{2D} = 0.
 
-    Distinct-support divisors go through the printed coefficient formulas;
-    repeated-support divisors (degenerate for those formulas) read the same
-    criteria off the confluent doubling."""
+    Distinct-support divisors evaluate the emitted n = 4 system: the first
+    two entries over E^4 when E != 0, the third over 1024*N^5 when 2D is
+    special (E = 0, N != 0).  Repeated-support divisors (degenerate for those
+    formulas) read the same criteria off the confluent doubling."""
     if not D.is_nonspecial():
         raise GammaUndefined("4-torsion residuals need a degree-2 divisor")
     F = curve.field
     a2, a4 = D.coords[:2]
-    l2 = curve.lam[0]
     if F.is_zero(a2 * a2 - 4 * a4):
         doubled, _ = double_traced(D, curve)
         if doubled.is_special():
@@ -154,21 +166,13 @@ def four_torsion_residuals(D: MumfordDivisor, curve: CanonicalCurve):
         if doubled.is_neutral():
             raise GammaUndefined("2D is neutral: D is 2-torsion, not order 4")
         return "nonspecial", (doubled.coords[2], doubled.coords[3])
-    try:
-        tang = tangent_data(curve, D)
-    except BranchPointInSupport as exc:
-        raise GammaUndefined(f"duplication degenerate: {exc}") from exc
-    try:
-        gam = gamma_double(D, tang)
-    except GammaUndefined:
-        return "special", (double_to_special(D, curve, tang).coords[1],)
-    g1, g2, g4, g6 = gam.g1, gam.g2, gam.g4, gam.g6
-    d1 = (-2 * a4 - a2 * a2
-          + (2 * a2 - g2 + g1 * g1) * (g2 - g1 * g1)
-          + g1 * g1 * (g2 - l2) + g4)
-    d2 = ((-2 * a4 + (3 * a2 - g2) * (a2 - g2) + g1 * g1 * (2 * a2 - l2) + 2 * g4)
-          * (2 * a2 - g2 + g1 * g1) - g6)
-    return "nonspecial", (d1, d2)
+    c, d = _native_duplication(D, curve)
+    N, E = d["N"], d["E"]
+    d1, d2, dspec = _four_torsion_mumford_polys(c, d)
+    if not E:
+        return "special", (F.coerce(dspec) / F.coerce(1024 * N ** 5),)
+    inv = F.inv(F.coerce(E ** 4))
+    return "nonspecial", (F.coerce(d1) * inv, F.coerce(d2) * inv)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +195,12 @@ def x_pair_ring(field: Field = None) -> PolyRing:
     return _ring(field, X_VARS, X_WEIGHTS)
 
 
-def _duplication_data(ring: PolyRing):
+def _duplication_data(a2, a4, b3, b5, l2, l4, l6, l8) -> dict:
     """Numerators over the common denominator E of the duplication gammas.
 
     Returns dict with N (= y1 y2), E, and g1..g6 numerators; gamma_k =
-    g<k>_num / E, with E = 2N*(2 b5' - a2 b3')."""
-    g = ring.gens()
-    a2, a4, b3, b5 = g["a2"], g["a4"], g["b3"], g["b5"]
-    l2, l4, l6, l8 = g["l2"], g["l4"], g["l6"], g["l8"]
+    g<k>_num / E, with E = 2N*(2 b5' - a2 b3').  Plain ring arithmetic, so
+    the emitted polynomials and the residuals share this transcription."""
     N = _y1y2(a2, a4, b3, b5)
     b3p_num, num5 = _tangent_numerators(a2, a4, b3, b5, l2, l4, l6, l8)
     E, g1_num, g2_num, b5p_num = _scaled_duplication(a2, a4, b3, N, b3p_num, num5)
@@ -208,10 +210,10 @@ def _duplication_data(ring: PolyRing):
             "g1": g1_num, "g2": g2_num, "g4": g4_num, "g6": g6_num}
 
 
-def _three_torsion_mumford_polys(ring: PolyRing):
-    g = ring.gens()
-    a2, a4, l2 = g["a2"], g["a4"], g["l2"]
-    d = _duplication_data(ring)
+def _three_torsion_mumford_polys(c, d):
+    """The n = 3 system at c = (a2, a4, b3, b5, l2, l4, l6, l8) with
+    d = _duplication_data(*c): alpha(D) - alpha(2D) times E^2."""
+    a2, a4, l2 = c[0], c[1], c[4]
     E, g1n, g2n, g4n = d["E"], d["g1"], d["g2"], d["g4"]
     # 3 a2 E^2 - 2 g2 E + g1^2 and 3 a4 E^2 - 3 a2^2 E^2 + 2 a2 (2 g2 E - g1^2)
     # - 2 g4 E - g2^2 + l2 g1^2, with E factored out of its multiples
@@ -221,10 +223,10 @@ def _three_torsion_mumford_polys(ring: PolyRing):
     return r1, r2
 
 
-def _four_torsion_mumford_polys(ring: PolyRing):
-    g = ring.gens()
-    a2, a4, b3, b5, l2 = g["a2"], g["a4"], g["b3"], g["b5"], g["l2"]
-    d = _duplication_data(ring)
+def _four_torsion_mumford_polys(c, d):
+    """The n = 4 system at c with d = _duplication_data(*c): the two
+    vanishing-b conditions on 2D times E^4, and y_{2D} times 1024*N^5."""
+    a2, a4, b3, b5, l2 = c[:5]
     N, E = d["N"], d["E"]
     g1n, g2n, g4n, g6n = d["g1"], d["g2"], d["g4"], d["g6"]
     E2 = E * E
@@ -238,7 +240,7 @@ def _four_torsion_mumford_polys(ring: PolyRing):
     inner = (-2 * a4 * E2 + (3 * a2 * E - g2n) * (a2 * E - g2n)
              + g1n * g1n * (2 * a2 - l2) + 2 * g4n * E)
     d2 = inner * u - g6n * E3
-    # special branch: y_{2D} = 0 with the tangency gammas, cleared by (4N)^... powers
+    # special branch: y_{2D} = 0 with the tangency gammas, cleared by 1024*N^5
     b3p = d["b3p"]                                  # beta3' * 2N
     N2_16 = 16 * N * N
     x_num = (2 * a2 - l2) * N2_16 + b3p * b3p       # X * 16 N^2
@@ -327,12 +329,14 @@ def emit_division_polynomials(n: int, coords: str, curve: CanonicalCurve = None)
     key = (n, coords)
     if key not in _FORMAL_CACHE:
         if coords == "mumford":
-            ring = mumford_ring()
+            g = mumford_ring().gens()
+            c = tuple(g[v] for v in MUMFORD_VARS[:8])
+            d = _duplication_data(*c)
             if n == 3:
-                polys = _three_torsion_mumford_polys(ring)
+                polys = _three_torsion_mumford_polys(c, d)
                 names = ("a2_relation", "a4_relation")
             else:
-                polys = _four_torsion_mumford_polys(ring)
+                polys = _four_torsion_mumford_polys(c, d)
                 names = ("b3_vanishing", "b5_vanishing", "y2d_vanishing")
         else:
             xr = x_pair_ring()
@@ -424,9 +428,9 @@ def _search(curve: CanonicalCurve, n: int, residuals) -> list:
 def find_three_torsion(curve: CanonicalCurve) -> list:
     """All 3-torsion divisor classes with base-field Mumford coordinates.
 
-    Keeps the divisors on which the Mumford division polynomials (the
-    a-coordinates of 2D against those of D, through the duplication gammas)
-    vanish and certifies every hit by exact order check."""
+    Keeps the divisors on which the emitted n = 3 Mumford system (the
+    a-coordinates of D against those of 2D) vanishes and certifies every hit
+    by exact order check."""
     if 0 < curve.field.characteristic <= 5:
         raise CharacteristicTooSmall("division polynomials need characteristic 0 or > 5")
     return _search(curve, 3, three_torsion_mumford_residuals)
@@ -434,7 +438,7 @@ def find_three_torsion(curve: CanonicalCurve) -> list:
 
 def find_four_torsion(curve: CanonicalCurve) -> list:
     """All exact-order-4 classes with base-field Mumford coordinates: the
-    divisors whose 2D is 2-torsion by the residual systems, certified by
+    divisors whose 2D is 2-torsion by the emitted n = 4 system, certified by
     order."""
     return _search(curve, 4, lambda D, c: four_torsion_residuals(D, c)[1])
 

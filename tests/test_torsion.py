@@ -304,10 +304,9 @@ class TestMumfordResiduals:
 
     def test_double_to_special_output_weight(self):
         # x_{2Q} = 2*a2 + g1^2 - l2 with g1 = b3'/2 is weight-2 homogeneous
-        from g2div.torsion import _duplication_data, mumford_ring
-        ring = mumford_ring()
-        g = ring.gens()
-        d = _duplication_data(ring)
+        from g2div.torsion import MUMFORD_VARS, _duplication_data, mumford_ring
+        g = mumford_ring().gens()
+        d = _duplication_data(*(g[v] for v in MUMFORD_VARS[:8]))
         N, b3p = d["N"], d["b3p"]
         # x * 16*N^2 as a polynomial (g1 = b3p/(4N))
         x_num = (2 * g["a2"] - g["l2"]) * (16 * N * N) + b3p * b3p
