@@ -150,17 +150,25 @@ def points_from_mumford(d: MumfordDivisor, curve: CanonicalCurve):
     return (x1, -(b3 * x1 + b5)), (x2, -(b3 * x2 + b5)), big, emb
 
 
+def p_mod_u(a2, a4, lam):
+    """(r1, r0) with P = r1*x + r0 mod u = x^2 + a2*x + a4, by Horner's rule
+    on P's coefficients lam = (l2, ..., l10); plain ring arithmetic."""
+    r1, r0 = 1, lam[0]
+    for c in lam[1:]:
+        r1, r0 = r0 - a2 * r1, c - a4 * r1
+    return r1, r0
+
+
 def jacobian_residuals(d: MumfordDivisor, curve: CanonicalCurve):
-    """Exact values of the two model equations (J8, J10) at the divisor."""
+    """Exact values of the two model equations (J8, J10) at the divisor: the
+    coefficients of (b3*x + b5)^2 - P mod u."""
     if not d.is_nonspecial():
         raise SerializationError("model residuals are defined for degree-2 divisors")
     F = curve.field
     a2, a4, b3, b5 = (F.coerce(c) for c in d.coords)
-    l2, l4, l6, l8, l10 = curve.lam
-    bracket = b3 * b3 + a2 ** 3 - 4 * a2 * a4 + l2 * (2 * a4 - a2 * a2) + l4 * a2 - l6
-    j8 = 2 * b3 * b5 - a2 * a2 * a4 - a4 * a4 + l4 * a4 - l8 - a2 * bracket
-    j10 = b5 * b5 - 2 * a2 * a4 * a4 + l2 * a4 * a4 - l10 - a4 * bracket
-    return j8, j10
+    r1, r0 = p_mod_u(a2, a4, curve.lam)
+    b3sq = b3 * b3
+    return 2 * b3 * b5 - a2 * b3sq - r1, b5 * b5 - a4 * b3sq - r0
 
 
 def is_on_jacobian(d: MumfordDivisor, curve: CanonicalCurve) -> bool:

@@ -71,10 +71,6 @@ class SameDivisor(G2DivError):
     code = "same-divisor"
 
 
-class InverseDivisors(G2DivError):
-    code = "inverse-divisors"
-
-
 class SupportOverlap(G2DivError):
     code = "support-overlap"
 
@@ -85,10 +81,6 @@ class QInSupport(G2DivError):
 
 class ConditionViolated(G2DivError):
     code = "condition-violated"
-
-
-class TwoTorsion(G2DivError):
-    code = "two-torsion"
 
 
 class GammaUndefined(G2DivError):

@@ -7,12 +7,11 @@ point has y = 0).  Substituting the duplication coefficients turns these
 into polynomial conditions on (a2, a4, b3, b5) - the Mumford division
 polynomials - or, after elimination, on the x-coordinates of the support.
 
-Denominator clearing multiplies by powers of E = 2N*(2*b5' - a2*b3'), the
-numerator of the duplication denominator over N = y1*y2 expressed in
-Mumford coordinates, and the special branch of n = 4 (E = 0) by 1024*N^5.
-One plain-ring transcription builds each system: `divpoly emit` runs it on
-the generators of the weighted ring, and the residuals (`torsion check`, the
-searches' filter) on a divisor's native values, divided by the factor.
+Denominator clearing multiplies by powers of E = 2N*(2*b5' - a2*b3') with
+N = y1*y2 in Mumford coordinates, and the special n = 4 branch (E = 0) by
+1024*N^5.  One plain-ring transcription builds each system: `divpoly emit`
+runs it on the weighted ring's generators, and the residuals (`torsion
+check`, the searches' filter) on a divisor's native values over the factor.
 
 The finite-field searches run in the curve's own field: they scan every
 alpha (a2, a4), solve the model equations for the betas above it with two
@@ -24,7 +23,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .curves import CanonicalCurve
-from .divisors import MumfordDivisor
+from .divisors import MumfordDivisor, p_mod_u
 from .errors import (
     CharacteristicTooSmall,
     GammaUndefined,
@@ -140,10 +139,9 @@ def three_torsion_mumford_residuals(D: MumfordDivisor, curve: CanonicalCurve):
             raise GammaUndefined("doubling left the degree-2 locus")
         return doubled.coords[0] - a2, doubled.coords[1] - a4
     c, d = _native_duplication(D, curve)
-    E = d["E"]
-    if not E:
+    if not d["E"]:
         raise GammaUndefined("duplication denominator vanishes: 2D is special")
-    inv = F.inv(F.coerce(E * E))
+    inv = F.inv(F.coerce(d["E"] ** 2))
     return tuple(F.coerce(r) * inv for r in _three_torsion_mumford_polys(c, d))
 
 
@@ -167,11 +165,10 @@ def four_torsion_residuals(D: MumfordDivisor, curve: CanonicalCurve):
             raise GammaUndefined("2D is neutral: D is 2-torsion, not order 4")
         return "nonspecial", (doubled.coords[2], doubled.coords[3])
     c, d = _native_duplication(D, curve)
-    N, E = d["N"], d["E"]
     d1, d2, dspec = _four_torsion_mumford_polys(c, d)
-    if not E:
-        return "special", (F.coerce(dspec) / F.coerce(1024 * N ** 5),)
-    inv = F.inv(F.coerce(E ** 4))
+    if not d["E"]:
+        return "special", (F.coerce(dspec) / F.coerce(1024 * d["N"] ** 5),)
+    inv = F.inv(F.coerce(d["E"] ** 4))
     return "nonspecial", (F.coerce(d1) * inv, F.coerce(d2) * inv)
 
 
@@ -379,9 +376,7 @@ def _divisors_above(curve: CanonicalCurve, a2, a4) -> list:
     linear equation when u is a square, and b5 = (r1 + a2*t) / (2*b3);
     b3 = 0 needs r1 = 0 and b5^2 = r0."""
     F = curve.field
-    r1, r0 = F.zero, F.one
-    for lam in curve.lam:  # Horner's rule for P mod u
-        r1, r0 = r0 - a2 * r1, lam - a4 * r1
+    r1, r0 = p_mod_u(a2, a4, curve.lam)
     A = a2 * a2 - 4 * a4
     B = 2 * a2 * r1 - 4 * r0
     C = r1 * r1

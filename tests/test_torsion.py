@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,11 +15,12 @@ from g2div.divisors import (
     divisor_to_json,
     mumford_from_points,
     negate,
+    p_mod_u,
     points_from_mumford,
 )
 from g2div.errors import DegenerateCurve, GammaUndefined, SerializationError
 from g2div.fields import GF, QQ, FieldEmbedding
-from g2div.grouplaw import double_traced, scalar_mul
+from g2div.grouplaw import double_traced, scalar_mul, tangent_data
 from g2div.polyring import PolyRing, resultant
 from g2div.torsion import (
     emit_division_polynomials,
@@ -34,6 +36,7 @@ from g2div.torsion import (
     two_torsion_divisors,
     x_pair_ring,
     xy_ring,
+    _divisors_above,
     _dp_of,
     _int_fraction,
     _p_of,
@@ -301,6 +304,10 @@ class TestMumfordResiduals:
         j10 = b5 * b5 - 2 * a2 * a4 * a4 + l2 * a4 * a4 - l10 - a4 * bracket
         assert j8.is_homogeneous() and j8.weighted_degree() == 8
         assert j10.is_homogeneous() and j10.weighted_degree() == 10
+        # jacobian_residuals: the coefficients of (b3*x + b5)^2 - P mod u
+        r1, r0 = p_mod_u(a2, a4, (l2, l4, l6, l8, l10))
+        assert 2 * b3 * b5 - a2 * b3 * b3 - r1 == j8
+        assert b5 * b5 - a4 * b3 * b3 - r0 == j10
 
     def test_double_to_special_output_weight(self):
         # x_{2Q} = 2*a2 + g1^2 - l2 with g1 = b3'/2 is weight-2 homogeneous
@@ -415,6 +422,73 @@ class TestMumfordResiduals:
             assert lhs == rhs
             checked += 1
         assert checked > 200
+
+
+def _weight5_tangent_curve():
+    """A curve over Q with a divisor D whose double is special: P is
+    g^2 + (x - 1)^2 (x - 3)^2 (x + 2) for g = x^2/2 - x + 2, so the weight-5
+    function y + g(x) meets the curve twice at the support of D and once
+    more.  Returns (curve, the rational points above x = 1, 3, -2)."""
+    Q = QQ()
+    g = UniPoly(Q, [2, -1, Fraction(1, 2)])
+    P = g * g + UniPoly(Q, [-1, 1]) ** 2 * UniPoly(Q, [-3, 1]) ** 2 * UniPoly(Q, [2, 1])
+    c = CanonicalCurve(Q, tuple(P[k] for k in (4, 3, 2, 1, 0)))
+    pts = []
+    for x in map(Q.element, (1, 3, -2)):
+        y = g.evaluate(x)
+        pts += [(x, y), (x, -y)]
+    return c, pts
+
+
+def _agreement_divisors(which):
+    if which == "GF(13)":
+        c = CanonicalCurve(GF(13), (1, 1, 1, 2, 4))
+        return c, [m for m in map(to_mumford, enumerate_jacobian(c)) if m.is_nonspecial()]
+    if which == "GF(7, 2)":
+        F = GF(7, 2)
+        c = CanonicalCurve(F, (F.from_str("1,1"), 0, F.from_str("3,0"), 1, F.from_str("0,2")))
+        return c, [d for a2 in F.elements() for a4 in F.elements()
+                   for d in _divisors_above(c, a2, a4)]
+    c, pts = _weight5_tangent_curve()
+    return c, [mumford_from_points(c, p1, p2) for p1, p2 in combinations(pts, 2)
+               if p1[0] != p2[0]]
+
+
+class TestResidualsMatchEmission:
+    """Each residual times its clearing factor (E^2 for n = 3, E^4 for the
+    n = 4 non-special branch, 1024*N^5 when 2D is special) is the emitted
+    system evaluated at D, with E = 2N*(2*b5' - a2*b3') from tangent_data."""
+
+    @pytest.mark.parametrize("which", ["GF(13)", "GF(7, 2)", "QQ"])
+    def test_residuals_times_factor_equal_emitted(self, which):
+        c, ds = _agreement_divisors(which)
+        F = c.field
+        m3 = emit_division_polynomials(3, "mumford", c).polys
+        m4 = emit_division_polynomials(4, "mumford", c).polys
+        hits = {"nonspecial": 0, "special": 0}
+        for D in ds:
+            a2, a4, b3, b5 = D.coords
+            N = b3 * b3 * a4 - a2 * b3 * b5 + b5 * b5
+            if F.is_zero(a2 * a2 - 4 * a4) or F.is_zero(N):
+                continue  # the confluent doubling, or no duplication gammas
+            tang = tangent_data(c, D)
+            E = 2 * N * (2 * tang.b5p - a2 * tang.b3p)
+            branch = "special" if F.is_zero(E) else "nonspecial"
+            if hits[branch] >= 12:
+                continue
+            hits[branch] += 1
+            vals = {"a2": a2, "a4": a4, "b3": b3, "b5": b5}
+            got4, res4 = four_torsion_residuals(D, c)
+            assert got4 == branch
+            if branch == "special":
+                assert [r * 1024 * N ** 5 for r in res4] == [m4[2].evaluate(vals)]
+                with pytest.raises(GammaUndefined):
+                    three_torsion_mumford_residuals(D, c)
+            else:
+                assert [r * E ** 4 for r in res4] == [p.evaluate(vals) for p in m4[:2]]
+                assert ([r * E ** 2 for r in three_torsion_mumford_residuals(D, c)]
+                        == [p.evaluate(vals) for p in m3])
+        assert hits["nonspecial"] >= 6 and hits["special"] >= 2, hits
 
 
 class TestFindTorsion:
