@@ -137,7 +137,7 @@ def three_torsion_mumford_residuals(D: MumfordDivisor, curve: CanonicalCurve):
         doubled, _ = double_traced(D, curve)
         if not doubled.is_nonspecial():
             raise GammaUndefined("doubling left the degree-2 locus")
-        return doubled.coords[0] - a2, doubled.coords[1] - a4
+        return a2 - doubled.coords[0], a4 - doubled.coords[1]
     c, d = _native_duplication(D, curve)
     if not d["E"]:
         raise GammaUndefined("duplication denominator vanishes: 2D is special")

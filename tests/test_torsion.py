@@ -379,6 +379,27 @@ class TestMumfordResiduals:
             nonzero += not (F.is_zero(r1) and F.is_zero(r2))
         assert nonzero > 60
 
+    def test_three_residuals_sign_on_repeated_support(self):
+        # the confluent branch also returns alpha(D) - alpha(2D), on every
+        # repeated-support divisor of this J(F_7)
+        c = CanonicalCurve(GF(7), (4, 2, 5, 2, 6))
+        F = c.field
+        seen = 0
+        for m in map(to_mumford, enumerate_jacobian(c)):
+            if not m.is_nonspecial() or not F.is_zero(m.a2 * m.a2 - 4 * m.a4):
+                continue
+            doubled, _ = double_traced(m, c)
+            if not doubled.is_nonspecial():
+                with pytest.raises(GammaUndefined):
+                    three_torsion_mumford_residuals(m, c)
+                continue
+            seen += 1
+            assert three_torsion_mumford_residuals(m, c) == (m.a2 - doubled.a2, m.a4 - doubled.a4)
+        assert seen >= 4
+        D = MumfordDivisor.nonspecial(F, 3, 4, 5, 0)
+        assert double_traced(D, c)[0].coords == (6, 6, 6, 4)
+        assert three_torsion_mumford_residuals(D, c) == (4, 5)
+
     def test_special_four_residual_is_y_of_double(self, c1009, rng):
         # on the double-to-special branch the residual is the y of the point 2D
         F = c1009.field
