@@ -7,11 +7,11 @@ point has y = 0).  Substituting the duplication coefficients turns these
 into polynomial conditions on (a2, a4, b3, b5) - the Mumford division
 polynomials - or, after elimination, on the x-coordinates of the support.
 
-Denominator clearing multiplies by powers of E = 2N*(2*b5' - a2*b3') with
-N = y1*y2 in Mumford coordinates, and the special n = 4 branch (E = 0) by
-1024*N^5.  One plain-ring transcription builds each system: `divpoly emit`
-runs it on the weighted ring's generators, and the residuals (`torsion
-check`, the searches' filter) on a divisor's native values over the factor.
+Denominators are cleared by powers of E = 2N*(2*b5' - a2*b3'), N = y1*y2,
+and on the special n = 4 branch (E = 0) by 1024*N^5; all need N != 0.  One
+plain-ring transcription builds each system: `divpoly emit` runs it on the
+ring's generators, and the residuals (`torsion check`, the searches'
+filter) on a divisor's native values, divided by the factor.
 
 The finite-field searches run in the curve's own field: they scan every
 alpha (a2, a4), solve the model equations for the betas above it with two

@@ -446,10 +446,11 @@ class TestMumfordResiduals:
 
 
 def _weight5_tangent_curve():
-    """A curve over Q with a divisor D whose double is special: P is
-    g^2 + (x - 1)^2 (x - 3)^2 (x + 2) for g = x^2/2 - x + 2, so the weight-5
-    function y + g(x) meets the curve twice at the support of D and once
-    more.  Returns (curve, the rational points above x = 1, 3, -2)."""
+    """A curve over Q with divisors whose double is special: P is
+    g^2 + (x - 1)^2 (x - 3)^2 (x + 2) for g = x^2/2 - x + 2, so y + g(x)
+    vanishes twice at each point of D = (1, -g(1)) + (3, -g(3)) and once at
+    (-2, -g(-2)), and 2D is a single point.  Returns (curve, the rational
+    points above x = 1, 3, -2)."""
     Q = QQ()
     g = UniPoly(Q, [2, -1, Fraction(1, 2)])
     P = g * g + UniPoly(Q, [-1, 1]) ** 2 * UniPoly(Q, [-3, 1]) ** 2 * UniPoly(Q, [2, 1])
