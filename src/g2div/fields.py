@@ -338,9 +338,12 @@ class Field:
         raise NotImplementedError
 
     # -- native values --------------------------------------------------------
-    # The group law's hot branches compute on native values: int for F_p
-    # (reduced only by _reduce), an int or a Fraction for Q, and the element
-    # itself for F_{p^k}.  coerce turns any of them back into an element.
+    # The group law's hot branches (the generic sum and the single-pass
+    # doubling) compute on native values: int for F_p (reduced only by
+    # _reduce), an int or a Fraction for Q, and the element itself for
+    # F_{p^k}.  coerce turns any of them back into an element; _invert takes
+    # one, reduced or not, to its reduced native inverse (over F_p one pow,
+    # no element built; over Q a Fraction) and is the kernels' zero test.
     # Each field sets _native_zero in __init__: an attribute added later (as
     # by functools.cached_property) moves the instance's attributes out of
     # CPython's inline-values layout and slows every self.p and self._reduce.
@@ -351,6 +354,10 @@ class Field:
 
     def _reduce(self, v):
         return v
+
+    def _invert(self, v):
+        """The reduced native 1/v; DivisionByZero when v is zero."""
+        return self._native(self.inv(self.coerce(v)))
 
     # -- square roots ---------------------------------------------------------
     def sqrt(self, a) -> tuple:
@@ -422,7 +429,7 @@ class RationalField(Field):
 
     def _reduce(self, v):
         # an int while integral (faster than Fraction), else a Fraction; no
-        # native path divides (int / int gives a float): inverses use inv
+        # native path divides (int / int gives a float): inverses use _invert
         if type(v) is int:
             return v
         return v.numerator if v.denominator == 1 else v
@@ -493,9 +500,7 @@ class PrimeField(Field):
         return FieldElement(self, -a.value % self.p)
 
     def inv(self, a):
-        if a.value == 0:
-            raise DivisionByZero(f"1/0 in {self}")
-        return FieldElement(self, pow(a.value, -1, self.p))
+        return FieldElement(self, self._invert(a.value))
 
     def pow(self, a, e: int):
         if e < 0:
@@ -507,6 +512,12 @@ class PrimeField(Field):
 
     def _reduce(self, v):
         return v % self.p
+
+    def _invert(self, v):
+        try:
+            return pow(v, -1, self.p)
+        except ValueError:  # v is a multiple of p
+            raise DivisionByZero(f"1/0 in {self}") from None
 
     def sqrt(self, a):
         v = a.value

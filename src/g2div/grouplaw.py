@@ -18,7 +18,10 @@ the weight-5 function y + b3*x + b5 + g1*u(x) tangent to the curve at p1;
 two degree-2 divisors sharing an x add as (P + q1) + q2 for the points of
 Q above the shared x and above the other root of u_Q.
 scalar_mul runs the two generic kernels directly and falls back to the
-dispatchers for everything they decline.
+dispatchers for everything they decline.  Each kernel inverts once, by
+Field._invert on a native value, and its zero test is that inversion; the
+doubling kernel then computes g1, g2, 1/g1, g4, g6 and the alpha and beta
+sums in one straight-line pass.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from .divisors import MumfordDivisor, is_on_jacobian, mumford_from_points, negat
 from .errors import (
     BranchPointInSupport,
     ConditionViolated,
+    DivisionByZero,
     GammaUndefined,
     InvolutionPair,
     MixedFields,
@@ -85,18 +89,6 @@ def _gamma_r6(c, g1, g2) -> GammaR6:
     return GammaR6(g1, g2, g4, g6)
 
 
-def _one_inversion(F, den, n1, n2):
-    """(g1, g2, 1/g1) for g1 = n1/den, g2 = n2/den on native values.
-
-    Montgomery's trick: w = 1/(den*n1) gives 1/den = n1*w and 1/g1 = den^2*w,
-    so the one inversion goes through F.inv.  n1 = 0 raises DivisionByZero."""
-    red = F._reduce
-    den, n1 = red(den), red(n1)
-    w = F._native(F.inv(F.coerce(den * n1)))
-    inv_den = red(n1 * w)
-    return red(n1 * inv_den), red(n2 * inv_den), red(den * den * w)
-
-
 def gamma_add(P: MumfordDivisor, Q: MumfordDivisor) -> GammaR6:
     """Interpolation coefficients for two divisors with disjoint support.
 
@@ -113,18 +105,20 @@ def gamma_add(P: MumfordDivisor, Q: MumfordDivisor) -> GammaR6:
 
 
 def _y1y2(a2, a4, b3, b5):
-    """N = y1*y2 of the support in Mumford coordinates."""
-    return b3 * b3 * a4 - a2 * b3 * b5 + b5 * b5
+    """N = y1*y2 of the support: b3^2*a4 - a2*b3*b5 + b5^2."""
+    return b3 * (b3 * a4 - a2 * b5) + b5 * b5
 
 
 def _tangent_numerators(a2, a4, b3, b5, l2, l4, l6, l8):
     """(2N*b3', 2N*(b5' + b3)) from the symmetric difference quotients of P'.
 
     Plain ring arithmetic, so field elements and weighted polynomials both
-    go through this one transcription."""
-    A = a4 * (5 * (a2 * a2 - a4) - 4 * l2 * a2 + 3 * l4) - l8
-    B = 5 * (2 * a2 * a4 - a2 ** 3) + 4 * l2 * (a2 * a2 - a4) - 3 * l4 * a2 + 2 * l6
-    C = a4 * a4 * (4 * l2 - 5 * a2) - 2 * l6 * a4 + l8 * a2
+    go through this one transcription; h = a2^2 - a4 and 4*l2 are shared."""
+    h = a2 * a2 - a4
+    four_l2 = 4 * l2
+    A = a4 * (5 * h - four_l2 * a2 + 3 * l4) - l8
+    B = a2 * (5 * (a4 - h) - 3 * l4) + four_l2 * h + 2 * l6
+    C = a4 * (a4 * (four_l2 - 5 * a2) - 2 * l6) + l8 * a2
     return b3 * A + b5 * B, -(b3 * C + b5 * A)
 
 
@@ -161,9 +155,9 @@ def _duplication_denominator(a2, b3p, b5p):
     return b5p + b5p - a2 * b3p
 
 
-def _duplication_g2(a2, a4, b3p, b5p):
-    """g2 times the duplication denominator."""
-    return 3 * a2 * b5p - (a2 * a2 + 2 * a4) * b3p
+def _duplication_g2(a2, a4, b3p, b5p, den):
+    """g2*den = 3*a2*b5' - (a2^2 + 2*a4)*b3' for den = 2*b5' - a2*b3'."""
+    return a2 * (b5p + den) - 2 * a4 * b3p
 
 
 def _scaled_duplication(a2, a4, b3, n, num3, num5):
@@ -171,8 +165,8 @@ def _scaled_duplication(a2, a4, b3, n, num3, num5):
     duplication denominator times 2N = 2*y1*y2: no inversion needed."""
     m = n + n
     b5p_num = num5 - m * b3
-    return (_duplication_denominator(a2, num3, b5p_num), (a2 * a2 - 4 * a4) * m,
-            _duplication_g2(a2, a4, num3, b5p_num), b5p_num)
+    E = _duplication_denominator(a2, num3, b5p_num)
+    return E, (a2 * a2 - 4 * a4) * m, _duplication_g2(a2, a4, num3, b5p_num, E), b5p_num
 
 
 def gamma_double(Q: MumfordDivisor, tang: TangentData) -> GammaR6:
@@ -183,7 +177,7 @@ def gamma_double(Q: MumfordDivisor, tang: TangentData) -> GammaR6:
     if F.is_zero(den):
         raise GammaUndefined("duplication denominator vanishes: 2Q is special")
     inv = F.inv(den)
-    g2 = _duplication_g2(a2, a4, tang.b3p, tang.b5p) * inv
+    g2 = _duplication_g2(a2, a4, tang.b3p, tang.b5p, den) * inv
     return _gamma_r6(Q.coords, (a2 * a2 - 4 * a4) * inv, g2)
 
 
@@ -204,23 +198,14 @@ def _sum_alpha(a2p, a2q, a4p, a4q, g: GammaR6, l2, nu1=None, nu3=None):
     return a2s, a4s
 
 
-def _sum_beta(F, a2s, a4s, g: GammaR6, inv_g1=None):
-    """Beta coordinates of the sum; inv_g1 = 1/g1 saves the inversion."""
-    if inv_g1 is None:
-        inv_g1 = F.inv(g.g1)
-    b3s = -(a2s * a2s - a4s - g.g2 * a2s + g.g4) * inv_g1
-    b5s = -(a2s * a4s - g.g2 * a4s + g.g6) * inv_g1
-    return b3s, b5s
-
-
 def _nonspecial_sum(F, pc, qc, g: GammaR6, inv_g1, l2) -> tuple:
     """The reduced native (a2, a4, b3, b5) of the degree-2 sum of the supports
     pc, qc from their weight-6 gammas; inv_g1 = 1/g1, l2 native."""
     red = F._reduce
     a2s, a4s = _sum_alpha(pc[0], qc[0], pc[1], qc[1], g, l2)
     a2s, a4s = red(a2s), red(a4s)
-    b3s, b5s = _sum_beta(F, a2s, a4s, g, inv_g1)
-    return a2s, a4s, red(b3s), red(b5s)
+    b3s = -(a2s * a2s - a4s - g.g2 * a2s + g.g4) * inv_g1
+    return a2s, a4s, red(b3s), red(-(a2s * a4s - g.g2 * a4s + g.g6) * inv_g1)
 
 
 def _add_generic(F, l2, pc, qc):
@@ -229,15 +214,22 @@ def _add_generic(F, l2, pc, qc):
 
     Returns the reduced native (a2, a4, b3, b5) of the sum, or None when the
     supports share an x (the same u-polynomial included) or the gamma matrix
-    is singular (det = 0, the sum is special)."""
+    is singular (det = 0, the sum is special).  With w = 1/(det*n1), 1/det =
+    n1*w and 1/g1 = det^2*w (Montgomery's trick); n1 = det*g1 is nonzero once
+    the supports share no x, so the inversion is the det test."""
     red = F._reduce
     if not red(_shared_x(pc, qc)):
         return None
     diff = _difference(pc, qc)
-    if not red(diff[4]):
+    n1, n2 = _gamma_add_numerators(pc, qc, diff)
+    det, n1 = red(diff[4]), red(n1)
+    try:
+        w = F._invert(det * n1)
+    except DivisionByZero:
         return None
-    g1, g2, inv_g1 = _one_inversion(F, diff[4], *_gamma_add_numerators(pc, qc, diff))
-    return _nonspecial_sum(F, pc, qc, _gamma_r6(pc, g1, g2), inv_g1, l2)
+    inv_det = n1 * w
+    g1, g2 = red(n1 * inv_det), red(n2 * inv_det)
+    return _nonspecial_sum(F, pc, qc, _gamma_r6(pc, g1, g2), red(det * det * w), l2)
 
 
 def _double_generic(F, lam, c):
@@ -247,22 +239,30 @@ def _double_generic(F, lam, c):
     Returns the reduced native (a2, a4, b3, b5) of the double, or None when
     both support points are branch points, the support is a repeated point,
     exactly one is a branch point, or the duplication denominator vanishes
-    (the double is special)."""
-    red = F._reduce
+    (the double is special): each makes den*g1_num vanish, so the inversion
+    is the one zero test.  With g1, g2, 1/g1 as in _add_generic and d = g2 - a2,
+    one pass gives _nonspecial_sum at P = Q: g4 = a2*d + b3*g1 + a4, g6 =
+    a4*d + b5*g1, a2' = 2*d - g1^2 and a4' = d^2 + g1^2*(2*a2 - l2) + 2*b3*g1."""
+    red = F._reduce  # reducing reused operands too keeps them near p in size
     a2, a4, b3, b5 = c
-    if not b3 and not b5:
-        return None
-    if not red(a2 * a2 - 4 * a4):
-        return None
     n = red(_y1y2(a2, a4, b3, b5))
-    if not n:
+    num3, num5 = _tangent_numerators(a2, a4, b3, b5, *lam)
+    den, g1_num, g2_num, _ = _scaled_duplication(a2, a4, b3, n, red(num3), red(num5))
+    den, g1_num = red(den), red(g1_num)
+    try:
+        w = F._invert(den * g1_num)
+    except DivisionByZero:
         return None
-    num3, num5 = map(red, _tangent_numerators(a2, a4, b3, b5, *lam))
-    den, g1_num, g2_num, _ = _scaled_duplication(a2, a4, b3, n, num3, num5)
-    if not red(den):
-        return None
-    g1, g2, inv_g1 = _one_inversion(F, den, g1_num, g2_num)
-    return _nonspecial_sum(F, c, c, _gamma_r6(c, g1, g2), inv_g1, lam[0])
+    inv_den = g1_num * w
+    g1, g2, inv_g1 = red(g1_num * inv_den), red(g2_num * inv_den), red(den * den * w)
+    d = g2 - a2
+    g1sq, b3g1 = g1 * g1, b3 * g1
+    a2s = red(d + d - g1sq)
+    a4s = red(d * d + g1sq * (a2 + a2 - lam[0]) + b3g1 + b3g1)
+    t = a2s - g2
+    b3s = red((a4s - a2s * t - a2 * d - b3g1 - a4) * inv_g1)
+    b5s = red(-(a4s * t + a4 * d + b5 * g1) * inv_g1)
+    return a2s, a4s, b3s, b5s
 
 
 def _gamma_r5(c, g1) -> GammaR5:

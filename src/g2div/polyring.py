@@ -259,7 +259,7 @@ class WeightedPoly:
         F, guard = self.ring.field, self.ring._guard
         red, zero = F._reduce, F._native_zero
         ge = max(g._terms)
-        g_inv = F._native(F.inv(F.coerce(g._terms[ge])))
+        g_inv = F._invert(g._terms[ge])
         tail = [(k, red(-c)) for k, c in g._terms.items() if k != ge]
         rem = dict(self._terms)
         heap = [-k for k in rem]

@@ -161,7 +161,7 @@ class UniPoly:
         rem = list(self._c)
         db = len(b) - 1
         lead = b[-1]
-        inv_lead = None if lead == 1 else F._native(F.inv(F.coerce(lead)))
+        inv_lead = None if lead == 1 else F._invert(lead)
         low = b[:-1]  # the leading term cancels by construction
         q = [F._native_zero] * max(len(rem) - db, 1)
         while len(rem) > db:

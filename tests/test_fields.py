@@ -204,6 +204,33 @@ def test_division_by_zero():
         GF(7).one / GF(7).zero
 
 
+@pytest.mark.parametrize("field", [GF(2 ** 40 - 87), GF(31, 2), QQ()], ids=lambda f: f.short_name())
+def test_native_invert(field):
+    """_invert takes a native value, reduced or not, to its reduced native
+    inverse; zero, reduced or not, raises DivisionByZero."""
+    rng = random.Random(3)
+    red, one = field._reduce, field._native(field.one)
+    p = field.characteristic
+    zeros = [field._native_zero, 0] + ([3 * p, -p, p ** 3] if p else [Fraction(0, 5)])
+    for z in zeros:
+        with pytest.raises(DivisionByZero):
+            field._invert(z)
+    values = [field._native(_sample(field, rng)) for _ in range(200)]
+    values += [-v for v in values] + [-4, 7, 1]
+    if p:
+        values += [5 * p + 2, -(p ** 2) - 3, p - 1]
+    for v in values:
+        if not red(v):
+            continue
+        inv = field._invert(v)
+        assert red(v * inv) == one
+        assert red(inv) == inv
+        assert not isinstance(inv, float)
+    if not p:
+        assert field._invert(-4) == Fraction(-1, 4) and type(field._invert(2)) is Fraction
+        assert field._invert(Fraction(-2, 3)) == Fraction(-3, 2)
+
+
 def test_eq_rational_with_p_in_denominator_is_false():
     # no element of F_p or F_{p^k} equals a rational whose denominator p divides
     for F in (GF(7), GF(7, 2)):
