@@ -426,8 +426,6 @@ def find_three_torsion(curve: CanonicalCurve) -> list:
     Keeps the divisors on which the emitted n = 3 Mumford system (the
     a-coordinates of D against those of 2D) vanishes and certifies every hit
     by exact order check."""
-    if 0 < curve.field.characteristic <= 5:
-        raise CharacteristicTooSmall("division polynomials need characteristic 0 or > 5")
     return _search(curve, 3, three_torsion_mumford_residuals)
 
 

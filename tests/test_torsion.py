@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -18,7 +18,7 @@ from g2div.divisors import (
     p_mod_u,
     points_from_mumford,
 )
-from g2div.errors import DegenerateCurve, GammaUndefined, SerializationError
+from g2div.errors import CharacteristicTooSmall, DegenerateCurve, GammaUndefined, SerializationError
 from g2div.fields import GF, QQ, FieldEmbedding
 from g2div.grouplaw import double_traced, scalar_mul, tangent_data
 from g2div.polyring import PolyRing, resultant
@@ -564,6 +564,29 @@ class TestFindTorsion:
         els = enumerate_jacobian(c)
         assert brute_force_n_torsion(c, 3, els) == []
         assert brute_force_n_torsion(c, 4, els) == []
+
+    def test_characteristic_three_matches_oracle(self):
+        """The searches divide by nothing, so characteristic 3 needs no guard:
+        on the first 30 nondegenerate curves over F_3 they find the brute
+        force's divisors.  The emitted polynomials keep theirs."""
+        curves = []
+        for lam in product(range(3), repeat=5):
+            try:
+                curves.append(CanonicalCurve(GF(3), lam))
+            except DegenerateCurve:
+                continue
+            if len(curves) == 30:
+                break
+        found = 0
+        for c in curves:
+            els = enumerate_jacobian(c)
+            for n, search in ((3, find_three_torsion), (4, find_four_torsion)):
+                oracle = sorted(to_mumford(d).sort_key() for d in brute_force_n_torsion(c, n, els))
+                assert [d.sort_key() for d in search(c)] == oracle, (n, c.lam)
+                found += len(oracle) if n == 3 else 0
+        assert found == 16
+        with pytest.raises(CharacteristicTooSmall):
+            emit_division_polynomials(3, "mumford", curves[0])
 
     def test_find_n_dispatch(self, c7):
         assert find_n_torsion(c7, 2) == two_torsion_divisors(c7)
