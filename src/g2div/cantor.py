@@ -48,16 +48,6 @@ def neutral_divisor(field: Field) -> CantorDivisor:
     return CantorDivisor(UniPoly.one(field), UniPoly.zero(field))
 
 
-def is_valid(d: CantorDivisor, curve: CanonicalCurve) -> bool:
-    """Mumford compatibility: u | v^2 - P and deg v < deg u (or v = 0)."""
-    if d.u.degree() > 2:
-        return False
-    if d.v.degree() >= max(d.u.degree(), 1) and not d.v.is_zero():
-        return False
-    rem = (d.v * d.v - curve.px()) % d.u
-    return rem.is_zero()
-
-
 def cantor_add(a: CantorDivisor, b: CantorDivisor, curve: CanonicalCurve) -> CantorDivisor:
     """Composition then reduction; total on all class representatives."""
     F = curve.field
