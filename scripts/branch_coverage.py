@@ -1,9 +1,12 @@
 """Randomized oracle-equivalence sweep with a dispatch-branch tally.
 
 Every addition is cross-checked against the independent Cantor arithmetic;
-the tally shows how often each branch of the coordinate law fires.
+the tally shows how often each branch of the coordinate law fires.  The
+field is F_p, or F_{p^k} with the optional extension degree k, whose
+natives are field elements rather than ints; x-coordinates are drawn from
+the whole field.
 
-Usage: python scripts/branch_coverage.py [pairs] [p]
+Usage: python scripts/branch_coverage.py [pairs] [p] [k]
 """
 import random
 import sys
@@ -24,7 +27,7 @@ def random_divisor(curve, rng):
     q = F.order()
     pts = []
     while len(pts) < 2:
-        x = F.element(rng.randrange(q))
+        x = F._element_at(rng.randrange(q))
         roots = F.sqrt(curve.p_at(x))
         if roots and all(x != p[0] for p in pts):
             pts.append((x, roots[rng.randrange(len(roots))]))
@@ -34,7 +37,8 @@ def random_divisor(curve, rng):
 def main():
     pairs = int(sys.argv[1]) if len(sys.argv) > 1 else 5000
     p = int(sys.argv[2]) if len(sys.argv) > 2 else 1009
-    curve = CanonicalCurve(GF(p), (1, 2, 3, 4, 5))
+    k = int(sys.argv[3]) if len(sys.argv) > 3 else 1
+    curve = CanonicalCurve(GF(p, k), (1, 2, 3, 4, 5))
     rng = random.Random(0)
     tags = {}
     t0 = time.time()
@@ -55,7 +59,8 @@ def main():
             got, tag = add_traced(P, MumfordDivisor.neutral(curve.field), curve)
             tags[tag] = tags.get(tag, 0) + 1
     dt = time.time() - t0
-    print(f"{pairs} pairs over F_{p} in {dt:.1f}s, all equal to the Cantor oracle")
+    name = f"F_{p}" if k == 1 else f"F_{{{p}^{k}}}"
+    print(f"{pairs} pairs over {name} in {dt:.1f}s, all equal to the Cantor oracle")
     for tag in sorted(tags):
         print(f"  {tag:18s} {tags[tag]}")
 
