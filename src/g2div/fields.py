@@ -343,7 +343,7 @@ class Field:
     # _reduce), an int or a Fraction for Q, and the element itself for
     # F_{p^k}.  coerce turns any of them back into an element; _invert takes
     # one, reduced or not, to its reduced native inverse (over F_p one pow,
-    # no element built; over Q a Fraction) and is the kernels' zero test.
+    # no element built; over Q a Fraction) and is the doubling's zero test.
     # Each field sets _native_zero in __init__: an attribute added later (as
     # by functools.cached_property) moves the instance's attributes out of
     # CPython's inline-values layout and slows every self.p and self._reduce.

@@ -19,9 +19,9 @@ two degree-2 divisors sharing an x add as (P + q1) + q2 for the points of
 Q above the shared x and above the other root of u_Q.
 scalar_mul runs the two generic kernels directly and falls back to the
 dispatchers for everything they decline.  Each kernel inverts once, by
-Field._invert on a native value, and its zero test is that inversion; the
-doubling kernel then computes g1, g2, 1/g1, g4, g6 and the alpha and beta
-sums in one straight-line pass.
+Field._invert on a native value.  In the doubling kernel that inversion is
+the only zero test, and g1, g2, 1/g1, g4, g6 and the alpha and beta sums
+follow in one straight-line pass.
 """
 from __future__ import annotations
 
@@ -216,17 +216,17 @@ def _add_generic(F, l2, pc, qc):
     supports share an x (the same u-polynomial included) or the gamma matrix
     is singular (det = 0, the sum is special).  With w = 1/(det*n1), 1/det =
     n1*w and 1/g1 = det^2*w (Montgomery's trick); n1 = det*g1 is nonzero once
-    the supports share no x, so the inversion is the det test."""
+    the supports share no x."""
     red = F._reduce
     if not red(_shared_x(pc, qc)):
         return None
     diff = _difference(pc, qc)
-    n1, n2 = _gamma_add_numerators(pc, qc, diff)
-    det, n1 = red(diff[4]), red(n1)
-    try:
-        w = F._invert(det * n1)
-    except DivisionByZero:
+    det = red(diff[4])
+    if not det:
         return None
+    n1, n2 = _gamma_add_numerators(pc, qc, diff)
+    n1 = red(n1)
+    w = F._invert(det * n1)
     inv_det = n1 * w
     g1, g2 = red(n1 * inv_det), red(n2 * inv_det)
     return _nonspecial_sum(F, pc, qc, _gamma_r6(pc, g1, g2), red(det * det * w), l2)
