@@ -25,7 +25,7 @@ def _wrap(v):
 
 
 class Counting(int):
-    """An F_p native that counts what is done to it."""
+    """An F_p native that counts what is done to it; negation is free."""
 
     __slots__ = ()
 
@@ -102,8 +102,7 @@ def _count(kernel, *args):
 
 
 # (native products, products by integer constants, additions, _reduce
-# calls, _invert calls); before the single-pass doubling kernel they were
-# (56, 15, 48, 15, 1) for the double and (39, 0, 38, 12, 1) for the sum
+# calls, _invert calls)
 DOUBLE_COUNTS = (39, 10, 37, 12, 1)
 ADD_COUNTS = (39, 0, 38, 10, 1)
 
