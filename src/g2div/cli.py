@@ -7,7 +7,9 @@ for lists); field elements travel as strings.  Exit codes: 0 success,
 
 Each handler imports what only it runs: jac add/double/mul the group law,
 torsion and divpoly the torsion module, oracle the Cantor oracle, and a
-curve that is not canonical the general models.
+curve that is not canonical the general models.  F_{p^k} code
+(g2div.extension) loads only with an F_{p^k} field (an extension curve,
+--ext, --allow-extension), and fractions only over Q or in divpoly emit.
 """
 from __future__ import annotations
 

@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from .curves import CanonicalCurve
 from .errors import InvolutionPair, MixedFields, OffCurve, SerializationError
-from .fields import Field, GF, embedding
+from .fields import Field, GF
 
 NONSPECIAL = "nonspecial"
 SPECIAL = "special"
@@ -141,6 +141,7 @@ def points_from_mumford(d: MumfordDivisor, curve: CanonicalCurve):
     else:
         if F.order() is None:
             raise MixedFields("irreducible over Q: no canonical quadratic extension")
+        from .extension import embedding
         big = GF(F.characteristic, 2 * getattr(F, "k", 1))
         emb = embedding(F, big)
         a2, a4, b3, b5 = (emb.embed(c) for c in d.coords)

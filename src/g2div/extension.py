@@ -1,0 +1,326 @@
+"""Extension fields F_{p^k}, 2 <= k <= 4, their irreducible moduli and field
+embeddings.  Loaded on first use, so a computation over F_p or Q never
+compiles it: by fields for an extension FieldSpec or GF(p, k > 1), and by
+divisors for a support irreducible over its base field."""
+from __future__ import annotations
+
+from itertools import count
+from numbers import Rational
+
+from .errors import DivisionByZero, MixedFields, SerializationError, UnsupportedField
+from .fields import (EXCLUDED_CHARACTERISTICS, MAX_EXTENSION_DEGREE, GF, Field, FieldElement,
+                     FieldSpec, PrimeField, is_prime)
+from .unipoly import UniPoly, gcd, powmod, roots_in_field
+
+
+def is_irreducible_mod_p(coeffs, p: int) -> bool:
+    """Rabin test for a monic polynomial (ascending coefficients) over F_p."""
+    k = len(coeffs) - 1
+    if k < 1 or coeffs[-1] % p != 1:
+        return False
+    if k == 1:
+        return True
+    x, m = UniPoly.x(GF(p)), UniPoly(GF(p), coeffs)
+    # x^(p^k) == x mod m, and x^(p^(k/l)) - x coprime to m for each prime l | k
+    if powmod(x, p ** k, m) != x:
+        return False
+    return all(gcd(powmod(x, p ** (k // ell), m) - x, m).degree() == 0
+               for ell in (2, 3) if k % ell == 0)
+
+
+def find_irreducible(p: int, k: int) -> list[int]:
+    """First monic irreducible of degree k over F_p in lexicographic scan.
+
+    Coefficients returned ascending, length k+1.  Deterministic, so the
+    extension field built from (p, k) is reproducible across runs.
+    """
+    if not is_prime(p) or p in EXCLUDED_CHARACTERISTICS:
+        raise UnsupportedField(f"p={p} is not an admissible odd prime")
+    if not 1 <= k <= MAX_EXTENSION_DEGREE:
+        raise UnsupportedField(f"extension degree {k} outside 1..{MAX_EXTENSION_DEGREE}")
+    if k == 1:
+        return [0, 1]
+    for counter in range(p ** k):
+        # digits give (c_{k-1}, ..., c_1, c_0), most significant varying slowest
+        digits = []
+        n = counter
+        for _ in range(k):
+            digits.append(n % p)
+            n //= p
+        coeffs = digits + [1]  # ascending with leading 1
+        if is_irreducible_mod_p(coeffs, p):
+            return coeffs
+    raise UnsupportedField("no irreducible found (unreachable)")
+
+
+class ExtensionField(Field):
+    """F_{p^k} as F_p[t]/(m(t)); values are reduced coefficient tuples."""
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        self.p = p = spec.p
+        self.k = k = spec.k
+        self.characteristic = p
+        self.modulus = spec.modulus
+        self._nonresidue = None  # see _non_residue
+        self._native_zero = FieldElement(self, (0,) * k)
+        # reduction table: _red[i] represents t^(k+i) as a degree < k vector
+        self._red = [tuple((-m) % p for m in self.modulus[:-1])]
+        for _ in range(k - 2):
+            rep = [0] + list(self._red[-1])
+            lead = rep.pop()
+            if lead:
+                rep = [(a + lead * b) % p for a, b in zip(rep, self._red[0])]
+            self._red.append(tuple(rep))
+        # Frobenius matrix: _frob[i] represents t^(i*p) as a degree < k vector
+        t, m = UniPoly.x(GF(p)), UniPoly(GF(p), self.modulus)
+        self._frob = [tuple(powmod(t, i * p, m)[j].value for j in range(k)) for i in range(k)]
+
+    def key(self):
+        return ("extension", self.p, self.k, self.modulus)
+
+    def short_name(self):
+        return f"F{self.p}^{self.k}"
+
+    def order(self):
+        return self.p ** self.k
+
+    def element(self, raw):
+        if isinstance(raw, int):  # before the slower isinstance against the Rational ABC
+            return FieldElement(self, (raw % self.p,) + (0,) * (self.k - 1))
+        if isinstance(raw, Rational):
+            if raw.denominator % self.p == 0:
+                raise DivisionByZero(f"denominator divisible by {self.p}")
+            v = raw.numerator * pow(raw.denominator, self.p - 2, self.p) % self.p
+            return FieldElement(self, (v,) + (0,) * (self.k - 1))
+        raise MixedFields(f"cannot build {self} element from {raw!r}")
+
+    def from_coeffs(self, coeffs) -> FieldElement:
+        c = [int(x) % self.p for x in coeffs]
+        if len(c) > self.k:
+            raise SerializationError("too many coefficients")
+        c += [0] * (self.k - len(c))
+        return FieldElement(self, tuple(c))
+
+    def gen(self) -> FieldElement:
+        """The residue class of t."""
+        return self.from_coeffs([0, 1])
+
+    def add(self, a, b):
+        p = self.p
+        return FieldElement(self, tuple((x + y) % p for x, y in zip(a.value, b.value)))
+
+    def sub(self, a, b):
+        p = self.p
+        return FieldElement(self, tuple((x - y) % p for x, y in zip(a.value, b.value)))
+
+    def neg(self, a):
+        p = self.p
+        return FieldElement(self, tuple(-x % p for x in a.value))
+
+    def mul(self, a, b):
+        p, k = self.p, self.k
+        prod = [0] * (2 * k - 1)
+        av, bv = a.value, b.value
+        for i, x in enumerate(av):
+            if x:
+                for j, y in enumerate(bv):
+                    prod[i + j] += x * y
+        out = [c % p for c in prod[:k]]
+        for i in range(k, 2 * k - 1):
+            c = prod[i] % p
+            if c:
+                red = self._red[i - k]
+                for j in range(k):
+                    out[j] = (out[j] + c * red[j]) % p
+        return FieldElement(self, tuple(out))
+
+    def inv(self, a):
+        """a^-1 = r / N(a) with r = a^p * a^(p^2) * ... * a^(p^(k-1)).  The
+        norm N(a) = a * r lies in F_p: k - 2 field products build r and one
+        more gives N(a)."""
+        if self.is_zero(a):
+            raise DivisionByZero(f"1/0 in {self}")
+        p = self.p
+        conj = r = self.frobenius(a)
+        for _ in range(self.k - 2):
+            conj = self.frobenius(conj)
+            r = self.mul(r, conj)
+        n_inv = pow(self.mul(a, r).value[0], -1, p)
+        return FieldElement(self, tuple(c * n_inv % p for c in r.value))
+
+    def is_zero(self, a):
+        return not any(a.value)
+
+    def _native(self, a):
+        return a
+
+    def frobenius(self, a: FieldElement) -> FieldElement:
+        """a^p, one product of the coefficient vector with the Frobenius matrix."""
+        p = self.p
+        out = [0] * self.k
+        for c, row in zip(a.value, self._frob):
+            if c:
+                for j, m in enumerate(row):
+                    out[j] += c * m
+        return FieldElement(self, tuple(x % p for x in out))
+
+    def sqrt(self, a):
+        if self.is_zero(a):
+            return (self.zero,)
+        q = self.order()
+        if self.pow(a, (q - 1) // 2) != self.one:
+            return ()
+        if q % 4 == 3:
+            r = self.pow(a, (q + 1) // 4)
+        else:
+            r = self._tonelli(a)
+        pair = sorted((r, self.neg(r)), key=self.sort_key)
+        return tuple(pair)
+
+    def _tonelli(self, a):
+        if self.is_zero(a):
+            return self.zero
+        q = self.order()
+        s, t = 0, q - 1
+        while t % 2 == 0:
+            s += 1
+            t //= 2
+        m, c = s, self.pow(self._non_residue(), t)
+        tt, r = self.pow(a, t), self.pow(a, (t + 1) // 2)
+        while tt != self.one:
+            i, t2 = 0, tt
+            while t2 != self.one:
+                t2 = self.mul(t2, t2)
+                i += 1
+            b = self.pow(c, 1 << (m - i - 1))
+            m, c = i, self.mul(b, b)
+            tt, r = self.mul(tt, c), self.mul(r, b)
+        return r
+
+    def _non_residue(self):
+        """The first quadratic non-residue in elements() order, found once per
+        field without enumerating the field.  For odd k an element of F_p is a
+        square in F_{p^k} exactly when it is one in F_p, so this is the least
+        non-residue mod p.  For even k the prime subfield (the first p
+        elements) consists of squares, so the Euler test starts at element p,
+        which is t."""
+        if self._nonresidue is None:
+            p = self.p
+            if self.k % 2:
+                c = next(c for c in count(2) if pow(c, (p - 1) // 2, p) == p - 1)
+                self._nonresidue = self.element(c)
+            else:
+                e = (self.order() - 1) // 2
+                self._nonresidue = next(z for z in map(self._element_at, count(p))
+                                        if self.pow(z, e) != self.one)
+        return self._nonresidue
+
+    def sort_key(self, a):
+        return tuple(reversed(a.value))
+
+    def to_str(self, a):
+        return ",".join(str(c) for c in a.value)
+
+    def from_str(self, s):
+        try:
+            return self.from_coeffs([int(c) for c in s.split(",")])
+        except ValueError as exc:
+            raise SerializationError(f"bad element {s!r} for {self}") from exc
+
+    def _element_at(self, n: int) -> FieldElement:
+        """Element n of elements(): the base-p digits of n, lowest first."""
+        coeffs = []
+        for _ in range(self.k):
+            n, c = divmod(n, self.p)
+            coeffs.append(c)
+        return FieldElement(self, tuple(coeffs))
+
+    def elements(self):
+        return map(self._element_at, range(self.order()))
+
+
+_EMBEDDING_CACHE: dict = {}
+
+
+def embedding(small: Field, big: ExtensionField) -> "FieldEmbedding":
+    """The FieldEmbedding of small into big, built once per pair of fields."""
+    if (small, big) not in _EMBEDDING_CACHE:
+        _EMBEDDING_CACHE[small, big] = FieldEmbedding(small, big)
+    return _EMBEDDING_CACHE[small, big]
+
+
+class FieldEmbedding:
+    """Embedding of a prime or extension field into a larger extension field.
+
+    The image of the small field's generator is the least root (in sort_key
+    order) of its modulus in the big field, found by roots_in_field; pullback
+    solves the resulting linear system over F_p.
+    """
+
+    def __init__(self, small: Field, big: ExtensionField):
+        if small.characteristic != big.characteristic:
+            raise MixedFields("characteristic mismatch")
+        self.small = small
+        self.big = big
+        p = big.p
+        if isinstance(small, PrimeField):
+            self._basis = [big.one]
+        elif isinstance(small, ExtensionField):
+            if big.k % small.k != 0:
+                raise UnsupportedField(f"degree {small.k} does not divide {big.k}")
+            roots = roots_in_field(UniPoly(big, small.modulus))
+            if not roots:
+                raise UnsupportedField("modulus has no root in target field")
+            root = roots[0]
+            self._basis = [big.one]
+            for _ in range(small.k - 1):
+                self._basis.append(big.mul(self._basis[-1], root))
+        else:
+            raise UnsupportedField("can only embed finite fields")
+        # pullback matrix: columns are basis vectors over F_p
+        self._cols = [b.value for b in self._basis]
+        self.p = p
+
+    def embed(self, a: FieldElement) -> FieldElement:
+        if isinstance(self.small, PrimeField):
+            return self.big.element(a.value)
+        acc = self.big.zero
+        for c, b in zip(a.value, self._basis):
+            if c:
+                acc = self.big.add(acc, self.big.mul(self.big.element(c), b))
+        return acc
+
+    def pullback(self, a: FieldElement) -> FieldElement:
+        """Inverse image in the small field; raises if a is not in the image."""
+        p, n = self.p, self.big.k
+        m = len(self._cols)
+        # solve sum c_j * col_j = a.value over F_p by Gaussian elimination
+        rows = [[self._cols[j][i] for j in range(m)] + [a.value[i]] for i in range(n)]
+        piv = []
+        r = 0
+        for col in range(m):
+            sel = next((i for i in range(r, n) if rows[i][col] % p), None)
+            if sel is None:
+                continue
+            rows[r], rows[sel] = rows[sel], rows[r]
+            inv = pow(rows[r][col], p - 2, p)
+            rows[r] = [(x * inv) % p for x in rows[r]]
+            for i in range(n):
+                if i != r and rows[i][col] % p:
+                    f = rows[i][col]
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+            piv.append(col)
+            r += 1
+        sol = [0] * m
+        for i, col in enumerate(piv):
+            sol[col] = rows[i][-1] % p
+        for i in range(r, n):
+            if rows[i][-1] % p:
+                raise MixedFields("element is not in the embedded subfield")
+        # verify (guards non-pivot columns)
+        cand = (self.small.element(sol[0]) if isinstance(self.small, PrimeField)
+                else self.small.from_coeffs(sol))
+        if self.embed(cand) != a:
+            raise MixedFields("element is not in the embedded subfield")
+        return cand

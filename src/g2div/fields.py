@@ -1,28 +1,26 @@
-"""Exact field arithmetic over Q, F_p, and extension fields F_{p^k}, k <= 4.
+"""Exact field arithmetic over Q and F_p; the FieldSpec of F_{p^k}, k <= 4.
 
 Every other module is generic over the (Field, FieldElement) pair defined
 here.  Characteristics 2 and 5 are rejected: the hyperelliptic involution
 y -> -y degenerates in characteristic 2, and the quintic leading term plus
 the 1/10 denominators of the birational transformations misbehave in
 characteristic 5.
+
+F_{p^k} arithmetic, moduli and embeddings live in g2div.extension, loaded
+on first use; its public names resolve here too (PEP 562).  fractions is
+imported when Q is built, so F_p code loads neither module.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from itertools import count
 from math import isqrt
+from numbers import Rational
 
-from .errors import (
-    DivisionByZero,
-    MixedFields,
-    NoSquareRoot,
-    SerializationError,
-    UnsupportedField,
-)
+from .errors import DivisionByZero, MixedFields, NoSquareRoot, SerializationError, UnsupportedField
 
 EXCLUDED_CHARACTERISTICS = (2, 5)
 MAX_EXTENSION_DEGREE = 4
+_RATIONALS = (int, Rational)  # int first: the Rational ABC's isinstance is slower
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -56,48 +54,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_irreducible_mod_p(coeffs, p: int) -> bool:
-    """Rabin test for a monic polynomial (ascending coefficients) over F_p."""
-    k = len(coeffs) - 1
-    if k < 1 or coeffs[-1] % p != 1:
-        return False
-    if k == 1:
-        return True
-    # the Field classes are defined below and unipoly imports them
-    from .unipoly import UniPoly, gcd, powmod
-    x, m = UniPoly.x(GF(p)), UniPoly(GF(p), coeffs)
-    # x^(p^k) == x mod m, and x^(p^(k/l)) - x coprime to m for each prime l | k
-    if powmod(x, p ** k, m) != x:
-        return False
-    return all(gcd(powmod(x, p ** (k // ell), m) - x, m).degree() == 0
-               for ell in (2, 3) if k % ell == 0)
-
-
-def find_irreducible(p: int, k: int) -> list[int]:
-    """First monic irreducible of degree k over F_p in lexicographic scan.
-
-    Coefficients returned ascending, length k+1.  Deterministic, so the
-    extension field built from (p, k) is reproducible across runs.
-    """
-    if not is_prime(p) or p in EXCLUDED_CHARACTERISTICS:
-        raise UnsupportedField(f"p={p} is not an admissible odd prime")
-    if not 1 <= k <= MAX_EXTENSION_DEGREE:
-        raise UnsupportedField(f"extension degree {k} outside 1..{MAX_EXTENSION_DEGREE}")
-    if k == 1:
-        return [0, 1]
-    for counter in range(p ** k):
-        # digits give (c_{k-1}, ..., c_1, c_0), most significant varying slowest
-        digits = []
-        n = counter
-        for _ in range(k):
-            digits.append(n % p)
-            n //= p
-        coeffs = digits + [1]  # ascending with leading 1
-        if is_irreducible_mod_p(coeffs, p):
-            return coeffs
-    raise UnsupportedField("no irreducible found (unreachable)")
-
-
 # ---------------------------------------------------------------------------
 # field specification
 
@@ -126,6 +82,7 @@ class FieldSpec(namedtuple("FieldSpec", "kind p k modulus")):
             modulus = tuple(m % p for m in modulus)
             if modulus[-1] % p != 1:
                 raise UnsupportedField("modulus must be monic")
+            from .extension import is_irreducible_mod_p
             if not is_irreducible_mod_p(list(modulus), p):
                 raise UnsupportedField("modulus is reducible")
         return super().__new__(cls, kind, p, k, modulus)
@@ -229,7 +186,7 @@ class FieldElement:
             if other.field is not self.field:
                 raise MixedFields(f"{self.field} vs {other.field}")
             return self.value == other.value
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONALS):
             try:
                 return self.value == self.field.coerce(other).value
             except DivisionByZero:  # a rational whose denominator p divides
@@ -289,7 +246,7 @@ class Field:
             if v.field is not self:
                 raise MixedFields(f"{self} vs {v.field}")
             return v
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, _RATIONALS):
             return self.element(v)
         raise MixedFields(f"cannot coerce {v!r} into {self}")
 
@@ -392,8 +349,10 @@ class RationalField(Field):
     characteristic = 0
 
     def __init__(self, spec: FieldSpec):
+        from fractions import Fraction
         self.spec = spec
         self._native_zero = 0
+        self._fraction = Fraction
 
     def key(self):
         return ("rational",)
@@ -402,7 +361,7 @@ class RationalField(Field):
         return "Q"
 
     def element(self, raw):
-        return FieldElement(self, Fraction(raw))
+        return FieldElement(self, self._fraction(raw))
 
     def add(self, a, b):
         return FieldElement(self, a.value + b.value)
@@ -443,7 +402,7 @@ class RationalField(Field):
         rn, rd = isqrt(v.numerator), isqrt(v.denominator)
         if rn * rn != v.numerator or rd * rd != v.denominator:
             return ()
-        r = Fraction(rn, rd)
+        r = self._fraction(rn, rd)
         return (FieldElement(self, -r), FieldElement(self, r))
 
     def sort_key(self, a):
@@ -455,7 +414,7 @@ class RationalField(Field):
 
     def from_str(self, s):
         try:
-            return self.element(Fraction(s))
+            return self.element(self._fraction(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise SerializationError(f"bad rational {s!r}") from exc
 
@@ -477,9 +436,9 @@ class PrimeField(Field):
         return self.p
 
     def element(self, raw):
-        if isinstance(raw, int):  # before the slower isinstance against Fraction's ABC
+        if isinstance(raw, int):  # before the slower isinstance against the Rational ABC
             v = raw % self.p
-        elif isinstance(raw, Fraction):
+        elif isinstance(raw, Rational):
             if raw.denominator % self.p == 0:
                 raise DivisionByZero(f"denominator divisible by {self.p}")
             v = raw.numerator * pow(raw.denominator, -1, self.p) % self.p
@@ -536,6 +495,12 @@ class PrimeField(Field):
         return str(a.value)
 
     def from_str(self, s):
+        if "_" not in s:  # Fraction takes "1_000" only from Python 3.11
+            try:
+                return self.element(int(s))
+            except ValueError:  # "3/4", "1.5" or malformed: Fraction decides
+                pass
+        from fractions import Fraction
         try:
             return self.element(Fraction(s))
         except (ValueError, ZeroDivisionError) as exc:
@@ -572,194 +537,6 @@ def tonelli_shanks(n: int, p: int) -> int:
     return r
 
 
-class ExtensionField(Field):
-    """F_{p^k} as F_p[t]/(m(t)); values are reduced coefficient tuples."""
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p = p = spec.p
-        self.k = k = spec.k
-        self.characteristic = p
-        self.modulus = spec.modulus
-        self._nonresidue = None  # see _non_residue
-        self._native_zero = FieldElement(self, (0,) * k)
-        # reduction table: _red[i] represents t^(k+i) as a degree < k vector
-        self._red = [tuple((-m) % p for m in self.modulus[:-1])]
-        for _ in range(k - 2):
-            rep = [0] + list(self._red[-1])
-            lead = rep.pop()
-            if lead:
-                rep = [(a + lead * b) % p for a, b in zip(rep, self._red[0])]
-            self._red.append(tuple(rep))
-        # Frobenius matrix: _frob[i] represents t^(i*p) as a degree < k vector
-        from .unipoly import UniPoly, powmod
-        t, m = UniPoly.x(GF(p)), UniPoly(GF(p), self.modulus)
-        self._frob = [tuple(powmod(t, i * p, m)[j].value for j in range(k)) for i in range(k)]
-
-    def key(self):
-        return ("extension", self.p, self.k, self.modulus)
-
-    def short_name(self):
-        return f"F{self.p}^{self.k}"
-
-    def order(self):
-        return self.p ** self.k
-
-    def element(self, raw):
-        if isinstance(raw, Fraction):
-            if raw.denominator % self.p == 0:
-                raise DivisionByZero(f"denominator divisible by {self.p}")
-            v = raw.numerator * pow(raw.denominator, self.p - 2, self.p) % self.p
-            return FieldElement(self, (v,) + (0,) * (self.k - 1))
-        if isinstance(raw, int):
-            return FieldElement(self, (raw % self.p,) + (0,) * (self.k - 1))
-        raise MixedFields(f"cannot build {self} element from {raw!r}")
-
-    def from_coeffs(self, coeffs) -> FieldElement:
-        c = [int(x) % self.p for x in coeffs]
-        if len(c) > self.k:
-            raise SerializationError("too many coefficients")
-        c += [0] * (self.k - len(c))
-        return FieldElement(self, tuple(c))
-
-    def gen(self) -> FieldElement:
-        """The residue class of t."""
-        return self.from_coeffs([0, 1])
-
-    def add(self, a, b):
-        p = self.p
-        return FieldElement(self, tuple((x + y) % p for x, y in zip(a.value, b.value)))
-
-    def sub(self, a, b):
-        p = self.p
-        return FieldElement(self, tuple((x - y) % p for x, y in zip(a.value, b.value)))
-
-    def neg(self, a):
-        p = self.p
-        return FieldElement(self, tuple(-x % p for x in a.value))
-
-    def mul(self, a, b):
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        av, bv = a.value, b.value
-        for i, x in enumerate(av):
-            if x:
-                for j, y in enumerate(bv):
-                    prod[i + j] += x * y
-        out = [c % p for c in prod[:k]]
-        for i in range(k, 2 * k - 1):
-            c = prod[i] % p
-            if c:
-                red = self._red[i - k]
-                for j in range(k):
-                    out[j] = (out[j] + c * red[j]) % p
-        return FieldElement(self, tuple(out))
-
-    def inv(self, a):
-        """a^-1 = r / N(a) with r = a^p * a^(p^2) * ... * a^(p^(k-1)).  The
-        norm N(a) = a * r lies in F_p: k - 2 field products build r and one
-        more gives N(a)."""
-        if self.is_zero(a):
-            raise DivisionByZero(f"1/0 in {self}")
-        p = self.p
-        conj = r = self.frobenius(a)
-        for _ in range(self.k - 2):
-            conj = self.frobenius(conj)
-            r = self.mul(r, conj)
-        n_inv = pow(self.mul(a, r).value[0], -1, p)
-        return FieldElement(self, tuple(c * n_inv % p for c in r.value))
-
-    def is_zero(self, a):
-        return not any(a.value)
-
-    def _native(self, a):
-        return a
-
-    def frobenius(self, a: FieldElement) -> FieldElement:
-        """a^p, one product of the coefficient vector with the Frobenius matrix."""
-        p = self.p
-        out = [0] * self.k
-        for c, row in zip(a.value, self._frob):
-            if c:
-                for j, m in enumerate(row):
-                    out[j] += c * m
-        return FieldElement(self, tuple(x % p for x in out))
-
-    def sqrt(self, a):
-        if self.is_zero(a):
-            return (self.zero,)
-        q = self.order()
-        if self.pow(a, (q - 1) // 2) != self.one:
-            return ()
-        if q % 4 == 3:
-            r = self.pow(a, (q + 1) // 4)
-        else:
-            r = self._tonelli(a)
-        pair = sorted((r, self.neg(r)), key=self.sort_key)
-        return tuple(pair)
-
-    def _tonelli(self, a):
-        if self.is_zero(a):
-            return self.zero
-        q = self.order()
-        s, t = 0, q - 1
-        while t % 2 == 0:
-            s += 1
-            t //= 2
-        m, c = s, self.pow(self._non_residue(), t)
-        tt, r = self.pow(a, t), self.pow(a, (t + 1) // 2)
-        while tt != self.one:
-            i, t2 = 0, tt
-            while t2 != self.one:
-                t2 = self.mul(t2, t2)
-                i += 1
-            b = self.pow(c, 1 << (m - i - 1))
-            m, c = i, self.mul(b, b)
-            tt, r = self.mul(tt, c), self.mul(r, b)
-        return r
-
-    def _non_residue(self):
-        """The first quadratic non-residue in elements() order, found once per
-        field without enumerating the field.  For odd k an element of F_p is a
-        square in F_{p^k} exactly when it is one in F_p, so this is the least
-        non-residue mod p.  For even k the prime subfield (the first p
-        elements) consists of squares, so the Euler test starts at element p,
-        which is t."""
-        if self._nonresidue is None:
-            p = self.p
-            if self.k % 2:
-                c = next(c for c in count(2) if pow(c, (p - 1) // 2, p) == p - 1)
-                self._nonresidue = self.element(c)
-            else:
-                e = (self.order() - 1) // 2
-                self._nonresidue = next(z for z in map(self._element_at, count(p))
-                                        if self.pow(z, e) != self.one)
-        return self._nonresidue
-
-    def sort_key(self, a):
-        return tuple(reversed(a.value))
-
-    def to_str(self, a):
-        return ",".join(str(c) for c in a.value)
-
-    def from_str(self, s):
-        try:
-            return self.from_coeffs([int(c) for c in s.split(",")])
-        except ValueError as exc:
-            raise SerializationError(f"bad element {s!r} for {self}") from exc
-
-    def _element_at(self, n: int) -> FieldElement:
-        """Element n of elements(): the base-p digits of n, lowest first."""
-        coeffs = []
-        for _ in range(self.k):
-            n, c = divmod(n, self.p)
-            coeffs.append(c)
-        return FieldElement(self, tuple(coeffs))
-
-    def elements(self):
-        return map(self._element_at, range(self.order()))
-
-
 _FIELD_CACHE: dict = {}
 
 
@@ -771,6 +548,7 @@ def make_field(spec: FieldSpec) -> Field:
         elif spec.kind == "prime":
             _FIELD_CACHE[keyed] = PrimeField(spec)
         else:
+            from .extension import ExtensionField
             _FIELD_CACHE[keyed] = ExtensionField(spec)
     return _FIELD_CACHE[keyed]
 
@@ -792,94 +570,16 @@ def GF(p: int, k: int = 1, modulus=None) -> Field:
         if k == 1:
             spec = FieldSpec("prime", p=p)
         else:
+            from .extension import find_irreducible
             spec = FieldSpec("extension", p=p, k=k,
                              modulus=tuple(find_irreducible(p, k)) if modulus is None else args[2])
         _GF_CACHE[args] = make_field(spec)
     return _GF_CACHE[args]
 
 
-_EMBEDDING_CACHE: dict = {}
-
-
-def embedding(small: Field, big: "ExtensionField") -> "FieldEmbedding":
-    """The FieldEmbedding of small into big, built once per pair of fields."""
-    if (small, big) not in _EMBEDDING_CACHE:
-        _EMBEDDING_CACHE[small, big] = FieldEmbedding(small, big)
-    return _EMBEDDING_CACHE[small, big]
-
-
-class FieldEmbedding:
-    """Embedding of a prime or extension field into a larger extension field.
-
-    The image of the small field's generator is the least root (in sort_key
-    order) of its modulus in the big field, found by roots_in_field; pullback
-    solves the resulting linear system over F_p.
-    """
-
-    def __init__(self, small: Field, big: ExtensionField):
-        if small.characteristic != big.characteristic:
-            raise MixedFields("characteristic mismatch")
-        self.small = small
-        self.big = big
-        p = big.p
-        if isinstance(small, PrimeField):
-            self._basis = [big.one]
-        elif isinstance(small, ExtensionField):
-            if big.k % small.k != 0:
-                raise UnsupportedField(f"degree {small.k} does not divide {big.k}")
-            from .unipoly import UniPoly, roots_in_field
-            roots = roots_in_field(UniPoly(big, small.modulus))
-            if not roots:
-                raise UnsupportedField("modulus has no root in target field")
-            root = roots[0]
-            self._basis = [big.one]
-            for _ in range(small.k - 1):
-                self._basis.append(big.mul(self._basis[-1], root))
-        else:
-            raise UnsupportedField("can only embed finite fields")
-        # pullback matrix: columns are basis vectors over F_p
-        self._cols = [b.value for b in self._basis]
-        self.p = p
-
-    def embed(self, a: FieldElement) -> FieldElement:
-        if isinstance(self.small, PrimeField):
-            return self.big.element(a.value)
-        acc = self.big.zero
-        for c, b in zip(a.value, self._basis):
-            if c:
-                acc = self.big.add(acc, self.big.mul(self.big.element(c), b))
-        return acc
-
-    def pullback(self, a: FieldElement) -> FieldElement:
-        """Inverse image in the small field; raises if a is not in the image."""
-        p, n = self.p, self.big.k
-        m = len(self._cols)
-        # solve sum c_j * col_j = a.value over F_p by Gaussian elimination
-        rows = [[self._cols[j][i] for j in range(m)] + [a.value[i]] for i in range(n)]
-        piv = []
-        r = 0
-        for col in range(m):
-            sel = next((i for i in range(r, n) if rows[i][col] % p), None)
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = pow(rows[r][col], p - 2, p)
-            rows[r] = [(x * inv) % p for x in rows[r]]
-            for i in range(n):
-                if i != r and rows[i][col] % p:
-                    f = rows[i][col]
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-            piv.append(col)
-            r += 1
-        sol = [0] * m
-        for i, col in enumerate(piv):
-            sol[col] = rows[i][-1] % p
-        for i in range(r, n):
-            if rows[i][-1] % p:
-                raise MixedFields("element is not in the embedded subfield")
-        # verify (guards non-pivot columns)
-        cand = (self.small.element(sol[0]) if isinstance(self.small, PrimeField)
-                else self.small.from_coeffs(sol))
-        if self.embed(cand) != a:
-            raise MixedFields("element is not in the embedded subfield")
-        return cand
+def __getattr__(name):
+    if name not in ("ExtensionField", "FieldEmbedding", "embedding", "find_irreducible",
+                    "is_irreducible_mod_p"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import extension
+    return getattr(extension, name)

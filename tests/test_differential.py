@@ -13,7 +13,8 @@ from g2div.cantor import cantor_add, cantor_neg, cantor_scalar_mul, from_mumford
 from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, mumford_from_points, negate
 from g2div.errors import DegenerateCurve
-from g2div.fields import GF, QQ, ExtensionField
+from g2div.extension import ExtensionField
+from g2div.fields import GF, QQ
 from g2div.grouplaw import add_traced, double_traced, scalar_mul
 
 TAGS = {"neutral", "inverse", "add_points", "add_special", "generic", "double",

@@ -7,17 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2div.errors import DivisionByZero, MixedFields, NoSquareRoot, UnsupportedField
-from g2div.fields import (
-    GF,
-    QQ,
-    FieldEmbedding,
-    FieldSpec,
-    find_irreducible,
-    is_irreducible_mod_p,
-    is_prime,
-    tonelli_shanks,
-)
+from g2div.errors import (DivisionByZero, G2DivError, MixedFields, NoSquareRoot,
+                          SerializationError, UnsupportedField)
+from g2div.extension import FieldEmbedding, find_irreducible, is_irreducible_mod_p
+from g2div.fields import GF, QQ, FieldSpec, is_prime, tonelli_shanks
 
 FIELDS = [QQ(), GF(7), GF(11), GF(1009), GF(7, 2), GF(13, 2), GF(7, 4)]
 
@@ -252,6 +245,32 @@ def test_element_string_round_trip():
         for _ in range(40):
             a = _sample(field, rng)
             assert field.from_str(field.to_str(a)) == a
+
+
+def _outcome(parse, field, s):
+    """The element parse(field, s) gives, or the type and message of its error."""
+    try:
+        return parse(field, s)
+    except G2DivError as exc:
+        return type(exc), str(exc)
+
+
+def _fraction_parse(field, s):
+    try:
+        return field.element(Fraction(s))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SerializationError(f"bad element {s!r} for {field}") from exc
+
+
+@pytest.mark.parametrize("p", (7, 2 ** 40 - 87))
+@pytest.mark.parametrize("s", ("3", " -3 ", "+10", "1_000", "\u0663", "\u00b2", "3/4", "1.5",
+                               "1e3", "", "0x10", "1/0", "1/7"))
+def test_prime_from_str_parses_as_fraction(p, s):
+    # from_str tries int first; it must give what this interpreter's Fraction
+    # gives ("1_000" parses from Python 3.11 only), for an Arabic-Indic digit
+    # (U+0663) and a superscript (U+00B2) too
+    F = GF(p)
+    assert _outcome(type(F).from_str, F, s) == _outcome(_fraction_parse, F, s)
 
 
 def test_embedding_round_trip():

@@ -11,8 +11,8 @@ import pytest
 import g2div
 from g2div import grouplaw
 from g2div.cantor import CantorDivisor, from_mumford
-from g2div.curves import CanonicalCurve
-from g2div.divisors import MumfordDivisor
+from g2div.curves import CanonicalCurve, curve_from_json
+from g2div.divisors import MumfordDivisor, divisor_from_json, divisor_to_json
 from g2div.errors import DegenerateCurve, SerializationError, UnsupportedField
 from g2div.fields import GF, FieldSpec
 from g2div.models import GeneralCurve
@@ -28,13 +28,14 @@ D1 = {"type": "nonspecial", "alpha": ["6", "0"], "beta": ["5", "6"]}
 
 
 def loaded_after(code):
-    """The g2div and dataclasses modules a fresh interpreter holds after code."""
+    """The g2div, dataclasses, fractions and decimal modules a fresh
+    interpreter holds after code."""
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     return {m for m in json.loads(out.splitlines()[-1])
-            if m == "dataclasses" or m.startswith("g2div")}
+            if m in ("dataclasses", "fractions", "decimal") or m.startswith("g2div")}
 
 
 @pytest.fixture
@@ -92,6 +93,29 @@ def test_group_law_verbs_load_exactly_their_modules(files):
             "g2div.divisors", "g2div.grouplaw", "g2div.cli"}, argv
 
 
+def test_prime_field_verbs_load_neither_extension_nor_fractions():
+    c, d1, d2 = (str(DATA / name) for name in ("c7.json", "c7_d1.json", "c7_d2.json"))
+    loaded = loaded_after(cli_calls(
+        ["jac", "verify", d1, "--curve", c], ["jac", "add", d1, d2, "--curve", c],
+        ["jac", "double", d1, "--curve", c], ["jac", "mul", "5", d2, "--curve", c],
+        ["oracle", "enumerate", "--curve", c],
+        ["torsion", "check", "--n", "2", "--divisor", d1, "--curve", c]))
+    assert {"g2div.grouplaw", "g2div.cantor", "g2div.torsion"} <= loaded
+    assert not loaded & {"g2div.extension", "fractions", "decimal"}
+
+
+def test_extension_field_jac_add_loads_extension_and_matches_library():
+    c, d1, d2 = (DATA / name for name in ("c49.json", "c49_d1.json", "c49_d2.json"))
+    argv = ["jac", "add", str(d1), str(d2), "--curve", str(c)]
+    assert "g2div.extension" in loaded_after(cli_calls(argv))
+    out = subprocess.run([sys.executable, "-m", "g2div.cli", *argv],
+                         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    curve = curve_from_json(json.loads(c.read_text()))
+    ds = [divisor_from_json(curve.field, json.loads(d.read_text())) for d in (d1, d2)]
+    assert json.loads(out) == divisor_to_json(grouplaw.add(*ds, curve))
+
+
 def test_verify_and_oracle_verbs_load_no_grouplaw(files):
     c, d = files
     for argv in (["jac", "verify", d, "--curve", c], ["oracle", "enumerate", "--curve", c],
@@ -131,6 +155,12 @@ def test_lazy_exports_resolve():
     assert namespace["scalar_mul"] is grouplaw.scalar_mul
     with pytest.raises(AttributeError):
         g2div.no_such_name
+    from g2div import extension, fields
+    for name in ("ExtensionField", "FieldEmbedding", "embedding", "find_irreducible",
+                 "is_irreducible_mod_p"):
+        assert getattr(fields, name) is getattr(extension, name)
+    with pytest.raises(AttributeError):
+        fields.no_such_name
 
 
 # ---------------------------------------------------------------------------

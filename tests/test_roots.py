@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from g2div import cantor, cli, fields
+from g2div import cantor, cli, extension, fields
 from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, mumford_from_points, points_from_mumford
 from g2div.errors import DivisionByZero
-from g2div.fields import GF, ExtensionField, Field, FieldEmbedding, PrimeField, RationalField
+from g2div.extension import ExtensionField, FieldEmbedding
+from g2div.fields import GF, Field, PrimeField, RationalField
 from g2div.models import GeneralCurve, to_canonical
 from g2div.torsion import find_n_torsion
 from g2div.unipoly import UniPoly, factors_of_degree, roots_in_field
@@ -121,7 +122,7 @@ def _irreducible_support_divisor(curve, rng):
     quadratic extension."""
     F = curve.field
     big = GF(F.characteristic, 2 * getattr(F, "k", 1))
-    emb = fields.embedding(F, big)
+    emb = extension.embedding(F, big)
     bcurve = CanonicalCurve(big, tuple(emb.embed(c) for c in curve.lam))
     q = F.order()
     while True:
@@ -145,7 +146,7 @@ def test_no_entry_point_enumerates_a_field(monkeypatch):
 
     for cls in (Field, RationalField, PrimeField, ExtensionField):
         monkeypatch.setattr(cls, "elements", _refuse)
-    monkeypatch.setattr(fields, "_EMBEDDING_CACHE", {})
+    monkeypatch.setattr(extension, "_EMBEDDING_CACHE", {})
     for F in (GF(31, 2), GF(1009, 2), GF(31, 4)):
         monkeypatch.setattr(F, "_nonresidue", None)
 

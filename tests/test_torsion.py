@@ -19,7 +19,8 @@ from g2div.divisors import (
     points_from_mumford,
 )
 from g2div.errors import CharacteristicTooSmall, DegenerateCurve, GammaUndefined, SerializationError
-from g2div.fields import GF, QQ, FieldEmbedding
+from g2div.extension import FieldEmbedding
+from g2div.fields import GF, QQ
 from g2div.grouplaw import double_traced, scalar_mul, tangent_data
 from g2div.polyring import PolyRing, resultant
 from g2div.torsion import (
