@@ -25,7 +25,7 @@ class CantorDivisor(namedtuple("CantorDivisor", "u v")):
     __slots__ = ()
 
     def __new__(cls, u: UniPoly, v: UniPoly):
-        if not u.is_zero() and u.lead() != u.field.one:
+        if u._c and u._c[-1] != u.field._native_one:
             raise SerializationError("u must be monic")
         return super().__new__(cls, u, v)
 
@@ -101,24 +101,28 @@ def cantor_scalar_mul(n: int, a: CantorDivisor, curve: CanonicalCurve) -> Cantor
 # Mumford bridge
 
 def to_mumford(d: CantorDivisor) -> MumfordDivisor:
+    """The Mumford coordinates, built from the native coefficients: each one
+    becomes an element only in MumfordDivisor."""
     F = d.u.field
+    red, u = F._reduce, d.u._c
     if d.degree() == 0:
         return MumfordDivisor.neutral(F)
+    v = d.v._c + (F._native_zero,) * (len(u) - 1 - len(d.v._c))
     if d.degree() == 1:
-        x0 = -d.u[0]
-        return MumfordDivisor.special(F, x0, d.v[0])
-    return MumfordDivisor.nonspecial(F, d.u[1], d.u[0], -d.v[1], -d.v[0])
+        return MumfordDivisor.special(F, red(-u[0]), v[0])
+    return MumfordDivisor.nonspecial(F, u[1], u[0], red(-v[1]), red(-v[0]))
 
 
 def from_mumford(m: MumfordDivisor) -> CantorDivisor:
     F = m.field
     if m.variant == NEUTRAL:
         return neutral_divisor(F)
+    red, one, make = F._reduce, F._native_one, UniPoly._make
     if m.variant == SPECIAL:
-        x0, y0 = m.coords
-        return CantorDivisor(UniPoly(F, [-x0, 1]), UniPoly(F, [y0]))
-    a2, a4, b3, b5 = m.coords
-    return CantorDivisor(UniPoly(F, [a4, a2, 1]), UniPoly(F, [-b5, -b3]))
+        x0, y0 = map(F._native, m.coords)
+        return CantorDivisor(make(F, [red(-x0), one]), make(F, [y0]))
+    a2, a4, b3, b5 = map(F._native, m.coords)
+    return CantorDivisor(make(F, [a4, a2, one]), make(F, [red(-b5), red(-b3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +177,24 @@ def enumerate_jacobian(curve: CanonicalCurve, limit: int = 31):
     if p > limit:
         raise UnsupportedField(f"p={p} above the desk-scale cap {limit}")
     f = curve.px()
+    make = UniPoly._make
     out = [neutral_divisor(F)]
     # degree 1: u = x - a, v = c with c^2 = P(a)
     for a in F.elements():
         val = f.evaluate(a)
         for c in F.sqrt(val):
-            out.append(CantorDivisor(UniPoly(F, [-a, 1]), UniPoly(F, [c])))
+            out.append(CantorDivisor(make(F, [-a.value % p, 1]), make(F, [c.value])))
     # degree 2: u = x^2 + u1 x + u0, v = v1 x + v0 with u | v^2 - P, on residues
     # mod p: v^2 mod u = (2 v1 v0 - v1^2 u1) x + (v0^2 - v1^2 u0) = P mod u
     for u1 in range(p):
         for u0 in range(p):
-            u = UniPoly(F, [u0, u1, 1])
-            fr = f % u
-            r0, r1 = fr[0].value, fr[1].value
+            u = make(F, [u0, u1, 1])
+            r0, r1 = ((f % u)._c + (0, 0))[:2]
             for v1 in range(p):
                 w1, w0 = v1 * v1 * u1 + r1, v1 * v1 * u0 + r0
                 for v0 in range(p):
                     if (2 * v1 * v0 - w1) % p == 0 and (v0 * v0 - w0) % p == 0:
-                        out.append(CantorDivisor(u, UniPoly(F, [v0, v1])))
+                        out.append(CantorDivisor(u, make(F, [v0, v1])))
     return out
 
 

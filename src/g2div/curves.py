@@ -30,8 +30,8 @@ class CanonicalCurve(namedtuple("CanonicalCurve", "field lam")):
 
     # -- polynomial views ------------------------------------------------------
     def px(self) -> UniPoly:
-        l2, l4, l6, l8, l10 = self.lam
-        return UniPoly(self.field, [l10, l8, l6, l4, l2, self.field.one])
+        F = self.field
+        return UniPoly._make(F, [F._native(c) for c in reversed(self.lam)] + [F._native_one])
 
     def dpx(self) -> UniPoly:
         return self.px().derivative()

@@ -120,8 +120,8 @@ def mumford_from_points(curve: CanonicalCurve, p1, p2) -> MumfordDivisor:
 def _chord(x1, y1, x2, y2):
     """(a2, a4, b3, b5) of the support {(x1, y1), (x2, y2)}, x1 != x2: the
     line y + b3*x + b5 through both points."""
-    dx = x1 - x2
-    return -(x1 + x2), x1 * x2, -(y1 - y2) / dx, (x2 * y1 - x1 * y2) / dx
+    inv = x1.field.inv(x1 - x2)
+    return -(x1 + x2), x1 * x2, (y2 - y1) * inv, (x2 * y1 - x1 * y2) * inv
 
 
 def points_from_mumford(d: MumfordDivisor, curve: CanonicalCurve):

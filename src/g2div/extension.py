@@ -64,6 +64,7 @@ class ExtensionField(Field):
         self.modulus = spec.modulus
         self._nonresidue = None  # see _non_residue
         self._native_zero = FieldElement(self, (0,) * k)
+        self._native_one = FieldElement(self, (1,) + (0,) * (k - 1))
         # reduction table: _red[i] represents t^(k+i) as a degree < k vector
         self._red = [tuple((-m) % p for m in self.modulus[:-1])]
         for _ in range(k - 2):

@@ -296,14 +296,17 @@ class Field:
 
     # -- native values --------------------------------------------------------
     # The group law's hot branches (the generic sum and the single-pass
-    # doubling) compute on native values: int for F_p (reduced only by
-    # _reduce), an int or a Fraction for Q, and the element itself for
-    # F_{p^k}.  coerce turns any of them back into an element; _invert takes
-    # one, reduced or not, to its reduced native inverse (over F_p one pow,
-    # no element built; over Q a Fraction) and is the doubling's zero test.
-    # Each field sets _native_zero in __init__: an attribute added later (as
-    # by functools.cached_property) moves the instance's attributes out of
-    # CPython's inline-values layout and slows every self.p and self._reduce.
+    # doubling), UniPoly and the Cantor oracle compute on native values: int
+    # for F_p (reduced only by _reduce), an int or a Fraction for Q, and the
+    # element itself for F_{p^k}.  coerce turns any of them back into an
+    # element; _invert takes one, reduced or not, to its reduced native
+    # inverse (over F_p one pow, no element built; over Q a Fraction) and is
+    # the doubling's zero test.  Each field sets _native_zero and _native_one
+    # in __init__: an attribute added later (as by functools.cached_property)
+    # moves the instance's attributes out of CPython's inline-values layout
+    # and slows every self.p and self._reduce.  _native_one has no class
+    # default, so a field without one fails at once instead of building a
+    # polynomial whose None coefficient _make strips as zero.
     _native_zero = None
 
     def _native(self, a):
@@ -351,7 +354,7 @@ class RationalField(Field):
     def __init__(self, spec: FieldSpec):
         from fractions import Fraction
         self.spec = spec
-        self._native_zero = 0
+        self._native_zero, self._native_one = 0, 1
         self._fraction = Fraction
 
     def key(self):
@@ -424,7 +427,7 @@ class PrimeField(Field):
         self.spec = spec
         self.p = spec.p
         self.characteristic = spec.p
-        self._native_zero = 0
+        self._native_zero, self._native_one = 0, 1
 
     def key(self):
         return ("prime", self.p)

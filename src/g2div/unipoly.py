@@ -38,15 +38,15 @@ class UniPoly:
 
     @staticmethod
     def zero(field: Field) -> "UniPoly":
-        return UniPoly(field, [])
+        return UniPoly._make(field, [])
 
     @staticmethod
     def one(field: Field) -> "UniPoly":
-        return UniPoly(field, [1])
+        return UniPoly._make(field, [field._native_one])
 
     @staticmethod
     def x(field: Field) -> "UniPoly":
-        return UniPoly(field, [0, 1])
+        return UniPoly._make(field, [field._native_zero, field._native_one])
 
     @staticmethod
     def constant(field: Field, c) -> "UniPoly":
@@ -141,10 +141,12 @@ class UniPoly:
     def scale(self, c) -> "UniPoly":
         F = self.field
         c = F._native(F.coerce(c))
-        if not c:
-            return UniPoly._make(F, [])
-        red = F._reduce
-        return UniPoly._make(F, [red(a * c) for a in self._c])
+        return self._scaled(c) if c else UniPoly._make(F, [])
+
+    def _scaled(self, c) -> "UniPoly":
+        """self times the nonzero reduced native c."""
+        red = self.field._reduce
+        return UniPoly._make(self.field, [red(a * c) for a in self._c])
 
     def shift(self, n: int) -> "UniPoly":
         """Multiply by x^n."""
@@ -161,7 +163,7 @@ class UniPoly:
         rem = list(self._c)
         db = len(b) - 1
         lead = b[-1]
-        inv_lead = None if lead == 1 else F._invert(lead)
+        inv_lead = None if lead == F._native_one else F._invert(lead)
         low = b[:-1]  # the leading term cancels by construction
         q = [F._native_zero] * max(len(rem) - db, 1)
         while len(rem) > db:
@@ -189,9 +191,9 @@ class UniPoly:
         return q
 
     def monic(self) -> "UniPoly":
-        if self.is_zero():
+        if not self._c or self._c[-1] == self.field._native_one:
             return self
-        return self.scale(self.field.inv(self.lead()))
+        return self._scaled(self.field._invert(self._c[-1]))
 
     def derivative(self) -> "UniPoly":
         red = self.field._reduce
@@ -233,7 +235,7 @@ class UniPoly:
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     while not b.is_zero():
         a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return a.monic()
 
 
 def xgcd(a: UniPoly, b: UniPoly):
@@ -247,10 +249,10 @@ def xgcd(a: UniPoly, b: UniPoly):
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
+    if not r0._c or r0._c[-1] == F._native_one:
         return r0, s0, t0
-    c = F.inv(r0.lead())
-    return r0.scale(c), s0.scale(c), t0.scale(c)
+    c = F._invert(r0._c[-1])
+    return r0._scaled(c), s0._scaled(c), t0._scaled(c)
 
 
 def resultant(a: UniPoly, b: UniPoly) -> FieldElement:
