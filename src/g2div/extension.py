@@ -77,9 +77,6 @@ class ExtensionField(Field):
         t, m = UniPoly.x(GF(p)), UniPoly(GF(p), self.modulus)
         self._frob = [tuple(powmod(t, i * p, m)[j].value for j in range(k)) for i in range(k)]
 
-    def key(self):
-        return ("extension", self.p, self.k, self.modulus)
-
     def short_name(self):
         return f"F{self.p}^{self.k}"
 
@@ -90,10 +87,7 @@ class ExtensionField(Field):
         if isinstance(raw, int):  # before the slower isinstance against the Rational ABC
             return FieldElement(self, (raw % self.p,) + (0,) * (self.k - 1))
         if isinstance(raw, Rational):
-            if raw.denominator % self.p == 0:
-                raise DivisionByZero(f"denominator divisible by {self.p}")
-            v = raw.numerator * pow(raw.denominator, self.p - 2, self.p) % self.p
-            return FieldElement(self, (v,) + (0,) * (self.k - 1))
+            return FieldElement(self, (GF(self.p).element(raw).value,) + (0,) * (self.k - 1))
         raise MixedFields(f"cannot build {self} element from {raw!r}")
 
     def from_coeffs(self, coeffs) -> FieldElement:
@@ -166,55 +160,19 @@ class ExtensionField(Field):
                     out[j] += c * m
         return FieldElement(self, tuple(x % p for x in out))
 
-    def sqrt(self, a):
-        if self.is_zero(a):
-            return (self.zero,)
-        q = self.order()
-        if self.pow(a, (q - 1) // 2) != self.one:
-            return ()
-        if q % 4 == 3:
-            r = self.pow(a, (q + 1) // 4)
-        else:
-            r = self._tonelli(a)
-        pair = sorted((r, self.neg(r)), key=self.sort_key)
-        return tuple(pair)
-
-    def _tonelli(self, a):
-        if self.is_zero(a):
-            return self.zero
-        q = self.order()
-        s, t = 0, q - 1
-        while t % 2 == 0:
-            s += 1
-            t //= 2
-        m, c = s, self.pow(self._non_residue(), t)
-        tt, r = self.pow(a, t), self.pow(a, (t + 1) // 2)
-        while tt != self.one:
-            i, t2 = 0, tt
-            while t2 != self.one:
-                t2 = self.mul(t2, t2)
-                i += 1
-            b = self.pow(c, 1 << (m - i - 1))
-            m, c = i, self.mul(b, b)
-            tt, r = self.mul(tt, c), self.mul(r, b)
-        return r
-
     def _non_residue(self):
         """The first quadratic non-residue in elements() order, found once per
         field without enumerating the field.  For odd k an element of F_p is a
-        square in F_{p^k} exactly when it is one in F_p, so this is the least
-        non-residue mod p.  For even k the prime subfield (the first p
+        square in F_{p^k} exactly when it is one in F_p, so this is GF(p)'s
+        least non-residue.  For even k the prime subfield (the first p
         elements) consists of squares, so the Euler test starts at element p,
         which is t."""
         if self._nonresidue is None:
-            p = self.p
             if self.k % 2:
-                c = next(c for c in count(2) if pow(c, (p - 1) // 2, p) == p - 1)
-                self._nonresidue = self.element(c)
+                self._nonresidue = self.element(GF(self.p)._non_residue().value)
             else:
-                e = (self.order() - 1) // 2
-                self._nonresidue = next(z for z in map(self._element_at, count(p))
-                                        if self.pow(z, e) != self.one)
+                self._nonresidue = next(z for z in map(self._element_at, count(self.p))
+                                        if not self.is_square(z))
         return self._nonresidue
 
     def sort_key(self, a):
@@ -236,9 +194,6 @@ class ExtensionField(Field):
             n, c = divmod(n, self.p)
             coeffs.append(c)
         return FieldElement(self, tuple(coeffs))
-
-    def elements(self):
-        return map(self._element_at, range(self.order()))
 
 
 _EMBEDDING_CACHE: dict = {}

@@ -213,9 +213,6 @@ class Field:
     spec: FieldSpec
 
     # -- identification -----------------------------------------------------
-    def key(self):
-        raise NotImplementedError
-
     def __eq__(self, other):
         return self is other
 
@@ -302,7 +299,8 @@ class Field:
     # element; _invert takes one, reduced or not, to its reduced native
     # inverse (over F_p one pow, no element built; over Q a Fraction) and is
     # the doubling's zero test.  Each field sets _native_zero and _native_one
-    # in __init__: an attribute added later (as by functools.cached_property)
+    # (and a finite field the _nonresidue cache of _non_residue) in __init__:
+    # an attribute added later (as by functools.cached_property)
     # moves the instance's attributes out of CPython's inline-values layout
     # and slows every self.p and self._reduce.  _native_one has no class
     # default, so a field without one fails at once instead of building a
@@ -320,9 +318,35 @@ class Field:
         return self._native(self.inv(self.coerce(v)))
 
     # -- square roots ---------------------------------------------------------
+    # For the finite fields; RationalField overrides sqrt and is_square.
     def sqrt(self, a) -> tuple:
-        """All square roots of a, deterministically sorted; () is the no-root marker."""
-        raise NotImplementedError
+        """All square roots of a, sorted by sort_key; () is the no-root marker.
+
+        One power when q = 3 mod 4; otherwise Tonelli-Shanks with the cached
+        _non_residue(), on q - 1 = 2^s * t with t odd."""
+        if self.is_zero(a):
+            return (self.zero,)
+        if not self.is_square(a):
+            return ()
+        q, one, mul = self.order(), self.one, self.mul
+        if q % 4 == 3:
+            r = self.pow(a, (q + 1) // 4)
+        else:
+            s, t = 0, q - 1
+            while t % 2 == 0:
+                s += 1
+                t //= 2
+            m, c = s, self.pow(self._non_residue(), t)
+            tt, r = self.pow(a, t), self.pow(a, (t + 1) // 2)
+            while tt != one:
+                i, t2 = 0, tt
+                while t2 != one:
+                    t2 = mul(t2, t2)
+                    i += 1
+                b = self.pow(c, 1 << (m - i - 1))
+                m, c = i, mul(b, b)
+                tt, r = mul(tt, c), mul(r, b)
+        return tuple(sorted((r, self.neg(r)), key=self.sort_key))
 
     def sqrt_exact(self, a) -> FieldElement:
         roots = self.sqrt(a)
@@ -331,7 +355,8 @@ class Field:
         return roots[0]
 
     def is_square(self, a) -> bool:
-        return bool(self.sqrt(a))
+        """Euler's criterion: a^((q-1)/2) is 0 or 1."""
+        return self.is_zero(a) or self.pow(a, (self.order() - 1) // 2) == self.one
 
     # -- order / serialization -------------------------------------------------
     def sort_key(self, a):
@@ -345,7 +370,9 @@ class Field:
 
     def elements(self):
         """Iterate all elements (finite fields only), deterministic order."""
-        raise UnsupportedField(f"{self} is not finite")
+        if self.order() is None:
+            raise UnsupportedField(f"{self} is not finite")
+        return map(self._element_at, range(self.order()))
 
 
 class RationalField(Field):
@@ -356,9 +383,6 @@ class RationalField(Field):
         self.spec = spec
         self._native_zero, self._native_one = 0, 1
         self._fraction = Fraction
-
-    def key(self):
-        return ("rational",)
 
     def short_name(self):
         return "Q"
@@ -382,6 +406,11 @@ class RationalField(Field):
         if not a.value:
             raise DivisionByZero("1/0 in Q")
         return FieldElement(self, 1 / a.value)
+
+    def _invert(self, v):
+        if not v:
+            raise DivisionByZero("1/0 in Q")
+        return self._reduce(1 / self._fraction(v))
 
     def is_zero(self, a):
         return not a.value
@@ -408,6 +437,9 @@ class RationalField(Field):
         r = self._fraction(rn, rd)
         return (FieldElement(self, -r), FieldElement(self, r))
 
+    def is_square(self, a):
+        return bool(self.sqrt(a))
+
     def sort_key(self, a):
         return (a.value.numerator, a.value.denominator)
 
@@ -428,9 +460,7 @@ class PrimeField(Field):
         self.p = spec.p
         self.characteristic = spec.p
         self._native_zero, self._native_one = 0, 1
-
-    def key(self):
-        return ("prime", self.p)
+        self._nonresidue = None  # see _non_residue
 
     def short_name(self):
         return f"F{self.p}"
@@ -481,15 +511,12 @@ class PrimeField(Field):
         except ValueError:  # v is a multiple of p
             raise DivisionByZero(f"1/0 in {self}") from None
 
-    def sqrt(self, a):
-        v = a.value
-        if v == 0:
-            return (self.zero,)
-        if pow(v, (self.p - 1) // 2, self.p) != 1:
-            return ()
-        r = tonelli_shanks(v, self.p)
-        pair = sorted((r, self.p - r))
-        return tuple(FieldElement(self, x) for x in pair)
+    def _non_residue(self) -> FieldElement:
+        """The least quadratic non-residue mod p, found on first use."""
+        if self._nonresidue is None:
+            self._nonresidue = next(z for z in map(self._element_at, range(2, self.p))
+                                    if not self.is_square(z))
+        return self._nonresidue
 
     def sort_key(self, a):
         return a.value
@@ -511,33 +538,6 @@ class PrimeField(Field):
 
     def _element_at(self, n: int) -> FieldElement:
         return FieldElement(self, n)
-
-    def elements(self):
-        for v in range(self.p):
-            yield FieldElement(self, v)
-
-
-def tonelli_shanks(n: int, p: int) -> int:
-    """A square root of n mod p for an odd prime p; n must be a QR."""
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    s, q = 0, p - 1
-    while q % 2 == 0:
-        s += 1
-        q //= 2
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 _FIELD_CACHE: dict = {}

@@ -127,18 +127,17 @@ def tangent_data(curve: CanonicalCurve, D: MumfordDivisor) -> TangentData:
 
     Uses y1*y2 = b3^2*a4 - a2*b3*b5 + b5^2 and the symmetric difference
     quotients of P'; equals the pointwise slope formulas wherever the
-    support has distinct x and no branch point."""
+    support has distinct x and no branch point.  Computed on native values."""
     F = curve.field
-    a2, a4, b3, b5 = D.coords
-    n = _y1y2(a2, a4, b3, b5)
-    if F.is_zero(n):
+    red = F._reduce
+    a2, a4, b3, b5 = _natives(D)
+    n = red(_y1y2(a2, a4, b3, b5))
+    if not n:
         raise BranchPointInSupport("branch point in support: slopes undefined")
-    return _tangent_from(F, a2, b3, n, *_tangent_numerators(a2, a4, b3, b5, *curve.lam[:4]))
-
-
-def _tangent_from(F, a2, b3, n, num3, num5) -> TangentData:
-    inv2n = F.inv(n + n)
-    return TangentData(F.element(-2), -a2, num3 * inv2n, num5 * inv2n - b3)
+    num3, num5 = _tangent_numerators(a2, a4, b3, b5, *_lam_natives(curve))
+    inv2n = F._invert(n + n)
+    return TangentData(F.element(-2), -D.a2, F.coerce(red(num3 * inv2n)),
+                       F.coerce(red(num5 * inv2n - b3)))
 
 
 def _slope_tangent(F, p1, p2, s1, s2) -> TangentData:
@@ -374,12 +373,10 @@ def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) 
     return _weight5_sum(F, _gamma_r5(P.coords, g1), P.a2 + Q.a2, curve.lam[0])
 
 
-def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve,
-                      tang: TangentData = None) -> MumfordDivisor:
+def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
     """Duplication landing on a single point: 2Q ~ (x, y) - inf."""
     F = curve.field
-    if tang is None:
-        tang = tangent_data(curve, Q)
+    tang = tangent_data(curve, Q)
     a2 = Q.a2
     if not F.is_zero(_duplication_denominator(a2, tang.b3p, tang.b5p)):
         raise ConditionViolated("2Q is not special: use the generic doubling")
@@ -468,9 +465,7 @@ def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
         x = Q.b5 / Q.b3 - Q.a2
         other = (x, -(Q.b3 * x + Q.b5))
         return mumford_from_points(curve, other, other), "double"
-    num3, num5 = map(red, _tangent_numerators(a2, a4, b3, b5, *lam))
-    tang = _tangent_from(F, Q.a2, Q.b3, *map(F.coerce, (n, num3, num5)))
-    return double_to_special(Q, curve, tang), "double_to_special"
+    return double_to_special(Q, curve), "double_to_special"
 
 
 def _y_taylor(curve: CanonicalCurve, xs, ys) -> tuple:

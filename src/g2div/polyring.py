@@ -74,7 +74,7 @@ class PolyRing:
         self._slots = Struct(f"<{len(variables)}H")  # SLOT is 16 bits
 
     def key(self):
-        return (self.field.key(), self.variables, self.weights)
+        return (self.field, self.variables, self.weights)
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.key() == other.key()
@@ -300,16 +300,13 @@ class WeightedPoly:
     # -- calculus / substitution ---------------------------------------------------
     def substitute(self, bindings: dict) -> "WeightedPoly":
         """Simultaneous substitution var -> WeightedPoly/FieldElement/int."""
-        return self._transport(self.ring, bindings, None)
+        return self.transport(self.ring, bindings)
 
-    def transport(self, target: PolyRing, var_images: dict, coeff_map=None) -> "WeightedPoly":
-        """Rebuild in another ring; var_images maps names to target polynomials."""
-        if coeff_map is None:
-            coeff_map = lambda c: target.field.coerce(c.value)
-        return self._transport(target, var_images, coeff_map)
+    def transport(self, target: PolyRing, var_images: dict) -> "WeightedPoly":
+        """Rebuild in another ring; var_images maps names to target polynomials.
 
-    def _transport(self, target: PolyRing, var_images: dict, coeff_map) -> "WeightedPoly":
-        """coeff_map takes and returns FieldElements; None keeps the natives."""
+        A coefficient keeps its native value when the fields agree and is
+        coerced into the target field otherwise."""
         ring = self.ring
         images = {ring.index[name]: v if isinstance(v, WeightedPoly) else target.const(v)
                   for name, v in var_images.items()}
@@ -320,12 +317,12 @@ class WeightedPoly:
                 else:
                     raise MixedFields(f"no image for variable {name}")
         pow_cache: dict = {}
-        coerce, guard = ring.field.coerce, target._guard
+        same_field, guard = target.field is ring.field, target._guard
         out: dict = {}
         get = out.get
         zero = target.field._native_zero
         for e, c in self._terms.items():
-            t = {0: c} if coeff_map is None else target.const(coeff_map(coerce(c)))._terms
+            t = {0: c} if same_field else target.const(c)._terms
             for i, k in enumerate(ring._unpack(e)):
                 if k and t:
                     if (i, k) not in pow_cache:

@@ -360,7 +360,7 @@ def emit_division_polynomials(n: int, coords: str, curve: CanonicalCurve = None)
         target = _ring(F, keep, keep_w)
         images = {v: target.var(v) for v in keep}
         images.update({v: target.const(values[v]) for v in lam_names})
-        out.append(poly.transport(target, images, lambda c: F.element(c.value)))
+        out.append(poly.transport(target, images))
     return DivisionPolySet(n, coords, result.names, tuple(out))
 
 

@@ -77,7 +77,7 @@ class UniPoly:
                 and self._c == other._c)
 
     def __hash__(self):
-        return hash((self.field.key(), tuple(c.value for c in self.coeffs)))
+        return hash((self.field, self._c))
 
     def __add__(self, other):
         a, b = self._c, self._lift(other)._c

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from g2div.errors import (DivisionByZero, G2DivError, MixedFields, NoSquareRoot,
                           SerializationError, UnsupportedField)
 from g2div.extension import FieldEmbedding, find_irreducible, is_irreducible_mod_p
-from g2div.fields import GF, QQ, FieldSpec, is_prime, tonelli_shanks
+from g2div.fields import GF, QQ, FieldSpec, is_prime
 
 FIELDS = [QQ(), GF(7), GF(11), GF(1009), GF(7, 2), GF(13, 2), GF(7, 4)]
 
@@ -56,7 +56,9 @@ def test_sqrt_f7_both_roots(f7):
 
 
 def test_sqrt_matches_exhaustive_search():
-    for field in (GF(11), GF(13), GF(7, 2)):
+    # GF(17) and GF(41) run Tonelli-Shanks with s = 4 and 3; GF(13, 3) is odd
+    # degree with q = 1 mod 4, so its non-residue comes from GF(13)
+    for field in (GF(11), GF(13), GF(17), GF(41), GF(7, 2), GF(13, 3)):
         squares = {}
         for x in field.elements():
             squares.setdefault((x * x).value, []).append(x)
@@ -64,6 +66,7 @@ def test_sqrt_matches_exhaustive_search():
             roots = field.sqrt(a)
             expected = sorted(squares.get(a.value, []), key=field.sort_key)
             assert list(roots) == expected
+            assert field.is_square(a) == bool(roots)
             for r in roots:
                 assert r * r == a
 
@@ -80,7 +83,7 @@ def test_extension_sqrt_with_cached_non_residue():
             a = _sample(field, rng)
             assert field.sqrt(a * a) == tuple(sorted({a, -a}, key=field.sort_key))
         assert field._non_residue() is field._non_residue() == first
-        assert field.is_zero(field._tonelli(field.zero))
+        assert field.sqrt(field.zero) == (field.zero,)
 
 
 def test_sqrt_no_root_marker(f7):
@@ -98,11 +101,11 @@ def test_rational_sqrt():
 
 
 def test_tonelli_shanks_nontrivial():
-    p = 1009  # p % 4 == 1 exercises the full loop
+    F = GF(1009)  # p % 4 == 1 exercises the full loop
     for n in (5, 17, 100):
-        if pow(n, (p - 1) // 2, p) == 1:
-            r = tonelli_shanks(n, p)
-            assert r * r % p == n
+        if pow(n, (F.p - 1) // 2, F.p) == 1:
+            roots = F.sqrt(F.element(n))
+            assert len(roots) == 2 and all(r * r == n for r in roots)
 
 
 def test_find_irreducible_examples():

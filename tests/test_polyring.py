@@ -334,7 +334,7 @@ def test_native_transport(xyz):
     for _ in range(30):
         p = diff_poly(xyz, rng)
         c = diff_coeff(F, rng)
-        moved = p.transport(xy, {"x": x + y, "z": c}, lambda v: v)
+        moved = p.transport(xy, {"x": x + y, "z": c})
         images = [RefPoly.of(x + y), RefPoly.of(y), RefPoly.of(xy.const(c))]
         assert RefPoly.of(moved) == RefPoly.of(p).substitute(images)
     if F.order() is None:
@@ -343,7 +343,7 @@ def test_native_transport(xyz):
         target = PolyRing(F7, xyz.variables, xyz.weights)
         for _ in range(30):
             p = diff_poly(xyz, rng)
-            moved = p.transport(target, {}, lambda v: F7.element(v.value))
+            moved = p.transport(target, {})
             want = {e: F7.element(v.value) for e, v in p.terms()}
             assert RefPoly.of(moved) == RefPoly(F7, 3, want)
     else:

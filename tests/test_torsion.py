@@ -19,7 +19,6 @@ from g2div.divisors import (
     points_from_mumford,
 )
 from g2div.errors import CharacteristicTooSmall, DegenerateCurve, GammaUndefined, SerializationError
-from g2div.extension import FieldEmbedding
 from g2div.fields import GF, QQ
 from g2div.grouplaw import double_traced, scalar_mul, tangent_data
 from g2div.polyring import PolyRing, resultant
@@ -255,9 +254,7 @@ class TestXYPolynomials:
         found = find_three_torsion(c)
         assert found
         big = GF(13, 2)
-        emb = FieldEmbedding(F, big)
-        bx = xpoly.transport(PolyRing(big, xpoly.ring.variables, xpoly.ring.weights),
-                             {}, emb.embed)
+        bx = xpoly.transport(PolyRing(big, xpoly.ring.variables, xpoly.ring.weights), {})
         for d in found:
             (p1, p2, wf, e2) = points_from_mumford(d, c)
             if e2 is None:
