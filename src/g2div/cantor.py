@@ -32,14 +32,6 @@ class CantorDivisor(namedtuple("CantorDivisor", "u v")):
     def degree(self) -> int:
         return self.u.degree()
 
-    def field(self) -> Field:
-        return self.u.field
-
-    def key(self):
-        F = self.u.field
-        return (tuple(F.sort_key(c) for c in self.u.coeffs),
-                tuple(F.sort_key(c) for c in self.v.coeffs))
-
     def __repr__(self):
         return f"Cantor(u={self.u!r}, v={self.v!r})"
 
@@ -164,8 +156,12 @@ def jacobian_order_from_zeta(curve: CanonicalCurve) -> int:
     return (n1 * n1 + n2) // 2 - q
 
 
-def enumerate_jacobian(curve: CanonicalCurve, limit: int = 31):
-    """Every reduced divisor over F_p (p <= limit) plus the group order.
+ENUMERATION_CAP = 31  # the largest p enumerate_jacobian scans
+
+
+def enumerate_jacobian(curve: CanonicalCurve):
+    """Every reduced divisor over F_p (p <= ENUMERATION_CAP) plus the group
+    order.
 
     Scans monic u of degree <= 2 with all compatible v; the count is checked
     against the Hasse-Weil window by the caller/tests.
@@ -174,8 +170,8 @@ def enumerate_jacobian(curve: CanonicalCurve, limit: int = 31):
     p = F.order()
     if p is None or p != F.characteristic:
         raise UnsupportedField("enumeration is prime-field only")
-    if p > limit:
-        raise UnsupportedField(f"p={p} above the desk-scale cap {limit}")
+    if p > ENUMERATION_CAP:
+        raise UnsupportedField(f"p={p} above the desk-scale cap {ENUMERATION_CAP}")
     f = curve.px()
     make = UniPoly._make
     out = [neutral_divisor(F)]

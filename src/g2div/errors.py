@@ -63,10 +63,6 @@ class BranchPointInSupport(G2DivError):
     code = "branch-point-in-support"
 
 
-class RepeatedX(G2DivError):
-    code = "repeated-x"
-
-
 class SameDivisor(G2DivError):
     code = "same-divisor"
 

@@ -127,7 +127,13 @@ def _uncoercible(a: "FieldElement", other):
 
 
 class FieldElement:
-    """Immutable element of a Field; arithmetic delegates to the field."""
+    """Immutable element of a Field; arithmetic delegates to the field.
+
+    An element compares equal to the rationals it represents (over F_7,
+    e == 3 and e == 10 both hold) but hashes with its field, so
+    3 in {e} is False: a set or dict key must hold elements of one field,
+    not plain numbers.
+    """
 
     __slots__ = ("field", "value")
 

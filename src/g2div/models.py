@@ -28,7 +28,7 @@ from .errors import (
     SameDivisor,
     UnsupportedField,
 )
-from .fields import Field, GF
+from .fields import MAX_EXTENSION_DEGREE, Field, GF
 from .unipoly import UniPoly
 
 
@@ -90,21 +90,15 @@ class GeneralCurve(namedtuple("GeneralCurve", "field form nu a b")):
 class PointMap:
     """Birational point transport with an explicit inverse."""
 
-    def __init__(self, forward: Callable, inverse: Callable, label: str = ""):
+    def __init__(self, forward: Callable, inverse: Callable):
         self.forward = forward
         self.inverse = inverse
-        self.label = label
 
     def compose(self, then: "PointMap") -> "PointMap":
         return PointMap(
             lambda pt: then.forward(self.forward(pt)),
             lambda pt: self.inverse(then.inverse(pt)),
-            f"{self.label};{then.label}",
         )
-
-    @staticmethod
-    def identity() -> "PointMap":
-        return PointMap(lambda pt: pt, lambda pt: pt, "id")
 
 
 def _y_shift_map(q: UniPoly) -> PointMap:
@@ -117,7 +111,7 @@ def _y_shift_map(q: UniPoly) -> PointMap:
         x, y = pt
         return (x, y + q.evaluate(x) / 2)
 
-    return PointMap(fwd, inv, "y-shift")
+    return PointMap(fwd, inv)
 
 
 def to_canonical(g: GeneralCurve):
@@ -159,7 +153,7 @@ def _canonicalize_degree6(F: Field, pbar: UniPoly):
             x, y = pt
             return (x * a1_inv, y * a1_inv * a1_inv)
 
-        return curve, PointMap(fwd, inv, "rescale")
+        return curve, PointMap(fwd, inv)
 
     roots = unipoly.roots_in_field(pbar)
     if not roots:
@@ -201,11 +195,12 @@ def _canonicalize_degree6(F: Field, pbar: UniPoly):
         y = Y * A / F.pow(w, 3)
         return (x, y)
 
-    return curve, PointMap(fwd, inv, "moebius")
+    return curve, PointMap(fwd, inv)
 
 
-def to_canonical_allow_extension(g: GeneralCurve, max_degree: int = 4):
-    """Retry to_canonical over F_{p^k}, k <= max_degree, if no rational root.
+def to_canonical_allow_extension(g: GeneralCurve):
+    """Retry to_canonical over F_{p^k}, k <= MAX_EXTENSION_DEGREE, if no
+    rational root.
 
     Returns (curve, point_map, lifted_general_curve); points must be lifted
     into the extension before transport.
@@ -220,23 +215,17 @@ def to_canonical_allow_extension(g: GeneralCurve, max_degree: int = 4):
     if g.field.characteristic and g.field.order() != g.field.characteristic:
         raise UnsupportedField("extension retry starts from a prime field")
     p = g.field.characteristic
-    for k in range(2, max_degree + 1):
+    for k in range(2, MAX_EXTENSION_DEGREE + 1):
         ext = GF(p, k)
-        lift = lambda e: ext.element(e.value)
-        kwargs = {"nu": None, "a": None, "b": None}
-        if g.nu is not None:
-            kwargs["nu"] = tuple(lift(c) for c in g.nu)
-        if g.a is not None:
-            kwargs["a"] = tuple(lift(c) for c in g.a)
-        if g.b is not None:
-            kwargs["b"] = tuple(lift(c) for c in g.b)
-        lifted = GeneralCurve(ext, g.form, **kwargs)
+        nu, a, b = (None if cs is None else tuple(ext.element(c.value) for c in cs)
+                    for cs in (g.nu, g.a, g.b))
+        lifted = GeneralCurve(ext, g.form, nu=nu, a=a, b=b)
         try:
             curve, pm = to_canonical(lifted)
             return curve, pm, lifted
         except NoRationalRoot:
             continue
-    raise NoRationalRoot(f"no root of the sextic in F_{p}^k for k <= {max_degree}")
+    raise NoRationalRoot(f"no root of the sextic in F_{p}^k for k <= {MAX_EXTENSION_DEGREE}")
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,8 @@ def _prime_divisors(n: int) -> list:
     return primes + [n] if n > 1 else primes
 
 
-def is_torsion(D: MumfordDivisor, n: int, curve: CanonicalCurve,
-               exact: bool = True) -> bool:
-    """Exact order n (or order dividing n when exact=False).
+def is_torsion(D: MumfordDivisor, n: int, curve: CanonicalCurve) -> bool:
+    """Exact order n.
 
     D has exact order n when nD = 0 and (n/l)D != 0 for each prime l | n,
     so the test takes 1 + omega(n) scalar multiplications."""
@@ -80,8 +79,6 @@ def is_torsion(D: MumfordDivisor, n: int, curve: CanonicalCurve,
         raise SerializationError("torsion order must be positive")
     if scalar_mul(n, D, curve).variant != "neutral":
         return False
-    if not exact:
-        return True
     return all(scalar_mul(n // ell, D, curve).variant != "neutral"
                for ell in _prime_divisors(n))
 
@@ -282,11 +279,10 @@ def three_torsion_y_poly(ring: PolyRing) -> WeightedPoly:
 
 
 def _int_fraction(ring: PolyRing, num: int, den: int):
+    """num/den in the ring's field; den is 2 or 4, a unit in every
+    characteristic a FieldSpec admits."""
     F = ring.field
-    d = F.element(den)
-    if F.is_zero(d):
-        raise CharacteristicTooSmall(f"division by {den} in characteristic {F.characteristic}")
-    return F.element(num) / d
+    return F.element(num) / F.element(den)
 
 
 def three_torsion_x_poly(ring: PolyRing) -> WeightedPoly:

@@ -148,12 +148,6 @@ class UniPoly:
         red = self.field._reduce
         return UniPoly._make(self.field, [red(a * c) for a in self._c])
 
-    def shift(self, n: int) -> "UniPoly":
-        """Multiply by x^n."""
-        if not self._c:
-            return self
-        return UniPoly._make(self.field, [self.field._native_zero] * n + list(self._c))
-
     def divmod(self, other: "UniPoly"):
         b = self._lift(other)._c
         if not b:
@@ -177,9 +171,6 @@ class UniPoly:
             while rem and not rem[-1]:
                 rem.pop()
         return UniPoly._make(F, q), UniPoly._make(F, rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def __mod__(self, other):
         return self.divmod(other)[1]

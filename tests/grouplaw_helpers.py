@@ -1,7 +1,7 @@
 """Group-law cross-check helpers that only the tests use."""
 from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, points_from_mumford
-from g2div.errors import BranchPointInSupport, RepeatedX, SameDivisor, SerializationError
+from g2div.errors import BranchPointInSupport, SameDivisor, SerializationError
 from g2div.grouplaw import TangentData, _slope_tangent, double_traced
 
 
@@ -42,7 +42,7 @@ def du_derivative(d: MumfordDivisor, direction: str, curve: CanonicalCurve):
         raise SerializationError("direction must be 'u1' or 'u3'")
     (x1, y1), (x2, y2), big, emb = points_from_mumford(d, curve)
     if x1 == x2:
-        raise RepeatedX("flow derivative needs x1 != x2")
+        raise SameDivisor("flow derivative needs x1 != x2")
     if big.is_zero(y1) or big.is_zero(y2):
         raise BranchPointInSupport("flow derivative undefined at a branch point")
     dx = x1 - x2

@@ -20,7 +20,7 @@ from g2div.polyring import (
     WeightedPoly,
     resultant,
 )
-from g2div.series import SeriesDomain, TruncatedSeries
+from g2div.series import sqrt_one_plus, truncated_square
 
 
 @pytest.fixture
@@ -227,11 +227,10 @@ def test_text_emitter():
 
 def test_series_sqrt_and_mul():
     ring = PolyRing(QQ(), ("l2",), (2,))
-    dom = SeriesDomain.for_ring(ring)
     target = [ring.one(), ring.zero(), ring.var("l2")] + [ring.zero()] * 5
-    s = TruncatedSeries(dom, target, 8)
-    r = s.sqrt_one_plus()
-    assert all((a - b).is_zero() for a, b in zip((r * r).coeffs, target))
+    r = sqrt_one_plus(target, Fraction(1, 2))
+    assert len(r) == 8
+    assert all((a - b).is_zero() for a, b in zip(truncated_square(r), target))
 
 
 # ---------------------------------------------------------------------------

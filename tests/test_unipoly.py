@@ -107,11 +107,10 @@ def test_roots_over_q():
     assert roots_in_field(UniPoly(Q, [3])) == []
 
 
-def test_compose_and_shift():
+def test_compose():
     x = UniPoly.x(F7)
     p = x ** 2 + 1
     assert p.compose(x + 2) == (x + 2) ** 2 + 1
-    assert p.shift(2) == x ** 2 * p
 
 
 @pytest.mark.parametrize("field", NATIVE_FIELDS, ids=lambda f: f.short_name())
