@@ -14,6 +14,10 @@ from .errors import DegenerateCurve, SerializationError
 from .fields import Field, FieldElement, FieldSpec, make_field
 from .unipoly import UniPoly
 
+# the names of CanonicalCurve.lam and their Sato weights (each its index)
+LAMBDA_NAMES = ("l2", "l4", "l6", "l8", "l10")
+LAMBDA_WEIGHTS = (2, 4, 6, 8, 10)
+
 
 class CanonicalCurve(namedtuple("CanonicalCurve", "field lam")):
     """lam: (l2, l4, l6, l8, l10) as FieldElements."""

@@ -297,43 +297,7 @@ class WeightedPoly:
 
     __hash__ = None
 
-    # -- calculus / substitution ---------------------------------------------------
-    def substitute(self, bindings: dict) -> "WeightedPoly":
-        """Simultaneous substitution var -> WeightedPoly/FieldElement/int."""
-        return self.transport(self.ring, bindings)
-
-    def transport(self, target: PolyRing, var_images: dict) -> "WeightedPoly":
-        """Rebuild in another ring; var_images maps names to target polynomials.
-
-        A coefficient keeps its native value when the fields agree and is
-        coerced into the target field otherwise."""
-        ring = self.ring
-        images = {ring.index[name]: v if isinstance(v, WeightedPoly) else target.const(v)
-                  for name, v in var_images.items()}
-        for i, name in enumerate(ring.variables):
-            if i not in images:
-                if target is ring or name in target.index:
-                    images[i] = target.var(name)
-                else:
-                    raise MixedFields(f"no image for variable {name}")
-        pow_cache: dict = {}
-        same_field, guard = target.field is ring.field, target._guard
-        out: dict = {}
-        get = out.get
-        zero = target.field._native_zero
-        for e, c in self._terms.items():
-            t = {0: c} if same_field else target.const(c)._terms
-            for i, k in enumerate(ring._unpack(e)):
-                if k and t:
-                    if (i, k) not in pow_cache:
-                        pow_cache[i, k] = (images[i] ** k)._terms
-                    t = _product(t, pow_cache[i, k])
-                    if reduce(or_, t, 0) & guard:
-                        raise OverflowError(f"an exponent reaches 2^{EXP_BITS}")
-            for k, v in t.items():
-                out[k] = get(k, zero) + v
-        return target._finish(out)
-
+    # -- evaluation -------------------------------------------------------------
     def evaluate(self, values: dict) -> FieldElement:
         """Full numeric evaluation; values maps every occurring var to a field element."""
         ring = self.ring

@@ -9,9 +9,11 @@ polynomials - or, after elimination, on the x-coordinates of the support.
 
 Denominators are cleared by powers of E = 2N*(2*b5' - a2*b3'), N = y1*y2,
 and on the special n = 4 branch (E = 0) by 1024*N^5; all need N != 0.  One
-plain-ring transcription builds each system: `divpoly emit` runs it on the
-ring's generators, and the residuals (`torsion check`, the searches'
-filter) on a divisor's native values, divided by the factor.
+plain-ring transcription builds each system.  `divpoly emit` runs it on the
+generators of a ring over Q whose curve coefficients are generators too
+(formal), or of the ring of the coordinates alone over a curve's field with
+its own coefficients (concrete); the residuals (`torsion check`, the
+searches' filter) run it on a divisor's native values, divided by the factor.
 
 The finite-field searches run in the curve's own field: they scan every
 alpha (a2, a4), solve the model equations for the betas above it with two
@@ -22,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .curves import CanonicalCurve
+from .curves import LAMBDA_NAMES, LAMBDA_WEIGHTS, CanonicalCurve
 from .divisors import MumfordDivisor, p_mod_u
 from .errors import (
     CharacteristicTooSmall,
@@ -42,12 +44,12 @@ from .grouplaw import (
 )
 from .unipoly import factors_of_degree
 
-MUMFORD_VARS = ("a2", "a4", "b3", "b5", "l2", "l4", "l6", "l8", "l10")
-MUMFORD_WEIGHTS = (2, 4, 3, 5, 2, 4, 6, 8, 10)
-XY_VARS = ("x1", "y1", "x2", "y2", "l2", "l4", "l6", "l8", "l10")
-XY_WEIGHTS = (2, 5, 2, 5, 2, 4, 6, 8, 10)
-X_VARS = ("x1", "x2", "l2", "l4", "l6", "l8", "l10")
-X_WEIGHTS = (2, 2, 2, 4, 6, 8, 10)
+# the coordinates of each system with their Sato weights; the formal rings
+# append the curve coefficients LAMBDA_NAMES
+MUMFORD_COORDS = ("a2", "a4", "b3", "b5"), (2, 4, 3, 5)
+XY_COORDS = ("x1", "y1", "x2", "y2"), (2, 5, 2, 5)
+X_COORDS = ("x1", "x2"), (2, 2)
+MUMFORD_VARS = MUMFORD_COORDS[0] + LAMBDA_NAMES
 
 
 # coords is "mumford" or "xy"; polys are WeightedPolys aligned with names
@@ -172,21 +174,26 @@ def four_torsion_residuals(D: MumfordDivisor, curve: CanonicalCurve):
 # ---------------------------------------------------------------------------
 # symbolic division polynomials
 
-def _ring(field: Field, variables, weights) -> PolyRing:
+def _ring(coords, field: Field = None) -> PolyRing:
+    """The ring of coords over field, or (field None) over Q with the curve
+    coefficients as five more generators."""
     from .polyring import PolyRing  # not loaded by the residuals and order tests
-    return PolyRing(field or QQ(), variables, weights)
+    names, weights = coords
+    if field is None:
+        return PolyRing(QQ(), names + LAMBDA_NAMES, weights + LAMBDA_WEIGHTS)
+    return PolyRing(field, names, weights)
 
 
-def mumford_ring(field: Field = None) -> PolyRing:
-    return _ring(field, MUMFORD_VARS, MUMFORD_WEIGHTS)
+def mumford_ring() -> PolyRing:
+    return _ring(MUMFORD_COORDS)
 
 
-def xy_ring(field: Field = None) -> PolyRing:
-    return _ring(field, XY_VARS, XY_WEIGHTS)
+def xy_ring() -> PolyRing:
+    return _ring(XY_COORDS)
 
 
-def x_pair_ring(field: Field = None) -> PolyRing:
-    return _ring(field, X_VARS, X_WEIGHTS)
+def x_pair_ring() -> PolyRing:
+    return _ring(X_COORDS)
 
 
 def _duplication_data(a2, a4, b3, b5, l2, l4, l6, l8) -> dict:
@@ -244,59 +251,50 @@ def _four_torsion_mumford_polys(c, d):
     return d1, d2, dspec
 
 
-def _p_of(ring: PolyRing, xname: str) -> WeightedPoly:
-    g = ring.gens()
-    x = g[xname]
-    return (x ** 5 + g["l2"] * x ** 4 + g["l4"] * x ** 3
-            + g["l6"] * x ** 2 + g["l8"] * x + g["l10"])
+def _p_of(x, lam):
+    l2, l4, l6, l8, l10 = lam
+    return x ** 5 + l2 * x ** 4 + l4 * x ** 3 + l6 * x ** 2 + l8 * x + l10
 
 
-def _dp_of(ring: PolyRing, xname: str) -> WeightedPoly:
-    g = ring.gens()
-    x = g[xname]
-    return 5 * x ** 4 + 4 * g["l2"] * x ** 3 + 3 * g["l4"] * x ** 2 + 2 * g["l6"] * x + g["l8"]
+def _dp_of(x, lam):
+    l2, l4, l6, l8, _ = lam
+    return 5 * x ** 4 + 4 * l2 * x ** 3 + 3 * l4 * x ** 2 + 2 * l6 * x + l8
 
 
-def t_quotient(ring: PolyRing, which: str) -> WeightedPoly:
+def t_quotient(x1, x2, xi, lam):
     """T(x_i) = (P(x1) - P(x2) - P'(x_i)(x1-x2)) / (x1-x2)^2, a weight-6
     polynomial by the order-2 vanishing at x1 = x2."""
-    g = ring.gens()
-    x1, x2 = g["x1"], g["x2"]
-    num = _p_of(ring, "x1") - _p_of(ring, "x2") - _dp_of(ring, which) * (x1 - x2)
+    num = _p_of(x1, lam) - _p_of(x2, lam) - _dp_of(xi, lam) * (x1 - x2)
     return num.exact_div((x1 - x2) * (x1 - x2))
 
 
-def three_torsion_y_poly(ring: PolyRing) -> WeightedPoly:
+def three_torsion_y_poly(x1, y1, x2, y2, lam):
     """The y1*y2-bearing 3-torsion equation (weight 28, uniform)."""
-    g = ring.gens()
-    x1, y1, x2, y2 = g["x1"], g["y1"], g["x2"], g["y2"]
-    p1, p2 = _p_of(ring, "x1"), _p_of(ring, "x2")
-    dp1, dp2 = _dp_of(ring, "x1"), _dp_of(ring, "x2")
-    quarter = _int_fraction(ring, 1, 4)
+    p1, p2 = _p_of(x1, lam), _p_of(x2, lam)
+    dp1, dp2 = _dp_of(x1, lam), _dp_of(x2, lam)
+    quarter = _int_fraction(x1.ring.field, 1, 4)
     return (y1 * y2 * (dp1 * p2 + dp2 * p1)
             + (x1 - x2) * (dp1 * dp1 * p2 - dp2 * dp2 * p1) * quarter
             - p1 * p2 * (dp1 + dp2 + (x1 - x2) ** 4))
 
 
-def _int_fraction(ring: PolyRing, num: int, den: int):
-    """num/den in the ring's field; den is 2 or 4, a unit in every
-    characteristic a FieldSpec admits."""
-    F = ring.field
+def _int_fraction(F: Field, num: int, den: int):
+    """num/den in F; den is 2 or 4, a unit in every characteristic a
+    FieldSpec admits."""
     return F.element(num) / F.element(den)
 
 
-def three_torsion_x_poly(ring: PolyRing) -> WeightedPoly:
+def three_torsion_x_poly(x1, x2, lam):
     """The weight-40 symmetric polynomial in (x1, x2) cutting out 3-torsion
     supports, assembled with exact divisions by (x1 - x2)."""
-    g = ring.gens()
-    x1, x2, l2 = g["x1"], g["x2"], g["l2"]
+    F, l2 = x1.ring.field, lam[0]
     dx = x1 - x2
-    p1, p2 = _p_of(ring, "x1"), _p_of(ring, "x2")
-    dp1, dp2 = _dp_of(ring, "x1"), _dp_of(ring, "x2")
-    t1p, t2p = t_quotient(ring, "x1"), t_quotient(ring, "x2")
-    quarter = _int_fraction(ring, 1, 4)
-    half = _int_fraction(ring, 1, 2)
-    threq = _int_fraction(ring, 3, 4)
+    p1, p2 = _p_of(x1, lam), _p_of(x2, lam)
+    dp1, dp2 = _dp_of(x1, lam), _dp_of(x2, lam)
+    t1p, t2p = t_quotient(x1, x2, x1, lam), t_quotient(x1, x2, x2, lam)
+    quarter = _int_fraction(F, 1, 4)
+    half = _int_fraction(F, 1, 2)
+    threq = _int_fraction(F, 3, 4)
     q8 = (p1 - p2).exact_div(dx)
     term1 = -(p2 * p2 * dp1 * t1p * t1p + p1 * p1 * dp2 * t2p * t2p) * quarter
     term2 = ((p2 ** 3) * t1p * t1p - (p1 ** 3) * t2p * t2p).exact_div(dx) * half
@@ -308,56 +306,55 @@ def three_torsion_x_poly(ring: PolyRing) -> WeightedPoly:
     return term1 + term2 + term3 + term4 + term5 + term6
 
 
+def _coordinates(coords, curve):
+    """(generators, lam): the coordinates and curve coefficients of the
+    formal ring (curve None), or the coordinates over the curve's field and
+    lam = curve.lam."""
+    g = _ring(coords, None if curve is None else curve.field).gens()
+    lam = tuple(g[v] for v in LAMBDA_NAMES) if curve is None else curve.lam
+    return [g[v] for v in coords[0]], lam
+
+
+def _build(n: int, coords: str, curve) -> DivisionPolySet:
+    if coords == "xy":
+        (x1, x2), lam = _coordinates(X_COORDS, curve)
+        xy, xy_lam = _coordinates(XY_COORDS, curve)
+        polys = (three_torsion_x_poly(x1, x2, lam), three_torsion_y_poly(*xy, xy_lam))
+        return DivisionPolySet(n, coords, ("x_support", "y_support"), polys)
+    mumford, lam = _coordinates(MUMFORD_COORDS, curve)
+    c = (*mumford, *lam[:4])
+    d = _duplication_data(*c)
+    if n == 3:
+        return DivisionPolySet(n, coords, ("a2_relation", "a4_relation"),
+                               _three_torsion_mumford_polys(c, d))
+    return DivisionPolySet(n, coords, ("b3_vanishing", "b5_vanishing", "y2d_vanishing"),
+                           _four_torsion_mumford_polys(c, d))
+
+
 _FORMAL_CACHE: dict = {}
 
 
 def emit_division_polynomials(n: int, coords: str, curve: CanonicalCurve = None) -> DivisionPolySet:
-    """Division polynomials with formal (curve=None) or concrete coefficients."""
+    """Division polynomials with formal (curve=None) or concrete coefficients:
+    one transcription, run on the curve coefficients as generators over Q or
+    on the curve's own coefficients in its field."""
     if n not in (3, 4):
         raise SerializationError("division polynomials are emitted for n in {3, 4}")
     if coords not in ("mumford", "xy"):
         raise SerializationError("coords must be 'mumford' or 'xy'")
     if n == 4 and coords == "xy":
         raise SerializationError("the n = 4 system is emitted in Mumford coordinates only")
+    if curve is not None:
+        if 0 < curve.field.characteristic <= 5:
+            raise CharacteristicTooSmall("division polynomials need characteristic 0 or > 5")
+        return _build(n, coords, curve)
     key = (n, coords)
     if key not in _FORMAL_CACHE:
-        if coords == "mumford":
-            g = mumford_ring().gens()
-            c = tuple(g[v] for v in MUMFORD_VARS[:8])
-            d = _duplication_data(*c)
-            if n == 3:
-                polys = _three_torsion_mumford_polys(c, d)
-                names = ("a2_relation", "a4_relation")
-            else:
-                polys = _four_torsion_mumford_polys(c, d)
-                names = ("b3_vanishing", "b5_vanishing", "y2d_vanishing")
-        else:
-            xr = x_pair_ring()
-            yr = xy_ring()
-            polys = (three_torsion_x_poly(xr), three_torsion_y_poly(yr))
-            names = ("x_support", "y_support")
-        for poly in polys:
-            if not poly.is_homogeneous():
-                raise SerializationError("internal: emitted polynomial is not weight-homogeneous")
-        _FORMAL_CACHE[key] = DivisionPolySet(n, coords, names, tuple(polys))
-    result = _FORMAL_CACHE[key]
-    if curve is None:
-        return result
-    # specialize the curve coefficients
-    F = curve.field
-    if 0 < F.characteristic <= 5:
-        raise CharacteristicTooSmall("division polynomials need characteristic 0 or > 5")
-    lam_names = ("l2", "l4", "l6", "l8", "l10")
-    values = dict(zip(lam_names, curve.lam))
-    out = []
-    for poly in result.polys:
-        keep = [v for v in poly.ring.variables if v not in lam_names]
-        keep_w = [poly.ring.weights[poly.ring.index[v]] for v in keep]
-        target = _ring(F, keep, keep_w)
-        images = {v: target.var(v) for v in keep}
-        images.update({v: target.const(values[v]) for v in lam_names})
-        out.append(poly.transport(target, images))
-    return DivisionPolySet(n, coords, result.names, tuple(out))
+        result = _build(n, coords, None)
+        if not all(poly.is_homogeneous() for poly in result.polys):
+            raise SerializationError("internal: emitted polynomial is not weight-homogeneous")
+        _FORMAL_CACHE[key] = result
+    return _FORMAL_CACHE[key]
 
 
 # ---------------------------------------------------------------------------

@@ -248,16 +248,6 @@ class RefPoly:
             rem = rem - RefPoly(self.field, self.nvars, {qe: out[qe]}) * g
         return RefPoly(self.field, self.nvars, out)
 
-    def substitute(self, images: list) -> "RefPoly":
-        """Variable i -> images[i], a RefPoly with the same variable count."""
-        acc = RefPoly(self.field, images[0].nvars, {})
-        for e, c in self.terms.items():
-            t = images[0].const(c)
-            for img, k in zip(images, e):
-                t = t * img ** k
-            acc = acc + t
-        return acc
-
     def evaluate(self, point) -> FieldElement:
         acc = self.field.zero
         for e, c in self.terms.items():

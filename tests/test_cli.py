@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +283,30 @@ def test_formal_emission_digest(n, coords, capsys):
     assert main(["divpoly", "emit", "--n", str(n), "--coords", coords, "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FORMAL_EMISSION_SHA256[n, coords]
+
+
+# SHA-256 of the stdout of `divpoly emit --format json --curve tests/data/F.json`
+# for the concrete systems, recorded before they were built in the curve's ring
+CONCRETE_EMISSION_SHA256 = {
+    ("c7", 3, "mumford"): "0acbe7aee7608d43a737c110b04df82d3cd0cdbe31e45d1b42cb14f2416da2cd",
+    ("c7", 4, "mumford"): "f80cb6a34a173bbc4b707ee234eb9534ec3ad95c90e1fa5b2ec1641740bace8f",
+    ("c7", 3, "xy"): "258195312419c57025cc2f90f6654e812f9765c6231e3a0b0510faadbe067499",
+    ("c49", 3, "mumford"): "f8885e52591b18c492f5f9c93be4d37dd716bef65b938692f31e54bc91983e9e",
+    ("c49", 4, "mumford"): "36069f16495ad05208cd94dde4e254fa714b8eaaeba6cf5b2d3e7efa0448255d",
+    ("c49", 3, "xy"): "b473a16bc6efc24d0d57710115711548c70139c300671996807aaf4beb86b246",
+    ("p127_three_branch_points", 3, "mumford"):
+        "bb1a61202dc6eafe052c59f45fd8cb761d124c42ed9ea42c15084cd8cee6af85",
+    ("p127_three_branch_points", 4, "mumford"):
+        "a4d1614b3ddd4138737f73fbfd39bf842a69954bf132a72dae48538c1b14b262",
+    ("p127_three_branch_points", 3, "xy"):
+        "6345b30446f7b6faf12cf0e664290152a7a894d6f981ce6702ff018cebbb6b95",
+}
+
+
+@pytest.mark.parametrize("name,n,coords", sorted(CONCRETE_EMISSION_SHA256))
+def test_concrete_emission_digest(name, n, coords, capsys):
+    curve = Path(__file__).parent / "data" / f"{name}.json"
+    assert main(["divpoly", "emit", "--n", str(n), "--coords", coords, "--format", "json",
+                 "--curve", str(curve)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CONCRETE_EMISSION_SHA256[name, n, coords]

@@ -88,8 +88,13 @@ class TestSeriesExpansion:
         exp = expand_at_infinity(c, 12)
         assert exp.y_unit_coeffs[2] == c.field.element(1)  # l2/2 = 2/2
         assert exp.residual_is_zero(c)
-        with pytest.raises(CharacteristicTooSmall):
-            expand_at_infinity(CanonicalCurve(GF(7), (0, 0, 0, 0, 1)), 12)
+        # the recurrence divides by 2 only, so small characteristics expand too
+        for small in (GF(7), GF(3)):
+            c = CanonicalCurve(small, (1, 1, 2, 0, 1))
+            assert expand_at_infinity(c, 12).residual_is_zero(c)
+        for order in (0, 13):
+            with pytest.raises(CharacteristicTooSmall):
+                expand_at_infinity(c, order)
 
     @pytest.mark.parametrize("field", [GF(1009), GF(31, 2), QQ(), GF(2 ** 127 - 1)],
                              ids=["F1009", "F31^2", "Q", "F2^127-1"])

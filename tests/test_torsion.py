@@ -9,7 +9,7 @@ from conftest import random_divisor, random_point
 from grouplaw_helpers import torsion_branch_classification
 from g2div import cli
 from g2div.cantor import brute_force_n_torsion, cantor_add, enumerate_jacobian, to_mumford
-from g2div.curves import CanonicalCurve, curve_to_json
+from g2div.curves import LAMBDA_NAMES, CanonicalCurve, curve_to_json
 from g2div.divisors import (
     MumfordDivisor,
     divisor_to_json,
@@ -184,19 +184,24 @@ class TestTwoTorsionQuadraticFactors:
         assert sum(map(irreducible_support, want)) == quadratic
 
 
+def _x_pair():
+    """x1, x2 and lam, the generators of the formal x-pair ring."""
+    g = x_pair_ring().gens()
+    return g["x1"], g["x2"], tuple(g[v] for v in LAMBDA_NAMES)
+
+
 class TestTQuotient:
     def test_weight_and_polynomiality(self):
-        ring = x_pair_ring()
-        for which in ("x1", "x2"):
-            t = t_quotient(ring, which)
+        x1, x2, lam = _x_pair()
+        for xi in (x1, x2):
+            t = t_quotient(x1, x2, xi, lam)
             assert t.is_homogeneous() and t.weighted_degree() == 6
 
     def test_second_representation(self):
         # the expanded display, with its x3 occurrences read as x2
-        ring = x_pair_ring()
-        g = ring.gens()
-        x1, x2, l2, l4, l6 = g["x1"], g["x2"], g["l2"], g["l4"], g["l6"]
-        t1 = t_quotient(ring, "x1")
+        x1, x2, lam = _x_pair()
+        l2, l4, l6 = lam[:3]
+        t1 = t_quotient(x1, x2, x1, lam)
         alt = (x1 ** 4 + x1 ** 3 * x2 + x1 ** 2 * x2 ** 2 + x1 * x2 ** 3 + x2 ** 4
                - 5 * x1 ** 4
                + l2 * (x1 ** 3 + x1 ** 2 * x2 + x1 * x2 ** 2 + x2 ** 3 - 4 * x1 ** 3)
@@ -207,17 +212,17 @@ class TestTQuotient:
 
 class TestXYPolynomials:
     def test_x_weight_40_homogeneous(self):
-        X = three_torsion_x_poly(x_pair_ring())
+        X = three_torsion_x_poly(*_x_pair())
         assert X.is_homogeneous() and X.weighted_degree() == 40
 
     def test_x_symmetric(self):
-        ring = x_pair_ring()
-        X = three_torsion_x_poly(ring)
-        g = ring.gens()
-        assert X.substitute({"x1": g["x2"], "x2": g["x1"]}) == X
+        x1, x2, lam = _x_pair()
+        assert three_torsion_x_poly(x2, x1, lam) == three_torsion_x_poly(x1, x2, lam)
 
     def test_y_uniform_weight(self):
-        Y = three_torsion_y_poly(xy_ring())
+        g = xy_ring().gens()
+        Y = three_torsion_y_poly(g["x1"], g["y1"], g["x2"], g["y2"],
+                                 tuple(g[v] for v in LAMBDA_NAMES))
         assert Y.is_homogeneous() and Y.weighted_degree() == 28
 
     def test_elimination_reproduces_x(self):
@@ -228,9 +233,10 @@ class TestXYPolynomials:
                         (10, 2, 2, 2, 4, 6, 8, 10))
         g = ring.gens()
         z, x1, x2, l2 = g["z"], g["x1"], g["x2"], g["l2"]
-        p1, p2 = _p_of(ring, "x1"), _p_of(ring, "x2")
-        dp1, dp2 = _dp_of(ring, "x1"), _dp_of(ring, "x2")
-        quarter = _int_fraction(ring, 1, 4)
+        lam = tuple(g[v] for v in LAMBDA_NAMES)
+        p1, p2 = _p_of(x1, lam), _p_of(x2, lam)
+        dp1, dp2 = _dp_of(x1, lam), _dp_of(x2, lam)
+        quarter = _int_fraction(ring.field, 1, 4)
         eq1 = (z * (dp1 * p2 + dp2 * p1)
                + (x1 - x2) * (dp1 * dp1 * p2 - dp2 * dp2 * p1) * quarter
                - p1 * p2 * (dp1 + dp2 + (x1 - x2) ** 4))
@@ -242,19 +248,17 @@ class TestXYPolynomials:
         assert eq2.is_homogeneous() and eq2.weighted_degree() == 30
         res = resultant(eq1, eq2, "z")
         quot = res.exact_div((x1 - x2) ** 4)
-        X = three_torsion_x_poly(x_pair_ring())
-        Ximg = X.transport(ring, {v: ring.var(v) for v in X.ring.variables})
-        assert quot == Ximg.scale(-1)
+        assert quot == three_torsion_x_poly(x1, x2, lam).scale(-1)
 
     def test_vanishing_on_torsion_supports(self):
-        F = GF(13)
-        c = CanonicalCurve(F, (0, 0, 0, 1, 3))
-        ds = emit_division_polynomials(3, "xy", c)
-        xpoly, ypoly = ds.polys
+        F, lam = GF(13), (0, 0, 0, 1, 3)
+        c = CanonicalCurve(F, lam)
+        xpoly, ypoly = emit_division_polynomials(3, "xy", c).polys
         found = find_three_torsion(c)
         assert found
+        # supports conjugate over F_13 are checked on the curve lifted to F_169
         big = GF(13, 2)
-        bx = xpoly.transport(PolyRing(big, xpoly.ring.variables, xpoly.ring.weights), {})
+        bx = emit_division_polynomials(3, "xy", CanonicalCurve(big, lam)).polys[0]
         for d in found:
             (p1, p2, wf, e2) = points_from_mumford(d, c)
             if e2 is None:
@@ -263,6 +267,46 @@ class TestXYPolynomials:
                     {"x1": p1[0], "y1": p1[1], "x2": p2[0], "y2": p2[1]}))
             else:
                 assert wf.is_zero(bx.evaluate({"x1": p1[0], "x2": p2[0]}))
+
+
+def _specialized(formal, curve):
+    """The formal polynomial with the curve's coefficients put in for its
+    trailing lambda generators, as {coordinate exponents: element}."""
+    F = curve.field
+    k = len(formal.ring.variables) - len(LAMBDA_NAMES)
+    out = {}
+    for e, c in formal.terms():
+        v = F.coerce(c.value)
+        for lam, power in zip(curve.lam, e[k:]):
+            v = v * F.pow(lam, power)
+        out[e[:k]] = out.get(e[:k], F.zero) + v
+    return {e: v for e, v in out.items() if not F.is_zero(v)}
+
+
+class TestConcreteEmission:
+    @pytest.mark.parametrize("field", [GF(1009), GF(31, 2), GF(2 ** 127 - 1), QQ()],
+                             ids=["F1009", "F31^2", "F2^127-1", "Q"])
+    def test_equals_specialized_formal_system(self, rng, field):
+        if field.order() is None:
+            draw = lambda: Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3)))
+        else:
+            draw = lambda: field._element_at(rng.randrange(field.order()))
+        curve = None
+        while curve is None:
+            try:
+                curve = CanonicalCurve(field, tuple(draw() for _ in range(5)))
+            except DegenerateCurve:
+                pass
+        for n, coords in ((3, "mumford"), (4, "mumford"), (3, "xy")):
+            formal = emit_division_polynomials(n, coords)
+            concrete = emit_division_polynomials(n, coords, curve)
+            assert concrete.names == formal.names
+            for f, c in zip(formal.polys, concrete.polys):
+                k = len(f.ring.variables) - len(LAMBDA_NAMES)
+                assert c.ring.field is field
+                assert c.ring.variables == f.ring.variables[:k]
+                assert c.ring.weights == f.ring.weights[:k]
+                assert dict(c.terms()) == _specialized(f, curve)
 
 
 class TestMumfordResiduals:
