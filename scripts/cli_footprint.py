@@ -1,12 +1,13 @@
-"""What each CLI verb loads: g2div modules, their size, fractions and decimal.
+"""What each CLI verb loads: g2div modules, their size, and the flagged modules.
 
 Runs each verb of the benchmark's cli workload on the committed F_7 curve
 and divisors in tests/data, each in a fresh interpreter, and prints the g2div
 modules that call loaded with their source lines and AST nodes, then one row
-per verb: the totals and whether g2div.extension, fractions and decimal were
-imported.  A process that writes no bytecode (PYTHONDONTWRITEBYTECODE=1, a
-read-only install) compiles every module it loads, so the AST nodes are the
-compile work of the call.  The counts depend on the source only, not on the
+per verb: the totals and whether each FLAGGED module (g2div.extension,
+g2div.roots, g2div.rational, fractions, decimal, argparse) was imported.
+A process that writes no bytecode (PYTHONDONTWRITEBYTECODE=1, a read-only
+install) compiles every module it loads, so the AST nodes are the compile
+work of the call.  The counts depend on the source only, not on the
 machine.
 
 Usage: python scripts/cli_footprint.py [--src DIR]   (DIR defaults to src/)
@@ -38,7 +39,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"code": code, "modules": {name: getattr(mod, "__file__", None)
                   for name, mod in sys.modules.items()}}))
 """
-FLAGGED = ("g2div.extension", "fractions", "decimal")
+FLAGGED = ("g2div.extension", "g2div.roots", "g2div.rational", "fractions", "decimal",
+           "argparse")
 
 
 def loaded(argv, src):

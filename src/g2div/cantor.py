@@ -196,6 +196,8 @@ def enumerate_jacobian(curve: CanonicalCurve):
 
 def brute_force_n_torsion(curve: CanonicalCurve, n: int, elements=None):
     """Members of exact order n, from the full enumeration."""
+    if n < 1:
+        raise SerializationError("torsion order must be positive")
     if elements is None:
         elements = enumerate_jacobian(curve)
     found = []

@@ -10,12 +10,14 @@ torsion and divpoly the torsion module, oracle the Cantor oracle, and a
 curve that is not canonical the general models.  F_{p^k} code
 (g2div.extension) loads only with an F_{p^k} field (an extension curve,
 --ext, --allow-extension), and fractions only over Q or in divpoly emit.
+The arguments are read against the verb table VERBS, whose synopses are
+also the usage text; no argparse is imported.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .curves import CanonicalCurve, curve_from_json, curve_to_json
 from .divisors import divisor_from_json, divisor_to_json, is_on_jacobian, jacobian_residuals
@@ -115,7 +117,7 @@ def _cmd_torsion(args) -> int:
                           three_torsion_mumford_residuals)
     curve = _load_canonical(args.curve)
     if args.torsion_verb == "find":
-        if args.ext and args.ext > 1:
+        if args.ext > 1:
             F = curve.field
             if F.order() is None or F.order() != F.characteristic:
                 raise SerializationError("--ext expects a prime-field curve")
@@ -172,8 +174,7 @@ def _cmd_oracle(args) -> int:
             _emit(divisor_to_json(d), args.format)
         _emit({"order": len(els)}, args.format)
         return 0
-    els = cantor.enumerate_jacobian(curve)
-    found = cantor.brute_force_n_torsion(curve, args.n, els)
+    found = cantor.brute_force_n_torsion(curve, args.n)
     ms = sorted((cantor.to_mumford(d) for d in found), key=lambda d: d.sort_key())
     for d in ms:
         _emit(divisor_to_json(d), args.format)
@@ -181,70 +182,129 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    ap = argparse.ArgumentParser(prog=PROG, description="genus-2 Jacobian arithmetic and torsion division polynomials")
-    sub = ap.add_subparsers(dest="verb", required=True)
+# ---------------------------------------------------------------------------
+# the verb table and its parser
 
-    pc = sub.add_parser("curve", help="curve model operations")
-    pcs = pc.add_subparsers(dest="curve_verb", required=True)
-    pt = pcs.add_parser("transform", parents=[common],
-                        help="reduce a general model to the canonical quintic")
-    pt.add_argument("--curve", required=True)
-    pt.add_argument("--allow-extension", action="store_true",
-                    help="retry over F_{p^k}, k <= 4, when the sextic has no rational root")
-    pt.set_defaults(func=_cmd_curve_transform)
+# (group, verb) -> (handler, synopsis, summary).  The synopsis is both the
+# verb's argument table and its usage line.  Its leading bare words are the
+# positionals: N fills the int n, each divisor.json one entry of the list
+# divisors.  --name METAVAR is an option that fills the attribute name (with
+# - read as _): an int when METAVAR is N or a set of numbers, one of the set
+# when it is {a,b,...}, else a string.  An option in [...] is optional and
+# defaults to the first of its set, else None; [--name] alone is a flag.
+VERBS = {
+    ("curve", "transform"): (_cmd_curve_transform, "--curve CURVE [--allow-extension]",
+                             "a general model as the canonical quintic; over F_{p^k}, k <= 4,"
+                             " with --allow-extension"),
+    ("jac", "add"): (_cmd_jac, "divisor.json divisor.json --curve CURVE",
+                     "the sum of two divisors"),
+    ("jac", "double"): (_cmd_jac, "divisor.json --curve CURVE", "twice a divisor"),
+    ("jac", "mul"): (_cmd_jac, "N divisor.json --curve CURVE", "N times a divisor"),
+    ("jac", "verify"): (_cmd_jac, "divisor.json --curve CURVE",
+                        "the model equations J8, J10 of a divisor"),
+    ("torsion", "find"): (_cmd_torsion, "--n {2,3,4} --curve CURVE [--ext {1,2,3,4}]",
+                          "the divisors of exact order n over F_{p^ext}"),
+    ("torsion", "check"): (_cmd_torsion, "--n N --divisor DIVISOR --curve CURVE",
+                           "whether a divisor has exact order n, with the n = 3/4 residuals"),
+    ("divpoly", "emit"): (_cmd_divpoly, "--n {3,4} --coords {mumford,xy} [--curve CURVE]",
+                          "the division polynomials, formal or of one curve"),
+    ("oracle", "enumerate"): (_cmd_oracle, "--curve CURVE",
+                              "every reduced divisor by Cantor arithmetic, then the order"),
+    ("oracle", "torsion"): (_cmd_oracle, "--n N --curve CURVE",
+                            "the divisors of exact order n by Cantor arithmetic, then the count"),
+}
+_FORMAT = " [--format {json,text}]"  # every verb takes it
+_HELP = ("-h", "--help")
 
-    pj = sub.add_parser("jac", help="Jacobian arithmetic")
-    pjs = pj.add_subparsers(dest="jac_verb", required=True)
-    for name, nargs in (("add", 2), ("double", 1), ("verify", 1)):
-        pp = pjs.add_parser(name, parents=[common])
-        pp.add_argument("divisors", nargs=nargs, metavar="divisor.json")
-        pp.add_argument("--curve", required=True)
-        pp.set_defaults(func=_cmd_jac)
-    pm = pjs.add_parser("mul", parents=[common])
-    pm.add_argument("n", type=int)
-    pm.add_argument("divisors", nargs=1, metavar="divisor.json")
-    pm.add_argument("--curve", required=True)
-    pm.set_defaults(func=_cmd_jac)
 
-    pt = sub.add_parser("torsion", help="torsion search and checks")
-    pts = pt.add_subparsers(dest="torsion_verb", required=True)
-    pf = pts.add_parser("find", parents=[common])
-    pf.add_argument("--n", type=int, required=True, choices=(2, 3, 4))
-    pf.add_argument("--curve", required=True)
-    pf.add_argument("--ext", type=int, default=1, help="search over F_{p^ext}")
-    pf.set_defaults(func=_cmd_torsion)
-    pk = pts.add_parser("check", parents=[common])
-    pk.add_argument("--n", type=int, required=True)
-    pk.add_argument("--divisor", required=True)
-    pk.add_argument("--curve", required=True)
-    pk.set_defaults(func=_cmd_torsion)
+def _keys(level) -> list:
+    return [key for key in VERBS if key[:len(level)] == level]
 
-    pd = sub.add_parser("divpoly", help="division polynomial emission")
-    pds = pd.add_subparsers(dest="divpoly_verb", required=True)
-    pe = pds.add_parser("emit", parents=[common])
-    pe.add_argument("--n", type=int, required=True, choices=(3, 4))
-    pe.add_argument("--coords", required=True, choices=("mumford", "xy"))
-    pe.add_argument("--curve", help="specialize the curve coefficients (formal if omitted)")
-    pe.set_defaults(func=_cmd_divpoly)
 
-    po = sub.add_parser("oracle", help="independent Cantor-arithmetic ground truth")
-    pos = po.add_subparsers(dest="oracle_verb", required=True)
-    pe2 = pos.add_parser("enumerate", parents=[common])
-    pe2.add_argument("--curve", required=True)
-    pe2.set_defaults(func=_cmd_oracle)
-    pt2 = pos.add_parser("torsion", parents=[common])
-    pt2.add_argument("--n", type=int, required=True)
-    pt2.add_argument("--curve", required=True)
-    pt2.set_defaults(func=_cmd_oracle)
-    return ap
+def _usage(level) -> str:
+    return "usage: " + "\n       ".join(f"{PROG} {' '.join(key)} {VERBS[key][1]}{_FORMAT}"
+                                        for key in _keys(level))
+
+
+def _help(level):
+    print(_usage(level) + "\n\ngenus-2 Jacobian arithmetic and torsion division polynomials\n")
+    for key in _keys(level):
+        print(f"  {' '.join(key):<18} {VERBS[key][2]}")
+    raise SystemExit(0)
+
+
+def _fail(level, message):
+    print(f"{_usage(level)}\n{PROG}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_option(word: str) -> bool:
+    return word.startswith("-") and not word[1:].isdigit()  # -3 is a value
+
+
+def _value(level, name, metavar, word):
+    try:
+        value = int(word) if metavar == "N" or metavar[1:2].isdigit() else word
+    except ValueError:
+        _fail(level, f"{name}: invalid int value {word!r}")
+    if metavar[0] == "{" and str(value) not in metavar[1:-1].split(","):
+        _fail(level, f"{name}: invalid choice {word!r} (choose from {metavar})")
+    return value
+
+
+def parse_args(argv):
+    """The namespace of argv (without the program name), read against VERBS.
+
+    -h or --help prints the usage of the group or verb it follows to stdout
+    and exits 0; any other malformed argv prints the usage and the error to
+    stderr and exits 2."""
+    words = [w for word in argv for w in (word.split("=", 1) if word[:2] == "--" else [word])]
+    level = ()
+    for kind in ("group", "verb"):
+        if not words or words[0] in _HELP:
+            _help(level) if words else _fail(level, f"missing {kind}")
+        if not _keys((*level, words[0])):
+            _fail(level, f"unknown {kind} {words[0]!r}")
+        level += (words.pop(0),)
+    handler, synopsis, _ = VERBS[level]
+    table = (synopsis + _FORMAT).split()
+    positionals = synopsis.partition("--")[0].split()
+    # --name -> its metavar, "" for a flag
+    options = {word.strip("[]"): "" if word[-1] == "]" else table[i + 1].rstrip("]")
+               for i, word in enumerate(table) if word.lstrip("[")[:2] == "--"}
+    given, values = [], {}
+    while words:
+        word = words.pop(0)
+        metavar = options.get(word)
+        if word in _HELP:
+            _help(level)
+        elif not _is_option(word):
+            given.append(word)
+        elif metavar is None:
+            _fail(level, f"unrecognized option {word}")
+        elif not metavar:
+            values[word] = True
+        elif not words or _is_option(words[0]):
+            _fail(level, f"{word} expects a value")
+        else:
+            values[word] = _value(level, word, metavar, words.pop(0))
+    if len(given) != len(positionals):
+        _fail(level, f"expected {len(positionals)} positional arguments, got {len(given)}")
+    args = SimpleNamespace(func=handler, divisors=given, **{f"{level[0]}_verb": level[1]})
+    if positionals[:1] == ["N"]:
+        args.n = _value(level, "N", "N", given.pop(0))
+    for name, metavar in options.items():
+        if name not in values:
+            if name in table:  # not in [...]
+                _fail(level, f"missing required option {name}")
+            values[name] = (_value(level, name, metavar, metavar[1:-1].split(",")[0])
+                            if metavar[:1] == "{" else None if metavar else False)
+        setattr(args, name[2:].replace("-", "_"), values[name])
+    return args
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except G2DivError as exc:

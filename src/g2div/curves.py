@@ -57,7 +57,8 @@ class CanonicalCurve(namedtuple("CanonicalCurve", "field lam")):
 
     def branch_points(self) -> list:
         """x-coordinates with y = 0 that lie in the base field, sorted."""
-        return unipoly.roots_in_field(self.px())
+        from .roots import roots_in_field
+        return roots_in_field(self.px())
 
     def __repr__(self):
         ls = ", ".join(self.field.to_str(c) for c in self.lam)

@@ -10,7 +10,8 @@ from numbers import Rational
 from .errors import DivisionByZero, MixedFields, SerializationError, UnsupportedField
 from .fields import (EXCLUDED_CHARACTERISTICS, MAX_EXTENSION_DEGREE, GF, Field, FieldElement,
                      FieldSpec, PrimeField, is_prime)
-from .unipoly import UniPoly, gcd, powmod, roots_in_field
+from .roots import powmod, roots_in_field
+from .unipoly import UniPoly, gcd
 
 
 def is_irreducible_mod_p(coeffs, p: int) -> bool:

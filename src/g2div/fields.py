@@ -1,4 +1,4 @@
-"""Exact field arithmetic over Q and F_p; the FieldSpec of F_{p^k}, k <= 4.
+"""Exact field arithmetic over F_p; the FieldSpec of Q, F_p and F_{p^k}, k <= 4.
 
 Every other module is generic over the (Field, FieldElement) pair defined
 here.  Characteristics 2 and 5 are rejected: the hyperelliptic involution
@@ -6,14 +6,13 @@ y -> -y degenerates in characteristic 2, and the quintic leading term plus
 the 1/10 denominators of the birational transformations misbehave in
 characteristic 5.
 
-F_{p^k} arithmetic, moduli and embeddings live in g2div.extension, loaded
-on first use; its public names resolve here too (PEP 562).  fractions is
-imported when Q is built, so F_p code loads neither module.
+F_{p^k} arithmetic, moduli and embeddings live in g2div.extension and Q in
+g2div.rational, each loaded on first use; their public names resolve here
+too (PEP 562).  rational imports fractions, so F_p code loads neither.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isqrt
 from numbers import Rational
 
 from .errors import DivisionByZero, MixedFields, NoSquareRoot, SerializationError, UnsupportedField
@@ -381,85 +380,6 @@ class Field:
         return map(self._element_at, range(self.order()))
 
 
-class RationalField(Field):
-    characteristic = 0
-
-    def __init__(self, spec: FieldSpec):
-        from fractions import Fraction
-        self.spec = spec
-        self._native_zero, self._native_one = 0, 1
-        self._fraction = Fraction
-
-    def short_name(self):
-        return "Q"
-
-    def element(self, raw):
-        return FieldElement(self, self._fraction(raw))
-
-    def add(self, a, b):
-        return FieldElement(self, a.value + b.value)
-
-    def sub(self, a, b):
-        return FieldElement(self, a.value - b.value)
-
-    def mul(self, a, b):
-        return FieldElement(self, a.value * b.value)
-
-    def neg(self, a):
-        return FieldElement(self, -a.value)
-
-    def inv(self, a):
-        if not a.value:
-            raise DivisionByZero("1/0 in Q")
-        return FieldElement(self, 1 / a.value)
-
-    def _invert(self, v):
-        if not v:
-            raise DivisionByZero("1/0 in Q")
-        return self._reduce(1 / self._fraction(v))
-
-    def is_zero(self, a):
-        return not a.value
-
-    def _native(self, a):
-        return self._reduce(a.value)
-
-    def _reduce(self, v):
-        # an int while integral (faster than Fraction), else a Fraction; no
-        # native path divides (int / int gives a float): inverses use _invert
-        if type(v) is int:
-            return v
-        return v.numerator if v.denominator == 1 else v
-
-    def sqrt(self, a):
-        v = a.value
-        if v < 0:
-            return ()
-        if v == 0:
-            return (self.zero,)
-        rn, rd = isqrt(v.numerator), isqrt(v.denominator)
-        if rn * rn != v.numerator or rd * rd != v.denominator:
-            return ()
-        r = self._fraction(rn, rd)
-        return (FieldElement(self, -r), FieldElement(self, r))
-
-    def is_square(self, a):
-        return bool(self.sqrt(a))
-
-    def sort_key(self, a):
-        return (a.value.numerator, a.value.denominator)
-
-    def to_str(self, a):
-        v = a.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-    def from_str(self, s):
-        try:
-            return self.element(self._fraction(s))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SerializationError(f"bad rational {s!r}") from exc
-
-
 class PrimeField(Field):
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -553,6 +473,7 @@ def make_field(spec: FieldSpec) -> Field:
     keyed = (spec.kind, spec.p, spec.k, spec.modulus)
     if keyed not in _FIELD_CACHE:
         if spec.kind == "rational":
+            from .rational import RationalField
             _FIELD_CACHE[keyed] = RationalField(spec)
         elif spec.kind == "prime":
             _FIELD_CACHE[keyed] = PrimeField(spec)
@@ -562,7 +483,7 @@ def make_field(spec: FieldSpec) -> Field:
     return _FIELD_CACHE[keyed]
 
 
-def QQ() -> RationalField:
+def QQ() -> Field:
     return make_field(FieldSpec("rational"))
 
 
@@ -587,6 +508,9 @@ def GF(p: int, k: int = 1, modulus=None) -> Field:
 
 
 def __getattr__(name):
+    if name == "RationalField":
+        from .rational import RationalField
+        return RationalField
     if name not in ("ExtensionField", "FieldEmbedding", "embedding", "find_irreducible",
                     "is_irreducible_mod_p"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 
-from . import unipoly
 from .curves import CanonicalCurve
 from .divisors import MumfordDivisor, _chord
 from .errors import (
@@ -29,6 +28,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import MAX_EXTENSION_DEGREE, Field, GF
+from .roots import roots_in_field
 from .unipoly import UniPoly
 
 
@@ -155,7 +155,7 @@ def _canonicalize_degree6(F: Field, pbar: UniPoly):
 
         return curve, PointMap(fwd, inv)
 
-    roots = unipoly.roots_in_field(pbar)
+    roots = roots_in_field(pbar)
     if not roots:
         raise NoRationalRoot("sextic model has no root in the base field")
     e0 = roots[0]  # smallest in the documented element order

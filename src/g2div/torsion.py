@@ -42,7 +42,6 @@ from .grouplaw import (
     double_traced,
     scalar_mul,
 )
-from .unipoly import factors_of_degree
 
 # the coordinates of each system with their Sato weights; the formal rings
 # append the curve coefficients LAMBDA_NAMES
@@ -94,6 +93,7 @@ def two_torsion_divisors(curve: CanonicalCurve) -> list:
     b-coordinates.  Over Q quadratic factors of P are not searched, so only
     the branch points and their pairs are returned.  Over a splitting field
     the count is C(5,2) + 5 = 15."""
+    from .roots import factors_of_degree
     F = curve.field
     bps = curve.branch_points()
     out = [MumfordDivisor.special(F, b, 0) for b in bps]

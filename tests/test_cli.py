@@ -169,6 +169,102 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["jac", "add", "d.json", "d.json", "--curve", "c.json", "--bogus"],
+     "unrecognized option --bogus"),
+    (["jac", "add", "d.json", "d.json"], "missing required option --curve"),
+    (["jac", "mul", "three", "d.json", "--curve", "c.json"], "N: invalid int value 'three'"),
+    (["torsion", "check", "--n", "x", "--divisor", "d.json", "--curve", "c.json"],
+     "--n: invalid int value 'x'"),
+    (["divpoly", "emit", "--n", "3", "--coords", "polar"], "--coords: invalid choice 'polar'"),
+    (["oracle", "enumerate", "--curve", "c.json", "--format", "yaml"], "invalid choice 'yaml'"),
+    (["jac", "double", "d.json", "d.json", "--curve", "c.json"], "expected 1 positional"),
+    (["jac", "add", "d.json", "--curve", "c.json"], "expected 2 positional"),
+    (["oracle", "enumerate", "extra", "--curve", "c.json"], "expected 0 positional"),
+    (["jac", "verify", "d.json", "--curve"], "--curve expects a value"),
+    (["curve", "transform", "--curve", "c.json", "--allow-extension=yes"], "positional"),
+    (["jac", "divide", "d.json"], "unknown verb 'divide'"),
+    (["field"], "unknown group 'field'"),
+    ([], "missing group"),
+    (["torsion"], "missing verb"),
+    (["jac", "mul", "2", "d.json", "--curve", "c.json", "--cur", "c.json"],
+     "unrecognized option --cur"),  # no prefix abbreviations
+])
+def test_usage_errors_exit_2_with_usage_on_stderr(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: g2div")
+    assert "g2div: error: " in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("ext", ["0", "-1", "5"])
+def test_torsion_find_ext_outside_1_to_4_is_a_usage_error(ext, files, capsys):
+    c, _ = files
+    for argv in (["--ext", ext], [f"--ext={ext}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["torsion", "find", "--n", "2", "--curve", c, *argv])
+        assert exc.value.code == 2
+        assert "--ext: invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_nonpositive_torsion_order_is_bad_input(n, files, capsys):
+    c, d = files
+    for argv in (["oracle", "torsion", "--n", n, "--curve", c],
+                 ["torsion", "check", "--n", n, "--divisor", d, "--curve", c]):
+        code, out = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == [{"error": "bad-input", "detail": "torsion order must be positive"}], argv
+
+
+def test_option_equals_value_matches_separate_value(files, capsys):
+    c, d = files
+    code, spaced = run(capsys, "torsion", "check", "--n", "2", "--divisor", d, "--curve", c)
+    assert code == 0
+    code, joined = run(capsys, "torsion", "check", "--n=2", f"--divisor={d}", f"--curve={c}",
+                       "--format=json")
+    assert code == 0 and joined == spaced
+    assert main(["jac", "verify", d, f"--curve={c}", "--format=text"]) == 0
+    assert capsys.readouterr().out == "J10: 0\nJ8: 0\n"
+
+
+def test_jac_mul_negative_scalar(files, capsys):
+    from g2div.curves import curve_from_json
+    from g2div.divisors import divisor_from_json, divisor_to_json
+    from g2div.grouplaw import scalar_mul
+    c, d = files
+    curve = curve_from_json(C7)
+    want = divisor_to_json(scalar_mul(-3, divisor_from_json(curve.field, D1), curve))
+    code, out = run(capsys, "jac", "mul", "-3", d, "--curve", c)
+    assert code == 0 and out == [want]
+    code, out = run(capsys, "jac", "mul", "--curve", c, "-3", d)  # options before positionals
+    assert code == 0 and out == [want]
+
+
+@pytest.mark.parametrize("argv,names", [
+    ([], ["curve transform", "jac add", "jac mul N divisor.json", "torsion find",
+          "divpoly emit", "oracle torsion", "--format {json,text}"]),
+    (["jac"], ["jac add", "jac double", "jac mul", "jac verify", "--curve CURVE"]),
+    (["torsion", "find"], ["torsion find --n {2,3,4} --curve CURVE [--ext {1,2,3,4}]"]),
+    (["curve", "transform"], ["[--allow-extension]"]),
+    (["divpoly", "emit"], ["--coords {mumford,xy} [--curve CURVE]"]),
+])
+def test_help_at_every_level_exits_0(argv, names, capsys):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: g2div") and captured.err == ""
+        for name in names:
+            assert name in captured.out, (argv, name)
+    if argv:  # a group's help leaves out the other groups
+        assert "oracle enumerate" not in captured.out
+
+
 def test_seed_reproducibility(files, capsys):
     c, _ = files
     code, a = run(capsys, "torsion", "find", "--n", "2", "--curve", c)

@@ -27,15 +27,18 @@ C7 = {"field": {"kind": "prime", "p": 7}, "form": "canonical",
 D1 = {"type": "nonspecial", "alpha": ["6", "0"], "beta": ["5", "6"]}
 
 
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
 def loaded_after(code):
-    """The g2div, dataclasses, fractions and decimal modules a fresh
-    interpreter holds after code."""
+    """The g2div, dataclasses, fractions, decimal, argparse, gettext and
+    locale modules a fresh interpreter holds after code."""
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     return {m for m in json.loads(out.splitlines()[-1])
-            if m in ("dataclasses", "fractions", "decimal") or m.startswith("g2div")}
+            if m in ("dataclasses", "fractions", "decimal", *ARGPARSE) or m.startswith("g2div")}
 
 
 @pytest.fixture
@@ -104,6 +107,36 @@ def test_prime_field_verbs_load_neither_extension_nor_fractions():
     assert not loaded & {"g2div.extension", "fractions", "decimal"}
 
 
+def test_no_verb_loads_argparse(files):
+    c, d = files
+    g = str(DATA / "form_II.json")
+    loaded = loaded_after(cli_calls(
+        ["curve", "transform", "--curve", g], ["curve", "transform", "--curve", c],
+        ["jac", "add", d, d, "--curve", c], ["jac", "double", d, "--curve", c],
+        ["jac", "mul", "-5", d, "--curve", c], ["jac", "verify", d, "--curve", c],
+        ["torsion", "check", "--n", "3", "--divisor", d, "--curve", c],
+        ["torsion", "find", "--n", "2", "--ext", "2", "--curve", c],
+        ["divpoly", "emit", "--n", "3", "--coords", "mumford", "--curve", c],
+        ["oracle", "enumerate", "--curve", c], ["oracle", "torsion", "--n", "2", "--curve", c]))
+    assert {"g2div.grouplaw", "g2div.torsion", "g2div.cantor", "g2div.models"} <= loaded
+    assert not loaded & ARGPARSE
+
+
+def test_jac_oracle_enumerate_and_torsion_check_load_neither_roots_nor_rational():
+    c, d1, d2 = (str(DATA / name) for name in ("c7.json", "c7_d1.json", "c7_d2.json"))
+    loaded = loaded_after(cli_calls(
+        ["jac", "verify", d1, "--curve", c], ["jac", "add", d1, d2, "--curve", c],
+        ["jac", "double", d1, "--curve", c], ["jac", "mul", "5", d2, "--curve", c],
+        ["oracle", "enumerate", "--curve", c],
+        *(["torsion", "check", "--n", str(n), "--divisor", d1, "--curve", c] for n in (2, 3, 4))))
+    assert {"g2div.grouplaw", "g2div.cantor", "g2div.torsion"} <= loaded
+    assert not loaded & {"g2div.roots", "g2div.rational"}
+    # the verbs that find roots, and Q, load them on first use
+    loaded = loaded_after(cli_calls(["torsion", "find", "--n", "2", "--curve", c],
+                                    ["divpoly", "emit", "--n", "3", "--coords", "mumford"]))
+    assert {"g2div.roots", "g2div.rational"} <= loaded
+
+
 def test_extension_field_jac_add_loads_extension_and_matches_library():
     c, d1, d2 = (DATA / name for name in ("c49.json", "c49_d1.json", "c49_d2.json"))
     argv = ["jac", "add", str(d1), str(d2), "--curve", str(c)]
@@ -155,12 +188,20 @@ def test_lazy_exports_resolve():
     assert namespace["scalar_mul"] is grouplaw.scalar_mul
     with pytest.raises(AttributeError):
         g2div.no_such_name
-    from g2div import extension, fields
+    from g2div import extension, fields, rational, roots, unipoly
     for name in ("ExtensionField", "FieldEmbedding", "embedding", "find_irreducible",
                  "is_irreducible_mod_p"):
         assert getattr(fields, name) is getattr(extension, name)
-    with pytest.raises(AttributeError):
-        fields.no_such_name
+    assert fields.RationalField is rational.RationalField
+    from g2div.fields import RationalField
+    assert RationalField is rational.RationalField
+    for name in ("powmod", "roots_in_field", "factors_of_degree"):
+        assert getattr(unipoly, name) is getattr(roots, name)
+    from g2div.unipoly import roots_in_field
+    assert roots_in_field is roots.roots_in_field
+    for module in (fields, unipoly):
+        with pytest.raises(AttributeError):
+            module.no_such_name
 
 
 # ---------------------------------------------------------------------------

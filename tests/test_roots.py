@@ -13,10 +13,12 @@ from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, mumford_from_points, points_from_mumford
 from g2div.errors import DivisionByZero
 from g2div.extension import ExtensionField, FieldEmbedding
-from g2div.fields import GF, Field, PrimeField, RationalField
+from g2div.fields import GF, Field, PrimeField
 from g2div.models import GeneralCurve, to_canonical
+from g2div.rational import RationalField
+from g2div.roots import factors_of_degree, roots_in_field
 from g2div.torsion import find_n_torsion
-from g2div.unipoly import UniPoly, factors_of_degree, roots_in_field
+from g2div.unipoly import UniPoly
 
 P61 = 2 ** 61 - 1
 P127 = 2 ** 127 - 1

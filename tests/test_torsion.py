@@ -41,7 +41,8 @@ from g2div.torsion import (
     _int_fraction,
     _p_of,
 )
-from g2div.unipoly import UniPoly, roots_in_field
+from g2div.roots import roots_in_field
+from g2div.unipoly import UniPoly
 
 # curves frozen after an oracle scan: each (p, lam) has nonempty exact-order
 # sets for the annotated n

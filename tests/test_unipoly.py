@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from g2div.errors import InexactDivision
 from g2div.fields import GF, QQ
-from g2div.unipoly import UniPoly, gcd, resultant, roots_in_field, xgcd
+from g2div.roots import roots_in_field
+from g2div.unipoly import UniPoly, gcd, resultant, xgcd
 
 F7 = GF(7)
 
