@@ -41,29 +41,48 @@ def neutral_divisor(field: Field) -> CantorDivisor:
 
 
 def cantor_add(a: CantorDivisor, b: CantorDivisor, curve: CanonicalCurve) -> CantorDivisor:
-    """Composition then reduction; total on all class representatives."""
+    """Composition then reduction; total on all class representatives.
+
+    Cantor's composition: with d = gcd(u1, u2, v1 + v2) = s1*u1 + s2*u2 +
+    s3*(v1 + v2), u = u1*u2/d^2 and v = (s1*u1*v2 + s2*u2*v1 + s3*(v1*v2 +
+    f))/d mod u.  Each xgcd carries one cofactor, and the three cases below
+    are that formula with the cofactors it does not need cancelled out.  A
+    unit d (d = 1, as d is monic) divides nothing."""
     F = curve.field
     if a.u.field is not F or b.u.field is not F:
         raise MixedFields("divisor/curve field mismatch")
     f = curve.px()
     u1, v1 = a.u, a.v
     u2, v2 = b.u, b.v
-    d1, e1, e2 = xgcd(u1, u2)
-    if d1.degree() == 0:
-        # coprime supports: d = 1, s3 = 0, so u = u1*u2 and v is the CRT
-        # solution of v = v1 mod u1, v = v2 mod u2 (e1*u1 + e2*u2 = 1), the
-        # same v as (e1*u1*v2 + e2*u2*v1) mod u, which it equals mod u1 and
-        # mod u2 and with degree below deg u
-        u = u1 * u2
-        v = v2 + u2 * ((e2 * (v1 - v2)) % u1)
+    if u1 == u2:
+        # one support, a doubling among them: gcd(u1, u2) = u1 = 0*u1 + 1*u2,
+        # and with d = gcd(u1, v1 + v2) = c1*u1 + c2*(v1 + v2) the numerator
+        # c1*u1*v1 + c2*(v1*v2 + f) is d*v1 + c2*(f - v1^2)
+        d, c2 = xgcd(u1, v1 + v2)
+        h, w = u1, f - v1 * v1
+        if d.degree() > 0:
+            h, w = u1.exact_div(d), w.exact_div(d)
+        u = h * h
+        v = (v1 + c2 * w) % u
     else:
-        d, c1, c2 = xgcd(d1, v1 + v2)
-        s1 = c1 * e1
-        s2 = c1 * e2
-        s3 = c2
-        u = (u1 * u2).exact_div(d * d)
-        mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
-        v = mixed.exact_div(d) % u
+        d1, e2 = xgcd(u1, u2)  # e1*u1 + e2*u2 = d1
+        if d1.degree() == 0:
+            # coprime supports: s3 = 0, and v is the CRT solution of v = v1
+            # mod u1, v = v2 mod u2, the same v as (e1*u1*v2 + e2*u2*v1) mod
+            # u, which it equals mod u1 and mod u2 and with degree below deg u
+            u = u1 * u2
+            v = v2 + u2 * ((e2 * (v1 - v2)) % u1)
+        else:
+            # shared support: d = c1*d1 + c2*(v1 + v2), and the numerator is
+            # d*v2 + c1*e2*u2*(v1 - v2) + c2*(f - v2^2)
+            vs = v1 + v2
+            d, c2 = xgcd(d1, vs)
+            c1 = (d - c2 * vs).exact_div(d1)
+            h1, h2, w = u1, u2, f - v2 * v2
+            if d.degree() > 0:
+                h1, h2, w = u1.exact_div(d), u2.exact_div(d), w.exact_div(d)
+            u = h1 * h2
+            v = (v2 + c1 * e2 * h2 * (v1 - v2) + c2 * w) % u
     # reduction
     while u.degree() > 2:
         u = (f - v * v).exact_div(u)

@@ -327,15 +327,19 @@ class Field:
     def sqrt(self, a) -> tuple:
         """All square roots of a, sorted by sort_key; () is the no-root marker.
 
-        One power when q = 3 mod 4; otherwise Tonelli-Shanks with the cached
+        When q = 3 mod 4, r = a^((q+1)/4) is a root exactly when r*r == a
+        (else r*r == -a), so one power decides and finds it.  Otherwise
+        Euler's criterion, then Tonelli-Shanks with the cached
         _non_residue(), on q - 1 = 2^s * t with t odd."""
         if self.is_zero(a):
             return (self.zero,)
-        if not self.is_square(a):
-            return ()
         q, one, mul = self.order(), self.one, self.mul
         if q % 4 == 3:
             r = self.pow(a, (q + 1) // 4)
+            if mul(r, r) != a:
+                return ()
+        elif not self.is_square(a):
+            return ()
         else:
             s, t = 0, q - 1
             while t % 2 == 0:
@@ -351,7 +355,8 @@ class Field:
                 b = self.pow(c, 1 << (m - i - 1))
                 m, c = i, mul(b, b)
                 tt, r = mul(tt, c), mul(r, b)
-        return tuple(sorted((r, self.neg(r)), key=self.sort_key))
+        n = self.neg(r)
+        return (r, n) if self.sort_key(r) < self.sort_key(n) else (n, r)
 
     def sqrt_exact(self, a) -> FieldElement:
         roots = self.sqrt(a)

@@ -4,6 +4,11 @@ Shared by the curve transformations, the branch-point search, and the
 Cantor oracle.  Coefficients ascend: UniPoly(F, [c0, c1, c2]) is
 c0 + c1*x + c2*x^2.
 
+xgcd carries one Bezout cofactor, b's, and skips the update after the last
+Euclidean step; cantor_add derives the other by exact division only where
+it needs it.  Products, quotients and remainders, which cannot end in a
+zero coefficient, are built without a stripping pass.
+
 Root finding (powmod, roots_in_field, factors_of_degree) lives in
 g2div.roots, loaded on first use; its names resolve here too (PEP 562).
 """
@@ -17,7 +22,8 @@ class UniPoly:
     """Coefficients are stored as the field's native values (Field._native:
     int for F_p, int or Fraction for Q, the element itself for F_{p^k}), reduced and
     without trailing zeros; arithmetic runs on them with Field._reduce, and
-    coeffs, __getitem__, lead and evaluate wrap them back into elements."""
+    coeffs, __getitem__, lead and evaluate wrap them back into elements.
+    An operand that is not a UniPoly is lifted to a constant polynomial."""
 
     __slots__ = ("field", "_c")
 
@@ -34,22 +40,19 @@ class UniPoly:
         """A polynomial from a list of reduced native values."""
         while cs and not cs[-1]:
             cs.pop()
-        p = UniPoly.__new__(UniPoly)
-        p.field = field
-        p._c = tuple(cs)
-        return p
+        return _poly(field, tuple(cs))
 
     @staticmethod
     def zero(field: Field) -> "UniPoly":
-        return UniPoly._make(field, [])
+        return _poly(field, ())
 
     @staticmethod
     def one(field: Field) -> "UniPoly":
-        return UniPoly._make(field, [field._native_one])
+        return _poly(field, (field._native_one,))
 
     @staticmethod
     def x(field: Field) -> "UniPoly":
-        return UniPoly._make(field, [field._native_zero, field._native_one])
+        return _poly(field, (field._native_zero, field._native_one))
 
     @staticmethod
     def constant(field: Field, c) -> "UniPoly":
@@ -83,7 +86,8 @@ class UniPoly:
         return hash((self.field, self._c))
 
     def __add__(self, other):
-        a, b = self._c, self._lift(other)._c
+        a = self._c
+        b = other._c if isinstance(other, UniPoly) else self._lift(other)._c
         if len(a) < len(b):
             a, b = b, a
         red = self.field._reduce
@@ -95,7 +99,8 @@ class UniPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._c, self._lift(other)._c
+        a = self._c
+        b = other._c if isinstance(other, UniPoly) else self._lift(other)._c
         red = self.field._reduce
         out = [red(x - y) for x, y in zip(a, b)]
         out += a[len(b):]
@@ -107,20 +112,22 @@ class UniPoly:
 
     def __neg__(self):
         red = self.field._reduce
-        return UniPoly._make(self.field, [red(-c) for c in self._c])
+        return _poly(self.field, tuple([red(-c) for c in self._c]))
 
     def __mul__(self, other):
-        a, b = self._c, self._lift(other)._c
+        a = self._c
+        b = other._c if isinstance(other, UniPoly) else self._lift(other)._c
         F = self.field
         if not a or not b:
-            return UniPoly._make(F, [])
-        # sums of products stay unreduced until the end
+            return _poly(F, ())
+        # sums of products stay unreduced until the end; over a field the
+        # top coefficient, a product of two nonzero ones, is nonzero
         out = [F._native_zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return UniPoly._make(F, list(map(F._reduce, out)))
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _poly(F, tuple(map(F._reduce, out)))
 
     __rmul__ = __mul__
 
@@ -144,45 +151,53 @@ class UniPoly:
     def scale(self, c) -> "UniPoly":
         F = self.field
         c = F._native(F.coerce(c))
-        return self._scaled(c) if c else UniPoly._make(F, [])
+        return self._scaled(c) if c else _poly(F, ())
 
     def _scaled(self, c) -> "UniPoly":
         """self times the nonzero reduced native c."""
         red = self.field._reduce
-        return UniPoly._make(self.field, [red(a * c) for a in self._c])
+        return _poly(self.field, tuple([red(a * c) for a in self._c]))
 
-    def divmod(self, other: "UniPoly"):
-        b = self._lift(other)._c
+    def _divide(self, other):
+        """Quotient and remainder as lists of reduced natives, each without
+        trailing zeros."""
+        b = other._c if isinstance(other, UniPoly) else self._lift(other)._c
         if not b:
             raise DivisionByZero("polynomial division by zero")
         F = self.field
-        red = F._reduce
         rem = list(self._c)
         db = len(b) - 1
+        if len(rem) <= db:
+            return [], rem
+        red = F._reduce
         lead = b[-1]
         inv_lead = None if lead == F._native_one else F._invert(lead)
         low = b[:-1]  # the leading term cancels by construction
-        q = [F._native_zero] * max(len(rem) - db, 1)
+        q = [F._native_zero] * (len(rem) - db)
         while len(rem) > db:
             c = rem.pop()  # nonzero: rem never ends in a zero
             if inv_lead is not None:
                 c = red(c * inv_lead)
             shift = len(rem) - db
-            q[shift] = c
-            for i, bi in enumerate(low):
-                rem[shift + i] = red(rem[shift + i] - c * bi)
+            q[shift] = c  # the first one is the top, so q ends in no zero
+            for i, bi in enumerate(low, shift):
+                rem[i] = red(rem[i] - c * bi)
             while rem and not rem[-1]:
                 rem.pop()
-        return UniPoly._make(F, q), UniPoly._make(F, rem)
+        return q, rem
+
+    def divmod(self, other: "UniPoly"):
+        q, r = self._divide(other)
+        return _poly(self.field, tuple(q)), _poly(self.field, tuple(r))
 
     def __mod__(self, other):
-        return self.divmod(other)[1]
+        return _poly(self.field, tuple(self._divide(other)[1]))
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
+        q, r = self._divide(other)
+        if r:
             raise InexactDivision("nonzero remainder")
-        return q
+        return _poly(self.field, tuple(q))
 
     def monic(self) -> "UniPoly":
         if not self._c or self._c[-1] == self.field._native_one:
@@ -226,6 +241,16 @@ class UniPoly:
         return "UniPoly(" + " + ".join(parts) + ")"
 
 
+def _poly(field: Field, cs: tuple) -> UniPoly:
+    """A polynomial from a tuple of reduced native values whose last entry,
+    if any, is nonzero, as in a product, a quotient or a remainder; a sum
+    or difference, whose top can cancel, goes through _make."""
+    p = object.__new__(UniPoly)
+    p.field = field
+    p._c = cs
+    return p
+
+
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     while not b.is_zero():
         a, b = b, a % b
@@ -233,20 +258,25 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def xgcd(a: UniPoly, b: UniPoly):
-    """Returns (g, s, t) monic with s*a + t*b = g."""
+    """(g, t): g = gcd(a, b), monic, and t with s*a + t*b = g for some s.
+
+    Only b's cofactor runs through the Euclidean steps, and not through the
+    last one, whose remainder is zero; a caller that needs s takes
+    (g - t*b).exact_div(a)."""
     F = a.field
     r0, r1 = a, b
-    s0, s1 = UniPoly.one(F), UniPoly.zero(F)
     t0, t1 = UniPoly.zero(F), UniPoly.one(F)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
+    while r1._c:
+        q, r = r0._divide(r1)
+        if not r:
+            r0, t0 = r1, t1
+            break
+        r0, r1 = r1, _poly(F, tuple(r))
+        t0, t1 = t1, t0 - _poly(F, tuple(q)) * t1
     if not r0._c or r0._c[-1] == F._native_one:
-        return r0, s0, t0
+        return r0, t0
     c = F._invert(r0._c[-1])
-    return r0._scaled(c), s0._scaled(c), t0._scaled(c)
+    return r0._scaled(c), t0._scaled(c)
 
 
 def resultant(a: UniPoly, b: UniPoly) -> FieldElement:

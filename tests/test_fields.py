@@ -55,15 +55,31 @@ def test_sqrt_f7_both_roots(f7):
     assert [r.value for r in roots] == expected == [3, 4]
 
 
-def test_sqrt_matches_exhaustive_search():
+def test_sqrt_matches_exhaustive_search(monkeypatch):
     # GF(17) and GF(41) run Tonelli-Shanks with s = 4 and 3; GF(13, 3) is odd
-    # degree with q = 1 mod 4, so its non-residue comes from GF(13)
-    for field in (GF(11), GF(13), GF(17), GF(41), GF(7, 2), GF(13, 3)):
+    # degree with q = 1 mod 4, so its non-residue comes from GF(13).  Where q
+    # = 3 mod 4 (7, 11, 19, 1019 and 7^3) a nonzero element, square or not,
+    # costs a single pow.
+    pows = [0]
+
+    def counted(pow_):
+        def wrapper(self, a, e):
+            pows[0] += 1
+            return pow_(self, a, e)
+        return wrapper
+
+    for cls in {type(GF(7)), type(GF(7, 3))}:
+        monkeypatch.setattr(cls, "pow", counted(cls.pow))
+    for field in (GF(7), GF(11), GF(13), GF(17), GF(19), GF(41), GF(1019), GF(7, 2),
+                  GF(7, 3), GF(13, 3)):
         squares = {}
         for x in field.elements():
             squares.setdefault((x * x).value, []).append(x)
         for a in field.elements():
+            pows[0] = 0
             roots = field.sqrt(a)
+            if field.order() % 4 == 3:
+                assert pows[0] == (0 if field.is_zero(a) else 1)
             expected = sorted(squares.get(a.value, []), key=field.sort_key)
             assert list(roots) == expected
             assert field.is_square(a) == bool(roots)

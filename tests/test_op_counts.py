@@ -11,10 +11,11 @@ hyperelliptic curves", AAECC 15 (2005): addition 1I + 22M + 3S, doubling
 """
 from collections import Counter
 
-from g2div import grouplaw
+from g2div import cantor, grouplaw
 from g2div.curves import CanonicalCurve
 from g2div.divisors import mumford_from_points
 from g2div.fields import FieldSpec, GF, PrimeField
+from g2div.unipoly import UniPoly
 
 P40 = 2 ** 40 - 87
 COUNTS = Counter()
@@ -77,10 +78,10 @@ class CountingPrimeField(PrimeField):
         return Counting(PrimeField._invert(self, v))
 
 
-def _inputs():
-    """The curve y^2 = x^5 + x^4 + 2x^3 + 3x^2 + 4x + 5 over F_{2^40-87} and
-    two degree-2 divisors on it, from the first points with x = 1, 2, ..."""
-    F = GF(P40)
+def _curve_points(p):
+    """The curve y^2 = x^5 + x^4 + 2x^3 + 3x^2 + 4x + 5 over F_p and its
+    first four points with x = 1, 2, ..."""
+    F = GF(p)
     curve = CanonicalCurve(F, (1, 2, 3, 4, 5))
     pts = []
     x = 0
@@ -89,6 +90,12 @@ def _inputs():
         roots = F.sqrt(curve.p_at(F.element(x)))
         if roots:
             pts.append((F.element(x), roots[0]))
+    return curve, pts
+
+
+def _inputs():
+    """The curve over F_{2^40-87} and two degree-2 divisors on it."""
+    curve, pts = _curve_points(P40)
     return curve, mumford_from_points(curve, *pts[:2]), mumford_from_points(curve, *pts[2:])
 
 
@@ -132,3 +139,51 @@ def test_counting_native_stays_counting():
     c = 2 * (a * b) - a + (-b) + 7
     assert type(c) is Counting and c == 29
     assert COUNTS == {"products": 1, "by_constant": 1, "additions": 3}
+
+
+# ---------------------------------------------------------------------------
+# the Cantor oracle's polynomial operations
+
+POLY_KINDS = {"products": ("__mul__", "__rmul__"), "divisions": ("_divide",),
+              "additions": ("__add__", "__radd__", "__sub__", "__neg__")}
+
+
+def _count_poly_ops(monkeypatch):
+    """Tally UniPoly's products, divisions (divmod, %, exact_div and xgcd's
+    steps all run _divide), additions, subtractions and negations (__rsub__
+    runs __sub__), and the oracle's xgcd calls."""
+    def counted(kind, method):
+        def wrapper(*args):
+            COUNTS[kind] += 1
+            return method(*args)
+        return wrapper
+
+    for kind, names in POLY_KINDS.items():
+        for name in names:
+            monkeypatch.setattr(UniPoly, name, counted(kind, getattr(UniPoly, name)))
+    monkeypatch.setattr(cantor, "xgcd", counted("xgcd", cantor.xgcd))
+
+
+# UniPoly (products, divisions, additions and negations, xgcd calls) of one
+# cantor_add; README tabulates them
+CANTOR_COUNTS = {"coprime": (6, 6, 6, 1), "double": (5, 5, 6, 1), "shared": (10, 8, 10, 2),
+                 "involute": (8, 8, 7, 2)}
+
+
+def test_cantor_add_poly_op_counts(monkeypatch):
+    # over F_1009: {P1, P2} plus {P3, P4}, plus itself, plus {P1, P3} (d = 1)
+    # and plus {-P1, P3} (d = x - x1)
+    curve, (p1, p2, p3, p4) = _curve_points(1009)
+    D1 = mumford_from_points(curve, p1, p2)
+    p1_ = (p1[0], -p1[1])
+    cases = {"coprime": (D1, mumford_from_points(curve, p3, p4)), "double": (D1, D1),
+             "shared": (D1, mumford_from_points(curve, p1, p3)),
+             "involute": (D1, mumford_from_points(curve, p1_, p3))}
+    _count_poly_ops(monkeypatch)
+    for how, (P, Q) in cases.items():
+        a, b = cantor.from_mumford(P), cantor.from_mumford(Q)
+        COUNTS.clear()
+        got = cantor.cantor_add(a, b, curve)
+        counts = tuple(COUNTS[k] for k in ("products", "divisions", "additions", "xgcd"))
+        assert cantor.to_mumford(got) == grouplaw.add(P, Q, curve), how
+        assert counts == CANTOR_COUNTS[how], how

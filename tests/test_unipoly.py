@@ -59,14 +59,19 @@ def test_exact_div_raises():
 def test_gcd_and_xgcd(field):
     rng = random.Random(29)
     common = UniPoly(field, [elem(field, 7), 1])  # gives some pairs a gcd of degree > 0
-    for i in range(100):
+    for i in range(120):
         a = rand_poly(field, rng, 6)
         b = rand_poly(field, rng, 6)
         if i % 3 == 0:
             a, b = a * common, b * common
+        elif i % 10 == 1:  # a nonzero constant on either side
+            a = UniPoly.constant(field, elem(field, i))
+        elif i % 10 == 2:
+            b = UniPoly.constant(field, elem(field, i))
         if a.is_zero() or b.is_zero():
             continue
-        g, s, t = xgcd(a, b)
+        g, t = xgcd(a, b)
+        s = (g - t * b).exact_div(a)  # raises InexactDivision unless a divides it
         assert s * a + t * b == g
         assert g == gcd(a, b)
         assert g.lead() == field.one
