@@ -4,7 +4,9 @@ Every addition is cross-checked against the independent Cantor arithmetic;
 the tally shows how often each branch of the coordinate law fires.  The
 field is F_p, or F_{p^k} with the optional extension degree k, whose
 natives are field elements rather than ints; x-coordinates are drawn from
-the whole field.
+the whole field.  Every fifth pair also doubles its first divisor and a
+divisor 2S on a repeated point, drawn from a second seeded stream so the
+pairs stay the same.
 
 Usage: python scripts/branch_coverage.py [pairs] [p] [k]
 """
@@ -34,12 +36,23 @@ def random_divisor(curve, rng):
     return mumford_from_points(curve, pts[0], pts[1])
 
 
+def repeated_divisor(curve, rng):
+    """2S for a random affine point S with y != 0."""
+    F = curve.field
+    while True:
+        x = F._element_at(rng.randrange(F.order()))
+        roots = [y for y in F.sqrt(curve.p_at(x)) if not F.is_zero(y)]
+        if roots:
+            S = (x, roots[rng.randrange(len(roots))])
+            return mumford_from_points(curve, S, S)
+
+
 def main():
     pairs = int(sys.argv[1]) if len(sys.argv) > 1 else 5000
     p = int(sys.argv[2]) if len(sys.argv) > 2 else 1009
     k = int(sys.argv[3]) if len(sys.argv) > 3 else 1
     curve = CanonicalCurve(GF(p, k), (1, 2, 3, 4, 5))
-    rng = random.Random(0)
+    rng, repeated_rng = random.Random(0), random.Random(1)
     tags = {}
     t0 = time.time()
     for i in range(pairs):
@@ -49,9 +62,10 @@ def main():
         assert got == expect, (P, Q)
         tags[tag] = tags.get(tag, 0) + 1
         if i % 5 == 0:
-            dgot, dtag = double_traced(P, curve)
-            assert dgot == to_mumford(cantor_add(from_mumford(P), from_mumford(P), curve))
-            tags[dtag] = tags.get(dtag, 0) + 1
+            for D in (P, repeated_divisor(curve, repeated_rng)):
+                dgot, dtag = double_traced(D, curve)
+                assert dgot == to_mumford(cantor_add(from_mumford(D), from_mumford(D), curve)), D
+                tags[dtag] = tags.get(dtag, 0) + 1
         if i % 50 == 0:
             got, tag = add_traced(P, negate(P), curve)
             assert got.is_neutral()

@@ -123,8 +123,7 @@ def _cmd_torsion(args) -> int:
                 raise SerializationError("--ext expects a prime-field curve")
             big = GF(F.characteristic, args.ext)
             curve = CanonicalCurve(big, tuple(big.element(c.value) for c in curve.lam))
-        found = find_n_torsion(curve, args.n)
-        for d in sorted(found, key=lambda d: d.sort_key()):
+        for d in find_n_torsion(curve, args.n):  # sorted by every search
             _emit(divisor_to_json(d), args.format)
         return 0
     # check
@@ -168,17 +167,12 @@ def _cmd_oracle(args) -> int:
     from . import cantor
     curve = _load_canonical(args.curve)
     if args.oracle_verb == "enumerate":
-        els = cantor.enumerate_jacobian(curve)
-        ms = sorted((cantor.to_mumford(d) for d in els), key=lambda d: d.sort_key())
-        for d in ms:
-            _emit(divisor_to_json(d), args.format)
-        _emit({"order": len(els)}, args.format)
-        return 0
-    found = cantor.brute_force_n_torsion(curve, args.n)
-    ms = sorted((cantor.to_mumford(d) for d in found), key=lambda d: d.sort_key())
-    for d in ms:
+        found, total = cantor.enumerate_jacobian(curve), "order"
+    else:
+        found, total = cantor.brute_force_n_torsion(curve, args.n), "count"
+    for d in sorted(map(cantor.to_mumford, found), key=lambda d: d.sort_key()):
         _emit(divisor_to_json(d), args.format)
-    _emit({"count": len(ms)}, args.format)
+    _emit({total: len(found)}, args.format)
     return 0
 
 

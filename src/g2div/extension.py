@@ -4,7 +4,6 @@ compiles it: by fields for an extension FieldSpec or GF(p, k > 1), and by
 divisors for a support irreducible over its base field."""
 from __future__ import annotations
 
-from itertools import count
 from numbers import Rational
 
 from .errors import DivisionByZero, MixedFields, SerializationError, UnsupportedField
@@ -160,21 +159,6 @@ class ExtensionField(Field):
                 for j, m in enumerate(row):
                     out[j] += c * m
         return FieldElement(self, tuple(x % p for x in out))
-
-    def _non_residue(self):
-        """The first quadratic non-residue in elements() order, found once per
-        field without enumerating the field.  For odd k an element of F_p is a
-        square in F_{p^k} exactly when it is one in F_p, so this is GF(p)'s
-        least non-residue.  For even k the prime subfield (the first p
-        elements) consists of squares, so the Euler test starts at element p,
-        which is t."""
-        if self._nonresidue is None:
-            if self.k % 2:
-                self._nonresidue = self.element(GF(self.p)._non_residue().value)
-            else:
-                self._nonresidue = next(z for z in map(self._element_at, count(self.p))
-                                        if not self.is_square(z))
-        return self._nonresidue
 
     def sort_key(self, a):
         return tuple(reversed(a.value))

@@ -329,8 +329,10 @@ class Field:
 
         When q = 3 mod 4, r = a^((q+1)/4) is a root exactly when r*r == a
         (else r*r == -a), so one power decides and finds it.  Otherwise
-        Euler's criterion, then Tonelli-Shanks with the cached
-        _non_residue(), on q - 1 = 2^s * t with t odd."""
+        Tonelli-Shanks on q - 1 = 2^s * t with t odd: one power x =
+        a^((t-1)/2) gives r = a*x and a^t = r*x, a^t of order 2^s marks a
+        non-square, and the first step raises the cached _non_residue() z
+        to t*2^k directly, so z^t is never formed on its own."""
         if self.is_zero(a):
             return (self.zero,)
         q, one, mul = self.order(), self.one, self.mul
@@ -338,25 +340,37 @@ class Field:
             r = self.pow(a, (q + 1) // 4)
             if mul(r, r) != a:
                 return ()
-        elif not self.is_square(a):
-            return ()
         else:
             s, t = 0, q - 1
             while t % 2 == 0:
                 s += 1
                 t //= 2
-            m, c = s, self.pow(self._non_residue(), t)
-            tt, r = self.pow(a, t), self.pow(a, (t + 1) // 2)
+            x = self.pow(a, (t - 1) // 2)
+            r = mul(a, x)
+            tt, m, c, e = mul(r, x), s, self._non_residue(), t  # c^e = z^t
             while tt != one:
                 i, t2 = 0, tt
                 while t2 != one:
                     t2 = mul(t2, t2)
                     i += 1
-                b = self.pow(c, 1 << (m - i - 1))
-                m, c = i, mul(b, b)
+                if i == m:
+                    return ()  # a^((q-1)/2) = -1
+                b = self.pow(c, e << (m - i - 1))
+                m, c, e = i, mul(b, b), 1
                 tt, r = mul(tt, c), mul(r, b)
         n = self.neg(r)
         return (r, n) if self.sort_key(r) < self.sort_key(n) else (n, r)
+
+    def _non_residue(self) -> FieldElement:
+        """The first quadratic non-residue in elements() order, found on first
+        use without enumerating the field.  Elements 0 and 1 are squares, and
+        for even k so is all of the prime subfield (the first p elements), so
+        the scan starts at element p there and at element 2 otherwise."""
+        if self._nonresidue is None:
+            start = self.p if (self.spec.k or 1) % 2 == 0 else 2
+            self._nonresidue = next(z for z in map(self._element_at, range(start, self.order()))
+                                    if not self.is_square(z))
+        return self._nonresidue
 
     def sqrt_exact(self, a) -> FieldElement:
         roots = self.sqrt(a)
@@ -441,13 +455,6 @@ class PrimeField(Field):
             return pow(v, -1, self.p)
         except ValueError:  # v is a multiple of p
             raise DivisionByZero(f"1/0 in {self}") from None
-
-    def _non_residue(self) -> FieldElement:
-        """The least quadratic non-residue mod p, found on first use."""
-        if self._nonresidue is None:
-            self._nonresidue = next(z for z in map(self._element_at, range(2, self.p))
-                                    if not self.is_square(z))
-        return self._nonresidue
 
     def sort_key(self, a):
         return a.value

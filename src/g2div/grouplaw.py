@@ -16,7 +16,8 @@ takes two closed-form rules: P plus a point q above a root of u_P is the
 other point of P when q = -p1 for the point p1 of P there, and otherwise
 the weight-5 function y + b3*x + b5 + g1*u(x) tangent to the curve at p1;
 two degree-2 divisors sharing an x add as (P + q1) + q2 for the points of
-Q above the shared x and above the other root of u_Q.
+Q above the shared x and above the other root of u_Q, and a repeated point
+Q = 2*S doubles as that sum with P = Q and q1 = q2 = S.
 scalar_mul runs the two generic kernels directly and falls back to the
 dispatchers for everything they decline.  Each kernel inverts once, by
 Field._invert on a native value.  In the doubling kernel that inversion is
@@ -41,7 +42,6 @@ from .errors import (
     SingularInterpolation,
     SupportOverlap,
 )
-from .unipoly import UniPoly
 
 
 # coefficients of the weight-6 interpolating function
@@ -197,16 +197,6 @@ def _sum_alpha(a2p, a2q, a4p, a4q, g: GammaR6, l2, nu1=None, nu3=None):
     return a2s, a4s
 
 
-def _nonspecial_sum(F, pc, qc, g: GammaR6, inv_g1, l2) -> tuple:
-    """The reduced native (a2, a4, b3, b5) of the degree-2 sum of the supports
-    pc, qc from their weight-6 gammas; inv_g1 = 1/g1, l2 native."""
-    red = F._reduce
-    a2s, a4s = _sum_alpha(pc[0], qc[0], pc[1], qc[1], g, l2)
-    a2s, a4s = red(a2s), red(a4s)
-    b3s = -(a2s * a2s - a4s - g.g2 * a2s + g.g4) * inv_g1
-    return a2s, a4s, red(b3s), red(-(a2s * a4s - g.g2 * a4s + g.g6) * inv_g1)
-
-
 def _add_generic(F, l2, pc, qc):
     """The generic sum of two degree-2 divisors given as reduced native
     coordinate tuples (see Field._native), with one field inversion.
@@ -227,8 +217,12 @@ def _add_generic(F, l2, pc, qc):
     n1 = red(n1)
     w = F._invert(det * n1)
     inv_det = n1 * w
-    g1, g2 = red(n1 * inv_det), red(n2 * inv_det)
-    return _nonspecial_sum(F, pc, qc, _gamma_r6(pc, g1, g2), red(det * det * w), l2)
+    g = _gamma_r6(pc, red(n1 * inv_det), red(n2 * inv_det))
+    inv_g1 = red(det * det * w)
+    a2s, a4s = _sum_alpha(pc[0], qc[0], pc[1], qc[1], g, l2)
+    a2s, a4s = red(a2s), red(a4s)
+    b3s = -(a2s * a2s - a4s - g.g2 * a2s + g.g4) * inv_g1
+    return a2s, a4s, red(b3s), red(-(a2s * a4s - g.g2 * a4s + g.g6) * inv_g1)
 
 
 def _double_generic(F, lam, c):
@@ -240,7 +234,7 @@ def _double_generic(F, lam, c):
     exactly one is a branch point, or the duplication denominator vanishes
     (the double is special): each makes den*g1_num vanish, so the inversion
     is the one zero test.  With g1, g2, 1/g1 as in _add_generic and d = g2 - a2,
-    one pass gives _nonspecial_sum at P = Q: g4 = a2*d + b3*g1 + a4, g6 =
+    one pass gives _add_generic's sum at P = Q: g4 = a2*d + b3*g1 + a4, g6 =
     a4*d + b5*g1, a2' = 2*d - g1^2 and a4' = d^2 + g1^2*(2*a2 - l2) + 2*b3*g1."""
     red = F._reduce  # reducing reused operands too keeps them near p in size
     a2, a4, b3, b5 = c
@@ -315,14 +309,19 @@ def _add_point_in_support(P: MumfordDivisor, q, curve: CanonicalCurve) -> Mumfor
 
 
 def _add_overlapping(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
-    """P + Q for degree-2 divisors whose supports share an x but which are
-    neither equal nor opposite: (P + q1) + q2 for the points q1, q2 of Q above
-    the shared x0 and above the other root of u_Q.  x0 is the common root of
-    the two u's, or where the two lines meet when the u's agree."""
+    """P + Q for degree-2 divisors whose supports share an x, Q != -P:
+    (P + q1) + q2 for the points q1, q2 of Q above the shared x0 and above
+    the other root of u_Q.  x0 is the common root of the two u's, or where
+    the two lines meet when the u's agree.  For P = Q = 2*S (a repeated
+    point) the lines coincide and x0 is the double root, so q1 = q2 = S and
+    the first step is _add_point_in_support's third-order tangency."""
     F = curve.field
     dA2, dA4, dB3, dB5, _ = _difference(P.coords, Q.coords)
-    x0 = -dB5 / dB3 if F.is_zero(dA2) else -dA4 / dA2
     a2, _, b3, b5 = Q.coords
+    if F.is_zero(dA2):  # the same u
+        x0 = -a2 / 2 if F.is_zero(dB3) else -dB5 / dB3
+    else:
+        x0 = -dA4 / dA2
     x1 = -a2 - x0
     R = _add_point_in_support(P, (x0, -(b3 * x0 + b5)), curve)
     return add(R, MumfordDivisor.special(F, x1, -(b3 * x1 + b5)), curve)
@@ -457,8 +456,9 @@ def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
     red = F._reduce
     if not b3 and not b5:
         return MumfordDivisor.neutral(F), "double"  # two branch points
-    if not red(a2 * a2 - 4 * a4):
-        return _double_repeated(Q, curve)  # a repeated point is never a branch point
+    if not red(a2 * a2 - 4 * a4):  # a repeated point, never a branch point
+        R = _add_overlapping(Q, Q, curve)
+        return R, "double_to_special" if R.is_special() else "double"
     n = red(_y1y2(a2, a4, b3, b5))
     if not n:
         # exactly one branch point, at x = -b5/b3: 2Q ~ 2*(the other point)
@@ -466,38 +466,6 @@ def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
         other = (x, -(Q.b3 * x + Q.b5))
         return mumford_from_points(curve, other, other), "double"
     return double_to_special(Q, curve), "double_to_special"
-
-
-def _y_taylor(curve: CanonicalCurve, xs, ys) -> tuple:
-    """(r1, r2, r3): y = ys + r1*e + r2*e^2 + r3*e^3 + ... near (xs, ys), ys != 0,
-    with e = x - xs.  From y^2 = P and the Taylor coefficients P_k of P at xs
-    (binomial sums, no factorials): 2*ys*r1 = P1, 2*ys*r2 = P2 - r1^2 and
-    2*ys*r3 = P3 - 2*r1*r2."""
-    F = curve.field
-    shifted = curve.px().compose(UniPoly(F, [xs, F.one]))
-    inv = F.inv(ys + ys)
-    r1 = shifted[1] * inv
-    r2 = (shifted[2] - r1 * r1) * inv
-    return r1, r2, (shifted[3] - 2 * r1 * r2) * inv
-
-
-def _double_repeated(Q: MumfordDivisor, curve: CanonicalCurve):
-    """Confluent duplication of 2S: fourth-order tangency conditions.
-
-    With e = x - x_S the weight-6 function needs g1*r2 + (x_S - a2 + g2) = 0
-    and g1*r3 + 1 = 0 against the Taylor coefficients r_k of y(x) at S; when
-    r3 = 0 the result is a single point via the weight-5 function."""
-    F = curve.field
-    a2, _, b3, b5 = Q.coords
-    xs = -a2 / 2
-    _, r2, r3 = _y_taylor(curve, xs, -(b3 * xs + b5))
-    if F.is_zero(r3):
-        return _weight5_sum(F, _gamma_r5(Q.coords, -r2), a2 + a2, curve.lam[0]), "double_to_special"
-    g1 = -F.inv(r3)
-    c = _natives(Q)
-    gam = _gamma_r6(c, F._native(g1), F._native(a2 - xs - g1 * r2))
-    s = _nonspecial_sum(F, c, c, gam, F._native(-r3), F._native(curve.lam[0]))
-    return MumfordDivisor.nonspecial(F, *s), "double"
 
 
 def add(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:

@@ -3,8 +3,7 @@ expansions at an affine point and at infinity.
 
 A series is a plain coefficient list modulo O(t^n), n its length; the
 coefficients are FieldElements or WeightedPolys.  taylor_on_curve expands
-y(x) about an affine point; the confluent doubling in grouplaw computes the
-first three of those coefficients in closed form instead.
+y(x) about an affine point.
 """
 from __future__ import annotations
 

@@ -127,7 +127,7 @@ def three_torsion_mumford_residuals(D: MumfordDivisor, curve: CanonicalCurve):
     Distinct-support divisors evaluate the emitted n = 3 system and divide by
     its clearing factor E^2 (E = 0: 2D is special).  Repeated-support
     divisors (possible over small finite fields) fall outside the gamma
-    solve and are compared through the confluent doubling."""
+    solve and are compared through double_traced."""
     F = curve.field
     if not D.is_nonspecial():
         raise GammaUndefined("3-torsion residuals need a degree-2 divisor")
@@ -149,9 +149,11 @@ def four_torsion_residuals(D: MumfordDivisor, curve: CanonicalCurve):
     b-coordinate conditions of 2D; branch "special" checks y_{2D} = 0.
 
     Distinct-support divisors evaluate the emitted n = 4 system: the first
-    two entries over E^4 when E != 0, the third over 1024*N^5 when 2D is
-    special (E = 0, N != 0).  Repeated-support divisors (degenerate for those
-    formulas) read the same criteria off the confluent doubling."""
+    two entries over E^4 when E != 0, which is g1*(b3, b5) of 2D with g1 the
+    duplication gamma of gamma_double, the third over 1024*N^5 when 2D is
+    special (E = 0, N != 0), which is y(2D) exactly.  Repeated-support
+    divisors (degenerate for those formulas) read (b3, b5) or y of 2D off
+    double_traced."""
     if not D.is_nonspecial():
         raise GammaUndefined("4-torsion residuals need a degree-2 divisor")
     F = curve.field

@@ -57,14 +57,16 @@ def test_sqrt_f7_both_roots(f7):
 
 def test_sqrt_matches_exhaustive_search(monkeypatch):
     # GF(17) and GF(41) run Tonelli-Shanks with s = 4 and 3; GF(13, 3) is odd
-    # degree with q = 1 mod 4, so its non-residue comes from GF(13).  Where q
+    # degree with q = 1 mod 4, so its non-residue is GF(13)'s least.  Where q
     # = 3 mod 4 (7, 11, 19, 1019 and 7^3) a nonzero element, square or not,
-    # costs a single pow.
-    pows = [0]
+    # costs a single pow.  Where q = 1 mod 4 a nonzero non-square costs the
+    # one pow a^((t-1)/2), and a square that pow plus one per Tonelli-Shanks
+    # step, at most s - 1 of them, with no separate z^t.
+    pows = []
 
     def counted(pow_):
         def wrapper(self, a, e):
-            pows[0] += 1
+            pows.append((a, e))
             return pow_(self, a, e)
         return wrapper
 
@@ -72,14 +74,24 @@ def test_sqrt_matches_exhaustive_search(monkeypatch):
         monkeypatch.setattr(cls, "pow", counted(cls.pow))
     for field in (GF(7), GF(11), GF(13), GF(17), GF(19), GF(41), GF(1019), GF(7, 2),
                   GF(7, 3), GF(13, 3)):
+        q = field.order()
+        s, t = 0, q - 1
+        while t % 2 == 0:
+            s, t = s + 1, t // 2
+        field._non_residue()  # warm the cache, whose scan takes pows of its own
         squares = {}
         for x in field.elements():
             squares.setdefault((x * x).value, []).append(x)
         for a in field.elements():
-            pows[0] = 0
+            pows.clear()
             roots = field.sqrt(a)
-            if field.order() % 4 == 3:
-                assert pows[0] == (0 if field.is_zero(a) else 1)
+            if field.is_zero(a):
+                assert pows == []
+            elif q % 4 == 3:
+                assert len(pows) == 1
+            else:
+                assert pows[0] == (a, (t - 1) // 2)
+                assert len(pows) <= (s if roots else 1)
             expected = sorted(squares.get(a.value, []), key=field.sort_key)
             assert list(roots) == expected
             assert field.is_square(a) == bool(roots)
@@ -91,7 +103,7 @@ def test_extension_sqrt_with_cached_non_residue():
     # the roots of a square are +-a whichever non-residue Tonelli-Shanks
     # uses; the cached one is the first that a scan of elements() finds
     rng = random.Random(20241018)
-    for field in (GF(31, 2), GF(13, 4)):
+    for field in (GF(7), GF(1009), GF(13, 3), GF(31, 2), GF(13, 4)):
         q = field.order()
         first = next(z for z in field.elements()
                      if not field.is_zero(z) and field.pow(z, (q - 1) // 2) != field.one)

@@ -42,11 +42,11 @@ from g2div.grouplaw import (
     gamma_double,
     scalar_mul,
     tangent_data,
-    _y_taylor,
 )
 from g2div.models import GeneralCurve, add_extended_alpha, to_canonical
 from g2div.polyring import PolyRing
-from g2div.series import taylor_on_curve
+from g2div.series import taylor_on_curve, truncated_square
+from g2div.unipoly import UniPoly
 
 ADD_RING_VARS = ("a2p", "a4p", "b3p", "b5p", "a2q", "a4q", "b3q", "b5q",
                  "l2", "l4", "l6", "l8", "l10")
@@ -122,7 +122,7 @@ def test_double_two_torsion_neutral():
 
 
 def test_double_repeated_point_confluent(c1009, rng):
-    # divisors 2*(x,y) double correctly through the Taylor-condition path
+    # divisors 2*(x,y) double correctly through the shared-support sum Q + Q
     for _ in range(100):
         pt = random_point(c1009, rng, nonzero_y=True)
         D = mumford_from_points(c1009, pt, pt)
@@ -134,8 +134,8 @@ def test_double_repeated_point_confluent(c1009, rng):
 @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (13, 1)])
 def test_confluent_doubling_closed_form(p, k):
     # 2*S for every affine S with y != 0 on seeded curves, characteristic 3
-    # included: the closed-form Taylor coefficients against the series
-    # expansion, and the double against Cantor
+    # included: the series y(t) at S squares to P(x + t) through t^3, and
+    # the double, a shared-support sum, matches Cantor
     F = GF(p, k)
     tags = set()
     for seed in range(6):
@@ -145,7 +145,8 @@ def test_confluent_doubling_closed_form(p, k):
                 if F.is_zero(y):
                     continue
                 series = taylor_on_curve(F, curve.px().coeffs, x, y, 4)
-                assert _y_taylor(curve, x, y) == tuple(series[1:])
+                shifted = curve.px().compose(UniPoly(F, [x, F.one]))
+                assert truncated_square(series) == [shifted[j] for j in range(4)]
                 D = mumford_from_points(curve, (x, y), (x, y))
                 got, tag = double_traced(D, curve)
                 assert got == to_mumford(cantor_add(from_mumford(D), from_mumford(D), curve))
@@ -406,7 +407,7 @@ def test_double_to_special_instances(c7):
         if not expect.is_special():
             continue
         if F.is_zero(m.a2 * m.a2 - 4 * m.a4):
-            continue  # repeated support goes through the confluent path
+            continue  # repeated support doubles as a shared-support sum
         n = m.b3 * m.b3 * m.a4 - m.a2 * m.b3 * m.b5 + m.b5 * m.b5
         if F.is_zero(n):
             continue

@@ -20,7 +20,7 @@ from g2div.divisors import (
 )
 from g2div.errors import CharacteristicTooSmall, DegenerateCurve, GammaUndefined, SerializationError
 from g2div.fields import GF, QQ
-from g2div.grouplaw import double_traced, scalar_mul, tangent_data
+from g2div.grouplaw import double_traced, gamma_double, scalar_mul, tangent_data
 from g2div.polyring import PolyRing, resultant
 from g2div.torsion import (
     emit_division_polynomials,
@@ -423,8 +423,8 @@ class TestMumfordResiduals:
         assert nonzero > 60
 
     def test_three_residuals_sign_on_repeated_support(self):
-        # the confluent branch also returns alpha(D) - alpha(2D), on every
-        # repeated-support divisor of this J(F_7)
+        # a repeated support, doubled as a shared-support sum, also returns
+        # alpha(D) - alpha(2D), on every repeated-support divisor of this J(F_7)
         c = CanonicalCurve(GF(7), (4, 2, 5, 2, 6))
         F = c.field
         seen = 0
@@ -461,6 +461,30 @@ class TestMumfordResiduals:
                     if tag == "double_to_special":
                         assert four_torsion_residuals(d, c1009) == ("special", (doubled.coords[1],))
                         found += 1
+
+    def test_four_residuals_scale_against_double(self):
+        # on a distinct support the non-special residuals are g1*(b3, b5) of
+        # 2D, g1 the duplication gamma; on a repeated support they are (b3, b5)
+        # of 2D; the special residual is y(2D) on both: every divisor of J(F_13)
+        c = CanonicalCurve(GF(13), (1, 1, 1, 2, 4))
+        F = c.field
+        seen = set()
+        for m in map(to_mumford, enumerate_jacobian(c)):
+            if not m.is_nonspecial():
+                continue
+            try:
+                branch, res = four_torsion_residuals(m, c)
+            except GammaUndefined:
+                continue  # a branch point in the support
+            doubled = double_traced(m, c)[0]
+            repeated = F.is_zero(m.a2 * m.a2 - 4 * m.a4)
+            if branch == "special":
+                assert res == (doubled.coords[1],)
+            else:
+                g1 = F.one if repeated else gamma_double(m, tangent_data(c, m)).g1
+                assert res == (g1 * doubled.coords[2], g1 * doubled.coords[3])
+            seen.add((branch, repeated))
+        assert seen == set(product(("nonspecial", "special"), (False, True)))
 
     def test_residuals_iff_xy_system(self):
         # {Mumford residuals = 0} <-> {X = Y = 0 on the support}
@@ -535,7 +559,7 @@ class TestResidualsMatchEmission:
             a2, a4, b3, b5 = D.coords
             N = b3 * b3 * a4 - a2 * b3 * b5 + b5 * b5
             if F.is_zero(a2 * a2 - 4 * a4) or F.is_zero(N):
-                continue  # the confluent doubling, or no duplication gammas
+                continue  # a repeated support, or no duplication gammas
             tang = tangent_data(c, D)
             E = 2 * N * (2 * tang.b5p - a2 * tang.b3p)
             branch = "special" if F.is_zero(E) else "nonspecial"
