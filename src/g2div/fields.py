@@ -297,13 +297,13 @@ class Field:
         raise NotImplementedError
 
     # -- native values --------------------------------------------------------
-    # The group law's hot branches (the generic sum and the single-pass
-    # doubling), UniPoly and the Cantor oracle compute on native values: int
+    # The group law's hot branches (the generic sum and doubling kernels),
+    # UniPoly and the Cantor oracle compute on native values: int
     # for F_p (reduced only by _reduce), an int or a Fraction for Q, and the
     # element itself for F_{p^k}.  coerce turns any of them back into an
     # element; _invert takes one, reduced or not, to its reduced native
     # inverse (over F_p one pow, no element built; over Q a Fraction) and is
-    # the doubling's zero test.  Each field sets _native_zero and _native_one
+    # the kernels' zero test.  Each field sets _native_zero and _native_one
     # (and a finite field the _nonresidue cache of _non_residue) in __init__:
     # an attribute added later (as by functools.cached_property)
     # moves the instance's attributes out of CPython's inline-values layout

@@ -16,13 +16,20 @@ takes two closed-form rules: P plus a point q above a root of u_P is the
 other point of P when q = -p1 for the point p1 of P there, and otherwise
 the weight-5 function y + b3*x + b5 + g1*u(x) tangent to the curve at p1;
 two degree-2 divisors sharing an x add as (P + q1) + q2 for the points of
-Q above the shared x and above the other root of u_Q, and a repeated point
-Q = 2*S doubles as that sum with P = Q and q1 = q2 = S.
+Q above the shared x and above the other root of u_Q.
 scalar_mul runs the two generic kernels directly and falls back to the
-dispatchers for everything they decline.  Each kernel inverts once, by
-Field._invert on a native value.  In the doubling kernel that inversion is
-the only zero test, and g1, g2, 1/g1, g4, g6 and the alpha and beta sums
-follow in one straight-line pass.
+dispatchers for everything they decline.  The kernels compute the weight-6
+function in Harley's form: solved for y it is the cubic y = V(x) = v_P +
+u_P*s with v = -(b3*x + b5) and s = s1*x + s0, s1 = -1/g1.  The addition
+takes s = (v_Q - v_P)/u_P mod u_Q and declines when the supports share an
+x (r = res(u_P, u_Q) = 0) or the sum is special (s1 = 0); the doubling
+takes s = k/(2v) mod u for k = (P(x) - v^2)/u and declines when a branch
+point lies in the support (r = res(u, v) = y1*y2 = 0) or the double is
+special (s1 = 0).  A repeated point 2S whose double is not special doubles
+in the kernel.  Each kernel writes s as (s1n*x + s0n)/r' with no division,
+r' = r for a sum and 2r for a double; _compose inverts r'*s1n once, by
+Field._invert on a native value, so that inversion is the only zero test,
+and u' and v' = -(V mod u') follow in one straight-line pass.
 """
 from __future__ import annotations
 
@@ -69,6 +76,15 @@ def _difference(pc, qc):
     dA2, dA4 = a2p - a2q, a4p - a4q
     dB3, dB5 = b3p - b3q, b5p - b5q
     return dA2, dA4, dB3, dB5, dA4 * dB3 - dB5 * dA2
+
+
+def _shared_x(qc, dA2, dA4):
+    """(r, z) for r = res(u_P, u_Q) = dA4*z + a4_Q*dA2^2 and z = dA4 - a2_Q*dA2,
+    where dA2, dA4 are u_P's coefficients less u_Q's.  r is zero exactly when
+    the supports share an x (the same u included), and z - dA2*x is the
+    almost inverse r/u_P mod u_Q."""
+    z = dA4 - qc[0] * dA2
+    return dA4 * z + qc[1] * dA2 * dA2, z
 
 
 def _gamma_add_numerators(pc, qc, diff):
@@ -197,65 +213,67 @@ def _sum_alpha(a2p, a2q, a4p, a4q, g: GammaR6, l2, nu1=None, nu3=None):
     return a2s, a4s
 
 
+def _compose(F, l2, pc, a2q, dA2, dA4, r, s1n, s0n):
+    """The last step of both generic kernels, on native values: P + Q from
+    the cubic y = V(x) = v_P + s*u_P through both supports, s = (s1n*x +
+    s0n)/r; dA2, dA4 are u_P's coefficients less u_Q's (0 for a double).
+
+    Returns None when r*s1n is zero.  Otherwise, with w = 1/(r*s1n), the
+    products 1/s1n = r*w, iota = 1/s1 = r^2*w, sigma = s0/s1 = s0n*r*w and
+    s1 = s1n^2*w give u' = (V^2 - P(x))/(s1^2*u_P*u_Q), the monic quotient
+    x^2 + (2*sigma + dA2 - iota^2)*x + dA4 + sigma*(2*a2_P + sigma) -
+    2*iota*b3_P - iota^2*(l2 - a2_P) - a2_Q*u1', and v' = -(V mod u') from
+    u_P mod u' = d1*x + d0."""
+    red = F._reduce
+    try:
+        w = F._invert(r * s1n)
+    except DivisionByZero:
+        return None
+    a2, a4, b3, b5 = pc
+    inv_s1n = red(r * w)
+    inv_s1, sig, s1 = red(r * inv_s1n), red(s0n * inv_s1n), red(s1n * s1n * w)
+    i2 = inv_s1 * inv_s1
+    u1 = red(sig + sig + dA2 - i2)
+    u0 = red(dA4 + sig * (a2 + a2 + sig) - inv_s1 * (b3 + b3) - i2 * (l2 - a2) - u1 * a2q)
+    d1, d0 = a2 - u1, a4 - u0
+    return u1, u0, red(s1 * (d0 + d1 * (sig - u1)) - b3), red(s1 * (sig * d0 - d1 * u0) - b5)
+
+
 def _add_generic(F, l2, pc, qc):
     """The generic sum of two degree-2 divisors given as reduced native
     coordinate tuples (see Field._native), with one field inversion.
 
     Returns the reduced native (a2, a4, b3, b5) of the sum, or None when the
-    supports share an x (the same u-polynomial included) or the gamma matrix
-    is singular (det = 0, the sum is special).  With w = 1/(det*n1), 1/det =
-    n1*w and 1/g1 = det^2*w (Montgomery's trick); n1 = det*g1 is nonzero once
-    the supports share no x."""
-    red = F._reduce
-    if not red(_shared_x(pc, qc)):
-        return None
-    diff = _difference(pc, qc)
-    det = red(diff[4])
-    if not det:
-        return None
-    n1, n2 = _gamma_add_numerators(pc, qc, diff)
-    n1 = red(n1)
-    w = F._invert(det * n1)
-    inv_det = n1 * w
-    g = _gamma_r6(pc, red(n1 * inv_det), red(n2 * inv_det))
-    inv_g1 = red(det * det * w)
-    a2s, a4s = _sum_alpha(pc[0], qc[0], pc[1], qc[1], g, l2)
-    a2s, a4s = red(a2s), red(a4s)
-    b3s = -(a2s * a2s - a4s - g.g2 * a2s + g.g4) * inv_g1
-    return a2s, a4s, red(b3s), red(-(a2s * a4s - g.g2 * a4s + g.g6) * inv_g1)
+    supports share an x (r = 0, the same u-polynomial included) or the sum
+    is special (s1 = 0).  With z - dA2*x = r/u_P mod u_Q (_shared_x), r*s =
+    (v_Q - v_P)*(z - dA2*x) mod u_Q has s1n = det (_difference) and s0n =
+    z*dB5 + a4_Q*dA2*dB3; _compose does the rest."""
+    dA2, dA4, dB3, dB5, det = _difference(pc, qc)
+    r, z = _shared_x(qc, dA2, dA4)
+    return _compose(F, l2, pc, qc[0], dA2, dA4, r, det, z * dB5 + qc[1] * dA2 * dB3)
 
 
 def _double_generic(F, lam, c):
     """The generic double of a degree-2 divisor given as a reduced native
     coordinate tuple, with one field inversion; lam = native (l2, l4, l6, l8).
 
-    Returns the reduced native (a2, a4, b3, b5) of the double, or None when
-    both support points are branch points, the support is a repeated point,
-    exactly one is a branch point, or the duplication denominator vanishes
-    (the double is special): each makes den*g1_num vanish, so the inversion
-    is the one zero test.  With g1, g2, 1/g1 as in _add_generic and d = g2 - a2,
-    one pass gives _add_generic's sum at P = Q: g4 = a2*d + b3*g1 + a4, g6 =
-    a4*d + b5*g1, a2' = 2*d - g1^2 and a4' = d^2 + g1^2*(2*a2 - l2) + 2*b3*g1."""
-    red = F._reduce  # reducing reused operands too keeps them near p in size
+    Returns the reduced native (a2, a4, b3, b5) of the double, or None when a
+    branch point lies in the support (r = y1*y2 = 0) or the double is
+    special (s1 = 0); a repeated point doubles here like any other support.
+    s = k/(2v) mod u for k = (P(x) - v^2)/u, whose remainder mod u is
+    k1*x + k0 below, and b3*x + i0 = r/v mod u for r = res(u, v) = a4*b3^2 -
+    b5*i0 (= _y1y2); so 2r*s = k*(b3*x + i0) mod u, and _compose does the
+    rest."""
+    l2, l4, l6, _ = lam
     a2, a4, b3, b5 = c
-    n = red(_y1y2(a2, a4, b3, b5))
-    num3, num5 = _tangent_numerators(a2, a4, b3, b5, *lam)
-    den, g1_num, g2_num, _ = _scaled_duplication(a2, a4, b3, n, red(num3), red(num5))
-    den, g1_num = red(den), red(g1_num)
-    try:
-        w = F._invert(den * g1_num)
-    except DivisionByZero:
-        return None
-    inv_den = g1_num * w
-    g1, g2, inv_g1 = red(g1_num * inv_den), red(g2_num * inv_den), red(den * den * w)
-    d = g2 - a2
-    g1sq, b3g1 = g1 * g1, b3 * g1
-    a2s = red(d + d - g1sq)
-    a4s = red(d * d + g1sq * (a2 + a2 - lam[0]) + b3g1 + b3g1)
-    t = a2s - g2
-    b3s = red((a4s - a2s * t - a2 * d - b3g1 - a4) * inv_g1)
-    b5s = red(-(a4s * t + a4 * d + b5 * g1) * inv_g1)
-    return a2s, a4s, b3s, b5s
+    b3sq, a2sq, l2a2 = b3 * b3, a2 * a2, l2 * a2
+    i0 = a2 * b3 - b5
+    m, a4x2 = a4 + l2a2, a4 + a4
+    k1 = l4 + 3 * a2sq - m - m
+    k0 = a2 * (a4x2 + a4x2 - l4 - a2sq + l2a2) + l6 - b3sq - l2 * a4x2
+    r = a4 * b3sq - b5 * i0
+    zero = F._native_zero
+    return _compose(F, l2, c, a2, zero, zero, r + r, k0 * b3 - k1 * b5, k0 * i0 - a4 * (k1 * b3))
 
 
 def _gamma_r5(c, g1) -> GammaR5:
@@ -309,19 +327,14 @@ def _add_point_in_support(P: MumfordDivisor, q, curve: CanonicalCurve) -> Mumfor
 
 
 def _add_overlapping(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
-    """P + Q for degree-2 divisors whose supports share an x, Q != -P:
+    """P + Q for degree-2 divisors whose supports share an x, Q != +-P:
     (P + q1) + q2 for the points q1, q2 of Q above the shared x0 and above
     the other root of u_Q.  x0 is the common root of the two u's, or where
-    the two lines meet when the u's agree.  For P = Q = 2*S (a repeated
-    point) the lines coincide and x0 is the double root, so q1 = q2 = S and
-    the first step is _add_point_in_support's third-order tangency."""
+    the two lines meet when the u's agree."""
     F = curve.field
     dA2, dA4, dB3, dB5, _ = _difference(P.coords, Q.coords)
     a2, _, b3, b5 = Q.coords
-    if F.is_zero(dA2):  # the same u
-        x0 = -a2 / 2 if F.is_zero(dB3) else -dB5 / dB3
-    else:
-        x0 = -dA4 / dA2
+    x0 = -dB5 / dB3 if F.is_zero(dA2) else -dA4 / dA2  # dA2 = 0: the same u
     x1 = -a2 - x0
     R = _add_point_in_support(P, (x0, -(b3 * x0 + b5)), curve)
     return add(R, MumfordDivisor.special(F, x1, -(b3 * x1 + b5)), curve)
@@ -416,18 +429,9 @@ def add_traced(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve):
     s = _add_generic(F, F._native(curve.lam[0]), pc, qc)
     if s is not None:
         return MumfordDivisor.nonspecial(F, *s), "generic"
-    if F._reduce(_shared_x(pc, qc)):
+    if F._reduce(_shared_x(qc, *_difference(pc, qc)[:2])[0]):
         return add_to_special(P, Q, curve), "add_to_special"
     return _add_overlapping(P, Q, curve), "support_overlap"
-
-
-def _shared_x(pc, qc):
-    """dA2^2 * u_P(x0) at x0 = -dA4/dA2, the only x two distinct u polynomials
-    can share: zero exactly when the supports share an x (dA2 = 0 with a
-    different u leaves dA4^2 != 0; the same u gives zero)."""
-    a2p, a4p = pc[:2]
-    dA2, dA4 = a2p - qc[0], a4p - qc[1]
-    return dA4 * (dA4 - a2p * dA2) + a4p * dA2 * dA2
 
 
 def _lam_natives(curve: CanonicalCurve) -> tuple:
@@ -452,15 +456,11 @@ def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
     s = _double_generic(F, lam, c)
     if s is not None:
         return MumfordDivisor.nonspecial(F, *s), "double"
-    # the degenerate cases _double_generic declined, in its order
-    red = F._reduce
+    # the cases _double_generic declined: a branch point in the support
+    # (two, then one), else a special double, a repeated point's included
     if not b3 and not b5:
         return MumfordDivisor.neutral(F), "double"  # two branch points
-    if not red(a2 * a2 - 4 * a4):  # a repeated point, never a branch point
-        R = _add_overlapping(Q, Q, curve)
-        return R, "double_to_special" if R.is_special() else "double"
-    n = red(_y1y2(a2, a4, b3, b5))
-    if not n:
+    if not F._reduce(_y1y2(a2, a4, b3, b5)):
         # exactly one branch point, at x = -b5/b3: 2Q ~ 2*(the other point)
         x = Q.b5 / Q.b3 - Q.a2
         other = (x, -(Q.b3 * x + Q.b5))

@@ -5,9 +5,14 @@ F_p, Fractions for Q, field elements for F_{p^k}.  Seeded mixed-branch
 operations over F_7, F_13, F_9, F_27 and F_49 must agree with cantor_add and
 run every branch tag on both kinds of field; 128-bit multiples over
 F_{2^40-87} and small multiples over Q must agree with cantor_scalar_mul.
+The two generic kernels, run on natives over F_{2^40-87}, F_1009, F_{31^2},
+F_{7^2} and F_{3^3}, must agree with cantor_add wherever they return a sum
+and decline exactly where the dispatchers take another branch.
 """
 import random
 import time
+
+import pytest
 
 from g2div.cantor import cantor_add, cantor_neg, cantor_scalar_mul, from_mumford, to_mumford
 from g2div.curves import CanonicalCurve
@@ -15,6 +20,7 @@ from g2div.divisors import MumfordDivisor, mumford_from_points, negate
 from g2div.errors import DegenerateCurve
 from g2div.extension import ExtensionField
 from g2div.fields import GF, QQ
+from g2div.grouplaw import _add_generic, _double_generic, _lam_natives, _natives
 from g2div.grouplaw import add_traced, double_traced, scalar_mul
 
 TAGS = {"neutral", "inverse", "add_points", "add_special", "generic", "double",
@@ -114,6 +120,76 @@ def test_dispatchers_match_cantor_on_prime_and_extension_fields():
     assert hit["prime"] == TAGS
     assert hit["extension"] == TAGS
     assert time.perf_counter() - start < 20
+
+
+def _kernel_inputs(curve, rng, n):
+    """(divisor, its support points) for random distinct-x divisors and
+    repeated points 2S, and (P, Q) pairs of them: random pairs, pairs that
+    share a support point or its involute, and pairs P = S - D, D whose sum
+    is the single point S."""
+    F = curve.field
+    divisors, pairs = [], []
+
+    def point():
+        while True:
+            x = _elem(F, rng)
+            roots = F.sqrt(curve.p_at(x))
+            if roots:
+                return x, rng.choice(roots)
+
+    while len(divisors) < n:
+        p1, p2, p3 = point(), point(), point()
+        if len({p1[0], p2[0], p3[0]}) < 3:
+            continue
+        D = mumford_from_points(curve, p1, p2)
+        divisors.append((D, (p1, p2)))
+        if not F.is_zero(p1[1]):
+            divisors.append((mumford_from_points(curve, p1, p1), (p1,)))
+        q1 = p1 if rng.random() < 0.5 else (p1[0], -p1[1])
+        pairs.append((D, mumford_from_points(curve, q1, p3)))
+        S = MumfordDivisor.special(F, *p3)
+        P = to_mumford(cantor_add(from_mumford(S), cantor_neg(from_mumford(D)), curve))
+        if P.is_nonspecial():
+            pairs.append((P, D))
+    for _ in range(n):
+        (P, _), (Q, _) = rng.sample(divisors, 2)
+        pairs.append((P, Q))
+    # supports holding one or two rational branch points
+    branch = [(e, F.zero) for e in curve.branch_points()]
+    for b in branch:
+        q = next(q for q in iter(point, None) if q[0] != b[0])
+        divisors.append((mumford_from_points(curve, b, q), (b, q)))
+    if len(branch) > 1:
+        divisors.append((mumford_from_points(curve, *branch[:2]), tuple(branch[:2])))
+    return divisors, pairs
+
+
+@pytest.mark.parametrize("p, k", [(2 ** 40 - 87, 1), (1009, 1), (31, 2), (7, 2), (3, 3)])
+def test_generic_kernels_match_cantor_on_natives(p, k):
+    rng = random.Random(p + k)
+    F = GF(p, k)
+    curve = _curve(F, rng)
+    lam = _lam_natives(curve)
+    divisors, pairs = _kernel_inputs(curve, rng, 40)
+    ran = {"add": 0, "repeated": 0}
+    for D, pts in divisors:
+        got = _double_generic(F, lam, _natives(D))
+        want = _cantor("double", D, None, curve)
+        tag = double_traced(D, curve)[1]
+        assert (got is None) == (any(F.is_zero(y) for _, y in pts) or tag == "double_to_special")
+        if got is not None:
+            assert MumfordDivisor.nonspecial(F, *got) == want, D
+            ran["repeated"] += len(pts) == 1
+    for P, Q in pairs:
+        if P == Q or P == negate(Q):
+            continue
+        got = _add_generic(F, lam[0], _natives(P), _natives(Q))
+        tag = add_traced(P, Q, curve)[1]
+        assert (got is None) == (tag in ("add_to_special", "support_overlap")), (P, Q, tag)
+        if got is not None:
+            assert MumfordDivisor.nonspecial(F, *got) == _cantor("add", P, Q, curve), (P, Q)
+            ran["add"] += 1
+    assert ran["add"] and ran["repeated"]
 
 
 def test_scalar_mul_p40_matches_cantor():

@@ -122,7 +122,7 @@ def test_double_two_torsion_neutral():
 
 
 def test_double_repeated_point_confluent(c1009, rng):
-    # divisors 2*(x,y) double correctly through the shared-support sum Q + Q
+    # divisors 2*(x,y) double correctly, in the doubling kernel
     for _ in range(100):
         pt = random_point(c1009, rng, nonzero_y=True)
         D = mumford_from_points(c1009, pt, pt)
@@ -135,7 +135,7 @@ def test_double_repeated_point_confluent(c1009, rng):
 def test_confluent_doubling_closed_form(p, k):
     # 2*S for every affine S with y != 0 on seeded curves, characteristic 3
     # included: the series y(t) at S squares to P(x + t) through t^3, and
-    # the double, a shared-support sum, matches Cantor
+    # the double, from the kernel or the special doubling, matches Cantor
     F = GF(p, k)
     tags = set()
     for seed in range(6):
@@ -406,8 +406,6 @@ def test_double_to_special_instances(c7):
         expect = to_mumford(cantor_add(d, d, c7))
         if not expect.is_special():
             continue
-        if F.is_zero(m.a2 * m.a2 - 4 * m.a4):
-            continue  # repeated support doubles as a shared-support sum
         n = m.b3 * m.b3 * m.a4 - m.a2 * m.b3 * m.b5 + m.b5 * m.b5
         if F.is_zero(n):
             continue

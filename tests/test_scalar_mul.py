@@ -79,13 +79,11 @@ def _reasons(seen, curve):
         zero_y = big.is_zero(y1) + big.is_zero(y2)
         if zero_y == 2:
             reasons.add("two branch points")
-        elif x1 == x2:
-            reasons.add("repeated point")
         elif zero_y == 1:
             reasons.add("one branch point")
         else:
             assert to_mumford(cantor_add(from_mumford(D), from_mumford(D), curve)).is_special()
-            reasons.add("special double")
+            reasons.add("special double of a repeated point" if x1 == x2 else "special double")
     for pc, qc in seen["add"]:
         P, Q = (MumfordDivisor.nonspecial(F, *x) for x in (pc, qc))
         u = [UniPoly(F, [D.a4, D.a2, F.one]) for D in (P, Q)]
@@ -97,8 +95,8 @@ def _reasons(seen, curve):
     return reasons
 
 
-ALL_REASONS = {"two branch points", "repeated point", "one branch point", "special double",
-               "shared x", "special sum"}
+ALL_REASONS = {"two branch points", "one branch point", "special double",
+               "special double of a repeated point", "shared x", "special sum"}
 
 
 def test_scalar_mul_matches_cantor_on_every_divisor(monkeypatch):

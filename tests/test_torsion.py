@@ -423,7 +423,7 @@ class TestMumfordResiduals:
         assert nonzero > 60
 
     def test_three_residuals_sign_on_repeated_support(self):
-        # a repeated support, doubled as a shared-support sum, also returns
+        # a repeated support, doubled in the kernel, also returns
         # alpha(D) - alpha(2D), on every repeated-support divisor of this J(F_7)
         c = CanonicalCurve(GF(7), (4, 2, 5, 2, 6))
         F = c.field
