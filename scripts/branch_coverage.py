@@ -6,7 +6,8 @@ field is F_p, or F_{p^k} with the optional extension degree k, whose
 natives are field elements rather than ints; x-coordinates are drawn from
 the whole field.  Every fifth pair also doubles its first divisor and a
 divisor 2S on a repeated point, drawn from a second seeded stream so the
-pairs stay the same.
+pairs stay the same.  The script exits 1 when any of the seven
+degree-2 tags its draws can reach (DRAWN) does not fire.
 
 Usage: python scripts/branch_coverage.py [pairs] [p] [k]
 """
@@ -22,6 +23,9 @@ from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, mumford_from_points, negate
 from g2div.fields import GF
 from g2div.grouplaw import add_traced, double_traced
+
+DRAWN = ("add_to_special", "double", "double_to_special", "generic", "inverse", "neutral",
+         "support_overlap")
 
 
 def random_divisor(curve, rng):
@@ -77,6 +81,9 @@ def main():
     print(f"{pairs} pairs over {name} in {dt:.1f}s, all equal to the Cantor oracle")
     for tag in sorted(tags):
         print(f"  {tag:18s} {tags[tag]}")
+    missing = [tag for tag in DRAWN if tag not in tags]
+    if missing:
+        sys.exit(f"branch tags that never fired: {', '.join(missing)}")
 
 
 if __name__ == "__main__":

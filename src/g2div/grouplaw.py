@@ -10,26 +10,28 @@ tag so oracle tests can prove each one is exercised:
 
 The dispatch order guarantees each later branch's preconditions: neutral
 operands, then inverse pairs, then equal operands, then the generic solve
-(_add_generic, _double_generic on native values), and only where that
-declines, the singular gamma matrix and shared support.  Shared support
-takes two closed-form rules: P plus a point q above a root of u_P is the
-other point of P when q = -p1 for the point p1 of P there, and otherwise
-the weight-5 function y + b3*x + b5 + g1*u(x) tangent to the curve at p1;
-two degree-2 divisors sharing an x add as (P + q1) + q2 for the points of
-Q above the shared x and above the other root of u_Q.
+(_add_generic, _double_generic on native values), which also returns the
+special sum, and only where that declines, shared support or a branch
+point.  Shared support takes two closed-form rules: P plus a point q above
+a root of u_P is the other point of P when q = -p1 for the point p1 of P
+there, and otherwise the weight-5 function y + b3*x + b5 + g1*u(x) tangent
+to the curve at p1; two degree-2 divisors sharing an x add as (P + q1) + q2
+for the points of Q above the shared x and above the other root of u_Q.
 scalar_mul runs the two generic kernels directly and falls back to the
 dispatchers for everything they decline.  The kernels compute the weight-6
 function in Harley's form: solved for y it is the cubic y = V(x) = v_P +
 u_P*s with v = -(b3*x + b5) and s = s1*x + s0, s1 = -1/g1.  The addition
 takes s = (v_Q - v_P)/u_P mod u_Q and declines when the supports share an
-x (r = res(u_P, u_Q) = 0) or the sum is special (s1 = 0); the doubling
-takes s = k/(2v) mod u for k = (P(x) - v^2)/u and declines when a branch
-point lies in the support (r = res(u, v) = y1*y2 = 0) or the double is
-special (s1 = 0).  A repeated point 2S whose double is not special doubles
-in the kernel.  Each kernel writes s as (s1n*x + s0n)/r' with no division,
-r' = r for a sum and 2r for a double; _compose inverts r'*s1n once, by
-Field._invert on a native value, so that inversion is the only zero test,
-and u' and v' = -(V mod u') follow in one straight-line pass.
+x (r = res(u_P, u_Q) = 0); the doubling takes s = k/(2v) mod u for k =
+(P(x) - v^2)/u and declines when a branch point lies in the support (r =
+res(u, v) = y1*y2 = 0).  A repeated point 2S doubles in the kernel.  Each
+kernel writes s as (s1n*x + s0n)/r' with no division, r' = r for a sum and
+2r for a double; _compose inverts r'*s1n once, by Field._invert on a native
+value, so that inversion is the only zero test, and u' and v' = -(V mod u')
+follow in one straight-line pass.  When s1 = 0 the sum is special: V is the
+weight-5 function v_P + s0*u_P (s0 = -g1), and _compose inverts r' instead
+and returns the fifth point of P(x) - V^2 as a single-point MumfordDivisor.
+add_to_special and double_to_special are checks over the two kernels.
 """
 from __future__ import annotations
 
@@ -53,8 +55,6 @@ from .errors import (
 
 # coefficients of the weight-6 interpolating function
 GammaR6 = namedtuple("GammaR6", "g1 g2 g4 g6")
-# coefficients of the weight-5 function used for special sums
-GammaR5 = namedtuple("GammaR5", "g1 g3 g5")
 # directional derivatives of the Mumford coordinates under x1+x2 flow;
 # a2p is always -2 and a4p = -a2
 TangentData = namedtuple("TangentData", "a2p a4p b3p b5p")
@@ -66,6 +66,13 @@ TangentData = namedtuple("TangentData", "a2p a4p b3p b5p")
 
 def _natives(D: MumfordDivisor) -> tuple:
     return tuple(map(D.field._native, D.coords))
+
+
+def _check_degree2(curve: CanonicalCurve, *divisors):
+    """MixedFields unless each divisor is a degree-2 class over curve's field."""
+    for D in divisors:
+        if D.field is not curve.field or not D.is_nonspecial():
+            raise MixedFields("operand must be a degree-2 divisor over the curve's field")
 
 
 def _difference(pc, qc):
@@ -143,7 +150,9 @@ def tangent_data(curve: CanonicalCurve, D: MumfordDivisor) -> TangentData:
 
     Uses y1*y2 = b3^2*a4 - a2*b3*b5 + b5^2 and the symmetric difference
     quotients of P'; equals the pointwise slope formulas wherever the
-    support has distinct x and no branch point.  Computed on native values."""
+    support has distinct x and no branch point.  Computed on native values;
+    D must be a degree-2 divisor over the curve's field (else MixedFields)."""
+    _check_degree2(curve, D)
     F = curve.field
     red = F._reduce
     a2, a4, b3, b5 = _natives(D)
@@ -218,18 +227,26 @@ def _compose(F, l2, pc, a2q, dA2, dA4, r, s1n, s0n):
     the cubic y = V(x) = v_P + s*u_P through both supports, s = (s1n*x +
     s0n)/r; dA2, dA4 are u_P's coefficients less u_Q's (0 for a double).
 
-    Returns None when r*s1n is zero.  Otherwise, with w = 1/(r*s1n), the
-    products 1/s1n = r*w, iota = 1/s1 = r^2*w, sigma = s0/s1 = s0n*r*w and
-    s1 = s1n^2*w give u' = (V^2 - P(x))/(s1^2*u_P*u_Q), the monic quotient
-    x^2 + (2*sigma + dA2 - iota^2)*x + dA4 + sigma*(2*a2_P + sigma) -
-    2*iota*b3_P - iota^2*(l2 - a2_P) - a2_Q*u1', and v' = -(V mod u') from
-    u_P mod u' = d1*x + d0."""
+    Returns None when r is zero.  With w = 1/(r*s1n), the products 1/s1n =
+    r*w, iota = 1/s1 = r^2*w, sigma = s0/s1 = s0n*r*w and s1 = s1n^2*w give
+    u' = (V^2 - P(x))/(s1^2*u_P*u_Q), the monic quotient x^2 + (2*sigma +
+    dA2 - iota^2)*x + dA4 + sigma*(2*a2_P + sigma) - 2*iota*b3_P -
+    iota^2*(l2 - a2_P) - a2_Q*u1', and v' = -(V mod u') from u_P mod u' =
+    d1*x + d0; the result is the reduced native (a2, a4, b3, b5).  When s1n
+    is zero, V is the weight-5 function v_P + s0*u_P, s0 = s0n/r, and the
+    sum is the single point (x, -V(x)) at the fifth root x = s0^2 - l2 +
+    a2_P + a2_Q of P(x) - V^2, returned as a MumfordDivisor."""
     red = F._reduce
+    a2, a4, b3, b5 = pc
     try:
         w = F._invert(r * s1n)
     except DivisionByZero:
-        return None
-    a2, a4, b3, b5 = pc
+        try:
+            s0 = red(s0n * F._invert(r))
+        except DivisionByZero:
+            return None
+        x = red(s0 * s0 - l2 + a2 + a2q)
+        return MumfordDivisor.special(F, x, red(b3 * x + b5 - s0 * (x * (x + a2) + a4)))
     inv_s1n = red(r * w)
     inv_s1, sig, s1 = red(r * inv_s1n), red(s0n * inv_s1n), red(s1n * s1n * w)
     i2 = inv_s1 * inv_s1
@@ -243,11 +260,12 @@ def _add_generic(F, l2, pc, qc):
     """The generic sum of two degree-2 divisors given as reduced native
     coordinate tuples (see Field._native), with one field inversion.
 
-    Returns the reduced native (a2, a4, b3, b5) of the sum, or None when the
-    supports share an x (r = 0, the same u-polynomial included) or the sum
-    is special (s1 = 0).  With z - dA2*x = r/u_P mod u_Q (_shared_x), r*s =
-    (v_Q - v_P)*(z - dA2*x) mod u_Q has s1n = det (_difference) and s0n =
-    z*dB5 + a4_Q*dA2*dB3; _compose does the rest."""
+    Returns the reduced native (a2, a4, b3, b5) of the sum, the single
+    point as a MumfordDivisor when the sum is special (s1 = 0), or None when
+    the supports share an x (r = 0, the same u-polynomial included).  With
+    z - dA2*x = r/u_P mod u_Q (_shared_x), r*s = (v_Q - v_P)*(z - dA2*x) mod
+    u_Q has s1n = det (_difference) and s0n = z*dB5 + a4_Q*dA2*dB3; _compose
+    does the rest."""
     dA2, dA4, dB3, dB5, det = _difference(pc, qc)
     r, z = _shared_x(qc, dA2, dA4)
     return _compose(F, l2, pc, qc[0], dA2, dA4, r, det, z * dB5 + qc[1] * dA2 * dB3)
@@ -257,9 +275,10 @@ def _double_generic(F, lam, c):
     """The generic double of a degree-2 divisor given as a reduced native
     coordinate tuple, with one field inversion; lam = native (l2, l4, l6, l8).
 
-    Returns the reduced native (a2, a4, b3, b5) of the double, or None when a
-    branch point lies in the support (r = y1*y2 = 0) or the double is
-    special (s1 = 0); a repeated point doubles here like any other support.
+    Returns the reduced native (a2, a4, b3, b5) of the double, the single
+    point as a MumfordDivisor when the double is special (s1 = 0), or None
+    when a branch point lies in the support (r = y1*y2 = 0); a repeated
+    point doubles here like any other support.
     s = k/(2v) mod u for k = (P(x) - v^2)/u, whose remainder mod u is
     k1*x + k0 below, and b3*x + i0 = r/v mod u for r = res(u, v) = a4*b3^2 -
     b5*i0 (= _y1y2); so 2r*s = k*(b3*x + i0) mod u, and _compose does the
@@ -276,35 +295,16 @@ def _double_generic(F, lam, c):
     return _compose(F, l2, c, a2, zero, zero, r + r, k0 * b3 - k1 * b5, k0 * i0 - a4 * (k1 * b3))
 
 
-def _gamma_r5(c, g1) -> GammaR5:
-    """y + b3*x + b5 + g1*u(x): a weight-5 function through the support of
-    coordinates c."""
-    a2, a4, b3, b5 = c
-    return GammaR5(g1, b3 + g1 * a2, b5 + g1 * a4)
-
-
-def _weight5_sum(F, g: GammaR5, a2_sum, l2) -> MumfordDivisor:
-    """The single point left on y + g1*x^2 + g3*x + g5 by a known support
-    whose x-coordinates sum to -a2_sum (the quintic's roots sum to g1^2 - l2)."""
-    xs = a2_sum + g.g1 * g.g1 - l2
-    ys = g.g1 * xs * xs + g.g3 * xs + g.g5
-    return MumfordDivisor.special(F, xs, ys)
-
-
-def _weight5_nonspecial(F, g: GammaR5, a2s, a4s) -> MumfordDivisor:
-    """The degree-2 sum with alpha (a2s, a4s) on y + g1*x^2 + g3*x + g5."""
-    return MumfordDivisor.nonspecial(F, a2s, a4s, g.g1 * a2s - g.g3, g.g1 * a4s - g.g5)
-
-
 def _add_point_weight5(P: MumfordDivisor, xq, g1, curve: CanonicalCurve) -> MumfordDivisor:
     """P + q from the weight-5 function y + b3*x + b5 + g1*u(x) through the
     support of P and q = (xq, yq): the quintic P(x) - (g1*x^2 + g3*x + g5)^2
     has the roots of u_P, xq and the x-coordinates of the sum."""
-    a2, a4 = P.a2, P.a4
-    gam = _gamma_r5(P.coords, g1)
+    a2, a4, b3, b5 = P.coords
+    g3, g5 = b3 + g1 * a2, b5 + g1 * a4
     s = xq + curve.lam[0] - g1 * g1
-    a4s = -a4 + a2 * a2 + (xq - a2) * s + curve.lam[1] - 2 * g1 * gam.g3
-    return _weight5_nonspecial(curve.field, gam, s - a2, a4s)
+    a2s = s - a2
+    a4s = -a4 + a2 * a2 + (xq - a2) * s + curve.lam[1] - 2 * g1 * g3
+    return MumfordDivisor.nonspecial(curve.field, a2s, a4s, g1 * a2s - g3, g1 * a4s - g5)
 
 
 def _add_point_in_support(P: MumfordDivisor, q, curve: CanonicalCurve) -> MumfordDivisor:
@@ -354,9 +354,8 @@ def add_points(curve: CanonicalCurve, p1, p2) -> MumfordDivisor:
 
 def add_special(P: MumfordDivisor, q_point, curve: CanonicalCurve) -> MumfordDivisor:
     """Degree-2 plus degree-1 via the weight-5 interpolation limit."""
+    _check_degree2(curve, P)
     F = curve.field
-    if not P.is_nonspecial():
-        raise MixedFields("first operand must be a degree-2 divisor")
     xq, yq = (F.coerce(v) for v in q_point)
     if not curve.on_curve((xq, yq)):
         raise OffCurve("point not on the curve")
@@ -368,31 +367,32 @@ def add_special(P: MumfordDivisor, q_point, curve: CanonicalCurve) -> MumfordDiv
 
 
 def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
-    """The branch where the sum of two degree-2 classes is a single point.
+    """The branch where the sum of two degree-2 classes is a single point:
+    the generic addition kernel's sum when its s1 is zero.
 
-    Requires the weight-5 consistency condition (equivalently, the singular
-    gamma matrix of the generic solve)."""
+    Raises ConditionViolated when the gamma matrix is regular (the sum is
+    not special) and SupportOverlap when the supports share an x."""
+    _check_degree2(curve, P, Q)
     F = curve.field
-    dA2, dA4, dB3, dB5, det = _difference(P.coords, Q.coords)
-    if not F.is_zero(det):
+    pc, qc = _natives(P), _natives(Q)
+    if F._reduce(_difference(pc, qc)[4]):
         raise ConditionViolated("sum is not special: use the generic addition")
-    if not F.is_zero(dA2):
-        g1 = -dB3 / dA2
-    elif not F.is_zero(dA4):
-        g1 = -dB5 / dA4
-    else:
-        raise SupportOverlap("identical x-support: not an add_to_special instance")
-    return _weight5_sum(F, _gamma_r5(P.coords, g1), P.a2 + Q.a2, curve.lam[0])
+    s = _add_generic(F, F._native(curve.lam[0]), pc, qc)
+    if s is None:
+        raise SupportOverlap("supports share an x: not an add_to_special instance")
+    return s
 
 
 def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
-    """Duplication landing on a single point: 2Q ~ (x, y) - inf."""
-    F = curve.field
-    tang = tangent_data(curve, Q)
-    a2 = Q.a2
-    if not F.is_zero(_duplication_denominator(a2, tang.b3p, tang.b5p)):
+    """Duplication landing on a single point, 2Q ~ (x, y) - inf: the generic
+    doubling kernel's double when its s1 is zero."""
+    _check_degree2(curve, Q)
+    s = _double_generic(curve.field, _lam_natives(curve), _natives(Q))
+    if s is None:
+        raise BranchPointInSupport("branch point in support: slopes undefined")
+    if type(s) is tuple:
         raise ConditionViolated("2Q is not special: use the generic doubling")
-    return _weight5_sum(F, _gamma_r5(Q.coords, tang.b3p / 2), a2 + a2, curve.lam[0])
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +425,12 @@ def add_traced(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve):
     (a2p, a4p, b3p, b5p), (a2q, a4q, b3q, b5q) = P.coords, Q.coords
     if a2p == a2q and a4p == a4q and b3p == -b3q and b5p == -b5q:
         return MumfordDivisor.neutral(F), "inverse"
-    pc, qc = _natives(P), _natives(Q)
-    s = _add_generic(F, F._native(curve.lam[0]), pc, qc)
-    if s is not None:
+    s = _add_generic(F, F._native(curve.lam[0]), _natives(P), _natives(Q))
+    if s is None:
+        return _add_overlapping(P, Q, curve), "support_overlap"
+    if type(s) is tuple:
         return MumfordDivisor.nonspecial(F, *s), "generic"
-    if F._reduce(_shared_x(qc, *_difference(pc, qc)[:2])[0]):
-        return add_to_special(P, Q, curve), "add_to_special"
-    return _add_overlapping(P, Q, curve), "support_overlap"
+    return s, "add_to_special"
 
 
 def _lam_natives(curve: CanonicalCurve) -> tuple:
@@ -451,21 +450,18 @@ def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
         if F.is_zero(y):
             return MumfordDivisor.neutral(F), "double"
         return mumford_from_points(curve, Q.coords, Q.coords), "double"
-    c = a2, a4, b3, b5 = _natives(Q)
-    lam = _lam_natives(curve)
-    s = _double_generic(F, lam, c)
-    if s is not None:
+    s = _double_generic(F, _lam_natives(curve), _natives(Q))
+    if type(s) is tuple:
         return MumfordDivisor.nonspecial(F, *s), "double"
-    # the cases _double_generic declined: a branch point in the support
-    # (two, then one), else a special double, a repeated point's included
-    if not b3 and not b5:
-        return MumfordDivisor.neutral(F), "double"  # two branch points
-    if not F._reduce(_y1y2(a2, a4, b3, b5)):
-        # exactly one branch point, at x = -b5/b3: 2Q ~ 2*(the other point)
-        x = Q.b5 / Q.b3 - Q.a2
-        other = (x, -(Q.b3 * x + Q.b5))
-        return mumford_from_points(curve, other, other), "double"
-    return double_to_special(Q, curve), "double_to_special"
+    if s is not None:
+        return s, "double_to_special"
+    # _double_generic declined: a branch point in the support, two or one
+    if F.is_zero(Q.b3) and F.is_zero(Q.b5):
+        return MumfordDivisor.neutral(F), "double"
+    # exactly one branch point, at x = -b5/b3: 2Q ~ 2*(the other point)
+    x = Q.b5 / Q.b3 - Q.a2
+    other = (x, -(Q.b3 * x + Q.b5))
+    return mumford_from_points(curve, other, other), "double"
 
 
 def add(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
@@ -505,9 +501,11 @@ def scalar_mul(n: int, D: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivis
     a divisor off the Jacobian raises OffCurve, for every n.  The ladder
     precomputes the odd multiples D, 3D, ... up to the largest digit used and
     keeps every degree-2 intermediate as a native coordinate tuple, run
-    through _add_generic and _double_generic; whatever those decline (and
-    any neutral or special intermediate) goes through add/double.  The
-    result is wrapped into a MumfordDivisor once, at the end."""
+    through _add_generic and _double_generic.  A special sum or double
+    comes back from them as a MumfordDivisor; it and any neutral
+    intermediate, and whatever the kernels decline (a shared x, a branch
+    point in the support), go through add/double.  The result is wrapped
+    into a MumfordDivisor once, at the end."""
     F = curve.field
     if D.field is not F:
         raise MixedFields("divisor/curve field mismatch")

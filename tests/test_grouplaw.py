@@ -25,8 +25,10 @@ from g2div.errors import (
     ConditionViolated,
     DegenerateCurve,
     InvolutionPair,
+    MixedFields,
     QInSupport,
     SingularInterpolation,
+    SupportOverlap,
 )
 from g2div.fields import GF, QQ
 from g2div.grouplaw import (
@@ -46,7 +48,7 @@ from g2div.grouplaw import (
 from g2div.models import GeneralCurve, add_extended_alpha, to_canonical
 from g2div.polyring import PolyRing
 from g2div.series import taylor_on_curve, truncated_square
-from g2div.unipoly import UniPoly
+from g2div.unipoly import UniPoly, resultant
 
 ADD_RING_VARS = ("a2p", "a4p", "b3p", "b5p", "a2q", "a4q", "b3q", "b5q",
                  "l2", "l4", "l6", "l8", "l10")
@@ -271,6 +273,41 @@ def test_add_to_special_condition_violated(c1009, rng):
             continue
         with pytest.raises(ConditionViolated):
             add_to_special(P, Q, c1009)
+
+
+@pytest.mark.parametrize("p, lam", [(7, (4, 0, 6, 3, 0)), (13, (1, 2, 3, 4, 5))])
+def test_add_to_special_refuses_shared_x(p, lam):
+    # every pair of the Jacobian whose supports share an x, Q != +-P: the
+    # special-sum branch raises instead of returning a divisor
+    curve = CanonicalCurve(GF(p), lam)
+    F = curve.field
+    els = [D for D in map(to_mumford, enumerate_jacobian(curve)) if D.is_nonspecial()]
+    us = {D: UniPoly(F, [D.a4, D.a2, F.one]) for D in els}
+    checked = 0
+    for P in els:
+        for Q in els:
+            if Q == P or Q == negate(P) or not F.is_zero(resultant(us[P], us[Q])):
+                continue
+            with pytest.raises((SupportOverlap, ConditionViolated)):
+                add_to_special(P, Q, curve)
+            checked += 1
+    assert checked > 200
+
+
+def test_special_branches_reject_foreign_and_degree1_divisors(c7, f7):
+    # tangent_data, add_to_special, double_to_special and add_special's
+    # first operand take degree-2 divisors over the curve's field only
+    rng = random.Random(11)
+    D = random_divisor(c7, rng)
+    c11 = CanonicalCurve(GF(11), (1, 0, 3, 0, 7))
+    bad = [random_divisor(c11, rng), MumfordDivisor.special(f7, 0, 1), MumfordDivisor.neutral(f7),
+           MumfordDivisor.nonspecial(GF(7, 2), 1, 2, 3, 4)]
+    for B in bad:
+        for call in (lambda: tangent_data(c7, B), lambda: double_to_special(B, c7),
+                     lambda: add_to_special(B, D, c7), lambda: add_to_special(D, B, c7),
+                     lambda: add_special(B, (0, 1), c7)):
+            with pytest.raises(MixedFields):
+                call()
 
 
 def test_section44_consistency(c7):

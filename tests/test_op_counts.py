@@ -7,8 +7,10 @@ _reduce and _invert tally too.  The counts do not depend on the machine,
 so they pin the cost of _double_generic and _add_generic next to the
 affine costs in T. Lange, "Formulae for arithmetic on genus 2
 hyperelliptic curves", AAECC 15 (2005): addition 1I + 22M + 3S, doubling
-1I + 22M + 5S (README tabulates both).
+1I + 22M + 5S (README tabulates both), and the cost of the kernels' path
+to a single-point sum.
 """
+import random
 from collections import Counter
 
 from g2div import cantor, grouplaw
@@ -142,6 +144,44 @@ def test_add_generic_counts():
     got, counts = _count(grouplaw._add_generic, F, F._native(curve.lam[0]), pc, qc)
     assert got == grouplaw._natives(grouplaw.add(P, Q, curve))
     assert counts == ADD_COUNTS
+
+
+# the s1 = 0 path, where _compose returns the single point: two _invert
+# calls, the one of r'*s1n that raises and then 1/r'
+ADD_TO_SPECIAL_COUNTS = (15, 0, 15, 3, 2)
+DOUBLE_TO_SPECIAL_COUNTS = (19, 1, 24, 3, 2)
+
+
+def _special_inputs():
+    """Over F_1009, the first pair of a seeded draw of divisors whose sum is
+    a single point, and the first divisor of it whose double is one."""
+    curve, _ = _curve_points(1009)
+    F, rng = curve.field, random.Random(1)
+
+    def divisor():
+        while True:
+            x1, x2 = (F.element(rng.randrange(1009)) for _ in range(2))
+            r1, r2 = F.sqrt(curve.p_at(x1)), F.sqrt(curve.p_at(x2))
+            if r1 and r2 and x1 != x2:
+                return mumford_from_points(curve, (x1, rng.choice(r1)), (x2, rng.choice(r2)))
+
+    pair = next(pq for pq in iter(lambda: (divisor(), divisor()), None)
+                if grouplaw.add_traced(*pq, curve)[1] == "add_to_special")
+    D = next(D for D in iter(divisor, None) if grouplaw.double_traced(D, curve)[1] == "double_to_special")
+    return curve, pair, D
+
+
+def test_special_path_counts():
+    curve, (P, Q), D = _special_inputs()
+    F = CountingPrimeField(FieldSpec("prime", p=1009))
+    pc, qc, dc = (tuple(map(F._native, X.coords)) for X in (P, Q, D))
+    got, counts = _count(grouplaw._add_generic, F, F._native(curve.lam[0]), pc, qc)
+    assert got.is_special() and grouplaw._natives(got) == grouplaw._natives(grouplaw.add(P, Q, curve))
+    assert counts == ADD_TO_SPECIAL_COUNTS
+    lam = tuple(map(F._native, curve.lam[:4]))
+    got, counts = _count(grouplaw._double_generic, F, lam, dc)
+    assert got.is_special() and grouplaw._natives(got) == grouplaw._natives(grouplaw.double(D, curve))
+    assert counts == DOUBLE_TO_SPECIAL_COUNTS
 
 
 def test_counting_native_stays_counting():

@@ -4,8 +4,9 @@ Multiples n in -20..40 and two 64-bit scalars must agree with Cantor over
 F_7 and F_13 (every divisor of one curve each), F_9 and F_{31^2} (seeded
 samples plus degenerate bases), and Q (|n| <= 8).  The bases include the
 neutral divisor, points, 2-torsion divisors, repeated-point divisors and
-divisors whose double is a single point, so that every input the generic
-kernels decline runs through the dispatchers.
+divisors whose double is a single point, so that the generic kernels both
+decline (a shared x, a branch point in the support) and return single-point
+sums and doubles, each checked against the Cantor oracle.
 """
 import random
 
@@ -47,20 +48,21 @@ def _check(curve, bases, ns, rng):
 
 
 def _declined(monkeypatch):
-    """Record the operands on which the generic kernels return None."""
+    """Record the operands on which the generic kernels return None or a
+    single-point divisor, with what they returned."""
     seen = {"add": [], "double": []}
     add_generic, double_generic = grouplaw._add_generic, grouplaw._double_generic
 
     def add_spy(F, l2, pc, qc):
         s = add_generic(F, l2, pc, qc)
-        if s is None:
-            seen["add"].append((pc, qc))
+        if type(s) is not tuple:
+            seen["add"].append((pc, qc, s))
         return s
 
     def double_spy(F, lam, c):
         s = double_generic(F, lam, c)
-        if s is None:
-            seen["double"].append(c)
+        if type(s) is not tuple:
+            seen["double"].append((c, s))
         return s
 
     monkeypatch.setattr(grouplaw, "_add_generic", add_spy)
@@ -69,28 +71,32 @@ def _declined(monkeypatch):
 
 
 def _reasons(seen, curve):
-    """Why each recorded operand was declined, found from its support points
-    and the Cantor oracle rather than from the kernels' own tests."""
+    """Why each recorded operand was declined or summed to a single point,
+    found from its support points and the Cantor oracle rather than from the
+    kernels' own tests: a branch point or a shared x must be declined, and a
+    single point must be Cantor's sum."""
     F = curve.field
     reasons = set()
-    for c in seen["double"]:
+    for c, s in seen["double"]:
         D = MumfordDivisor.nonspecial(F, *c)
         (x1, y1), (x2, y2), big, _ = points_from_mumford(D, curve)
         zero_y = big.is_zero(y1) + big.is_zero(y2)
-        if zero_y == 2:
-            reasons.add("two branch points")
-        elif zero_y == 1:
-            reasons.add("one branch point")
+        if zero_y:
+            assert s is None, D
+            reasons.add("two branch points" if zero_y == 2 else "one branch point")
         else:
-            assert to_mumford(cantor_add(from_mumford(D), from_mumford(D), curve)).is_special()
+            want = to_mumford(cantor_add(from_mumford(D), from_mumford(D), curve))
+            assert want.is_special() and s == want, D
             reasons.add("special double of a repeated point" if x1 == x2 else "special double")
-    for pc, qc in seen["add"]:
+    for pc, qc, s in seen["add"]:
         P, Q = (MumfordDivisor.nonspecial(F, *x) for x in (pc, qc))
         u = [UniPoly(F, [D.a4, D.a2, F.one]) for D in (P, Q)]
         if F.is_zero(resultant(*u)):
+            assert s is None, (P, Q)
             reasons.add("shared x")
         else:
-            assert to_mumford(cantor_add(from_mumford(P), from_mumford(Q), curve)).is_special()
+            want = to_mumford(cantor_add(from_mumford(P), from_mumford(Q), curve))
+            assert want.is_special() and s == want, (P, Q)
             reasons.add("special sum")
     return reasons
 
