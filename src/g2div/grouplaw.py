@@ -2,8 +2,12 @@
 
 The engine is the weight-6 interpolating function x^3 + g1*y + g2*x^2 +
 g4*x + g6 through the two support pairs (weight-5 y + g1*x^2 + g3*x + g5
-when the sum degenerates to a single point).  Every branch below carries a
-tag so oracle tests can prove each one is exercised:
+when the sum degenerates to a single point).  _interpolation is its one
+transcription: gamma_add and the addition kernel read it at the
+differences P - Q, gamma_double and torsion's division polynomials at the
+tangent direction, the limit of those differences as the two supports
+merge.  Every branch below carries a tag so oracle tests can prove each
+one is exercised:
 
   neutral, inverse, add_points, add_special, generic, double,
   double_to_special, add_to_special, support_overlap.
@@ -56,7 +60,8 @@ from .errors import (
 # coefficients of the weight-6 interpolating function
 GammaR6 = namedtuple("GammaR6", "g1 g2 g4 g6")
 # directional derivatives of the Mumford coordinates under x1+x2 flow;
-# a2p is always -2 and a4p = -a2
+# a2p = -2 and a4p = -a2 are the a-part of the tangent direction that
+# _interpolation reads, so gamma_double passes the record as it is
 TangentData = namedtuple("TangentData", "a2p a4p b3p b5p")
 
 
@@ -68,63 +73,57 @@ def _natives(D: MumfordDivisor) -> tuple:
     return tuple(map(D.field._native, D.coords))
 
 
-def _check_degree2(curve: CanonicalCurve, *divisors):
-    """MixedFields unless each divisor is a degree-2 class over curve's field."""
+def _check_degree2(F, *divisors):
+    """MixedFields unless each divisor is a degree-2 class over the field F."""
     for D in divisors:
-        if D.field is not curve.field or not D.is_nonspecial():
-            raise MixedFields("operand must be a degree-2 divisor over the curve's field")
+        if D.field is not F or not D.is_nonspecial():
+            raise MixedFields("operand must be a degree-2 divisor over the operation's field")
 
 
 def _difference(pc, qc):
-    """(dA2, dA4, dB3, dB5, det) of two degree-2 coordinate tuples; det = 0 is
-    the singular gamma matrix (the sum is special, or the supports overlap)."""
+    """(dA2, dA4, dB3, dB5): the coordinates of P less those of Q."""
     a2p, a4p, b3p, b5p = pc
     a2q, a4q, b3q, b5q = qc
-    dA2, dA4 = a2p - a2q, a4p - a4q
-    dB3, dB5 = b3p - b3q, b5p - b5q
-    return dA2, dA4, dB3, dB5, dA4 * dB3 - dB5 * dA2
+    return a2p - a2q, a4p - a4q, b3p - b3q, b5p - b5q
 
 
-def _shared_x(qc, dA2, dA4):
-    """(r, z) for r = res(u_P, u_Q) = dA4*z + a4_Q*dA2^2 and z = dA4 - a2_Q*dA2,
-    where dA2, dA4 are u_P's coefficients less u_Q's.  r is zero exactly when
-    the supports share an x (the same u included), and z - dA2*x is the
-    almost inverse r/u_P mod u_Q."""
-    z = dA4 - qc[0] * dA2
-    return dA4 * z + qc[1] * dA2 * dA2, z
+def _interpolation(a2, a4, dA2, dA4, dB3, dB5):
+    """(det, r, s0n) of the weight-6 function through the support with
+    alpha (a2, a4) and a second one displaced from it by (dA2, dA4, dB3,
+    dB5).  Plain ring arithmetic: the kernels, the gammas and torsion's
+    division polynomials share this one transcription.
+
+    A sum P + Q passes Q's alpha and the differences P - Q: det is the
+    gamma matrix's determinant, r = res(u_P, u_Q) is zero exactly on a
+    shared x, det*g1 = -r, det*(g2 - a2_P) = s0n, and z - dA2*x = r/u_P
+    mod u_Q gives Harley's s = (det*x + s0n)/r.  A double passes D's alpha
+    and the tangent direction (-2, -a2, b3', b5'), the limit of P - Q as
+    the supports merge: det = 2*b5' - a2*b3' and -r = a2^2 - 4*a4."""
+    z = dA4 - a2 * dA2
+    return dA4 * dB3 - dB5 * dA2, dA4 * z + a4 * dA2 * dA2, z * dB5 + a4 * dA2 * dB3
 
 
-def _gamma_add_numerators(pc, qc, diff):
-    """(det*g1, det*g2) of the weight-6 function through both supports."""
-    a2p, a4p = pc[:2]
-    a2q, a4q = qc[:2]
-    dA2, dA4, dB3, dB5, _ = diff
-    v1 = a2p * a4p - a2q * a4q
-    v2 = dA2 * (a2p + a2q) - dA4
-    return dA4 * v2 - dA2 * v1, dB3 * v1 - dB5 * v2
-
-
-def _gamma_r6(c, g1, g2) -> GammaR6:
-    """Back-substitute g4, g6 through the support rows of coordinates c."""
-    a2, a4, b3, b5 = c
+def _gamma_r6(D: MumfordDivisor, det, r, s0n) -> GammaR6:
+    """The gammas from D's _interpolation values, det != 0: g1 = -r/det,
+    g2 = a2 + s0n/det, and g4, g6 back-substituted through D's support."""
+    a2, a4, b3, b5 = D.coords
+    inv = D.field.inv(det)
+    g1, g2 = -r * inv, a2 + s0n * inv
     g4 = a2 * g2 + b3 * g1 - (a2 * a2 - a4)
     g6 = a4 * g2 + b5 * g1 - a2 * a4
     return GammaR6(g1, g2, g4, g6)
 
 
 def gamma_add(P: MumfordDivisor, Q: MumfordDivisor) -> GammaR6:
-    """Interpolation coefficients for two divisors with disjoint support.
-
-    Explicit 2x2 elimination of the 4x4 system; raises when the matrix is
-    singular (the sum is special, or supports overlap)."""
+    """Interpolation coefficients of two degree-2 divisors over one field
+    (else MixedFields); raises SingularInterpolation when det = 0 (the sum
+    is special, or the supports overlap)."""
     F = P.field
-    diff = _difference(P.coords, Q.coords)
-    det = diff[4]
+    _check_degree2(F, P, Q)
+    det, r, s0n = _interpolation(Q.a2, Q.a4, *_difference(P.coords, Q.coords))
     if F.is_zero(det):
         raise SingularInterpolation("gamma matrix singular")
-    n1, n2 = _gamma_add_numerators(P.coords, Q.coords, diff)
-    inv = F.inv(det)
-    return _gamma_r6(P.coords, n1 * inv, n2 * inv)
+    return _gamma_r6(P, det, r, s0n)
 
 
 def _y1y2(a2, a4, b3, b5):
@@ -152,7 +151,7 @@ def tangent_data(curve: CanonicalCurve, D: MumfordDivisor) -> TangentData:
     quotients of P'; equals the pointwise slope formulas wherever the
     support has distinct x and no branch point.  Computed on native values;
     D must be a degree-2 divisor over the curve's field (else MixedFields)."""
-    _check_degree2(curve, D)
+    _check_degree2(curve.field, D)
     F = curve.field
     red = F._reduce
     a2, a4, b3, b5 = _natives(D)
@@ -174,48 +173,25 @@ def _slope_tangent(F, p1, p2, s1, s2) -> TangentData:
     return TangentData(F.element(-2), x1 + x2, b3p, b5p)
 
 
-def _duplication_denominator(a2, b3p, b5p):
-    """2*b5' - a2*b3': zero exactly when 2Q is a single point."""
-    return b5p + b5p - a2 * b3p
-
-
-def _duplication_g2(a2, a4, b3p, b5p, den):
-    """g2*den = 3*a2*b5' - (a2^2 + 2*a4)*b3' for den = 2*b5' - a2*b3'."""
-    return a2 * (b5p + den) - 2 * a4 * b3p
-
-
-def _scaled_duplication(a2, a4, b3, n, num3, num5):
-    """(E, g1*E, g2*E, 2N*b5') from the tangent numerators, where E is the
-    duplication denominator times 2N = 2*y1*y2: no inversion needed."""
-    m = n + n
-    b5p_num = num5 - m * b3
-    E = _duplication_denominator(a2, num3, b5p_num)
-    return E, (a2 * a2 - 4 * a4) * m, _duplication_g2(a2, a4, num3, b5p_num, E), b5p_num
-
-
 def gamma_double(Q: MumfordDivisor, tang: TangentData) -> GammaR6:
-    """Duplication coefficients from the derivative data."""
+    """Duplication coefficients of a degree-2 divisor (else MixedFields):
+    gamma_add's interpolation in its tangent limit, tang = (-2, -a2, b3',
+    b5').  Raises GammaUndefined when det = 0 (2Q is special)."""
     F = Q.field
-    a2, a4 = Q.coords[:2]
-    den = _duplication_denominator(a2, tang.b3p, tang.b5p)
-    if F.is_zero(den):
+    _check_degree2(F, Q)
+    det, r, s0n = _interpolation(Q.a2, Q.a4, *tang)
+    if F.is_zero(det):
         raise GammaUndefined("duplication denominator vanishes: 2Q is special")
-    inv = F.inv(den)
-    g2 = _duplication_g2(a2, a4, tang.b3p, tang.b5p, den) * inv
-    return _gamma_r6(Q.coords, (a2 * a2 - 4 * a4) * inv, g2)
+    return _gamma_r6(Q, det, r, s0n)
 
 
-def _sum_alpha(a2p, a2q, a4p, a4q, g: GammaR6, l2, nu1=None, nu3=None):
-    """Alpha coordinates of the sum from the weight-6 gammas.
-
-    On a form-I model y^2 - y*Q(x) = P(x) pass l2 = nu2 and the cross-term
+def _sum_alpha(a2p, a2q, a4p, a4q, g: GammaR6, l2, nu1, nu3):
+    """Alpha coordinates of the sum from the weight-6 gammas on a form-I
+    model y^2 - y*Q(x) = P(x), with l2 = nu2 and the cross-term
     coefficients nu1, nu3: they add nu1*g1 to 2*g2 - g1^2 and
     (nu1*g2 + nu3)*g1 to the a4 law."""
-    s = g.g2 + g.g2 - g.g1 * g.g1
-    c = -l2 * g.g1
-    if nu1 is not None:
-        s = s + nu1 * g.g1
-        c = c + nu1 * g.g2 + nu3
+    s = g.g2 + g.g2 - g.g1 * g.g1 + nu1 * g.g1
+    c = -l2 * g.g1 + nu1 * g.g2 + nu3
     a2s = -a2p - a2q + s
     a4s = (-a4p - a4q + a2p * a2p + a2p * a2q + a2q * a2q
            - (a2p + a2q) * s + g.g4 + g.g4 + g.g2 * g.g2 + c * g.g1)
@@ -262,13 +238,12 @@ def _add_generic(F, l2, pc, qc):
 
     Returns the reduced native (a2, a4, b3, b5) of the sum, the single
     point as a MumfordDivisor when the sum is special (s1 = 0), or None when
-    the supports share an x (r = 0, the same u-polynomial included).  With
-    z - dA2*x = r/u_P mod u_Q (_shared_x), r*s = (v_Q - v_P)*(z - dA2*x) mod
-    u_Q has s1n = det (_difference) and s0n = z*dB5 + a4_Q*dA2*dB3; _compose
-    does the rest."""
-    dA2, dA4, dB3, dB5, det = _difference(pc, qc)
-    r, z = _shared_x(qc, dA2, dA4)
-    return _compose(F, l2, pc, qc[0], dA2, dA4, r, det, z * dB5 + qc[1] * dA2 * dB3)
+    the supports share an x (r = 0, the same u-polynomial included).
+    _interpolation gives r = res(u_P, u_Q) and r*s = (v_Q - v_P)*(r/u_P) mod
+    u_Q = det*x + s0n, so s1n = det; _compose does the rest."""
+    diff = _difference(pc, qc)
+    det, r, s0n = _interpolation(qc[0], qc[1], *diff)
+    return _compose(F, l2, pc, qc[0], diff[0], diff[1], r, det, s0n)
 
 
 def _double_generic(F, lam, c):
@@ -332,7 +307,7 @@ def _add_overlapping(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve
     the other root of u_Q.  x0 is the common root of the two u's, or where
     the two lines meet when the u's agree."""
     F = curve.field
-    dA2, dA4, dB3, dB5, _ = _difference(P.coords, Q.coords)
+    dA2, dA4, dB3, dB5 = _difference(P.coords, Q.coords)
     a2, _, b3, b5 = Q.coords
     x0 = -dB5 / dB3 if F.is_zero(dA2) else -dA4 / dA2  # dA2 = 0: the same u
     x1 = -a2 - x0
@@ -354,7 +329,7 @@ def add_points(curve: CanonicalCurve, p1, p2) -> MumfordDivisor:
 
 def add_special(P: MumfordDivisor, q_point, curve: CanonicalCurve) -> MumfordDivisor:
     """Degree-2 plus degree-1 via the weight-5 interpolation limit."""
-    _check_degree2(curve, P)
+    _check_degree2(curve.field, P)
     F = curve.field
     xq, yq = (F.coerce(v) for v in q_point)
     if not curve.on_curve((xq, yq)):
@@ -372,10 +347,10 @@ def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) 
 
     Raises ConditionViolated when the gamma matrix is regular (the sum is
     not special) and SupportOverlap when the supports share an x."""
-    _check_degree2(curve, P, Q)
+    _check_degree2(curve.field, P, Q)
     F = curve.field
     pc, qc = _natives(P), _natives(Q)
-    if F._reduce(_difference(pc, qc)[4]):
+    if F._reduce(_interpolation(qc[0], qc[1], *_difference(pc, qc))[0]):
         raise ConditionViolated("sum is not special: use the generic addition")
     s = _add_generic(F, F._native(curve.lam[0]), pc, qc)
     if s is None:
@@ -386,7 +361,7 @@ def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) 
 def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
     """Duplication landing on a single point, 2Q ~ (x, y) - inf: the generic
     doubling kernel's double when its s1 is zero."""
-    _check_degree2(curve, Q)
+    _check_degree2(curve.field, Q)
     s = _double_generic(curve.field, _lam_natives(curve), _natives(Q))
     if s is None:
         raise BranchPointInSupport("branch point in support: slopes undefined")

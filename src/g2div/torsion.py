@@ -34,9 +34,9 @@ from .errors import (
 )
 from .fields import Field, QQ, is_prime
 from .grouplaw import (
+    _interpolation,
     _lam_natives,
     _natives,
-    _scaled_duplication,
     _tangent_numerators,
     _y1y2,
     double_traced,
@@ -199,14 +199,17 @@ def x_pair_ring() -> PolyRing:
 
 
 def _duplication_data(a2, a4, b3, b5, l2, l4, l6, l8) -> dict:
-    """Numerators over the common denominator E of the duplication gammas.
-
-    Returns dict with N (= y1 y2), E, and g1..g6 numerators; gamma_k =
-    g<k>_num / E, with E = 2N*(2 b5' - a2 b3').  Plain ring arithmetic, so
-    the emitted polynomials and the residuals share this transcription."""
+    """N (= y1 y2), E, b3p = 2N*b3', b5p = 2N*b5' and the numerators g1..g6
+    of the duplication gammas over E: _interpolation at D's alpha and the
+    tangent direction with its b-part scaled by m = 2N, so E = det = 2N*(2
+    b5' - a2 b3'), g1 = -m*r and g2 = a2*E + s0n.  Plain ring arithmetic,
+    so the emitted polynomials and the residuals share this transcription."""
     N = _y1y2(a2, a4, b3, b5)
+    m = N + N
     b3p_num, num5 = _tangent_numerators(a2, a4, b3, b5, l2, l4, l6, l8)
-    E, g1_num, g2_num, b5p_num = _scaled_duplication(a2, a4, b3, N, b3p_num, num5)
+    b5p_num = num5 - m * b3
+    E, r, s0n = _interpolation(a2, a4, -2, -a2, b3p_num, b5p_num)
+    g1_num, g2_num = -r * m, a2 * E + s0n
     g4_num = a2 * g2_num + b3 * g1_num - (a2 * a2 - a4) * E
     g6_num = a4 * g2_num + b5 * g1_num - a2 * a4 * E
     return {"N": N, "E": E, "b3p": b3p_num, "b5p": b5p_num,
@@ -404,8 +407,6 @@ def _search(curve: CanonicalCurve, n: int, residuals) -> list:
     for a2 in F.elements():
         for a4 in F.elements():
             for D in _divisors_above(curve, a2, a4):
-                if F.is_zero(_y1y2(*D.coords)):
-                    continue
                 try:
                     res = residuals(D, curve)
                 except GammaUndefined:

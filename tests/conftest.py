@@ -8,10 +8,12 @@ from g2div.fields import GF
 
 
 def random_point(curve, rng, nonzero_y=False):
+    """A random affine point; x is drawn from the whole field, F_{p^k}
+    included."""
     F = curve.field
     q = F.order()
     while True:
-        x = F.element(rng.randrange(q))
+        x = F._element_at(rng.randrange(q))
         roots = F.sqrt(curve.p_at(x))
         if not roots:
             continue

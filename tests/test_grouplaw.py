@@ -32,6 +32,7 @@ from g2div.errors import (
 )
 from g2div.fields import GF, QQ
 from g2div.grouplaw import (
+    TangentData,
     add,
     add_points,
     add_special,
@@ -296,16 +297,19 @@ def test_add_to_special_refuses_shared_x(p, lam):
 
 def test_special_branches_reject_foreign_and_degree1_divisors(c7, f7):
     # tangent_data, add_to_special, double_to_special and add_special's
-    # first operand take degree-2 divisors over the curve's field only
+    # first operand take degree-2 divisors over the curve's field only;
+    # gamma_add and gamma_double take degree-2 divisors over one field
     rng = random.Random(11)
     D = random_divisor(c7, rng)
+    tang = TangentData(f7.element(-2), -D.a2, f7.one, f7.one)
     c11 = CanonicalCurve(GF(11), (1, 0, 3, 0, 7))
     bad = [random_divisor(c11, rng), MumfordDivisor.special(f7, 0, 1), MumfordDivisor.neutral(f7),
            MumfordDivisor.nonspecial(GF(7, 2), 1, 2, 3, 4)]
     for B in bad:
         for call in (lambda: tangent_data(c7, B), lambda: double_to_special(B, c7),
                      lambda: add_to_special(B, D, c7), lambda: add_to_special(D, B, c7),
-                     lambda: add_special(B, (0, 1), c7)):
+                     lambda: add_special(B, (0, 1), c7), lambda: gamma_add(B, D),
+                     lambda: gamma_add(D, B), lambda: gamma_double(B, tang)):
             with pytest.raises(MixedFields):
                 call()
 
@@ -338,40 +342,50 @@ def test_addition_system_matrix_shape(c7, f7):
     assert consts[0] == P.a2 * P.a4 and consts[1] == P.a2 * P.a2 - P.a4
 
 
+def _gamma_curves(c1009):
+    # F_1009 and F_{31^2}, whose x-coordinates random_point draws from the
+    # whole field
+    return c1009, CanonicalCurve(GF(31, 2), (1, 2, 3, 4, 5))
+
+
 def test_gamma_solves_addition_system(c1009, rng):
-    F = c1009.field
-    for _ in range(50):
-        P, Q = random_divisor(c1009, rng), random_divisor(c1009, rng)
-        try:
-            gam = gamma_add(P, Q)
-        except SingularInterpolation:
-            continue
-        rows, consts = addition_system(P, Q)
-        vec = (gam.g6, gam.g4, gam.g2, gam.g1)
-        for row, const in zip(rows, consts):
-            acc = F.zero
-            for r, v in zip(row, vec):
-                acc = acc + r * v
-            assert F.is_zero(acc + const)
+    for curve in _gamma_curves(c1009):
+        F = curve.field
+        solved = 0
+        for _ in range(50):
+            P, Q = random_divisor(curve, rng), random_divisor(curve, rng)
+            try:
+                gam = gamma_add(P, Q)
+            except SingularInterpolation:
+                continue
+            rows, consts = addition_system(P, Q)
+            vec = (gam.g6, gam.g4, gam.g2, gam.g1)
+            for row, const in zip(rows, consts):
+                acc = F.zero
+                for r, v in zip(row, vec):
+                    acc = acc + r * v
+                assert F.is_zero(acc + const)
+            solved += 1
+        assert solved > 40
 
 
 def test_interpolant_vanishes_on_supports(c1009, rng):
     # R6 = x^3 + g1 y + g2 x^2 + g4 x + g6 vanishes on both supports
-    F = c1009.field
-    for _ in range(50):
-        P, Q = random_divisor(c1009, rng), random_divisor(c1009, rng)
-        try:
-            gam = gamma_add(P, Q)
-        except SingularInterpolation:
-            continue
-        for D in (P, Q):
-            (p1, p2, big, emb) = points_from_mumford(D, c1009)
-            for (x, y) in (p1, p2):
-                val = (x ** 3 + big.coerce(gam.g1 if emb is None else emb.embed(gam.g1)) * y
-                       + big.coerce(gam.g2 if emb is None else emb.embed(gam.g2)) * x * x
-                       + big.coerce(gam.g4 if emb is None else emb.embed(gam.g4)) * x
-                       + big.coerce(gam.g6 if emb is None else emb.embed(gam.g6)))
-                assert big.is_zero(val)
+    for curve in _gamma_curves(c1009):
+        checked = 0
+        for _ in range(50):
+            P, Q = random_divisor(curve, rng), random_divisor(curve, rng)
+            try:
+                gam = gamma_add(P, Q)
+            except SingularInterpolation:
+                continue
+            for D in (P, Q):
+                (p1, p2, big, emb) = points_from_mumford(D, curve)
+                g = [big.coerce(v if emb is None else emb.embed(v)) for v in gam]
+                for (x, y) in (p1, p2):
+                    assert big.is_zero(x ** 3 + g[0] * y + g[1] * x * x + g[2] * x + g[3])
+            checked += 1
+        assert checked > 40
 
 
 def test_duplication_gamma_coordinate_form(c1009, rng):
@@ -380,38 +394,39 @@ def test_duplication_gamma_coordinate_form(c1009, rng):
     # (deriving g6 = a4*g2 + b5*g1 - a2*a4 in coordinates gives
     # +x1*x2*(s1-s2)/2 - (x2*y1 - x1*y2); the other three entries match as
     # printed, and the defining linear system pins the sign)
-    F = c1009.field
-    half = F.one / F.element(2)
-    checked = 0
-    for _ in range(100):
-        p1 = random_point(c1009, rng, nonzero_y=True)
-        p2 = random_point(c1009, rng, nonzero_y=True)
-        if p1[0] == p2[0]:
-            continue
-        D = mumford_from_points(c1009, p1, p2)
-        tang = tangent_data(c1009, D)
-        den = tang.b5p + tang.b5p - D.a2 * tang.b3p
-        if F.is_zero(den):
-            continue
-        gam = gamma_double(D, tang)
-        (x1, y1), (x2, y2) = p1, p2
-        s1 = c1009.dp_at(x1) / (y1 + y1)
-        s2 = c1009.dp_at(x2) / (y2 + y2)
-        base = [-half * x1 * x2 * (x1 + x2), 3 * x1 * x2, -3 * half * (x1 + x2), F.zero]
-        denom = (s1 + s2) * (x1 - x2) - 2 * (y1 - y2)
-        factor = (x1 - x2) * (x1 - x2) / denom
-        corr = [half * x1 * x2 * (s1 - s2) - (x2 * y1 - x1 * y2),
-                -(x2 * s1 - x1 * s2),
-                half * (s1 - s2),
-                -(x1 - x2)]
-        expect = [b + factor * c for b, c in zip(base, corr)]
-        assert [gam.g6, gam.g4, gam.g2, gam.g1] == expect
-        # the printed g6 sign variant disagrees whenever the correction is nonzero
-        printed_g6 = base[0] + factor * (-corr[0])
-        if not F.is_zero(corr[0]):
-            assert gam.g6 != printed_g6
-        checked += 1
-    assert checked > 50
+    for curve in _gamma_curves(c1009):
+        F = curve.field
+        half = F.one / F.element(2)
+        checked = 0
+        for _ in range(100):
+            p1 = random_point(curve, rng, nonzero_y=True)
+            p2 = random_point(curve, rng, nonzero_y=True)
+            if p1[0] == p2[0]:
+                continue
+            D = mumford_from_points(curve, p1, p2)
+            tang = tangent_data(curve, D)
+            den = tang.b5p + tang.b5p - D.a2 * tang.b3p
+            if F.is_zero(den):
+                continue
+            gam = gamma_double(D, tang)
+            (x1, y1), (x2, y2) = p1, p2
+            s1 = curve.dp_at(x1) / (y1 + y1)
+            s2 = curve.dp_at(x2) / (y2 + y2)
+            base = [-half * x1 * x2 * (x1 + x2), 3 * x1 * x2, -3 * half * (x1 + x2), F.zero]
+            denom = (s1 + s2) * (x1 - x2) - 2 * (y1 - y2)
+            factor = (x1 - x2) * (x1 - x2) / denom
+            corr = [half * x1 * x2 * (s1 - s2) - (x2 * y1 - x1 * y2),
+                    -(x2 * s1 - x1 * s2),
+                    half * (s1 - s2),
+                    -(x1 - x2)]
+            expect = [b + factor * c for b, c in zip(base, corr)]
+            assert [gam.g6, gam.g4, gam.g2, gam.g1] == expect
+            # the printed g6 sign variant disagrees whenever the correction is nonzero
+            printed_g6 = base[0] + factor * (-corr[0])
+            if not F.is_zero(corr[0]):
+                assert gam.g6 != printed_g6
+            checked += 1
+        assert checked > 50
 
 
 def test_tangent_closed_forms_match_slopes(c1009, rng):
