@@ -97,10 +97,6 @@ class ExtensionField(Field):
         c += [0] * (self.k - len(c))
         return FieldElement(self, tuple(c))
 
-    def gen(self) -> FieldElement:
-        """The residue class of t."""
-        return self.from_coeffs([0, 1])
-
     def add(self, a, b):
         p = self.p
         return FieldElement(self, tuple((x + y) % p for x, y in zip(a.value, b.value)))
@@ -195,8 +191,7 @@ class FieldEmbedding:
     """Embedding of a prime or extension field into a larger extension field.
 
     The image of the small field's generator is the least root (in sort_key
-    order) of its modulus in the big field, found by roots_in_field; pullback
-    solves the resulting linear system over F_p.
+    order) of its modulus in the big field, found by roots_in_field.
     """
 
     def __init__(self, small: Field, big: ExtensionField):
@@ -204,7 +199,6 @@ class FieldEmbedding:
             raise MixedFields("characteristic mismatch")
         self.small = small
         self.big = big
-        p = big.p
         if isinstance(small, PrimeField):
             self._basis = [big.one]
         elif isinstance(small, ExtensionField):
@@ -219,9 +213,6 @@ class FieldEmbedding:
                 self._basis.append(big.mul(self._basis[-1], root))
         else:
             raise UnsupportedField("can only embed finite fields")
-        # pullback matrix: columns are basis vectors over F_p
-        self._cols = [b.value for b in self._basis]
-        self.p = p
 
     def embed(self, a: FieldElement) -> FieldElement:
         if isinstance(self.small, PrimeField):
@@ -231,37 +222,3 @@ class FieldEmbedding:
             if c:
                 acc = self.big.add(acc, self.big.mul(self.big.element(c), b))
         return acc
-
-    def pullback(self, a: FieldElement) -> FieldElement:
-        """Inverse image in the small field; raises if a is not in the image."""
-        p, n = self.p, self.big.k
-        m = len(self._cols)
-        # solve sum c_j * col_j = a.value over F_p by Gaussian elimination
-        rows = [[self._cols[j][i] for j in range(m)] + [a.value[i]] for i in range(n)]
-        piv = []
-        r = 0
-        for col in range(m):
-            sel = next((i for i in range(r, n) if rows[i][col] % p), None)
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = pow(rows[r][col], p - 2, p)
-            rows[r] = [(x * inv) % p for x in rows[r]]
-            for i in range(n):
-                if i != r and rows[i][col] % p:
-                    f = rows[i][col]
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-            piv.append(col)
-            r += 1
-        sol = [0] * m
-        for i, col in enumerate(piv):
-            sol[col] = rows[i][-1] % p
-        for i in range(r, n):
-            if rows[i][-1] % p:
-                raise MixedFields("element is not in the embedded subfield")
-        # verify (guards non-pivot columns)
-        cand = (self.small.element(sol[0]) if isinstance(self.small, PrimeField)
-                else self.small.from_coeffs(sol))
-        if self.embed(cand) != a:
-            raise MixedFields("element is not in the embedded subfield")
-        return cand

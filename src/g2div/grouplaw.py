@@ -185,19 +185,6 @@ def gamma_double(Q: MumfordDivisor, tang: TangentData) -> GammaR6:
     return _gamma_r6(Q, det, r, s0n)
 
 
-def _sum_alpha(a2p, a2q, a4p, a4q, g: GammaR6, l2, nu1, nu3):
-    """Alpha coordinates of the sum from the weight-6 gammas on a form-I
-    model y^2 - y*Q(x) = P(x), with l2 = nu2 and the cross-term
-    coefficients nu1, nu3: they add nu1*g1 to 2*g2 - g1^2 and
-    (nu1*g2 + nu3)*g1 to the a4 law."""
-    s = g.g2 + g.g2 - g.g1 * g.g1 + nu1 * g.g1
-    c = -l2 * g.g1 + nu1 * g.g2 + nu3
-    a2s = -a2p - a2q + s
-    a4s = (-a4p - a4q + a2p * a2p + a2p * a2q + a2q * a2q
-           - (a2p + a2q) * s + g.g4 + g.g4 + g.g2 * g.g2 + c * g.g1)
-    return a2s, a4s
-
-
 def _compose(F, l2, pc, a2q, dA2, dA4, r, s1n, s0n):
     """The last step of both generic kernels, on native values: P + Q from
     the cubic y = V(x) = v_P + s*u_P through both supports, s = (s1n*x +

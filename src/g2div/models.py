@@ -248,13 +248,26 @@ def _pair_divisor(F, pp) -> MumfordDivisor:
     return MumfordDivisor.nonspecial(F, *_chord(x1, y1, x2, y2))
 
 
+def _sum_alpha(a2p, a2q, a4p, a4q, g, l2, nu1, nu3):
+    """Alpha coordinates of the sum from the weight-6 gammas g (a
+    grouplaw.GammaR6) on a form-I model y^2 - y*Q(x) = P(x), with l2 = nu2
+    and the cross-term coefficients nu1, nu3: they add nu1*g1 to 2*g2 -
+    g1^2 and (nu1*g2 + nu3)*g1 to the a4 law."""
+    s = g.g2 + g.g2 - g.g1 * g.g1 + nu1 * g.g1
+    c = -l2 * g.g1 + nu1 * g.g2 + nu3
+    a2s = -a2p - a2q + s
+    a4s = (-a4p - a4q + a2p * a2p + a2p * a2q + a2q * a2q
+           - (a2p + a2q) * s + g.g4 + g.g4 + g.g2 * g.g2 + c * g.g1)
+    return a2s, a4s
+
+
 def add_extended_alpha(g: GeneralCurve, pp, qq=None):
     """Alpha coordinates of a sum (or double, qq=None) on a form-I curve.
 
     Only the alpha law is exposed; the nu-corrections enter through
     2*g2 - g1^2 + nu1*g1 and (nu1*g2 - nu2*g1 + nu3)*g1."""
     # only this law needs the group law, so curve transform never loads it
-    from .grouplaw import _slope_tangent, _sum_alpha, gamma_add, gamma_double
+    from .grouplaw import _slope_tangent, gamma_add, gamma_double
     if g.form != "I":
         raise MixedFields("extended alpha law applies to form I models")
     F = g.field

@@ -1,4 +1,5 @@
-"""Sparse multivariate polynomials graded by Sato weights.
+"""Sparse multivariate polynomials graded by Sato weights, the ring in which
+`divpoly emit` builds and prints the division polynomials.
 
 The grading assigns every variable a nonnegative integer weight (x has
 weight 2, y weight 5, the curve coefficients their index); all formulas
@@ -12,12 +13,11 @@ each slot holds an exponent below 2^EXP_BITS under a guard bit, and the
 weight sits on top, so a monomial product is one int addition and an
 exponent reaching 2^EXP_BITS sets a guard bit (OverflowError) instead of
 spilling over.  Coefficients are Field._native values reduced by
-Field._reduce; terms(), coefficient(), the display (by weight, then
-exponent vector) and JSON present exponent tuples and FieldElements.
-Exact division runs on a mutable remainder whose terms leave a heap in
-packed order, a monomial order (cf. the heap division of M. Monagan and
-R. Pearce, J. Symbolic Comput. 46, 2011).  Resultants use the
-subresultant polynomial-remainder sequence.
+Field._reduce; sorted_terms(), the display (by weight, then exponent
+vector) and JSON present exponent tuples and FieldElements.  Exact
+division runs on a mutable remainder whose terms leave a heap in packed
+order, a monomial order (cf. the heap division of M. Monagan and R.
+Pearce, J. Symbolic Comput. 46, 2011).
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from .fields import Field, FieldElement
 NEG_INF = float("-inf")
 EXP_BITS = 15
 SLOT = EXP_BITS + 1
-_SLOT_MASK = (1 << SLOT) - 1
 _SCALARS = (int, Fraction, FieldElement)
 
 
@@ -127,11 +126,6 @@ class PolyRing:
     def gens(self) -> dict:
         return {v: self.var(v) for v in self.variables}
 
-    def monomial(self, exp, coeff=1) -> "WeightedPoly":
-        key = self._pack(exp)
-        c = self.field._native(self.field.coerce(coeff))
-        return WeightedPoly._make(self, {key: c} if c else {})
-
 
 class WeightedPoly:
     """WeightedPoly(ring, {exponent tuple: element, int or Fraction})."""
@@ -151,18 +145,11 @@ class WeightedPoly:
         return p
 
     # -- inspection ------------------------------------------------------------
-    def terms(self) -> list:
-        unpack, coerce = self.ring._unpack, self.ring.field.coerce
-        return [(unpack(k), coerce(c)) for k, c in self._terms.items()]
-
     def num_terms(self) -> int:
         return len(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coefficient(self, exp) -> FieldElement:
-        return self.ring.field.coerce(self._terms.get(self.ring._pack(exp), 0))
 
     def weighted_degree(self):
         return max(self._terms) >> self.ring._top if self._terms else NEG_INF
@@ -170,13 +157,6 @@ class WeightedPoly:
     def is_homogeneous(self) -> bool:
         top = self.ring._top
         return len({k >> top for k in self._terms}) <= 1
-
-    def degree_in(self, name: str) -> int:
-        """Ordinary degree in one variable; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        s = self.ring._shifts[self.ring.index[name]]
-        return max((k >> s) & _SLOT_MASK for k in self._terms)
 
     # -- arithmetic --------------------------------------------------------------
     def _check(self, other):
@@ -328,17 +308,6 @@ class WeightedPoly:
             acc += c
         return F.coerce(red(acc))
 
-    # -- univariate views -------------------------------------------------------
-    def coeffs_in(self, name: str) -> list:
-        """Coefficients (as WeightedPoly without name) ascending in name."""
-        s = self.ring._shifts[self.ring.index[name]]
-        (unit,) = self.ring.var(name)._terms
-        buckets: list = [{} for _ in range(self.degree_in(name) + 1)]
-        for k, c in self._terms.items():
-            e = (k >> s) & _SLOT_MASK
-            buckets[e][k - e * unit] = c
-        return [WeightedPoly._make(self.ring, b) for b in buckets]
-
     # -- display --------------------------------------------------------------
     def sorted_terms(self) -> list:
         ring = self.ring
@@ -377,87 +346,9 @@ class WeightedPoly:
             "terms": [{"exps": list(e), "coeff": F.to_str(c)} for e, c in self.sorted_terms()],
         }
 
-    @staticmethod
-    def from_json(ring: PolyRing, obj: dict) -> "WeightedPoly":
-        if tuple(obj["vars"]) != ring.variables:
-            raise MixedFields("variable header mismatch")
-        F = ring.field
-        out: dict = {}
-        for t in obj["terms"]:
-            k = ring._pack(t["exps"])
-            out[k] = out.get(k, F._native_zero) + F._native(F.from_str(t["coeff"]))
-        return ring._finish(out)
-
     def __repr__(self):
         text = self.to_text()
         if len(text) > 160:
             text = text[:157] + "..."
         return f"Poly({text})"
 
-
-# -------------------------------------------------------------------------
-# resultants
-
-def _prem(a: list, b: list, ring: PolyRing):
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b (ascending lists)."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    e = len(a) - len(b) + 1
-    while r and len(r) - 1 >= db:
-        lead = r[-1]
-        shift = len(r) - 1 - db
-        r = [c * lb for c in r]
-        for i in range(db + 1):
-            r[shift + i] = r[shift + i] - lead * b[i]
-        r.pop()
-        while r and r[-1].is_zero():
-            r.pop()
-        e -= 1
-    if e > 0 and r:
-        f = lb ** e
-        r = [c * f for c in r]
-    return r
-
-
-def resultant(p: WeightedPoly, q: WeightedPoly, name: str) -> WeightedPoly:
-    """Resultant of p and q with respect to one variable.
-
-    Subresultant PRS (no content removal); the result matches the Sylvester
-    determinant with p-rows on top, which fixes the sign convention.
-    """
-    ring = p.ring
-    if q.ring != ring:
-        raise MixedFields("polynomials from different rings")
-    if p.is_zero() or q.is_zero():
-        return ring.zero()
-    A = p.coeffs_in(name)
-    B = q.coeffs_in(name)
-    da, db = len(A) - 1, len(B) - 1
-    sign = 1
-    if da < db:
-        A, B, da, db = B, A, db, da
-        if (da * db) % 2 == 1:
-            sign = -sign
-    if db == 0:
-        return (B[0] ** da).scale(sign) if da else ring.one().scale(sign)
-    g = ring.one()
-    h = ring.one()
-    while True:
-        da, db = len(A) - 1, len(B) - 1
-        d = da - db
-        if (da % 2 == 1) and (db % 2 == 1):
-            sign = -sign
-        R = _prem(A, B, ring)
-        if not R:
-            return ring.zero()  # common factor of positive degree
-        divisor = g * (h ** d)
-        A, B = B, [c.exact_div(divisor) for c in R]
-        g = A[-1]
-        if d > 0:
-            h = (g ** d).exact_div(h ** (d - 1)) if d > 1 else g
-        if len(B) - 1 == 0:
-            break
-    dA = len(A) - 1
-    res = (B[0] ** dA).exact_div(h ** (dA - 1)) if dA > 1 else (B[0] ** dA)
-    return res.scale(sign)

@@ -48,7 +48,6 @@ from .grouplaw import (
 MUMFORD_COORDS = ("a2", "a4", "b3", "b5"), (2, 4, 3, 5)
 XY_COORDS = ("x1", "y1", "x2", "y2"), (2, 5, 2, 5)
 X_COORDS = ("x1", "x2"), (2, 2)
-MUMFORD_VARS = MUMFORD_COORDS[0] + LAMBDA_NAMES
 
 
 # coords is "mumford" or "xy"; polys are WeightedPolys aligned with names
@@ -184,18 +183,6 @@ def _ring(coords, field: Field = None) -> PolyRing:
     if field is None:
         return PolyRing(QQ(), names + LAMBDA_NAMES, weights + LAMBDA_WEIGHTS)
     return PolyRing(field, names, weights)
-
-
-def mumford_ring() -> PolyRing:
-    return _ring(MUMFORD_COORDS)
-
-
-def xy_ring() -> PolyRing:
-    return _ring(XY_COORDS)
-
-
-def x_pair_ring() -> PolyRing:
-    return _ring(X_COORDS)
 
 
 def _duplication_data(a2, a4, b3, b5, l2, l4, l6, l8) -> dict:

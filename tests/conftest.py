@@ -4,7 +4,8 @@ import pytest
 
 from g2div.curves import CanonicalCurve
 from g2div.divisors import mumford_from_points
-from g2div.fields import GF
+from g2div.errors import MixedFields
+from g2div.fields import GF, PrimeField
 
 
 def random_point(curve, rng, nonzero_y=False):
@@ -31,6 +32,40 @@ def random_divisor(curve, rng):
         if p1[0] == p2[0]:
             continue
         return mumford_from_points(curve, p1, p2)
+
+
+def pullback(emb, a):
+    """The inverse image of a under the FieldEmbedding emb, by Gaussian
+    elimination over F_p on the embedded basis; MixedFields if a is not in
+    the image."""
+    p, n = emb.big.p, emb.big.k
+    cols = [b.value for b in emb._basis]
+    m = len(cols)
+    rows = [[cols[j][i] for j in range(m)] + [a.value[i]] for i in range(n)]
+    piv = []
+    r = 0
+    for col in range(m):
+        sel = next((i for i in range(r, n) if rows[i][col] % p), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][col] % p:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        piv.append(col)
+        r += 1
+    sol = [0] * m
+    for i, col in enumerate(piv):
+        sol[col] = rows[i][-1] % p
+    # embedding the candidate back also guards the non-pivot columns
+    cand = (emb.small.element(sol[0]) if isinstance(emb.small, PrimeField)
+            else emb.small.from_coeffs(sol))
+    if any(rows[i][-1] % p for i in range(r, n)) or emb.embed(cand) != a:
+        raise MixedFields("element is not in the embedded subfield")
+    return cand
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 """Group-law cross-check helpers that only the tests use."""
+from conftest import pullback
 from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, points_from_mumford
 from g2div.errors import BranchPointInSupport, SameDivisor, SerializationError
@@ -55,8 +56,8 @@ def du_derivative(d: MumfordDivisor, direction: str, curve: CanonicalCurve):
     da2 = -(dx1 + dx2)
     da4 = x2 * dx1 + x1 * dx2
     if emb is not None:
-        da2 = emb.pullback(da2)
-        da4 = emb.pullback(da4)
+        da2 = pullback(emb, da2)
+        da4 = pullback(emb, da4)
     return da2, da4
 
 

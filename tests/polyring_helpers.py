@@ -1,8 +1,70 @@
 """Polynomial-ring cross-check helpers that only the tests use."""
-from g2div.errors import DivisionByZero, InexactDivision
+from g2div.errors import DivisionByZero, InexactDivision, MixedFields
 from g2div.fields import FieldElement
-from g2div.polyring import NEG_INF, PolyRing, WeightedPoly
+from g2div.polyring import NEG_INF, SLOT, PolyRing, WeightedPoly
+from g2div.torsion import MUMFORD_COORDS, X_COORDS, XY_COORDS, _ring
 
+_SLOT_MASK = (1 << SLOT) - 1
+
+
+# -------------------------------------------------------------------------
+# the formal rings of the division polynomials, over Q with the curve
+# coefficients as generators
+
+def mumford_ring() -> PolyRing:
+    return _ring(MUMFORD_COORDS)
+
+
+def xy_ring() -> PolyRing:
+    return _ring(XY_COORDS)
+
+
+def x_pair_ring() -> PolyRing:
+    return _ring(X_COORDS)
+
+
+# -------------------------------------------------------------------------
+# construction, univariate views and JSON input
+
+def monomial(ring: PolyRing, exp, coeff=1) -> WeightedPoly:
+    """coeff * prod x_i^exp_i; OverflowError for an exponent outside a slot."""
+    return WeightedPoly(ring, {tuple(exp): coeff})
+
+
+def degree_in(poly: WeightedPoly, name: str) -> int:
+    """Ordinary degree in one variable; -1 for the zero polynomial."""
+    if poly.is_zero():
+        return -1
+    s = poly.ring._shifts[poly.ring.index[name]]
+    return max((k >> s) & _SLOT_MASK for k in poly._terms)
+
+
+def coeffs_in(poly: WeightedPoly, name: str) -> list:
+    """Coefficients (as WeightedPoly without name) ascending in name."""
+    ring = poly.ring
+    s = ring._shifts[ring.index[name]]
+    (unit,) = ring.var(name)._terms
+    buckets: list = [{} for _ in range(degree_in(poly, name) + 1)]
+    for k, c in poly._terms.items():
+        e = (k >> s) & _SLOT_MASK
+        buckets[e][k - e * unit] = c
+    return [WeightedPoly._make(ring, b) for b in buckets]
+
+
+def from_json(ring: PolyRing, obj: dict) -> WeightedPoly:
+    """The polynomial of a to_json object, read into ring."""
+    if tuple(obj["vars"]) != ring.variables:
+        raise MixedFields("variable header mismatch")
+    F = ring.field
+    out: dict = {}
+    for t in obj["terms"]:
+        k = ring._pack(t["exps"])
+        out[k] = out.get(k, F._native_zero) + F._native(F.from_str(t["coeff"]))
+    return ring._finish(out)
+
+
+# -------------------------------------------------------------------------
+# calculus, resultants and reduction
 
 def partial_derivative(poly: WeightedPoly, name: str) -> WeightedPoly:
     """d poly / d name, term by term."""
@@ -10,7 +72,7 @@ def partial_derivative(poly: WeightedPoly, name: str) -> WeightedPoly:
     i = ring.index[name]
     F = ring.field
     out: dict = {}
-    for e, c in poly.terms():
+    for e, c in poly.sorted_terms():
         if e[i] == 0:
             continue
         ne = e[:i] + (e[i] - 1,) + e[i + 1:]
@@ -23,11 +85,12 @@ def partial_derivative(poly: WeightedPoly, name: str) -> WeightedPoly:
 
 
 def sylvester_resultant(p: WeightedPoly, q: WeightedPoly, name: str) -> WeightedPoly:
-    """Resultant via Bareiss elimination on the Sylvester matrix (small cases),
-    the cross-check of polyring.resultant."""
+    """Resultant in one variable: Bareiss elimination on the Sylvester matrix
+    with p's rows on top, which fixes the sign convention.  0 when p or q is
+    zero, 1 when both are nonzero constants."""
     ring = p.ring
-    A = p.coeffs_in(name)
-    B = q.coeffs_in(name)
+    A = coeffs_in(p, name)
+    B = coeffs_in(q, name)
     m, n = len(A) - 1, len(B) - 1
     if m < 0 or n < 0:
         return ring.zero()
@@ -74,7 +137,7 @@ def reduce_power(poly: WeightedPoly, name: str, deg: int,
     i = ring.index[name]
     repl_pows: dict = {}
     acc = ring.zero()
-    for e, c in poly.terms():
+    for e, c in poly.sorted_terms():
         q, r = divmod(e[i], deg)
         if q == 0:
             acc = acc + WeightedPoly(ring, {e: c})
@@ -193,7 +256,7 @@ class RefPoly:
 
     @staticmethod
     def of(poly: WeightedPoly) -> "RefPoly":
-        return RefPoly(poly.ring.field, len(poly.ring.variables), dict(poly.terms()))
+        return RefPoly(poly.ring.field, len(poly.ring.variables), dict(poly.sorted_terms()))
 
     def const(self, c) -> "RefPoly":
         return RefPoly(self.field, self.nvars, {(0,) * self.nvars: self.field.coerce(c)})

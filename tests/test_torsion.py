@@ -1,18 +1,31 @@
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
 from conftest import random_divisor, random_point
 from grouplaw_helpers import torsion_branch_classification
+from polyring_helpers import mumford_ring, sylvester_resultant, x_pair_ring, xy_ring
 from g2div import cli
-from g2div.cantor import brute_force_n_torsion, cantor_add, enumerate_jacobian, to_mumford
-from g2div.curves import LAMBDA_NAMES, CanonicalCurve, curve_to_json
+from g2div.cantor import (
+    brute_force_n_torsion,
+    cantor_add,
+    cantor_scalar_mul,
+    enumerate_jacobian,
+    from_mumford,
+    to_mumford,
+)
+from g2div.curves import LAMBDA_NAMES, CanonicalCurve, curve_from_json, curve_to_json
 from g2div.divisors import (
     MumfordDivisor,
+    divisor_from_json,
     divisor_to_json,
+    is_on_jacobian,
     mumford_from_points,
     negate,
     p_mod_u,
@@ -21,7 +34,7 @@ from g2div.divisors import (
 from g2div.errors import CharacteristicTooSmall, DegenerateCurve, GammaUndefined, SerializationError
 from g2div.fields import GF, QQ
 from g2div.grouplaw import double_traced, gamma_double, scalar_mul, tangent_data
-from g2div.polyring import PolyRing, resultant
+from g2div.polyring import PolyRing
 from g2div.torsion import (
     emit_division_polynomials,
     find_four_torsion,
@@ -34,8 +47,6 @@ from g2div.torsion import (
     three_torsion_y_poly,
     t_quotient,
     two_torsion_divisors,
-    x_pair_ring,
-    xy_ring,
     _divisors_above,
     _dp_of,
     _int_fraction,
@@ -247,7 +258,7 @@ class TestXYPolynomials:
                             - (2 * x1 + 2 * x2 + l2) * (x1 - x2) ** 4))
         assert eq1.is_homogeneous() and eq1.weighted_degree() == 28
         assert eq2.is_homogeneous() and eq2.weighted_degree() == 30
-        res = resultant(eq1, eq2, "z")
+        res = sylvester_resultant(eq1, eq2, "z")
         quot = res.exact_div((x1 - x2) ** 4)
         assert quot == three_torsion_x_poly(x1, x2, lam).scale(-1)
 
@@ -276,7 +287,7 @@ def _specialized(formal, curve):
     F = curve.field
     k = len(formal.ring.variables) - len(LAMBDA_NAMES)
     out = {}
-    for e, c in formal.terms():
+    for e, c in formal.sorted_terms():
         v = F.coerce(c.value)
         for lam, power in zip(curve.lam, e[k:]):
             v = v * F.pow(lam, power)
@@ -307,7 +318,7 @@ class TestConcreteEmission:
                 assert c.ring.field is field
                 assert c.ring.variables == f.ring.variables[:k]
                 assert c.ring.weights == f.ring.weights[:k]
-                assert dict(c.terms()) == _specialized(f, curve)
+                assert dict(c.sorted_terms()) == _specialized(f, curve)
 
 
 class TestMumfordResiduals:
@@ -336,7 +347,6 @@ class TestMumfordResiduals:
 
     def test_model_equations_homogeneous(self):
         # J8 and J10 are weight-8 and weight-10 homogeneous
-        from g2div.torsion import mumford_ring
         ring = mumford_ring()
         g = ring.gens()
         a2, a4, b3, b5 = g["a2"], g["a4"], g["b3"], g["b5"]
@@ -354,9 +364,9 @@ class TestMumfordResiduals:
 
     def test_double_to_special_output_weight(self):
         # x_{2Q} = 2*a2 + g1^2 - l2 with g1 = b3'/2 is weight-2 homogeneous
-        from g2div.torsion import MUMFORD_VARS, _duplication_data, mumford_ring
+        from g2div.torsion import MUMFORD_COORDS, _duplication_data
         g = mumford_ring().gens()
-        d = _duplication_data(*(g[v] for v in MUMFORD_VARS[:8]))
+        d = _duplication_data(*(g[v] for v in MUMFORD_COORDS[0] + LAMBDA_NAMES[:4]))
         N, b3p = d["N"], d["b3p"]
         # x * 16*N^2 as a polynomial (g1 = b3p/(4N))
         x_num = (2 * g["a2"] - g["l2"]) * (16 * N * N) + b3p * b3p
@@ -677,3 +687,72 @@ class TestEmission:
         assert a.names == ("x_support", "y_support")
         assert emit_division_polynomials(4, "mumford").names == (
             "b3_vanishing", "b5_vanishing", "y2d_vanishing")
+
+
+# ---------------------------------------------------------------------------
+# constructed torsion over GF(2^127 - 1): a curve built around a divisor of
+# known order 3 or 4 (see tests/data/p127_torsion_fixtures.py)
+
+DATA = Path(__file__).parent / "data"
+P127_FIXTURES = (("three", 3), ("four", 4))
+
+
+def _p127_fixture(name):
+    curve = curve_from_json(json.loads((DATA / f"p127_{name}_torsion.json").read_text()))
+    d = divisor_from_json(curve.field, json.loads((DATA / f"p127_{name}_torsion_d.json").read_text()))
+    return curve, d
+
+
+def _residuals(d, n, curve):
+    if n == 3:
+        return three_torsion_mumford_residuals(d, curve)
+    branch, res = four_torsion_residuals(d, curve)
+    assert branch == "nonspecial"  # 2D = (w, 0) has two support points
+    return res
+
+
+class TestP127ConstructedTorsion:
+    def test_generator_rebuilds_the_files(self, tmp_path):
+        subprocess.run([sys.executable, str(DATA / "p127_torsion_fixtures.py"), str(tmp_path)],
+                       check=True)
+        for name, _ in P127_FIXTURES:
+            for f in (f"p127_{name}_torsion.json", f"p127_{name}_torsion_d.json"):
+                assert (tmp_path / f).read_bytes() == (DATA / f).read_bytes(), f
+
+    @pytest.mark.parametrize("name,n", P127_FIXTURES)
+    def test_residuals_vanish_on_the_known_class(self, name, n):
+        curve, d = _p127_fixture(name)
+        F = curve.field
+        assert F.order() == 2 ** 127 - 1 and d.is_nonspecial()
+        assert is_on_jacobian(d, curve)
+        assert is_torsion(d, n, curve)
+        assert all(F.is_zero(r) for r in _residuals(d, n, curve))
+        # the Cantor oracle agrees on the order and on 2D
+        c = from_mumford(d)
+        assert cantor_scalar_mul(n, c, curve).u.degree() == 0
+        twice = to_mumford(cantor_scalar_mul(2, c, curve))
+        assert double_traced(d, curve)[0] == twice
+        if n == 3:
+            assert twice == negate(d)
+        else:  # 2D = (w, 0): b = 0 and w divides P
+            a2, a4, b3, b5 = twice.coords
+            assert F.is_zero(b3) and F.is_zero(b5)
+            assert all(F.is_zero(r) for r in p_mod_u(a2, a4, curve.lam))
+
+    @pytest.mark.parametrize("name,n", P127_FIXTURES)
+    def test_torsion_check_verb(self, name, n, capsys):
+        args = ["torsion", "check", "--n", str(n), "--curve", str(DATA / f"p127_{name}_torsion.json"),
+                "--divisor", str(DATA / f"p127_{name}_torsion_d.json")]
+        assert cli.main(args) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["is_torsion"] is True and out["residuals"] == ["0", "0"]
+
+    @pytest.mark.parametrize("name,n", P127_FIXTURES)
+    def test_residuals_do_not_vanish_off_torsion(self, name, n):
+        curve, _ = _p127_fixture(name)
+        F = curve.field
+        rng = random.Random(127 + n)
+        for _ in range(8):
+            d = random_divisor(curve, rng)
+            assert not is_torsion(d, n, curve)
+            assert not all(F.is_zero(r) for r in _residuals(d, n, curve))

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyring_helpers import sylvester_resultant
 from g2div.errors import InexactDivision
 from g2div.fields import GF, QQ
+from g2div.polyring import PolyRing
 from g2div.roots import roots_in_field
 from g2div.unipoly import UniPoly, gcd, resultant, xgcd
 
@@ -91,6 +93,46 @@ def test_resultant_shared_root():
     b = poly7([-3, 1])
     assert F7.is_zero(resultant(a, b))
     assert not F7.is_zero(resultant(a, poly7([-1, 1])))
+
+
+@pytest.mark.parametrize("field", [GF(1009), QQ()], ids=["F1009", "Q"])
+def test_resultant_matches_sylvester_determinant(field):
+    """resultant against the Bareiss determinant of the Sylvester matrix with
+    a's rows on top, on seeded pairs of degree 0 to 5: random pairs, pairs
+    built with a common factor (resultant 0), and pairs with deg a * deg b
+    odd, where the order of the rows sets the sign."""
+    rng = random.Random(1009)
+    ring = PolyRing(field, ("x",), (1,))
+    x = ring.var("x")
+
+    def draw(degree):
+        cs = [elem(field, rng.randrange(1000)) for _ in range(degree)]
+        lead = field.zero
+        while field.is_zero(lead):
+            lead = elem(field, rng.randrange(1000))
+        return UniPoly(field, cs + [lead])
+
+    def in_ring(u):
+        return sum((c * x ** i for i, c in enumerate(u.coeffs)), ring.zero())
+
+    shared = odd = 0
+    for i in range(200):
+        da, db = rng.randrange(6), rng.randrange(6)
+        if i % 4 == 0 and da and db:
+            f = draw(rng.randrange(1, min(da, db) + 1))
+            a, b = draw(da - f.degree()) * f, draw(db - f.degree()) * f
+        else:
+            a, b = draw(da), draw(db)
+        want = sylvester_resultant(in_ring(a), in_ring(b), "x")
+        got = resultant(a, b)
+        assert want == got, (a, b)
+        if i % 4 == 0 and da and db:
+            shared += 1
+            assert field.is_zero(got)
+        if da * db % 2:
+            odd += 1
+            assert resultant(b, a) == -got
+    assert shared >= 20 and odd >= 30
 
 
 def test_roots_in_finite_field():
