@@ -421,7 +421,7 @@ class PrimeField(Field):
                 raise DivisionByZero(f"denominator divisible by {self.p}")
             v = raw.numerator * pow(raw.denominator, -1, self.p) % self.p
         else:
-            v = raw % self.p
+            raise MixedFields(f"cannot build {self} element from {raw!r}")
         return FieldElement(self, v)
 
     def add(self, a, b):

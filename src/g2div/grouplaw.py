@@ -5,9 +5,11 @@ g4*x + g6 through the two support pairs (weight-5 y + g1*x^2 + g3*x + g5
 when the sum degenerates to a single point).  _interpolation is its one
 transcription: gamma_add and the addition kernel read it at the
 differences P - Q, gamma_double and torsion's division polynomials at the
-tangent direction, the limit of those differences as the two supports
-merge.  Every branch below carries a tag so oracle tests can prove each
-one is exercised:
+tangent direction (_tangent), the limit of those differences as the two
+supports merge.  _gammas back-substitutes g2, g4, g6 and _sum_alpha is the
+alpha law of the sum, each written once for the gammas, torsion's division
+polynomials and the form-I law in models.  Every branch below carries a tag
+so oracle tests can prove each one is exercised:
 
   neutral, inverse, add_points, add_special, generic, double,
   double_to_special, add_to_special, support_overlap.
@@ -103,15 +105,31 @@ def _interpolation(a2, a4, dA2, dA4, dB3, dB5):
     return dA4 * dB3 - dB5 * dA2, dA4 * z + a4 * dA2 * dA2, z * dB5 + a4 * dA2 * dB3
 
 
+def _gammas(a2, a4, b3, b5, det, g1, s0n):
+    """det*(g1, g2, g4, g6) from det*g1 and the _interpolation values det,
+    s0n at the support (a2, a4, b3, b5): det*g2 = a2*det + s0n, and g4, g6
+    back-substituted through the support."""
+    g2 = a2 * det + s0n
+    return (g1, g2, a2 * g2 + b3 * g1 - (a2 * a2 - a4) * det,
+            a4 * g2 + b5 * g1 - a2 * a4 * det)
+
+
 def _gamma_r6(D: MumfordDivisor, det, r, s0n) -> GammaR6:
-    """The gammas from D's _interpolation values, det != 0: g1 = -r/det,
-    g2 = a2 + s0n/det, and g4, g6 back-substituted through D's support."""
-    a2, a4, b3, b5 = D.coords
+    """The gammas from D's _interpolation values, det != 0: g1 = -r/det."""
     inv = D.field.inv(det)
-    g1, g2 = -r * inv, a2 + s0n * inv
-    g4 = a2 * g2 + b3 * g1 - (a2 * a2 - a4)
-    g6 = a4 * g2 + b5 * g1 - a2 * a4
-    return GammaR6(g1, g2, g4, g6)
+    return GammaR6(*(g * inv for g in _gammas(*D.coords, det, -r, s0n)))
+
+
+def _sum_alpha(a2p, a4p, a2q, a4q, l2, det, g1, g2, g4):
+    """det^2*(a2, a4) of P + Q on the canonical curve from the gammas over
+    det, g_i/det: a2 = 2*g2 - g1^2 - e1 and a4 = 2*g4 + g2^2 - l2*g1^2 -
+    e1*a2 - a2p*a2q - a4p - a4q for e1 = a2p + a2q.  The one alpha
+    law of a sum: the n = 3 and n = 4 division polynomials read it at
+    P = Q = D, and models adds form I's cross term to it."""
+    e1, g1sq = a2p + a2q, g1 * g1
+    A2 = det * (g2 + g2 - e1 * det) - g1sq
+    A4 = det * (g4 + g4 - (a2p * a2q + a4p + a4q) * det) - e1 * A2 + g2 * g2 - l2 * g1sq
+    return A2, A4
 
 
 def gamma_add(P: MumfordDivisor, Q: MumfordDivisor) -> GammaR6:
@@ -126,42 +144,39 @@ def gamma_add(P: MumfordDivisor, Q: MumfordDivisor) -> GammaR6:
     return _gamma_r6(P, det, r, s0n)
 
 
-def _y1y2(a2, a4, b3, b5):
-    """N = y1*y2 of the support: b3^2*a4 - a2*b3*b5 + b5^2."""
-    return b3 * (b3 * a4 - a2 * b5) + b5 * b5
-
-
-def _tangent_numerators(a2, a4, b3, b5, l2, l4, l6, l8):
-    """(2N*b3', 2N*(b5' + b3)) from the symmetric difference quotients of P'.
+def _tangent(a2, a4, b3, b5, l2, l4, l6, l8):
+    """(N, 2N*b3', 2N*b5') of the support: N = y1*y2 = b3^2*a4 - a2*b3*b5 +
+    b5^2 and the tangent direction's b-part from the symmetric difference
+    quotients of P', scaled by 2N so that no division is left.
 
     Plain ring arithmetic, so field elements and weighted polynomials both
     go through this one transcription; h = a2^2 - a4 and 4*l2 are shared."""
+    n = b3 * (b3 * a4 - a2 * b5) + b5 * b5
     h = a2 * a2 - a4
     four_l2 = 4 * l2
     A = a4 * (5 * h - four_l2 * a2 + 3 * l4) - l8
     B = a2 * (5 * (a4 - h) - 3 * l4) + four_l2 * h + 2 * l6
     C = a4 * (a4 * (four_l2 - 5 * a2) - 2 * l6) + l8 * a2
-    return b3 * A + b5 * B, -(b3 * C + b5 * A)
+    return n, b3 * A + b5 * B, -(b3 * (C + n + n) + b5 * A)
 
 
 def tangent_data(curve: CanonicalCurve, D: MumfordDivisor) -> TangentData:
     """Derivative coordinates in closed Mumford form.
 
-    Uses y1*y2 = b3^2*a4 - a2*b3*b5 + b5^2 and the symmetric difference
-    quotients of P'; equals the pointwise slope formulas wherever the
-    support has distinct x and no branch point.  Computed on native values;
-    D must be a degree-2 divisor over the curve's field (else MixedFields)."""
+    _tangent's (N, 2N*b3', 2N*b5') over 2N; equals the pointwise slope
+    formulas wherever the support has distinct x and no branch point.
+    Computed on native values; D must be a degree-2 divisor over the curve's
+    field (else MixedFields)."""
     _check_degree2(curve.field, D)
     F = curve.field
     red = F._reduce
-    a2, a4, b3, b5 = _natives(D)
-    n = red(_y1y2(a2, a4, b3, b5))
+    n, num3, num5 = _tangent(*_natives(D), *_lam_natives(curve))
+    n = red(n)
     if not n:
         raise BranchPointInSupport("branch point in support: slopes undefined")
-    num3, num5 = _tangent_numerators(a2, a4, b3, b5, *_lam_natives(curve))
     inv2n = F._invert(n + n)
     return TangentData(F.element(-2), -D.a2, F.coerce(red(num3 * inv2n)),
-                       F.coerce(red(num5 * inv2n - b3)))
+                       F.coerce(red(num5 * inv2n)))
 
 
 def _slope_tangent(F, p1, p2, s1, s2) -> TangentData:
@@ -243,7 +258,7 @@ def _double_generic(F, lam, c):
     point doubles here like any other support.
     s = k/(2v) mod u for k = (P(x) - v^2)/u, whose remainder mod u is
     k1*x + k0 below, and b3*x + i0 = r/v mod u for r = res(u, v) = a4*b3^2 -
-    b5*i0 (= _y1y2); so 2r*s = k*(b3*x + i0) mod u, and _compose does the
+    b5*i0 (= _tangent's N); so 2r*s = k*(b3*x + i0) mod u, and _compose does the
     rest."""
     l2, l4, l6, _ = lam
     a2, a4, b3, b5 = c
@@ -337,9 +352,11 @@ def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) 
     _check_degree2(curve.field, P, Q)
     F = curve.field
     pc, qc = _natives(P), _natives(Q)
-    if F._reduce(_interpolation(qc[0], qc[1], *_difference(pc, qc))[0]):
+    dA2, dA4, dB3, dB5 = _difference(pc, qc)
+    det, r, s0n = _interpolation(qc[0], qc[1], dA2, dA4, dB3, dB5)
+    if F._reduce(det):
         raise ConditionViolated("sum is not special: use the generic addition")
-    s = _add_generic(F, F._native(curve.lam[0]), pc, qc)
+    s = _compose(F, F._native(curve.lam[0]), pc, qc[0], dA2, dA4, r, det, s0n)
     if s is None:
         raise SupportOverlap("supports share an x: not an add_to_special instance")
     return s

@@ -8,8 +8,9 @@ Three general shapes reduce to -y^2 + x^5 + l2*x^4 + ... + l10:
 
 The Moebius step sends the smallest rational root of Pbar to infinity; over
 a finite field "smallest" means least residue order, over Q numeric order.
-Form I also keeps its own alpha law (add_extended_alpha).  No verb run on a
-canonical curve imports this module.
+Form I also has an alpha law (add_extended_alpha): grouplaw's alpha law of
+the sum with form I's cross-term corrections, which only this module knows.
+No verb run on a canonical curve imports this module.
 """
 from __future__ import annotations
 
@@ -248,26 +249,14 @@ def _pair_divisor(F, pp) -> MumfordDivisor:
     return MumfordDivisor.nonspecial(F, *_chord(x1, y1, x2, y2))
 
 
-def _sum_alpha(a2p, a2q, a4p, a4q, g, l2, nu1, nu3):
-    """Alpha coordinates of the sum from the weight-6 gammas g (a
-    grouplaw.GammaR6) on a form-I model y^2 - y*Q(x) = P(x), with l2 = nu2
-    and the cross-term coefficients nu1, nu3: they add nu1*g1 to 2*g2 -
-    g1^2 and (nu1*g2 + nu3)*g1 to the a4 law."""
-    s = g.g2 + g.g2 - g.g1 * g.g1 + nu1 * g.g1
-    c = -l2 * g.g1 + nu1 * g.g2 + nu3
-    a2s = -a2p - a2q + s
-    a4s = (-a4p - a4q + a2p * a2p + a2p * a2q + a2q * a2q
-           - (a2p + a2q) * s + g.g4 + g.g4 + g.g2 * g.g2 + c * g.g1)
-    return a2s, a4s
-
-
 def add_extended_alpha(g: GeneralCurve, pp, qq=None):
     """Alpha coordinates of a sum (or double, qq=None) on a form-I curve.
 
-    Only the alpha law is exposed; the nu-corrections enter through
-    2*g2 - g1^2 + nu1*g1 and (nu1*g2 - nu2*g1 + nu3)*g1."""
+    Only the alpha law is exposed: grouplaw's alpha law of the sum with
+    l2 = nu2, plus form I's cross-term corrections nu1*g1 to a2 and (nu1*g2
+    + nu3 - (a2_P + a2_Q)*nu1)*g1 to a4."""
     # only this law needs the group law, so curve transform never loads it
-    from .grouplaw import _slope_tangent, gamma_add, gamma_double
+    from .grouplaw import _slope_tangent, _sum_alpha, gamma_add, gamma_double
     if g.form != "I":
         raise MixedFields("extended alpha law applies to form I models")
     F = g.field
@@ -282,4 +271,7 @@ def add_extended_alpha(g: GeneralCurve, pp, qq=None):
     else:
         Q = _pair_divisor(F, qq)
         gam = gamma_add(P, Q)
-    return _sum_alpha(P.a2, Q.a2, P.a4, Q.a4, gam, g.nu[1], g.nu[0], g.nu[2])
+    nu1, nu2, nu3 = g.nu[:3]
+    a2, a4 = _sum_alpha(P.a2, P.a4, Q.a2, Q.a4, nu2, F.one, gam.g1, gam.g2, gam.g4)
+    return (a2 + nu1 * gam.g1,
+            a4 + (nu1 * gam.g2 + nu3 - (P.a2 + Q.a2) * nu1) * gam.g1)

@@ -53,7 +53,8 @@ def _product(a: dict, b: dict) -> dict:
 
 
 class PolyRing:
-    """Fixed variable set with per-variable Sato weights over a Field."""
+    """Fixed variable set with per-variable Sato weights over a Field.
+    Rings compare by identity: polynomials of two rings never mix."""
 
     def __init__(self, field: Field, variables, weights):
         variables = tuple(variables)
@@ -71,15 +72,6 @@ class PolyRing:
         self._top = SLOT * len(variables)  # where the weight starts
         self._low = (1 << self._top) - 1
         self._slots = Struct(f"<{len(variables)}H")  # SLOT is 16 bits
-
-    def key(self):
-        return (self.field, self.variables, self.weights)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         ws = ",".join(f"{v}:{w}" for v, w in zip(self.variables, self.weights))
@@ -164,7 +156,7 @@ class WeightedPoly:
         type this class does not know, so the other operand's reflected
         operator runs."""
         if isinstance(other, WeightedPoly):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise MixedFields("polynomials from different rings")
             return other
         if isinstance(other, _SCALARS):
@@ -265,7 +257,7 @@ class WeightedPoly:
 
     def __eq__(self, other):
         if isinstance(other, WeightedPoly):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise MixedFields("polynomials from different rings")
             return self._terms == other._terms
         if isinstance(other, _SCALARS):

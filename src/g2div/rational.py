@@ -6,8 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DivisionByZero, SerializationError
-from .fields import Field, FieldElement, FieldSpec
+from .errors import DivisionByZero, MixedFields, SerializationError
+from .fields import _RATIONALS, Field, FieldElement, FieldSpec
 
 
 class RationalField(Field):
@@ -21,6 +21,8 @@ class RationalField(Field):
         return "Q"
 
     def element(self, raw):
+        if not isinstance(raw, _RATIONALS):
+            raise MixedFields(f"cannot build {self} element from {raw!r}")
         return FieldElement(self, Fraction(raw))
 
     def add(self, a, b):

@@ -6,6 +6,10 @@ k-fold multiple is 2-torsion (b-coordinates vanish, or the single support
 point has y = 0).  Substituting the duplication coefficients turns these
 into polynomial conditions on (a2, a4, b3, b5) - the Mumford division
 polynomials - or, after elimination, on the x-coordinates of the support.
+Both Mumford systems rest on grouplaw's duplication pieces (_tangent,
+_interpolation, _gammas) and its alpha law of a sum (_sum_alpha) at
+P = Q = D: n = 3 is alpha(D) - alpha(2D), and n = 4's non-special branch
+is the weight-6 function x^3 + g2*x^2 + g4*x + g6 reduced mod u_2D.
 
 Denominators are cleared by powers of E = 2N*(2*b5' - a2*b3'), N = y1*y2,
 and on the special n = 4 branch (E = 0) by 1024*N^5; all need N != 0.  One
@@ -34,11 +38,12 @@ from .errors import (
 )
 from .fields import Field, QQ, is_prime
 from .grouplaw import (
+    _gammas,
     _interpolation,
     _lam_natives,
     _natives,
-    _tangent_numerators,
-    _y1y2,
+    _sum_alpha,
+    _tangent,
     double_traced,
     scalar_mul,
 )
@@ -188,51 +193,37 @@ def _ring(coords, field: Field = None) -> PolyRing:
 def _duplication_data(a2, a4, b3, b5, l2, l4, l6, l8) -> dict:
     """N (= y1 y2), E, b3p = 2N*b3', b5p = 2N*b5' and the numerators g1..g6
     of the duplication gammas over E: _interpolation at D's alpha and the
-    tangent direction with its b-part scaled by m = 2N, so E = det = 2N*(2
-    b5' - a2 b3'), g1 = -m*r and g2 = a2*E + s0n.  Plain ring arithmetic,
+    tangent direction with its b-part scaled by 2N (_tangent), so E = det =
+    2N*(2 b5' - a2 b3') and g1 = -2N*r, then _gammas.  Plain ring arithmetic,
     so the emitted polynomials and the residuals share this transcription."""
-    N = _y1y2(a2, a4, b3, b5)
-    m = N + N
-    b3p_num, num5 = _tangent_numerators(a2, a4, b3, b5, l2, l4, l6, l8)
-    b5p_num = num5 - m * b3
-    E, r, s0n = _interpolation(a2, a4, -2, -a2, b3p_num, b5p_num)
-    g1_num, g2_num = -r * m, a2 * E + s0n
-    g4_num = a2 * g2_num + b3 * g1_num - (a2 * a2 - a4) * E
-    g6_num = a4 * g2_num + b5 * g1_num - a2 * a4 * E
-    return {"N": N, "E": E, "b3p": b3p_num, "b5p": b5p_num,
-            "g1": g1_num, "g2": g2_num, "g4": g4_num, "g6": g6_num}
+    N, b3p, b5p = _tangent(a2, a4, b3, b5, l2, l4, l6, l8)
+    E, r, s0n = _interpolation(a2, a4, -2, -a2, b3p, b5p)
+    g1, g2, g4, g6 = _gammas(a2, a4, b3, b5, E, -r * (N + N), s0n)
+    return {"N": N, "E": E, "b3p": b3p, "b5p": b5p, "g1": g1, "g2": g2, "g4": g4, "g6": g6}
 
 
 def _three_torsion_mumford_polys(c, d):
-    """The n = 3 system at c = (a2, a4, b3, b5, l2, l4, l6, l8) with
-    d = _duplication_data(*c): alpha(D) - alpha(2D) times E^2."""
-    a2, a4, l2 = c[0], c[1], c[4]
-    E, g1n, g2n, g4n = d["E"], d["g1"], d["g2"], d["g4"]
-    # 3 a2 E^2 - 2 g2 E + g1^2 and 3 a4 E^2 - 3 a2^2 E^2 + 2 a2 (2 g2 E - g1^2)
-    # - 2 g4 E - g2^2 + l2 g1^2, with E factored out of its multiples
-    g1sq = g1n * g1n
-    r1 = E * (3 * a2 * E - 2 * g2n) + g1sq
-    r2 = E * (3 * (a4 - a2 * a2) * E + 4 * a2 * g2n - 2 * g4n) + (l2 - 2 * a2) * g1sq - g2n * g2n
-    return r1, r2
+    """The n = 3 system at c = (a2, a4, b3, b5, l2, l4, l6, l8) with d =
+    _duplication_data(*c): alpha(D) - alpha(2D) times E^2, with E^2*alpha(2D)
+    the alpha law of the sum D + D."""
+    a2, a4, E = c[0], c[1], d["E"]
+    A2, A4 = _sum_alpha(a2, a4, a2, a4, c[4], E, d["g1"], d["g2"], d["g4"])
+    E2 = E * E
+    return a2 * E2 - A2, a4 * E2 - A4
 
 
 def _four_torsion_mumford_polys(c, d):
     """The n = 4 system at c with d = _duplication_data(*c): the two
-    vanishing-b conditions on 2D times E^4, and y_{2D} times 1024*N^5."""
+    vanishing-b conditions on 2D times E^4, and y_{2D} times 1024*N^5.
+
+    The first two are -E^4 times the weight-6 function x^3 + g2*x^2 + g4*x +
+    g6 reduced mod u_2D, with E^2*alpha(2D) = (A2, A4) from the alpha law."""
     a2, a4, b3, b5, l2 = c[:5]
-    N, E = d["N"], d["E"]
-    g1n, g2n, g4n, g6n = d["g1"], d["g2"], d["g4"], d["g6"]
+    N, E, g2, g4, g6 = d["N"], d["E"], d["g2"], d["g4"], d["g6"]
+    A2, A4 = _sum_alpha(a2, a4, a2, a4, l2, E, d["g1"], g2, g4)
     E2 = E * E
-    E3 = E2 * E
-    E4 = E2 * E2
-    # non-special branch: the two vanishing-b conditions on 2D, cleared by E^4
-    u = 2 * a2 * E2 - g2n * E + g1n * g1n          # E^2 * (2 a2 - g2 + g1^2)
-    v = g2n * E - g1n * g1n                        # E^2 * (g2 - g1^2)
-    d1 = ((-2 * a4 - a2 * a2) * E4 + u * v
-          + g1n * g1n * (g2n - l2 * E) * E + g4n * E3)
-    inner = (-2 * a4 * E2 + (3 * a2 * E - g2n) * (a2 * E - g2n)
-             + g1n * g1n * (2 * a2 - l2) + 2 * g4n * E)
-    d2 = inner * u - g6n * E3
+    d1 = E * (g2 * A2 + E * A4 - g4 * E2) - A2 * A2
+    d2 = E * (g2 * A4 - g6 * E2) - A2 * A4
     # special branch: y_{2D} = 0 with the tangency gammas, cleared by 1024*N^5
     b3p = d["b3p"]                                  # beta3' * 2N
     N2_16 = 16 * N * N

@@ -224,6 +224,16 @@ def test_mixed_fields_rejected():
         GF(7).element(1) + GF(11).element(1)
 
 
+def test_element_rejects_non_rational_values():
+    # a float, a string or None is no element of F_p, F_{p^k} or Q, not even
+    # one that looks integral: element raises instead of storing it
+    for F in (GF(7), GF(7, 2), QQ()):
+        for raw in (1.5, 2.0, 0.1, "3", None):
+            with pytest.raises(MixedFields):
+                F.element(raw)
+        assert F.element(Fraction(3, 2)) == F.element(3) / F.element(2)
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         GF(7).one / GF(7).zero

@@ -22,6 +22,7 @@ from g2div.divisors import (
     points_from_mumford,
 )
 from g2div.errors import (
+    BranchPointInSupport,
     ConditionViolated,
     DegenerateCurve,
     InvolutionPair,
@@ -259,6 +260,7 @@ def test_add_to_special_oracle_constructed(c7, f7):
         if tag != "add_to_special":
             continue  # overlapping support takes the peel path
         assert got == S
+        assert add_to_special(P, D, c7) == S
         hits += 1
     assert hits > 20
 
@@ -447,26 +449,35 @@ def test_tangent_closed_forms_match_slopes(c1009, rng):
 
 def test_double_to_special_instances(c7):
     # enumerate F7: every divisor whose double is special must satisfy the
-    # tangency condition and the explicit point formulas
+    # tangency condition and the explicit point formulas; every other one is
+    # refused, with BranchPointInSupport when N = y1*y2 = 0 (tangent_data
+    # too) and ConditionViolated when 2D is not special
     from g2div.cantor import enumerate_jacobian
     F = c7.field
-    found = 0
+    found = refused_n0 = refused_regular = 0
     for d in enumerate_jacobian(c7):
         m = to_mumford(d)
         if not m.is_nonspecial():
             continue
-        expect = to_mumford(cantor_add(d, d, c7))
-        if not expect.is_special():
-            continue
         n = m.b3 * m.b3 * m.a4 - m.a2 * m.b3 * m.b5 + m.b5 * m.b5
         if F.is_zero(n):
+            for refused in (lambda: double_to_special(m, c7), lambda: tangent_data(c7, m)):
+                with pytest.raises(BranchPointInSupport):
+                    refused()
+            refused_n0 += 1
+            continue
+        expect = to_mumford(cantor_add(d, d, c7))
+        if not expect.is_special():
+            with pytest.raises(ConditionViolated):
+                double_to_special(m, c7)
+            refused_regular += 1
             continue
         got = double_to_special(m, c7)
         assert got == expect
         tang = tangent_data(c7, m)
         assert F.is_zero(tang.b5p + tang.b5p - m.a2 * tang.b3p)
         found += 1
-    assert found > 0
+    assert found > 0 and refused_n0 > 0 and refused_regular > 0
 
 
 def test_scalar_mul_basics(c1009, rng):

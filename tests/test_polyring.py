@@ -314,6 +314,16 @@ def test_exponent_overflow_raises():
         (x * y ** 2).exact_div(x ** 2 * y)
 
 
+def test_separately_built_equal_rings_do_not_mix():
+    # rings compare by identity: two rings built alike are still two rings
+    R, S = (PolyRing(GF(7), ("x1", "x2"), (2, 2)) for _ in range(2))
+    a, b = R.var("x1"), S.var("x1")
+    for op in (lambda: a + b, lambda: a * b, lambda: a == b):
+        with pytest.raises(MixedFields):
+            op()
+    assert R != S and R == R and a == R.var("x1")
+
+
 def test_eq_against_field_scalars():
     R = PolyRing(GF(7), ("x",), (1,))
     assert R.one() == GF(7).one and R.one() == 1 and R.one() == Fraction(8, 1)
