@@ -115,25 +115,25 @@ def to_mumford(d: CantorDivisor) -> MumfordDivisor:
     """The Mumford coordinates, built from the native coefficients: each one
     becomes an element only in MumfordDivisor."""
     F = d.u.field
-    red, u = F._reduce, d.u._c
+    m, u = F._modulus, d.u._c
     if d.degree() == 0:
         return MumfordDivisor.neutral(F)
     v = d.v._c + (F._native_zero,) * (len(u) - 1 - len(d.v._c))
     if d.degree() == 1:
-        return MumfordDivisor.special(F, red(-u[0]), v[0])
-    return MumfordDivisor.nonspecial(F, u[1], u[0], red(-v[1]), red(-v[0]))
+        return MumfordDivisor.special(F, -u[0] % m, v[0])
+    return MumfordDivisor.nonspecial(F, u[1], u[0], -v[1] % m, -v[0] % m)
 
 
 def from_mumford(m: MumfordDivisor) -> CantorDivisor:
     F = m.field
     if m.variant == NEUTRAL:
         return neutral_divisor(F)
-    red, one, make = F._reduce, F._native_one, UniPoly._make
+    mod, one, make = F._modulus, F._native_one, UniPoly._make
     if m.variant == SPECIAL:
         x0, y0 = map(F._native, m.coords)
-        return CantorDivisor(make(F, [red(-x0), one]), make(F, [y0]))
+        return CantorDivisor(make(F, [-x0 % mod, one]), make(F, [y0]))
     a2, a4, b3, b5 = map(F._native, m.coords)
-    return CantorDivisor(make(F, [a4, a2, one]), make(F, [red(-b5), red(-b3)]))
+    return CantorDivisor(make(F, [a4, a2, one]), make(F, [-b5 % mod, -b3 % mod]))
 
 
 # ---------------------------------------------------------------------------

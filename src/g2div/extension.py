@@ -53,6 +53,16 @@ def find_irreducible(p: int, k: int) -> list[int]:
     raise UnsupportedField("no irreducible found (unreachable)")
 
 
+class _ElementModulus:
+    """F_{p^k}'s native modulus: its natives are reduced elements, so v % it
+    is v (see Field._native)."""
+
+    __slots__ = ()
+
+    def __rmod__(self, v):
+        return v
+
+
 class ExtensionField(Field):
     """F_{p^k} as F_p[t]/(m(t)); values are reduced coefficient tuples."""
 
@@ -63,6 +73,7 @@ class ExtensionField(Field):
         self.characteristic = p
         self.modulus = spec.modulus
         self._nonresidue = None  # see _non_residue
+        self._modulus = _ElementModulus()
         self._native_zero = FieldElement(self, (0,) * k)
         self._native_one = FieldElement(self, (1,) + (0,) * (k - 1))
         # reduction table: _red[i] represents t^(k+i) as a degree < k vector

@@ -298,25 +298,26 @@ class Field:
 
     # -- native values --------------------------------------------------------
     # The group law's hot branches (the generic sum and doubling kernels),
-    # UniPoly and the Cantor oracle compute on native values: int
-    # for F_p (reduced only by _reduce), an int or a Fraction for Q, and the
-    # element itself for F_{p^k}.  coerce turns any of them back into an
-    # element; _invert takes one, reduced or not, to its reduced native
-    # inverse (over F_p one pow, no element built; over Q a Fraction) and is
-    # the kernels' zero test.  Each field sets _native_zero and _native_one
-    # (and a finite field the _nonresidue cache of _non_residue) in __init__:
-    # an attribute added later (as by functools.cached_property)
-    # moves the instance's attributes out of CPython's inline-values layout
-    # and slows every self.p and self._reduce.  _native_one has no class
-    # default, so a field without one fails at once instead of building a
-    # polynomial whose None coefficient _make strips as zero.
+    # UniPoly, the polynomial ring and the Cantor oracle compute on native
+    # values: int for F_p, an int or a Fraction for Q, and the element itself
+    # for F_{p^k}.  v % F._modulus reduces one.  For F_p _modulus is the int
+    # p, so a reduction is one C-level %; for Q it is an object whose
+    # __rmod__ turns an integral Fraction into its int (faster to compute
+    # on), and for F_{p^k} one whose __rmod__ returns v.  coerce turns a
+    # native back into an element; _invert takes one, reduced or not, to its
+    # reduced native inverse (over F_p one pow, no element built; over Q a
+    # Fraction) and is the kernels' zero test.  Each field sets _modulus,
+    # _native_zero and _native_one (and a finite field the _nonresidue cache
+    # of _non_residue) in __init__: an attribute added later (as by
+    # functools.cached_property) moves the instance's attributes out of
+    # CPython's inline-values layout and slows every self.p and F._modulus.
+    # _modulus and _native_one have no class default, so a field without
+    # them fails at once instead of building a polynomial whose None
+    # coefficient _make strips as zero.
     _native_zero = None
 
     def _native(self, a):
         return a.value
-
-    def _reduce(self, v):
-        return v
 
     def _invert(self, v):
         """The reduced native 1/v; DivisionByZero when v is zero."""
@@ -402,8 +403,7 @@ class Field:
 class PrimeField(Field):
     def __init__(self, spec: FieldSpec):
         self.spec = spec
-        self.p = spec.p
-        self.characteristic = spec.p
+        self._modulus = self.p = self.characteristic = spec.p
         self._native_zero, self._native_one = 0, 1
         self._nonresidue = None  # see _non_residue
 
@@ -446,9 +446,6 @@ class PrimeField(Field):
 
     def is_zero(self, a):
         return a.value == 0
-
-    def _reduce(self, v):
-        return v % self.p
 
     def _invert(self, v):
         try:

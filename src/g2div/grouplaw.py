@@ -169,14 +169,14 @@ def tangent_data(curve: CanonicalCurve, D: MumfordDivisor) -> TangentData:
     field (else MixedFields)."""
     _check_degree2(curve.field, D)
     F = curve.field
-    red = F._reduce
+    m = F._modulus
     n, num3, num5 = _tangent(*_natives(D), *_lam_natives(curve))
-    n = red(n)
+    n %= m
     if not n:
         raise BranchPointInSupport("branch point in support: slopes undefined")
     inv2n = F._invert(n + n)
-    return TangentData(F.element(-2), -D.a2, F.coerce(red(num3 * inv2n)),
-                       F.coerce(red(num5 * inv2n)))
+    return TangentData(F.element(-2), -D.a2, F.coerce(num3 * inv2n % m),
+                       F.coerce(num5 * inv2n % m))
 
 
 def _slope_tangent(F, p1, p2, s1, s2) -> TangentData:
@@ -205,8 +205,10 @@ def _compose(F, l2, pc, a2q, dA2, dA4, r, s1n, s0n):
     the cubic y = V(x) = v_P + s*u_P through both supports, s = (s1n*x +
     s0n)/r; dA2, dA4 are u_P's coefficients less u_Q's (0 for a double).
 
-    Returns None when r is zero.  With w = 1/(r*s1n), the products 1/s1n =
-    r*w, iota = 1/s1 = r^2*w, sigma = s0/s1 = s0n*r*w and s1 = s1n^2*w give
+    r, s1n and s0n are reduced on entry, so the inversion and every later
+    product start from reduced values.  Returns None when r is zero.  With w
+    = 1/(r*s1n), the products 1/s1n = r*w (left unreduced), iota = 1/s1 =
+    r^2*w, sigma = s0/s1 = s0n*r*w and s1 = s1n^2*w give
     u' = (V^2 - P(x))/(s1^2*u_P*u_Q), the monic quotient x^2 + (2*sigma +
     dA2 - iota^2)*x + dA4 + sigma*(2*a2_P + sigma) - 2*iota*b3_P -
     iota^2*(l2 - a2_P) - a2_Q*u1', and v' = -(V mod u') from u_P mod u' =
@@ -214,24 +216,25 @@ def _compose(F, l2, pc, a2q, dA2, dA4, r, s1n, s0n):
     is zero, V is the weight-5 function v_P + s0*u_P, s0 = s0n/r, and the
     sum is the single point (x, -V(x)) at the fifth root x = s0^2 - l2 +
     a2_P + a2_Q of P(x) - V^2, returned as a MumfordDivisor."""
-    red = F._reduce
+    m = F._modulus
     a2, a4, b3, b5 = pc
+    r, s1n, s0n = r % m, s1n % m, s0n % m
     try:
         w = F._invert(r * s1n)
     except DivisionByZero:
         try:
-            s0 = red(s0n * F._invert(r))
+            s0 = s0n * F._invert(r) % m
         except DivisionByZero:
             return None
-        x = red(s0 * s0 - l2 + a2 + a2q)
-        return MumfordDivisor.special(F, x, red(b3 * x + b5 - s0 * (x * (x + a2) + a4)))
-    inv_s1n = red(r * w)
-    inv_s1, sig, s1 = red(r * inv_s1n), red(s0n * inv_s1n), red(s1n * s1n * w)
+        x = (s0 * s0 - l2 + a2 + a2q) % m
+        return MumfordDivisor.special(F, x, (b3 * x + b5 - s0 * (x * (x + a2) + a4)) % m)
+    inv_s1n = r * w
+    inv_s1, sig, s1 = r * inv_s1n % m, s0n * inv_s1n % m, s1n * s1n * w % m
     i2 = inv_s1 * inv_s1
-    u1 = red(sig + sig + dA2 - i2)
-    u0 = red(dA4 + sig * (a2 + a2 + sig) - inv_s1 * (b3 + b3) - i2 * (l2 - a2) - u1 * a2q)
+    u1 = (sig + sig + dA2 - i2) % m
+    u0 = (dA4 + sig * (a2 + a2 + sig) - inv_s1 * (b3 + b3) - i2 * (l2 - a2) - u1 * a2q) % m
     d1, d0 = a2 - u1, a4 - u0
-    return u1, u0, red(s1 * (d0 + d1 * (sig - u1)) - b3), red(s1 * (sig * d0 - d1 * u0) - b5)
+    return u1, u0, (s1 * (d0 + d1 * (sig - u1)) - b3) % m, (s1 * (sig * d0 - d1 * u0) - b5) % m
 
 
 def _add_generic(F, l2, pc, qc):
@@ -354,7 +357,7 @@ def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) 
     pc, qc = _natives(P), _natives(Q)
     dA2, dA4, dB3, dB5 = _difference(pc, qc)
     det, r, s0n = _interpolation(qc[0], qc[1], dA2, dA4, dB3, dB5)
-    if F._reduce(det):
+    if det % F._modulus:
         raise ConditionViolated("sum is not special: use the generic addition")
     s = _compose(F, F._native(curve.lam[0]), pc, qc[0], dA2, dA4, r, det, s0n)
     if s is None:
@@ -458,18 +461,20 @@ def _wnaf(n: int) -> list:
 
     Every nonzero digit is odd with |d| < 2^(WNAF_WIDTH-1), at least
     WNAF_WIDTH - 1 zeros follow it, and sum(d * 2^i) = n; the last digit of
-    a nonempty recoding is nonzero.  A negative n recodes to negated digits."""
+    a nonempty recoding is nonzero.  A negative n recodes to negated digits.
+    Each run of zero digits is taken in one step, its length the number of
+    trailing zero bits of n."""
     full, half = 1 << WNAF_WIDTH, 1 << (WNAF_WIDTH - 1)
     digits = []
     while n:
-        d = 0
-        if n & 1:
-            d = n & (full - 1)
-            if d >= half:
-                d -= full
-            n -= d
+        zeros = (n & -n).bit_length() - 1
+        digits += [0] * zeros
+        n >>= zeros
+        d = n & (full - 1)
+        if d >= half:
+            d -= full
         digits.append(d)
-        n >>= 1
+        n = (n - d) >> 1
     return digits
 
 
@@ -480,8 +485,8 @@ def scalar_mul(n: int, D: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivis
     a divisor off the Jacobian raises OffCurve, for every n.  The ladder
     precomputes the odd multiples D, 3D, ... up to the largest digit used and
     keeps every degree-2 intermediate as a native coordinate tuple, run
-    through _add_generic and _double_generic.  A special sum or double
-    comes back from them as a MumfordDivisor; it and any neutral
+    through _add_generic and _double_generic directly.  A special sum or
+    double comes back from them as a MumfordDivisor; it and any neutral
     intermediate, and whatever the kernels decline (a shared x, a branch
     point in the support), go through add/double.  The result is wrapped
     into a MumfordDivisor once, at the end."""
@@ -494,38 +499,43 @@ def scalar_mul(n: int, D: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivis
     if not digits:
         return MumfordDivisor.neutral(F)
     lam = _lam_natives(curve)
-    red = F._reduce
+    l2, m = lam[0], F._modulus
 
-    # x, y below are native tuples (degree 2) or MumfordDivisors (otherwise)
+    # x, y below are native tuples (degree 2) or MumfordDivisors (otherwise);
+    # a kernel returns a nonempty tuple or a MumfordDivisor, both true, or
+    # None where it declines, so "kernel(...) or fallback" picks the fallback
+    # exactly there
     def wrap(x):
         return MumfordDivisor.nonspecial(F, *x) if type(x) is tuple else x
 
     def unwrap(R):
         return _natives(R) if R.is_nonspecial() else R
 
-    def dbl(x):
-        s = _double_generic(F, lam, x) if type(x) is tuple else None
-        return unwrap(double(wrap(x), curve)) if s is None else s
+    def dbl(x):  # the fallback where _double_generic cannot take x or declines
+        return unwrap(double(wrap(x), curve))
 
-    def add_(x, y):
-        s = _add_generic(F, lam[0], x, y) if type(x) is tuple and type(y) is tuple else None
-        return unwrap(add(wrap(x), wrap(y), curve)) if s is None else s
-
-    def multiple(d):  # d*D for an odd digit d, from the table below
-        x = odd[abs(d) // 2]
-        if d > 0:
-            return x
-        return (x[0], x[1], red(-x[2]), red(-x[3])) if type(x) is tuple else negate(x)
+    def add_(x, y):  # the fallback where _add_generic cannot take x, y or declines
+        return unwrap(add(wrap(x), wrap(y), curve))
 
     odd = [unwrap(D)]  # odd[i] = (2i + 1) * D
     top = max(map(abs, digits))
     if top > 1:
-        twice = dbl(odd[0])
+        x = odd[0]
+        twice = type(x) is tuple and _double_generic(F, lam, x) or dbl(x)
         while len(odd) <= top // 2:
-            odd.append(add_(odd[-1], twice))
-    acc = multiple(digits[-1])
+            x = odd[-1]
+            odd.append(type(x) is tuple and type(twice) is tuple
+                       and _add_generic(F, l2, x, twice) or add_(x, twice))
+    multiple = {}  # digit d -> d*D
+    for i, x in enumerate(odd):
+        multiple[2 * i + 1] = x
+        multiple[-2 * i - 1] = ((x[0], x[1], -x[2] % m, -x[3] % m) if type(x) is tuple
+                                else negate(x))
+    acc = multiple[digits[-1]]
     for d in reversed(digits[:-1]):
-        acc = dbl(acc)
+        acc = type(acc) is tuple and _double_generic(F, lam, acc) or dbl(acc)
         if d:
-            acc = add_(acc, multiple(d))
+            x = multiple[d]
+            acc = (type(acc) is tuple and type(x) is tuple
+                   and _add_generic(F, l2, acc, x) or add_(acc, x))
     return wrap(acc)

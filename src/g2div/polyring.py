@@ -13,7 +13,7 @@ each slot holds an exponent below 2^EXP_BITS under a guard bit, and the
 weight sits on top, so a monomial product is one int addition and an
 exponent reaching 2^EXP_BITS sets a guard bit (OverflowError) instead of
 spilling over.  Coefficients are Field._native values reduced by
-Field._reduce; sorted_terms(), the display (by weight, then exponent
+% Field._modulus; sorted_terms(), the display (by weight, then exponent
 vector) and JSON present exponent tuples and FieldElements.  Exact
 division runs on a mutable remainder whose terms leave a heap in packed
 order, a monomial order (cf. the heap division of M. Monagan and R.
@@ -78,17 +78,6 @@ class PolyRing:
         return f"PolyRing({self.field.short_name()}; {ws})"
 
     # -- packed exponents -----------------------------------------------------
-    def _pack(self, exp) -> int:
-        exp = tuple(exp)
-        if len(exp) != len(self.variables):
-            raise ValueError("exponent vector does not match the variables")
-        key = 0
-        for e, s, w in zip(exp, self._shifts, self.weights):
-            if e < 0 or e >> EXP_BITS:
-                raise OverflowError(f"exponent {e} outside 0..2^{EXP_BITS} - 1")
-            key += (e << s) + (e * w << self._top)
-        return key
-
     def _unpack(self, key: int) -> tuple:
         return self._slots.unpack((key & self._low).to_bytes(self._slots.size, "little"))
 
@@ -96,8 +85,8 @@ class PolyRing:
         """The polynomial of unreduced native sums keyed by packed exponents."""
         if reduce(or_, sums, 0) & self._guard:
             raise OverflowError(f"an exponent reaches 2^{EXP_BITS}")
-        red = self.field._reduce
-        return WeightedPoly._make(self, {k: r for k, c in sums.items() if (r := red(c))})
+        m = self.field._modulus
+        return WeightedPoly._make(self, {k: r for k, c in sums.items() if (r := c % m)})
 
     # -- construction --------------------------------------------------------
     def zero(self) -> "WeightedPoly":
@@ -120,15 +109,10 @@ class PolyRing:
 
 
 class WeightedPoly:
-    """WeightedPoly(ring, {exponent tuple: element, int or Fraction})."""
+    """A polynomial of a PolyRing, built by the ring's const and var and by
+    arithmetic: _terms maps packed exponents to reduced natives."""
 
     __slots__ = ("ring", "_terms")
-
-    def __init__(self, ring: PolyRing, terms: dict):
-        F = ring.field
-        native = (F._native(F.coerce(c)) for c in terms.values())
-        self.ring = ring
-        self._terms = {ring._pack(e): c for e, c in zip(terms, native) if c}
 
     @staticmethod
     def _make(ring: PolyRing, terms: dict) -> "WeightedPoly":  # {packed: reduced native}
@@ -164,10 +148,10 @@ class WeightedPoly:
         return NotImplemented
 
     def _plus(self, terms):
-        red, zero = self.ring.field._reduce, self.ring.field._native_zero
+        m, zero = self.ring.field._modulus, self.ring.field._native_zero
         out = dict(self._terms)
         for k, c in terms:
-            c = red(out.pop(k, zero) + c)
+            c = (out.pop(k, zero) + c) % m
             if c:
                 out[k] = c
         return WeightedPoly._make(self.ring, out)
@@ -205,8 +189,8 @@ class WeightedPoly:
         c = F._native(F.coerce(c))
         if not c:
             return self.ring.zero()
-        red = F._reduce
-        return WeightedPoly._make(self.ring, {k: red(v * c) for k, v in self._terms.items()})
+        m = F._modulus
+        return WeightedPoly._make(self.ring, {k: v * c % m for k, v in self._terms.items()})
 
     def __pow__(self, e: int):
         if e < 0:
@@ -229,17 +213,17 @@ class WeightedPoly:
         if g.is_zero():
             raise DivisionByZero("division by zero polynomial")
         F, guard = self.ring.field, self.ring._guard
-        red, zero = F._reduce, F._native_zero
+        m, zero = F._modulus, F._native_zero
         ge = max(g._terms)
         g_inv = F._invert(g._terms[ge])
-        tail = [(k, red(-c)) for k, c in g._terms.items() if k != ge]
+        tail = [(k, -c % m) for k, c in g._terms.items() if k != ge]
         rem = dict(self._terms)
         heap = [-k for k in rem]
         heapify(heap)
         quotient: dict = {}
         while heap:
             re = -heappop(heap)
-            rc = red(rem.pop(re))
+            rc = rem.pop(re) % m
             if not rc:
                 continue
             # slot by slot re - ge; a slot below zero clears its guard bit
@@ -247,7 +231,7 @@ class WeightedPoly:
             if qe & guard != guard:
                 raise InexactDivision("leading term not divisible")
             qe ^= guard
-            qc = quotient[qe] = red(rc * g_inv)
+            qc = quotient[qe] = rc * g_inv % m
             for k, c in tail:
                 k += qe
                 if k not in rem:
@@ -274,7 +258,7 @@ class WeightedPoly:
         """Full numeric evaluation; values maps every occurring var to a field element."""
         ring = self.ring
         F = ring.field
-        red = F._reduce
+        m = F._modulus
         base = {ring.index[name]: F._native(F.coerce(v)) for name, v in values.items()}
         exps = list(map(ring._unpack, self._terms))
         # per variable, its powers up to the degree that occurs, by repeated products
@@ -282,7 +266,7 @@ class WeightedPoly:
         for i, degree in enumerate(map(max, zip(*exps))):
             row = [F._native(F.one)]
             for _ in range(degree):
-                row.append(red(row[-1] * base[i]))
+                row.append(row[-1] * base[i] % m)
             powers.append(row)
         # the first variable's powers scale the coefficients, summed per
         # monomial in the other variables, which then multiplies once
@@ -298,7 +282,7 @@ class WeightedPoly:
                 if k:
                     c = c * powers[i][k]
             acc += c
-        return F.coerce(red(acc))
+        return F.coerce(acc % m)
 
     # -- display --------------------------------------------------------------
     def sorted_terms(self) -> list:

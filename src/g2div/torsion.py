@@ -116,9 +116,9 @@ def _native_duplication(D: MumfordDivisor, curve: CanonicalCurve):
     """(c, d): the native values c = (a2, a4, b3, b5, l2, l4, l6, l8) of the
     degree-2 divisor D and its duplication data d, each entry reduced once.
     A branch point in the support (N = 0) leaves the gammas undefined."""
-    red = curve.field._reduce
+    m = curve.field._modulus
     c = _natives(D) + _lam_natives(curve)
-    d = {k: red(v) for k, v in _duplication_data(*c).items()}
+    d = {k: v % m for k, v in _duplication_data(*c).items()}
     if not d["N"]:
         raise GammaUndefined("duplication degenerate: branch point in support")
     return c, d

@@ -21,7 +21,7 @@ from .fields import Field, FieldElement
 class UniPoly:
     """Coefficients are stored as the field's native values (Field._native:
     int for F_p, int or Fraction for Q, the element itself for F_{p^k}), reduced and
-    without trailing zeros; arithmetic runs on them with Field._reduce, and
+    without trailing zeros; arithmetic reduces them by % Field._modulus, and
     coeffs, __getitem__, lead and evaluate wrap them back into elements.
     An operand that is not a UniPoly is lifted to a constant polynomial."""
 
@@ -90,10 +90,10 @@ class UniPoly:
         b = other._c if isinstance(other, UniPoly) else self._lift(other)._c
         if len(a) < len(b):
             a, b = b, a
-        red = self.field._reduce
+        m = self.field._modulus
         out = list(a)
         for i, y in enumerate(b):
-            out[i] = red(out[i] + y)
+            out[i] = (out[i] + y) % m
         return UniPoly._make(self.field, out)
 
     __radd__ = __add__
@@ -101,18 +101,18 @@ class UniPoly:
     def __sub__(self, other):
         a = self._c
         b = other._c if isinstance(other, UniPoly) else self._lift(other)._c
-        red = self.field._reduce
-        out = [red(x - y) for x, y in zip(a, b)]
+        m = self.field._modulus
+        out = [(x - y) % m for x, y in zip(a, b)]
         out += a[len(b):]
-        out += [red(-y) for y in b[len(a):]]
+        out += [-y % m for y in b[len(a):]]
         return UniPoly._make(self.field, out)
 
     def __rsub__(self, other):
         return self._lift(other) - self
 
     def __neg__(self):
-        red = self.field._reduce
-        return _poly(self.field, tuple([red(-c) for c in self._c]))
+        m = self.field._modulus
+        return _poly(self.field, tuple([-c % m for c in self._c]))
 
     def __mul__(self, other):
         a = self._c
@@ -127,7 +127,8 @@ class UniPoly:
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        return _poly(F, tuple(map(F._reduce, out)))
+        # c % F._modulus for each c; map spares the comprehension's frame
+        return _poly(F, tuple(map(F._modulus.__rmod__, out)))
 
     __rmul__ = __mul__
 
@@ -155,8 +156,8 @@ class UniPoly:
 
     def _scaled(self, c) -> "UniPoly":
         """self times the nonzero reduced native c."""
-        red = self.field._reduce
-        return _poly(self.field, tuple([red(a * c) for a in self._c]))
+        m = self.field._modulus
+        return _poly(self.field, tuple([a * c % m for a in self._c]))
 
     def _divide(self, other):
         """Quotient and remainder as lists of reduced natives, each without
@@ -169,7 +170,7 @@ class UniPoly:
         db = len(b) - 1
         if len(rem) <= db:
             return [], rem
-        red = F._reduce
+        m = F._modulus
         lead = b[-1]
         inv_lead = None if lead == F._native_one else F._invert(lead)
         low = b[:-1]  # the leading term cancels by construction
@@ -177,11 +178,11 @@ class UniPoly:
         while len(rem) > db:
             c = rem.pop()  # nonzero: rem never ends in a zero
             if inv_lead is not None:
-                c = red(c * inv_lead)
+                c = c * inv_lead % m
             shift = len(rem) - db
             q[shift] = c  # the first one is the top, so q ends in no zero
             for i, bi in enumerate(low, shift):
-                rem[i] = red(rem[i] - c * bi)
+                rem[i] = (rem[i] - c * bi) % m
             while rem and not rem[-1]:
                 rem.pop()
         return q, rem
@@ -205,18 +206,18 @@ class UniPoly:
         return self._scaled(self.field._invert(self._c[-1]))
 
     def derivative(self) -> "UniPoly":
-        red = self.field._reduce
-        return UniPoly._make(self.field, [red(c * i) for i, c in enumerate(self._c) if i])
+        m = self.field._modulus
+        return UniPoly._make(self.field, [c * i % m for i, c in enumerate(self._c) if i])
 
     def evaluate(self, x) -> FieldElement:
         F = self.field
         if not self._c:
             return F.zero
         x = F._native(F.coerce(x))
-        red = F._reduce
+        m = F._modulus
         acc = self._c[-1]
         for c in reversed(self._c[:-1]):
-            acc = red(acc * x + c)
+            acc = (acc * x + c) % m
         return F.coerce(acc)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":

@@ -1,7 +1,7 @@
 """Polynomial-ring cross-check helpers that only the tests use."""
 from g2div.errors import DivisionByZero, InexactDivision, MixedFields
 from g2div.fields import FieldElement
-from g2div.polyring import NEG_INF, SLOT, PolyRing, WeightedPoly
+from g2div.polyring import EXP_BITS, NEG_INF, SLOT, PolyRing, WeightedPoly
 from g2div.torsion import MUMFORD_COORDS, X_COORDS, XY_COORDS, _ring
 
 _SLOT_MASK = (1 << SLOT) - 1
@@ -26,9 +26,30 @@ def x_pair_ring() -> PolyRing:
 # -------------------------------------------------------------------------
 # construction, univariate views and JSON input
 
+def pack(ring: PolyRing, exp) -> int:
+    """The packed exponent of prod x_i^exp_i (see g2div.polyring);
+    OverflowError for an exponent outside 0..2^EXP_BITS - 1."""
+    exp = tuple(exp)
+    if len(exp) != len(ring.variables):
+        raise ValueError("exponent vector does not match the variables")
+    key = 0
+    for e, s, w in zip(exp, ring._shifts, ring.weights):
+        if e < 0 or e >> EXP_BITS:
+            raise OverflowError(f"exponent {e} outside 0..2^{EXP_BITS} - 1")
+        key += (e << s) + (e * w << ring._top)
+    return key
+
+
+def weighted_poly(ring: PolyRing, terms: dict) -> WeightedPoly:
+    """The polynomial {exponent tuple: element, int or Fraction} of ring."""
+    F = ring.field
+    native = (F._native(F.coerce(c)) for c in terms.values())
+    return WeightedPoly._make(ring, {pack(ring, e): c for e, c in zip(terms, native) if c})
+
+
 def monomial(ring: PolyRing, exp, coeff=1) -> WeightedPoly:
     """coeff * prod x_i^exp_i; OverflowError for an exponent outside a slot."""
-    return WeightedPoly(ring, {tuple(exp): coeff})
+    return weighted_poly(ring, {tuple(exp): coeff})
 
 
 def degree_in(poly: WeightedPoly, name: str) -> int:
@@ -58,7 +79,7 @@ def from_json(ring: PolyRing, obj: dict) -> WeightedPoly:
     F = ring.field
     out: dict = {}
     for t in obj["terms"]:
-        k = ring._pack(t["exps"])
+        k = pack(ring, t["exps"])
         out[k] = out.get(k, F._native_zero) + F._native(F.from_str(t["coeff"]))
     return ring._finish(out)
 
@@ -81,7 +102,7 @@ def partial_derivative(poly: WeightedPoly, name: str) -> WeightedPoly:
             out.pop(ne, None)
         else:
             out[ne] = nc
-    return WeightedPoly(ring, out)
+    return weighted_poly(ring, out)
 
 
 def sylvester_resultant(p: WeightedPoly, q: WeightedPoly, name: str) -> WeightedPoly:
@@ -140,12 +161,12 @@ def reduce_power(poly: WeightedPoly, name: str, deg: int,
     for e, c in poly.sorted_terms():
         q, r = divmod(e[i], deg)
         if q == 0:
-            acc = acc + WeightedPoly(ring, {e: c})
+            acc = acc + weighted_poly(ring, {e: c})
             continue
         if q not in repl_pows:
             repl_pows[q] = replacement ** q
         ne = e[:i] + (r,) + e[i + 1:]
-        acc = acc + WeightedPoly(ring, {ne: c}) * repl_pows[q]
+        acc = acc + weighted_poly(ring, {ne: c}) * repl_pows[q]
     return acc
 
 

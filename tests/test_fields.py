@@ -12,6 +12,7 @@ from g2div.errors import (DivisionByZero, G2DivError, MixedFields, NoSquareRoot,
                           SerializationError, UnsupportedField)
 from g2div.extension import FieldEmbedding, find_irreducible, is_irreducible_mod_p
 from g2div.fields import GF, QQ, FieldSpec, is_prime
+from g2div.unipoly import UniPoly
 
 FIELDS = [QQ(), GF(7), GF(11), GF(1009), GF(7, 2), GF(13, 2), GF(7, 4)]
 
@@ -244,7 +245,7 @@ def test_native_invert(field):
     """_invert takes a native value, reduced or not, to its reduced native
     inverse; zero, reduced or not, raises DivisionByZero."""
     rng = random.Random(3)
-    red, one = field._reduce, field._native(field.one)
+    m, one = field._modulus, field._native(field.one)
     p = field.characteristic
     zeros = [field._native_zero, 0] + ([3 * p, -p, p ** 3] if p else [Fraction(0, 5)])
     for z in zeros:
@@ -255,15 +256,33 @@ def test_native_invert(field):
     if p:
         values += [5 * p + 2, -(p ** 2) - 3, p - 1]
     for v in values:
-        if not red(v):
+        if not v % m:
             continue
         inv = field._invert(v)
-        assert red(v * inv) == one
-        assert red(inv) == inv
+        assert v * inv % m == one
+        assert inv % m == inv
         assert not isinstance(inv, float)
     if not p:
         assert field._invert(-4) == Fraction(-1, 4) and type(field._invert(2)) is Fraction
         assert field._invert(Fraction(-2, 3)) == Fraction(-3, 2)
+
+
+def test_native_modulus():
+    """v % F._modulus is each field's one reduction of a native value: over
+    F_p the int p itself, over Q an integral Fraction to its int, over
+    F_{p^k} the element unchanged."""
+    F = GF(2 ** 40 - 87)
+    assert type(F._modulus) is int and F._modulus == F.p
+    M = QQ()._modulus
+    assert type(Fraction(4, 2) % M) is int and Fraction(4, 2) % M == 2
+    assert type(Fraction(1, 2) % M) is Fraction and Fraction(1, 2) % M == Fraction(1, 2)
+    assert type(-7 % M) is int and -7 % M == -7
+    E = GF(7, 2)
+    a = E.from_coeffs([3, 5])
+    assert a % E._modulus is a
+    # a product over Q that lands on integers keeps int natives
+    prod = UniPoly(QQ(), [Fraction(1, 2), Fraction(3, 2)]) * UniPoly(QQ(), [2, 4])
+    assert prod._c == (1, 5, 6) and all(type(c) is int for c in prod._c)
 
 
 def test_eq_rational_with_p_in_denominator_is_false():

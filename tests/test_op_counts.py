@@ -2,8 +2,8 @@
 
 Over F_p the kernels compute on plain ints, so a counting native stands in
 for them: a slotted int subclass whose operators tally native products,
-products by integer constants and additions, under a PrimeField whose
-_reduce and _invert tally too.  The counts do not depend on the machine,
+products by integer constants, additions and reductions (% p), under a
+PrimeField whose _invert tallies too.  The counts do not depend on the machine,
 so they pin the cost of _double_generic and _add_generic next to the
 affine costs in T. Lange, "Formulae for arithmetic on genus 2
 hyperelliptic curves", AAECC 15 (2005): addition 1I + 22M + 3S, doubling
@@ -56,6 +56,10 @@ class Counting(int):
         COUNTS["additions"] += 1
         return _wrap(int.__rsub__(self, other))
 
+    def __mod__(self, other):
+        COUNTS["reductions"] += 1
+        return Counting(int.__mod__(self, other))
+
     def __neg__(self):
         return Counting(int.__neg__(self))
 
@@ -66,14 +70,10 @@ class Counting(int):
 
 
 class CountingPrimeField(PrimeField):
-    """F_p whose natives are Counting ints; _reduce and _invert are tallied."""
+    """F_p whose natives are Counting ints; _invert is tallied."""
 
     def _native(self, a):
         return Counting(a.value)
-
-    def _reduce(self, v):
-        COUNTS["reductions"] += 1
-        return Counting(v % self.p)
 
     def _invert(self, v):
         COUNTS["inversions"] += 1
@@ -110,12 +110,12 @@ def _count(kernel, *args):
     return out, tuple(COUNTS[k] for k in KINDS)
 
 
-# (native products, products by integer constants, additions, _reduce
-# calls, _invert calls); a repeated point 2S doubles in the same kernel, at
+# (native products, products by integer constants, additions, reductions,
+# _invert calls); a repeated point 2S doubles in the same kernel, at
 # the same cost
-DOUBLE_COUNTS = (29, 1, 35, 8, 1)
-ADD_COUNTS = (25, 0, 26, 8, 1)
-REPEATED_DOUBLE_COUNTS = (29, 1, 35, 8, 1)
+DOUBLE_COUNTS = (29, 1, 35, 10, 1)
+ADD_COUNTS = (25, 0, 26, 10, 1)
+REPEATED_DOUBLE_COUNTS = (29, 1, 35, 10, 1)
 
 
 def _double_counts(curve, D):
@@ -147,9 +147,10 @@ def test_add_generic_counts():
 
 
 # the s1 = 0 path, where _compose returns the single point: two _invert
-# calls, the one of r'*s1n that raises and then 1/r'
-ADD_TO_SPECIAL_COUNTS = (15, 0, 15, 3, 2)
-DOUBLE_TO_SPECIAL_COUNTS = (19, 1, 24, 3, 2)
+# calls, the one of r'*s1n that raises and then 1/r'; two of the reductions
+# are the ones of building the point's two elements
+ADD_TO_SPECIAL_COUNTS = (15, 0, 15, 8, 2)
+DOUBLE_TO_SPECIAL_COUNTS = (19, 1, 24, 8, 2)
 
 
 def _special_inputs():
@@ -182,6 +183,33 @@ def test_special_path_counts():
     got, counts = _count(grouplaw._double_generic, F, lam, dc)
     assert got.is_special() and grouplaw._natives(got) == grouplaw._natives(grouplaw.double(D, curve))
     assert counts == DOUBLE_TO_SPECIAL_COUNTS
+
+
+# (_double_generic, _add_generic, _invert calls) of one 128-bit scalar_mul
+# over F_{2^40-87}: 128 doubles, one of them the precomputation's 2D, three
+# adds for 3D, 5D, 7D and one per nonzero digit below the top one, each
+# kernel with its one inversion
+LADDER_SCALAR = 0xB7E151628AED2A6ABF7158809CF4F3C7
+LADDER_COUNTS = (128, 30, 158)
+
+
+def test_scalar_mul_ladder_counts(monkeypatch):
+    curve, P, _ = _inputs()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_double_generic", "_add_generic"):
+        monkeypatch.setattr(grouplaw, name, counted(name, getattr(grouplaw, name)))
+    monkeypatch.setattr(PrimeField, "_invert", counted("_invert", PrimeField._invert))
+    nonzero = sum(map(bool, grouplaw._wnaf(LADDER_SCALAR)))
+    grouplaw.scalar_mul(LADDER_SCALAR, P, curve)
+    got = (calls["_double_generic"], calls["_add_generic"], calls["_invert"])
+    assert got == LADDER_COUNTS and got[1] == 3 + nonzero - 1
 
 
 def test_counting_native_stays_counting():

@@ -14,10 +14,11 @@ from polyring_helpers import (
     partial_derivative,
     reduce_power,
     sylvester_resultant,
+    weighted_poly,
 )
 from g2div.errors import InexactDivision, MixedFields
 from g2div.fields import GF, QQ
-from g2div.polyring import EXP_BITS, NEG_INF, PolyRing, WeightedPoly
+from g2div.polyring import EXP_BITS, NEG_INF, PolyRing
 from g2div.series import sqrt_one_plus, truncated_square
 
 
@@ -274,7 +275,7 @@ def test_native_substitute_evaluate_coeffs_in(xyz):
             coeffs = coeffs_in(p, name)
             assert [RefPoly.of(c) for c in coeffs] == ref.coeffs_in(i)
             # rebuilt from its exponent tuples, each equals itself term for term
-            assert all(c == WeightedPoly(xyz, dict(c.sorted_terms())) for c in coeffs + [p])
+            assert all(c == weighted_poly(xyz, dict(c.sorted_terms())) for c in coeffs + [p])
 
 
 def test_native_json_round_trip_and_order(xyz):

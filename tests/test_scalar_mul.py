@@ -168,14 +168,37 @@ def test_scalar_mul_over_q_small_multiples():
             assert scalar_mul(n, D, curve) == want[n], (n, D)
 
 
+def _wnaf_bitwise(n):
+    """The width-WNAF_WIDTH NAF by its definition, one bit per loop turn."""
+    full, half = 1 << WNAF_WIDTH, 1 << (WNAF_WIDTH - 1)
+    digits = []
+    while n:
+        d = 0
+        if n & 1:
+            d = n & (full - 1)
+            if d >= half:
+                d -= full
+            n -= d
+        digits.append(d)
+        n >>= 1
+    return digits
+
+
 def test_wnaf_recoding():
     rng = random.Random(4)
     half = 1 << (WNAF_WIDTH - 1)
-    for n in list(range(-300, 301)) + [rng.getrandbits(128) * rng.choice((1, -1)) for _ in range(50)]:
+    edges = [0, 1, -1]
+    for k in range(1, 130):
+        edges += [s * ((1 << k) + t) for s in (1, -1) for t in (1, -1)]
+    randoms = [rng.getrandbits(256) * rng.choice((1, -1)) for _ in range(200)]
+    for n in list(range(-300, 301)) + edges + randoms:
         digits = _wnaf(n)
+        assert digits == _wnaf_bitwise(n), n
         assert sum(d << i for i, d in enumerate(digits)) == n
         assert all(d % 2 == 1 and abs(d) < half for d in digits if d)
-        assert all(not (a and b) for a, b in zip(digits, digits[1:]))
+        # at least WNAF_WIDTH - 1 zeros after each nonzero digit
+        nonzero = [i for i, d in enumerate(digits) if d]
+        assert all(j - i >= WNAF_WIDTH for i, j in zip(nonzero, nonzero[1:])), n
         assert not digits or digits[-1]
 
 
