@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .curves import CanonicalCurve
-from .divisors import NEUTRAL, SPECIAL, MumfordDivisor
+from .divisors import NEUTRAL, NONSPECIAL, SPECIAL, MumfordDivisor
 from .errors import MixedFields, SerializationError, UnsupportedField
 from .fields import Field
 from .unipoly import UniPoly, xgcd
@@ -112,16 +112,16 @@ def cantor_scalar_mul(n: int, a: CantorDivisor, curve: CanonicalCurve) -> Cantor
 # Mumford bridge
 
 def to_mumford(d: CantorDivisor) -> MumfordDivisor:
-    """The Mumford coordinates, built from the native coefficients: each one
-    becomes an element only in MumfordDivisor."""
+    """The Mumford divisor, its record built from the native coefficients
+    with no element."""
     F = d.u.field
     m, u = F._modulus, d.u._c
     if d.degree() == 0:
         return MumfordDivisor.neutral(F)
     v = d.v._c + (F._native_zero,) * (len(u) - 1 - len(d.v._c))
     if d.degree() == 1:
-        return MumfordDivisor.special(F, -u[0] % m, v[0])
-    return MumfordDivisor.nonspecial(F, u[1], u[0], -v[1] % m, -v[0] % m)
+        return MumfordDivisor._make((F, SPECIAL, (-u[0] % m, v[0])))
+    return MumfordDivisor._make((F, NONSPECIAL, (u[1], u[0], -v[1] % m, -v[0] % m)))
 
 
 def from_mumford(m: MumfordDivisor) -> CantorDivisor:
@@ -130,9 +130,9 @@ def from_mumford(m: MumfordDivisor) -> CantorDivisor:
         return neutral_divisor(F)
     mod, one, make = F._modulus, F._native_one, UniPoly._make
     if m.variant == SPECIAL:
-        x0, y0 = map(F._native, m.coords)
+        x0, y0 = m.native
         return CantorDivisor(make(F, [-x0 % mod, one]), make(F, [y0]))
-    a2, a4, b3, b5 = map(F._native, m.coords)
+    a2, a4, b3, b5 = m.native
     return CantorDivisor(make(F, [a4, a2, one]), make(F, [-b5 % mod, -b3 % mod]))
 
 

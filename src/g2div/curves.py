@@ -19,6 +19,20 @@ LAMBDA_NAMES = ("l2", "l4", "l6", "l8", "l10")
 LAMBDA_WEIGHTS = (2, 4, 6, 8, 10)
 
 
+# P(x) and P'(x) by Horner's rule in plain ring arithmetic, so natives,
+# elements and torsion's weighted polynomials all go through this one
+# transcription; lam = (l2, l4, l6, l8, l10)
+
+def _p_of(x, lam):
+    l2, l4, l6, l8, l10 = lam
+    return ((((x + l2) * x + l4) * x + l6) * x + l8) * x + l10
+
+
+def _dp_of(x, lam):
+    l2, l4, l6, l8, _ = lam
+    return (((5 * x + 4 * l2) * x + 3 * l4) * x + 2 * l6) * x + l8
+
+
 class CanonicalCurve(namedtuple("CanonicalCurve", "field lam")):
     """lam: (l2, l4, l6, l8, l10) as FieldElements."""
 
@@ -40,20 +54,26 @@ class CanonicalCurve(namedtuple("CanonicalCurve", "field lam")):
     def dpx(self) -> UniPoly:
         return self.px().derivative()
 
+    def _native_at(self, poly, x):
+        """The reduced native of poly (_p_of or _dp_of) at x."""
+        F = self.field
+        return poly(F._native(F.coerce(x)), tuple(map(F._native, self.lam))) % F._modulus
+
     def p_at(self, x) -> FieldElement:
-        return self.px().evaluate(x)
+        return self.field._from_native(self._native_at(_p_of, x))
 
     def dp_at(self, x) -> FieldElement:
-        return self.dpx().evaluate(x)
+        return self.field._from_native(self._native_at(_dp_of, x))
 
     def discriminant(self) -> FieldElement:
         p = self.px()
         return unipoly.resultant(p, p.derivative())
 
     def on_curve(self, point) -> bool:
+        F = self.field
         x, y = point
-        x, y = self.field.coerce(x), self.field.coerce(y)
-        return y * y == self.p_at(x)
+        y = F._native(F.coerce(y))
+        return not (y * y - self._native_at(_p_of, x)) % F._modulus
 
     def branch_points(self) -> list:
         """x-coordinates with y = 0 that lie in the base field, sorted."""

@@ -19,8 +19,12 @@ NEUTRAL = "neutral"
 _ARITY = {NONSPECIAL: 4, SPECIAL: 2, NEUTRAL: 0}
 
 
-class MumfordDivisor(namedtuple("MumfordDivisor", "field variant coords")):
-    """coords: (a2, a4, b3, b5) | (x, y) | (), by variant."""
+class MumfordDivisor(namedtuple("MumfordDivisor", "field variant native")):
+    """native: the field's reduced natives (see Field._native) of (a2, a4,
+    b3, b5) | (x, y) | (), by variant; coords holds them as elements.
+
+    The constructor takes elements, ints or rationals; the group-law kernels
+    and the Cantor bridge build the record from natives with _make."""
 
     __slots__ = ()
 
@@ -30,7 +34,12 @@ class MumfordDivisor(namedtuple("MumfordDivisor", "field variant coords")):
             raise SerializationError(f"unknown divisor variant {variant}")
         if len(coords) != expected:
             raise SerializationError("wrong coordinate count")
-        return super().__new__(cls, field, variant, tuple(map(field.coerce, coords)))
+        native = tuple(map(field._native, map(field.coerce, coords)))
+        return super().__new__(cls, field, variant, native)
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(map(self.field._from_native, self.native))
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
@@ -57,19 +66,19 @@ class MumfordDivisor(namedtuple("MumfordDivisor", "field variant coords")):
 
     @property
     def a2(self):
-        return self.coords[0]
+        return self.field._from_native(self.native[0])
 
     @property
     def a4(self):
-        return self.coords[1]
+        return self.field._from_native(self.native[1])
 
     @property
     def b3(self):
-        return self.coords[2]
+        return self.field._from_native(self.native[2])
 
     @property
     def b5(self):
-        return self.coords[3]
+        return self.field._from_native(self.native[3])
 
     def sort_key(self):
         order = {NEUTRAL: 0, SPECIAL: 1, NONSPECIAL: 2}[self.variant]
@@ -80,18 +89,18 @@ class MumfordDivisor(namedtuple("MumfordDivisor", "field variant coords")):
         if self.is_neutral():
             return "Divisor(O)"
         if self.is_special():
-            return f"Divisor(({F.to_str(self.coords[0])}, {F.to_str(self.coords[1])}) - inf)"
-        return "Divisor(a=({}, {}), b=({}, {}))".format(*(F.to_str(c) for c in self.coords))
+            return "Divisor(({}, {}) - inf)".format(*map(F.to_str, self.coords))
+        return "Divisor(a=({}, {}), b=({}, {}))".format(*map(F.to_str, self.coords))
 
 
 def negate(d: MumfordDivisor) -> MumfordDivisor:
+    """-d: the b-coordinates (y of a single point) negated, on natives."""
     if d.is_neutral():
         return d
+    m, c = d.field._modulus, d.native
     if d.is_special():
-        x, y = d.coords
-        return MumfordDivisor.special(d.field, x, -y)
-    a2, a4, b3, b5 = d.coords
-    return MumfordDivisor.nonspecial(d.field, a2, a4, -b3, -b5)
+        return MumfordDivisor._make((d.field, SPECIAL, (c[0], -c[1] % m)))
+    return MumfordDivisor._make((d.field, NONSPECIAL, (c[0], c[1], -c[2] % m, -c[3] % m)))
 
 
 def mumford_from_points(curve: CanonicalCurve, p1, p2) -> MumfordDivisor:
@@ -134,7 +143,8 @@ def points_from_mumford(d: MumfordDivisor, curve: CanonicalCurve):
     if not d.is_nonspecial():
         raise SerializationError("points_from_mumford needs a degree-2 divisor")
     F = d.field
-    a2, a4, b3, b5 = d.coords
+    coords = d.coords
+    a2, a4, b3, b5 = coords
     roots = F.sqrt(a2 * a2 - 4 * a4)
     if roots:
         big, emb, r = F, None, roots[-1]
@@ -144,7 +154,7 @@ def points_from_mumford(d: MumfordDivisor, curve: CanonicalCurve):
         from .extension import embedding
         big = GF(F.characteristic, 2 * getattr(F, "k", 1))
         emb = embedding(F, big)
-        a2, a4, b3, b5 = (emb.embed(c) for c in d.coords)
+        a2, a4, b3, b5 = map(emb.embed, coords)
         r = big.sqrt_exact(a2 * a2 - 4 * a4)
     x1 = (-a2 + r) / 2
     x2 = -a2 - x1
@@ -160,16 +170,24 @@ def p_mod_u(a2, a4, lam):
     return r1, r0
 
 
+def _native_residuals(d: MumfordDivisor, curve: CanonicalCurve):
+    """The reduced natives of (J8, J10) at the degree-2 divisor d."""
+    F = curve.field
+    if d.field is not F:
+        raise MixedFields("divisor/curve field mismatch")
+    m = F._modulus
+    a2, a4, b3, b5 = d.native
+    r1, r0 = p_mod_u(a2, a4, tuple(map(F._native, curve.lam)))
+    b3sq = b3 * b3
+    return (2 * b3 * b5 - a2 * b3sq - r1) % m, (b5 * b5 - a4 * b3sq - r0) % m
+
+
 def jacobian_residuals(d: MumfordDivisor, curve: CanonicalCurve):
     """Exact values of the two model equations (J8, J10) at the divisor: the
     coefficients of (b3*x + b5)^2 - P mod u."""
     if not d.is_nonspecial():
         raise SerializationError("model residuals are defined for degree-2 divisors")
-    F = curve.field
-    a2, a4, b3, b5 = (F.coerce(c) for c in d.coords)
-    r1, r0 = p_mod_u(a2, a4, curve.lam)
-    b3sq = b3 * b3
-    return 2 * b3 * b5 - a2 * b3sq - r1, b5 * b5 - a4 * b3sq - r0
+    return tuple(map(curve.field._from_native, _native_residuals(d, curve)))
 
 
 def is_on_jacobian(d: MumfordDivisor, curve: CanonicalCurve) -> bool:
@@ -177,9 +195,8 @@ def is_on_jacobian(d: MumfordDivisor, curve: CanonicalCurve) -> bool:
         return True
     if d.is_special():
         return curve.on_curve(d.coords)
-    j8, j10 = jacobian_residuals(d, curve)
-    F = curve.field
-    return F.is_zero(j8) and F.is_zero(j10)
+    j8, j10 = _native_residuals(d, curve)
+    return not (j8 or j10)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +206,10 @@ def divisor_to_json(d: MumfordDivisor) -> dict:
     F = d.field
     if d.is_neutral():
         return {"type": "neutral"}
+    c = list(map(F.to_str, d.coords))
     if d.is_special():
-        return {"type": "special", "point": [F.to_str(c) for c in d.coords]}
-    return {"type": "nonspecial",
-            "alpha": [F.to_str(d.a2), F.to_str(d.a4)],
-            "beta": [F.to_str(d.b3), F.to_str(d.b5)]}
+        return {"type": "special", "point": c}
+    return {"type": "nonspecial", "alpha": c[:2], "beta": c[2:]}
 
 
 def divisor_from_json(field: Field, obj: dict) -> MumfordDivisor:

@@ -303,8 +303,9 @@ class Field:
     # for F_{p^k}.  v % F._modulus reduces one.  For F_p _modulus is the int
     # p, so a reduction is one C-level %; for Q it is an object whose
     # __rmod__ turns an integral Fraction into its int (faster to compute
-    # on), and for F_{p^k} one whose __rmod__ returns v.  coerce turns a
-    # native back into an element; _invert takes one, reduced or not, to its
+    # on), and for F_{p^k} one whose __rmod__ returns v.  _from_native turns
+    # a reduced native back into an element (over F_p without a second %,
+    # elsewhere by coerce); _invert takes one, reduced or not, to its
     # reduced native inverse (over F_p one pow, no element built; over Q a
     # Fraction) and is the kernels' zero test.  Each field sets _modulus,
     # _native_zero and _native_one (and a finite field the _nonresidue cache
@@ -319,9 +320,13 @@ class Field:
     def _native(self, a):
         return a.value
 
+    def _from_native(self, v) -> FieldElement:
+        """The element of the reduced native v."""
+        return self.coerce(v)
+
     def _invert(self, v):
         """The reduced native 1/v; DivisionByZero when v is zero."""
-        return self._native(self.inv(self.coerce(v)))
+        return self._native(self.inv(self._from_native(v)))
 
     # -- square roots ---------------------------------------------------------
     # For the finite fields; RationalField overrides sqrt and is_square.
@@ -446,6 +451,9 @@ class PrimeField(Field):
 
     def is_zero(self, a):
         return a.value == 0
+
+    def _from_native(self, v):
+        return FieldElement(self, v)
 
     def _invert(self, v):
         try:

@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .curves import CanonicalCurve
-from .divisors import MumfordDivisor, is_on_jacobian, mumford_from_points, negate
+from .divisors import NONSPECIAL, SPECIAL, MumfordDivisor, is_on_jacobian, mumford_from_points, negate
 from .errors import (
     BranchPointInSupport,
     ConditionViolated,
@@ -68,12 +68,8 @@ TangentData = namedtuple("TangentData", "a2p a4p b3p b5p")
 
 
 # The helpers below are plain ring arithmetic on coordinate tuples, so the
-# public functions run them on field elements and the dispatchers run them
-# on the field's native values (see Field._native).
-
-def _natives(D: MumfordDivisor) -> tuple:
-    return tuple(map(D.field._native, D.coords))
-
+# public functions run them on field elements (MumfordDivisor.coords) and
+# the dispatchers on the field's native values (MumfordDivisor.native).
 
 def _check_degree2(F, *divisors):
     """MixedFields unless each divisor is a degree-2 class over the field F."""
@@ -114,10 +110,11 @@ def _gammas(a2, a4, b3, b5, det, g1, s0n):
             a4 * g2 + b5 * g1 - a2 * a4 * det)
 
 
-def _gamma_r6(D: MumfordDivisor, det, r, s0n) -> GammaR6:
-    """The gammas from D's _interpolation values, det != 0: g1 = -r/det."""
-    inv = D.field.inv(det)
-    return GammaR6(*(g * inv for g in _gammas(*D.coords, det, -r, s0n)))
+def _gamma_r6(F, dc, det, r, s0n) -> GammaR6:
+    """The gammas from the _interpolation values at the support with
+    coordinates dc, det != 0: g1 = -r/det."""
+    inv = F.inv(det)
+    return GammaR6(*(g * inv for g in _gammas(*dc, det, -r, s0n)))
 
 
 def _sum_alpha(a2p, a4p, a2q, a4q, l2, det, g1, g2, g4):
@@ -138,10 +135,11 @@ def gamma_add(P: MumfordDivisor, Q: MumfordDivisor) -> GammaR6:
     is special, or the supports overlap)."""
     F = P.field
     _check_degree2(F, P, Q)
-    det, r, s0n = _interpolation(Q.a2, Q.a4, *_difference(P.coords, Q.coords))
+    pc, qc = P.coords, Q.coords
+    det, r, s0n = _interpolation(qc[0], qc[1], *_difference(pc, qc))
     if F.is_zero(det):
         raise SingularInterpolation("gamma matrix singular")
-    return _gamma_r6(P, det, r, s0n)
+    return _gamma_r6(F, pc, det, r, s0n)
 
 
 def _tangent(a2, a4, b3, b5, l2, l4, l6, l8):
@@ -170,13 +168,13 @@ def tangent_data(curve: CanonicalCurve, D: MumfordDivisor) -> TangentData:
     _check_degree2(curve.field, D)
     F = curve.field
     m = F._modulus
-    n, num3, num5 = _tangent(*_natives(D), *_lam_natives(curve))
+    n, num3, num5 = _tangent(*D.native, *_lam_natives(curve))
     n %= m
     if not n:
         raise BranchPointInSupport("branch point in support: slopes undefined")
     inv2n = F._invert(n + n)
-    return TangentData(F.element(-2), -D.a2, F.coerce(num3 * inv2n % m),
-                       F.coerce(num5 * inv2n % m))
+    return TangentData(F.element(-2), *map(F._from_native, (
+        -D.native[0] % m, num3 * inv2n % m, num5 * inv2n % m)))
 
 
 def _slope_tangent(F, p1, p2, s1, s2) -> TangentData:
@@ -194,10 +192,11 @@ def gamma_double(Q: MumfordDivisor, tang: TangentData) -> GammaR6:
     b5').  Raises GammaUndefined when det = 0 (2Q is special)."""
     F = Q.field
     _check_degree2(F, Q)
-    det, r, s0n = _interpolation(Q.a2, Q.a4, *tang)
+    qc = Q.coords
+    det, r, s0n = _interpolation(qc[0], qc[1], *tang)
     if F.is_zero(det):
         raise GammaUndefined("duplication denominator vanishes: 2Q is special")
-    return _gamma_r6(Q, det, r, s0n)
+    return _gamma_r6(F, qc, det, r, s0n)
 
 
 def _compose(F, l2, pc, a2q, dA2, dA4, r, s1n, s0n):
@@ -215,7 +214,8 @@ def _compose(F, l2, pc, a2q, dA2, dA4, r, s1n, s0n):
     d1*x + d0; the result is the reduced native (a2, a4, b3, b5).  When s1n
     is zero, V is the weight-5 function v_P + s0*u_P, s0 = s0n/r, and the
     sum is the single point (x, -V(x)) at the fifth root x = s0^2 - l2 +
-    a2_P + a2_Q of P(x) - V^2, returned as a MumfordDivisor."""
+    a2_P + a2_Q of P(x) - V^2, returned as a MumfordDivisor built from its
+    natives."""
     m = F._modulus
     a2, a4, b3, b5 = pc
     r, s1n, s0n = r % m, s1n % m, s0n % m
@@ -227,7 +227,7 @@ def _compose(F, l2, pc, a2q, dA2, dA4, r, s1n, s0n):
         except DivisionByZero:
             return None
         x = (s0 * s0 - l2 + a2 + a2q) % m
-        return MumfordDivisor.special(F, x, (b3 * x + b5 - s0 * (x * (x + a2) + a4)) % m)
+        return MumfordDivisor._make((F, SPECIAL, (x, (b3 * x + b5 - s0 * (x * (x + a2) + a4)) % m)))
     inv_s1n = r * w
     inv_s1, sig, s1 = r * inv_s1n % m, s0n * inv_s1n % m, s1n * s1n * w % m
     i2 = inv_s1 * inv_s1
@@ -312,12 +312,13 @@ def _add_overlapping(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve
     the other root of u_Q.  x0 is the common root of the two u's, or where
     the two lines meet when the u's agree."""
     F = curve.field
-    dA2, dA4, dB3, dB5 = _difference(P.coords, Q.coords)
-    a2, _, b3, b5 = Q.coords
+    qc = Q.coords
+    dA2, dA4, dB3, dB5 = _difference(P.coords, qc)
+    a2, _, b3, b5 = qc
     x0 = -dB5 / dB3 if F.is_zero(dA2) else -dA4 / dA2  # dA2 = 0: the same u
     x1 = -a2 - x0
     R = _add_point_in_support(P, (x0, -(b3 * x0 + b5)), curve)
-    return add(R, MumfordDivisor.special(F, x1, -(b3 * x1 + b5)), curve)
+    return add_traced(R, MumfordDivisor.special(F, x1, -(b3 * x1 + b5)), curve)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,7 @@ def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) 
     not special) and SupportOverlap when the supports share an x."""
     _check_degree2(curve.field, P, Q)
     F = curve.field
-    pc, qc = _natives(P), _natives(Q)
+    pc, qc = P.native, Q.native
     dA2, dA4, dB3, dB5 = _difference(pc, qc)
     det, r, s0n = _interpolation(qc[0], qc[1], dA2, dA4, dB3, dB5)
     if det % F._modulus:
@@ -369,7 +370,7 @@ def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDiviso
     """Duplication landing on a single point, 2Q ~ (x, y) - inf: the generic
     doubling kernel's double when its s1 is zero."""
     _check_degree2(curve.field, Q)
-    s = _double_generic(curve.field, _lam_natives(curve), _natives(Q))
+    s = _double_generic(curve.field, _lam_natives(curve), Q.native)
     if s is None:
         raise BranchPointInSupport("branch point in support: slopes undefined")
     if type(s) is tuple:
@@ -381,7 +382,8 @@ def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDiviso
 # dispatchers
 
 def add_traced(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve):
-    """Total addition; returns (reduced divisor, branch tag)."""
+    """Total addition; returns (reduced divisor, branch tag).  The operands
+    are not checked against the curve's model: add does that."""
     F = curve.field
     if P.field is not F or Q.field is not F:
         raise MixedFields("divisor/curve field mismatch")
@@ -389,29 +391,31 @@ def add_traced(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve):
         return Q, "neutral"
     if Q.is_neutral():
         return P, "neutral"
+    m = F._modulus
     if P.is_special() and Q.is_special():
-        (xp, yp), (xq, yq) = P.coords, Q.coords
-        if xp == xq and yp == -yq:
+        (xp, yp), (xq, yq) = P.native, Q.native
+        if xp == xq and not (yp + yq) % m:
             return MumfordDivisor.neutral(F), "inverse"
         return add_points(curve, P.coords, Q.coords), "add_points"
     if P.is_special() or Q.is_special():
         if P.is_special():
             P, Q = Q, P
+        q = Q.coords
         try:
-            return add_special(P, Q.coords, curve), "add_special"
+            return add_special(P, q, curve), "add_special"
         except QInSupport:
-            return _add_point_in_support(P, Q.coords, curve), "support_overlap"
+            return _add_point_in_support(P, q, curve), "support_overlap"
     # both degree 2
-    if P == Q:
+    pc, qc = P.native, Q.native
+    if pc == qc:
         return double_traced(P, curve)
-    (a2p, a4p, b3p, b5p), (a2q, a4q, b3q, b5q) = P.coords, Q.coords
-    if a2p == a2q and a4p == a4q and b3p == -b3q and b5p == -b5q:
+    if pc[0] == qc[0] and pc[1] == qc[1] and not ((pc[2] + qc[2]) % m or (pc[3] + qc[3]) % m):
         return MumfordDivisor.neutral(F), "inverse"
-    s = _add_generic(F, F._native(curve.lam[0]), _natives(P), _natives(Q))
+    s = _add_generic(F, F._native(curve.lam[0]), pc, qc)
     if s is None:
         return _add_overlapping(P, Q, curve), "support_overlap"
     if type(s) is tuple:
-        return MumfordDivisor.nonspecial(F, *s), "generic"
+        return MumfordDivisor._make((F, NONSPECIAL, s)), "generic"
     return s, "add_to_special"
 
 
@@ -421,35 +425,52 @@ def _lam_natives(curve: CanonicalCurve) -> tuple:
 
 
 def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
-    """Total duplication; returns (reduced divisor, branch tag)."""
+    """Total duplication; returns (reduced divisor, branch tag).  The operand
+    is not checked against the curve's model: double does that."""
     F = curve.field
     if Q.field is not F:
         raise MixedFields("divisor/curve field mismatch")
     if Q.is_neutral():
         return Q, "neutral"
     if Q.is_special():
-        x, y = Q.coords
-        if F.is_zero(y):
+        if not Q.native[1]:
             return MumfordDivisor.neutral(F), "double"
-        return mumford_from_points(curve, Q.coords, Q.coords), "double"
-    s = _double_generic(F, _lam_natives(curve), _natives(Q))
+        q = Q.coords
+        return mumford_from_points(curve, q, q), "double"
+    s = _double_generic(F, _lam_natives(curve), Q.native)
     if type(s) is tuple:
-        return MumfordDivisor.nonspecial(F, *s), "double"
+        return MumfordDivisor._make((F, NONSPECIAL, s)), "double"
     if s is not None:
         return s, "double_to_special"
     # _double_generic declined: a branch point in the support, two or one
-    if F.is_zero(Q.b3) and F.is_zero(Q.b5):
+    if not (Q.native[2] or Q.native[3]):
         return MumfordDivisor.neutral(F), "double"
     # exactly one branch point, at x = -b5/b3: 2Q ~ 2*(the other point)
-    x = Q.b5 / Q.b3 - Q.a2
-    other = (x, -(Q.b3 * x + Q.b5))
+    a2, _, b3, b5 = Q.coords
+    x = b5 / b3 - a2
+    other = (x, -(b3 * x + b5))
     return mumford_from_points(curve, other, other), "double"
 
 
+def _check_operands(curve: CanonicalCurve, *divisors):
+    """MixedFields for a divisor over another field, OffCurve for one off
+    the Jacobian."""
+    for D in divisors:
+        if D.field is not curve.field:
+            raise MixedFields("divisor/curve field mismatch")
+        if not is_on_jacobian(D, curve):
+            raise OffCurve("divisor not on the Jacobian")
+
+
 def add(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
+    """P + Q; an operand off the Jacobian raises OffCurve."""
+    _check_operands(curve, P, Q)
     return add_traced(P, Q, curve)[0]
 
+
 def double(Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
+    """2Q; an operand off the Jacobian raises OffCurve."""
+    _check_operands(curve, Q)
     return double_traced(Q, curve)[0]
 
 
@@ -488,13 +509,11 @@ def scalar_mul(n: int, D: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivis
     through _add_generic and _double_generic directly.  A special sum or
     double comes back from them as a MumfordDivisor; it and any neutral
     intermediate, and whatever the kernels decline (a shared x, a branch
-    point in the support), go through add/double.  The result is wrapped
-    into a MumfordDivisor once, at the end."""
+    point in the support), go through add_traced/double_traced.  A degree-2
+    divisor's native tuple is its record's native field, so the ladder
+    enters and leaves without converting a coordinate."""
+    _check_operands(curve, D)
     F = curve.field
-    if D.field is not F:
-        raise MixedFields("divisor/curve field mismatch")
-    if not is_on_jacobian(D, curve):
-        raise OffCurve("divisor not on the Jacobian")
     digits = _wnaf(n)
     if not digits:
         return MumfordDivisor.neutral(F)
@@ -506,16 +525,16 @@ def scalar_mul(n: int, D: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivis
     # None where it declines, so "kernel(...) or fallback" picks the fallback
     # exactly there
     def wrap(x):
-        return MumfordDivisor.nonspecial(F, *x) if type(x) is tuple else x
+        return MumfordDivisor._make((F, NONSPECIAL, x)) if type(x) is tuple else x
 
     def unwrap(R):
-        return _natives(R) if R.is_nonspecial() else R
+        return R.native if R.is_nonspecial() else R
 
     def dbl(x):  # the fallback where _double_generic cannot take x or declines
-        return unwrap(double(wrap(x), curve))
+        return unwrap(double_traced(wrap(x), curve)[0])
 
     def add_(x, y):  # the fallback where _add_generic cannot take x, y or declines
-        return unwrap(add(wrap(x), wrap(y), curve))
+        return unwrap(add_traced(wrap(x), wrap(y), curve)[0])
 
     odd = [unwrap(D)]  # odd[i] = (2i + 1) * D
     top = max(map(abs, digits))

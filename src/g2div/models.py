@@ -272,6 +272,7 @@ def add_extended_alpha(g: GeneralCurve, pp, qq=None):
         Q = _pair_divisor(F, qq)
         gam = gamma_add(P, Q)
     nu1, nu2, nu3 = g.nu[:3]
-    a2, a4 = _sum_alpha(P.a2, P.a4, Q.a2, Q.a4, nu2, F.one, gam.g1, gam.g2, gam.g4)
+    (a2p, a4p), (a2q, a4q) = P.coords[:2], Q.coords[:2]
+    a2, a4 = _sum_alpha(a2p, a4p, a2q, a4q, nu2, F.one, gam.g1, gam.g2, gam.g4)
     return (a2 + nu1 * gam.g1,
-            a4 + (nu1 * gam.g2 + nu3 - (P.a2 + Q.a2) * nu1) * gam.g1)
+            a4 + (nu1 * gam.g2 + nu3 - (a2p + a2q) * nu1) * gam.g1)

@@ -282,14 +282,14 @@ class WeightedPoly:
                 if k:
                     c = c * powers[i][k]
             acc += c
-        return F.coerce(acc % m)
+        return F._from_native(acc % m)
 
     # -- display --------------------------------------------------------------
     def sorted_terms(self) -> list:
         ring = self.ring
         keyed = sorted(((k >> ring._top, ring._unpack(k), c) for k, c in self._terms.items()),
                        key=itemgetter(0, 1), reverse=True)
-        return [(e, ring.field.coerce(c)) for _, e, c in keyed]
+        return [(e, ring.field._from_native(c)) for _, e, c in keyed]
 
     def to_text(self) -> str:
         if self.is_zero():

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .curves import LAMBDA_NAMES, LAMBDA_WEIGHTS, CanonicalCurve
+from .curves import LAMBDA_NAMES, LAMBDA_WEIGHTS, CanonicalCurve, _dp_of, _p_of
 from .divisors import MumfordDivisor, p_mod_u
 from .errors import (
     CharacteristicTooSmall,
@@ -41,7 +41,6 @@ from .grouplaw import (
     _gammas,
     _interpolation,
     _lam_natives,
-    _natives,
     _sum_alpha,
     _tangent,
     double_traced,
@@ -117,7 +116,7 @@ def _native_duplication(D: MumfordDivisor, curve: CanonicalCurve):
     degree-2 divisor D and its duplication data d, each entry reduced once.
     A branch point in the support (N = 0) leaves the gammas undefined."""
     m = curve.field._modulus
-    c = _natives(D) + _lam_natives(curve)
+    c = D.native + _lam_natives(curve)
     d = {k: v % m for k, v in _duplication_data(*c).items()}
     if not d["N"]:
         raise GammaUndefined("duplication degenerate: branch point in support")
@@ -135,17 +134,19 @@ def three_torsion_mumford_residuals(D: MumfordDivisor, curve: CanonicalCurve):
     F = curve.field
     if not D.is_nonspecial():
         raise GammaUndefined("3-torsion residuals need a degree-2 divisor")
-    a2, a4 = D.coords[0], D.coords[1]
-    if F.is_zero(a2 * a2 - 4 * a4):
+    m = F._modulus
+    a2, a4 = D.native[:2]
+    if not (a2 * a2 - 4 * a4) % m:
         doubled, _ = double_traced(D, curve)
         if not doubled.is_nonspecial():
             raise GammaUndefined("doubling left the degree-2 locus")
-        return a2 - doubled.coords[0], a4 - doubled.coords[1]
+        d2 = doubled.native
+        return F._from_native((a2 - d2[0]) % m), F._from_native((a4 - d2[1]) % m)
     c, d = _native_duplication(D, curve)
     if not d["E"]:
         raise GammaUndefined("duplication denominator vanishes: 2D is special")
-    inv = F.inv(F.coerce(d["E"] ** 2))
-    return tuple(F.coerce(r) * inv for r in _three_torsion_mumford_polys(c, d))
+    inv = F._invert(d["E"] ** 2)
+    return tuple(F._from_native(r * inv % m) for r in _three_torsion_mumford_polys(c, d))
 
 
 def four_torsion_residuals(D: MumfordDivisor, curve: CanonicalCurve):
@@ -161,20 +162,20 @@ def four_torsion_residuals(D: MumfordDivisor, curve: CanonicalCurve):
     if not D.is_nonspecial():
         raise GammaUndefined("4-torsion residuals need a degree-2 divisor")
     F = curve.field
-    a2, a4 = D.coords[:2]
-    if F.is_zero(a2 * a2 - 4 * a4):
+    m = F._modulus
+    a2, a4 = D.native[:2]
+    if not (a2 * a2 - 4 * a4) % m:
         doubled, _ = double_traced(D, curve)
-        if doubled.is_special():
-            return "special", (doubled.coords[1],)
         if doubled.is_neutral():
             raise GammaUndefined("2D is neutral: D is 2-torsion, not order 4")
-        return "nonspecial", (doubled.coords[2], doubled.coords[3])
+        dc = doubled.coords
+        return ("special", dc[1:]) if doubled.is_special() else ("nonspecial", dc[2:])
     c, d = _native_duplication(D, curve)
     d1, d2, dspec = _four_torsion_mumford_polys(c, d)
     if not d["E"]:
-        return "special", (F.coerce(dspec) / F.coerce(1024 * d["N"] ** 5),)
-    inv = F.inv(F.coerce(d["E"] ** 4))
-    return "nonspecial", (F.coerce(d1) * inv, F.coerce(d2) * inv)
+        return "special", (F._from_native(dspec * F._invert(1024 * d["N"] ** 5) % m),)
+    inv = F._invert(d["E"] ** 4)
+    return "nonspecial", (F._from_native(d1 * inv % m), F._from_native(d2 * inv % m))
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +233,6 @@ def _four_torsion_mumford_polys(c, d):
     g5_num = 4 * N * b5 + a4 * b3p                  # gamma5 * 4N
     dspec = (b3p * x_num + g3_num * N2_16) * x_num + g5_num * (N2_16 * N2_16)
     return d1, d2, dspec
-
-
-def _p_of(x, lam):
-    l2, l4, l6, l8, l10 = lam
-    return x ** 5 + l2 * x ** 4 + l4 * x ** 3 + l6 * x ** 2 + l8 * x + l10
-
-
-def _dp_of(x, lam):
-    l2, l4, l6, l8, _ = lam
-    return 5 * x ** 4 + 4 * l2 * x ** 3 + 3 * l4 * x ** 2 + 2 * l6 * x + l8
 
 
 def t_quotient(x1, x2, xi, lam):

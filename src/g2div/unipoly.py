@@ -22,7 +22,8 @@ class UniPoly:
     """Coefficients are stored as the field's native values (Field._native:
     int for F_p, int or Fraction for Q, the element itself for F_{p^k}), reduced and
     without trailing zeros; arithmetic reduces them by % Field._modulus, and
-    coeffs, __getitem__, lead and evaluate wrap them back into elements.
+    coeffs, __getitem__, lead and evaluate turn them back into elements by
+    Field._from_native.
     An operand that is not a UniPoly is lifted to a constant polynomial."""
 
     __slots__ = ("field", "_c")
@@ -60,7 +61,7 @@ class UniPoly:
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(map(self.field.coerce, self._c))
+        return tuple(map(self.field._from_native, self._c))
 
     def degree(self) -> int:
         return len(self._c) - 1  # -1 for the zero polynomial
@@ -71,11 +72,11 @@ class UniPoly:
     def lead(self) -> FieldElement:
         if not self._c:
             raise DivisionByZero("leading coefficient of zero polynomial")
-        return self.field.coerce(self._c[-1])
+        return self.field._from_native(self._c[-1])
 
     def __getitem__(self, i: int) -> FieldElement:
         if 0 <= i < len(self._c):
-            return self.field.coerce(self._c[i])
+            return self.field._from_native(self._c[i])
         return self.field.zero
 
     def __eq__(self, other):
@@ -218,7 +219,7 @@ class UniPoly:
         acc = self._c[-1]
         for c in reversed(self._c[:-1]):
             acc = (acc * x + c) % m
-        return F.coerce(acc)
+        return F._from_native(acc)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         acc = UniPoly.zero(self.field)

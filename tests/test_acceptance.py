@@ -21,7 +21,7 @@ from g2div.cantor import (
     from_mumford,
     to_mumford,
 )
-from g2div.curves import LAMBDA_NAMES, CanonicalCurve
+from g2div.curves import LAMBDA_NAMES, CanonicalCurve, _dp_of, _p_of
 from g2div.divisors import MumfordDivisor, mumford_from_points, negate
 from g2div.errors import DegenerateCurve
 from g2div.fields import GF, QQ
@@ -42,9 +42,7 @@ from g2div.torsion import (
     is_torsion,
     three_torsion_x_poly,
     two_torsion_divisors,
-    _dp_of,
     _int_fraction,
-    _p_of,
 )
 
 THREE_TORSION_BATTERY = {

@@ -1,11 +1,15 @@
+import json
+import pickle
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import random_divisor
 from grouplaw_helpers import du_derivative
 from polyring_helpers import RationalPoly, reduce_power
-from g2div.curves import CanonicalCurve
+from g2div.curves import CanonicalCurve, curve_from_json
 from g2div.divisors import (
     MumfordDivisor,
     divisor_from_json,
@@ -16,8 +20,8 @@ from g2div.divisors import (
     points_from_mumford,
 )
 from g2div.errors import InvolutionPair, OffCurve
-from g2div.fields import GF, QQ
-from g2div.grouplaw import add
+from g2div.fields import GF, QQ, FieldElement
+from g2div.grouplaw import _double_generic, _lam_natives, add, double_traced
 from g2div.polyring import PolyRing
 
 
@@ -185,3 +189,73 @@ def test_irreducible_support_reuses_one_embedding():
     first, second = points_from_mumford(D, curve), points_from_mumford(D, curve)
     assert first[3] is not None and first[3] is second[3]
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the record stores the field's reduced natives; coords builds elements
+
+DATA = Path(__file__).parent / "data"
+
+
+def _doubles():
+    """(D, K) over GF(7), GF(7, 2) and Q: K = 2D, a record the doubling
+    kernel built from natives.  Over Q, D is the 3-torsion fixture, whose
+    b3 = 3/2 is not an integer."""
+    out = []
+    for F in (GF(7), GF(7, 2)):
+        curve = CanonicalCurve(F, (1, 2, 3, 4, 5))
+        rng = random.Random(7)
+        while True:
+            D = random_divisor(curve, rng)
+            s = _double_generic(F, _lam_natives(curve), D.native)
+            if type(s) is tuple:
+                break
+        out.append((D, double_traced(D, curve)[0]))
+    curve = curve_from_json(json.loads((DATA / "q_three_torsion.json").read_text()))
+    D = divisor_from_json(QQ(), json.loads((DATA / "q_three_torsion_d.json").read_text()))
+    out.append((D, double_traced(D, curve)[0]))
+    return out
+
+
+def test_record_holds_reduced_natives():
+    cases = _doubles()
+    for D, K in cases:
+        F = D.field
+        for R in (D, K):
+            assert R.coords == (R.a2, R.a4, R.b3, R.b5)
+            assert all(type(c) is FieldElement and c.field is F for c in R.coords)
+            assert R.native == tuple(map(F._native, R.coords))
+            if F is GF(7):
+                assert type(R.native[0]) is int and all(0 <= c < 7 for c in R.native)
+            elif F is QQ():
+                assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in R.native)
+            else:
+                assert R.native == R.coords  # over F_{p^k} a native is its element
+    D = cases[-1][0]
+    assert D.native[2] == Fraction(3, 2) and type(D.native[0]) is int
+
+
+def test_element_built_record_equals_kernel_built():
+    for _, K in _doubles():
+        F = K.field
+        built = [MumfordDivisor.nonspecial(F, *K.coords),
+                 MumfordDivisor.nonspecial(F, *map(F.from_str, map(F.to_str, K.coords))),
+                 MumfordDivisor(F, "nonspecial", K.native)]
+        if F is GF(7):  # unreduced ints
+            built.append(MumfordDivisor.nonspecial(F, *(c - 14 for c in K.native)))
+        if F is QQ():  # integral coordinates as Fractions
+            built.append(MumfordDivisor.nonspecial(F, *map(Fraction, K.native)))
+        for B in built:
+            assert B == K and hash(B) == hash(K) and len({B, K}) == 1
+
+
+def test_records_pickle_hash_and_compare_over_three_fields():
+    for D, K in _doubles():
+        F = D.field
+        x = F.element(Fraction(1, 3)) if F is QQ() else F.element(3)
+        for R in (D, K, negate(K), MumfordDivisor.special(F, x, 2), MumfordDivisor.neutral(F)):
+            back = pickle.loads(pickle.dumps(R))
+            assert back == R and hash(back) == hash(R) and type(back) is MumfordDivisor
+            assert back.field is F and back.native == R.native
+            assert [type(c) for c in back.native] == [type(c) for c in R.native]
+            assert divisor_from_json(F, divisor_to_json(R)) == R

@@ -27,6 +27,7 @@ from g2div.errors import (
     DegenerateCurve,
     InvolutionPair,
     MixedFields,
+    OffCurve,
     QInSupport,
     SingularInterpolation,
     SupportOverlap,
@@ -314,6 +315,25 @@ def test_special_branches_reject_foreign_and_degree1_divisors(c7, f7):
                      lambda: gamma_add(D, B), lambda: gamma_double(B, tang)):
             with pytest.raises(MixedFields):
                 call()
+
+
+def test_public_add_and_double_reject_off_jacobian(c1009, rng):
+    # a degree-2 divisor one b5 off the model raises from the public
+    # dispatchers with either operand order and beside the neutral class;
+    # the traced dispatchers stay unchecked and return it as given
+    F = c1009.field
+    D = random_divisor(c1009, rng)
+    a2, a4, b3, b5 = D.coords
+    off = MumfordDivisor.nonspecial(F, a2, a4, b3, b5 + 1)
+    assert not is_on_jacobian(off, c1009)
+    O = MumfordDivisor.neutral(F)
+    for call in (lambda: add(off, D, c1009), lambda: add(D, off, c1009),
+                 lambda: add(off, O, c1009), lambda: add(O, off, c1009),
+                 lambda: double(off, c1009)):
+        with pytest.raises(OffCurve):
+            call()
+    assert add_traced(off, O, c1009) == (off, "neutral")
+    assert add(D, O, c1009) == D and double(O, c1009) == O
 
 
 def test_section44_consistency(c7):

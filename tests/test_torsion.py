@@ -20,7 +20,7 @@ from g2div.cantor import (
     from_mumford,
     to_mumford,
 )
-from g2div.curves import LAMBDA_NAMES, CanonicalCurve, curve_from_json, curve_to_json
+from g2div.curves import LAMBDA_NAMES, CanonicalCurve, _dp_of, _p_of, curve_from_json, curve_to_json
 from g2div.divisors import (
     MumfordDivisor,
     divisor_from_json,
@@ -48,9 +48,7 @@ from g2div.torsion import (
     t_quotient,
     two_torsion_divisors,
     _divisors_above,
-    _dp_of,
     _int_fraction,
-    _p_of,
 )
 from g2div.roots import roots_in_field
 from g2div.unipoly import UniPoly
@@ -697,9 +695,9 @@ DATA = Path(__file__).parent / "data"
 P127_FIXTURES = (("three", 3), ("four", 4))
 
 
-def _p127_fixture(name):
-    curve = curve_from_json(json.loads((DATA / f"p127_{name}_torsion.json").read_text()))
-    d = divisor_from_json(curve.field, json.loads((DATA / f"p127_{name}_torsion_d.json").read_text()))
+def _fixture(prefix, name):
+    curve = curve_from_json(json.loads((DATA / f"{prefix}_{name}_torsion.json").read_text()))
+    d = divisor_from_json(curve.field, json.loads((DATA / f"{prefix}_{name}_torsion_d.json").read_text()))
     return curve, d
 
 
@@ -721,7 +719,7 @@ class TestP127ConstructedTorsion:
 
     @pytest.mark.parametrize("name,n", P127_FIXTURES)
     def test_residuals_vanish_on_the_known_class(self, name, n):
-        curve, d = _p127_fixture(name)
+        curve, d = _fixture("p127", name)
         F = curve.field
         assert F.order() == 2 ** 127 - 1 and d.is_nonspecial()
         assert is_on_jacobian(d, curve)
@@ -749,10 +747,52 @@ class TestP127ConstructedTorsion:
 
     @pytest.mark.parametrize("name,n", P127_FIXTURES)
     def test_residuals_do_not_vanish_off_torsion(self, name, n):
-        curve, _ = _p127_fixture(name)
+        curve, _ = _fixture("p127", name)
         F = curve.field
         rng = random.Random(127 + n)
         for _ in range(8):
             d = random_divisor(curve, rng)
             assert not is_torsion(d, n, curve)
             assert not all(F.is_zero(r) for r in _residuals(d, n, curve))
+
+
+# the same constructions over Q with small rationals (see
+# tests/data/q_torsion_fixtures.py): rational torsion of known order
+
+class TestQConstructedTorsion:
+    def test_generator_rebuilds_the_files(self, tmp_path):
+        subprocess.run([sys.executable, str(DATA / "q_torsion_fixtures.py"), str(tmp_path)],
+                       check=True)
+        for name, _ in P127_FIXTURES:
+            for f in (f"q_{name}_torsion.json", f"q_{name}_torsion_d.json"):
+                assert (tmp_path / f).read_bytes() == (DATA / f).read_bytes(), f
+
+    @pytest.mark.parametrize("name,n", P127_FIXTURES)
+    def test_residuals_vanish_on_the_known_class(self, name, n):
+        curve, d = _fixture("q", name)
+        F = curve.field
+        assert F is QQ() and d.is_nonspecial()
+        assert any(type(c) is Fraction for c in d.native)  # a non-integral coordinate
+        assert is_on_jacobian(d, curve)
+        assert is_torsion(d, n, curve)
+        assert all(F.is_zero(r) for r in _residuals(d, n, curve))
+        c = from_mumford(d)
+        assert cantor_scalar_mul(n, c, curve).u.degree() == 0
+        twice = to_mumford(cantor_scalar_mul(2, c, curve))
+        assert double_traced(d, curve)[0] == twice
+        if n == 3:
+            assert twice == negate(d)
+        else:
+            a2, a4, b3, b5 = twice.coords
+            assert F.is_zero(b3) and F.is_zero(b5)
+            assert all(F.is_zero(r) for r in p_mod_u(a2, a4, curve.lam))
+
+    @pytest.mark.parametrize("name,n", P127_FIXTURES)
+    def test_torsion_check_and_mul_verbs(self, name, n, capsys):
+        files = ["--curve", str(DATA / f"q_{name}_torsion.json")]
+        d = str(DATA / f"q_{name}_torsion_d.json")
+        assert cli.main(["torsion", "check", "--n", str(n), *files, "--divisor", d]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["is_torsion"] is True and out["residuals"] == ["0", "0"]
+        assert cli.main(["jac", "mul", str(n), d, *files]) == 0
+        assert json.loads(capsys.readouterr().out) == {"type": "neutral"}
