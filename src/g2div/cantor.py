@@ -16,7 +16,7 @@ from .curves import CanonicalCurve
 from .divisors import NEUTRAL, NONSPECIAL, SPECIAL, MumfordDivisor
 from .errors import MixedFields, SerializationError, UnsupportedField
 from .fields import Field
-from .unipoly import UniPoly, xgcd
+from .unipoly import UniPoly, _add, _divmod, _exact_div, _monic, _mul, _poly, _sub, _xgcd
 
 
 class CantorDivisor(namedtuple("CantorDivisor", "u v")):
@@ -47,48 +47,49 @@ def cantor_add(a: CantorDivisor, b: CantorDivisor, curve: CanonicalCurve) -> Can
     s3*(v1 + v2), u = u1*u2/d^2 and v = (s1*u1*v2 + s2*u2*v1 + s3*(v1*v2 +
     f))/d mod u.  Each xgcd carries one cofactor, and the three cases below
     are that formula with the cofactors it does not need cancelled out.  A
-    unit d (d = 1, as d is monic) divides nothing."""
+    unit d (d = 1, as d is monic) divides nothing.  Every step is one of
+    unipoly's list kernels, and only the result is wrapped as UniPolys."""
     F = curve.field
     if a.u.field is not F or b.u.field is not F:
         raise MixedFields("divisor/curve field mismatch")
-    f = curve.px()
-    u1, v1 = a.u, a.v
-    u2, v2 = b.u, b.v
+    f = (*reversed(curve.native), F._native_one)
+    u1, v1 = a.u._c, a.v._c
+    u2, v2 = b.u._c, b.v._c
     if u1 == u2:
         # one support, a doubling among them: gcd(u1, u2) = u1 = 0*u1 + 1*u2,
         # and with d = gcd(u1, v1 + v2) = c1*u1 + c2*(v1 + v2) the numerator
         # c1*u1*v1 + c2*(v1*v2 + f) is d*v1 + c2*(f - v1^2)
-        d, c2 = xgcd(u1, v1 + v2)
-        h, w = u1, f - v1 * v1
-        if d.degree() > 0:
-            h, w = u1.exact_div(d), w.exact_div(d)
-        u = h * h
-        v = (v1 + c2 * w) % u
+        d, c2 = _xgcd(F, u1, _add(F, v1, v2))
+        h, w = u1, _sub(F, f, _mul(F, v1, v1))
+        if len(d) > 1:
+            h, w = _exact_div(F, u1, d), _exact_div(F, w, d)
+        u = _mul(F, h, h)
+        v = _divmod(F, _add(F, v1, _mul(F, c2, w)), u)[1]
     else:
-        d1, e2 = xgcd(u1, u2)  # e1*u1 + e2*u2 = d1
-        if d1.degree() == 0:
+        d1, e2 = _xgcd(F, u1, u2)  # e1*u1 + e2*u2 = d1
+        if len(d1) == 1:
             # coprime supports: s3 = 0, and v is the CRT solution of v = v1
             # mod u1, v = v2 mod u2, the same v as (e1*u1*v2 + e2*u2*v1) mod
             # u, which it equals mod u1 and mod u2 and with degree below deg u
-            u = u1 * u2
-            v = v2 + u2 * ((e2 * (v1 - v2)) % u1)
+            u = _mul(F, u1, u2)
+            v = _add(F, v2, _mul(F, u2, _divmod(F, _mul(F, e2, _sub(F, v1, v2)), u1)[1]))
         else:
             # shared support: d = c1*d1 + c2*(v1 + v2), and the numerator is
             # d*v2 + c1*e2*u2*(v1 - v2) + c2*(f - v2^2)
-            vs = v1 + v2
-            d, c2 = xgcd(d1, vs)
-            c1 = (d - c2 * vs).exact_div(d1)
-            h1, h2, w = u1, u2, f - v2 * v2
-            if d.degree() > 0:
-                h1, h2, w = u1.exact_div(d), u2.exact_div(d), w.exact_div(d)
-            u = h1 * h2
-            v = (v2 + c1 * e2 * h2 * (v1 - v2) + c2 * w) % u
+            vs = _add(F, v1, v2)
+            d, c2 = _xgcd(F, d1, vs)
+            c1 = _exact_div(F, _sub(F, d, _mul(F, c2, vs)), d1)
+            h1, h2, w = u1, u2, _sub(F, f, _mul(F, v2, v2))
+            if len(d) > 1:
+                h1, h2, w = _exact_div(F, u1, d), _exact_div(F, u2, d), _exact_div(F, w, d)
+            u = _mul(F, h1, h2)
+            t = _mul(F, _mul(F, _mul(F, c1, e2), h2), _sub(F, v1, v2))
+            v = _divmod(F, _add(F, _add(F, v2, t), _mul(F, c2, w)), u)[1]
     # reduction
-    while u.degree() > 2:
-        u = (f - v * v).exact_div(u)
-        u = u.monic()
-        v = (-v) % u
-    return CantorDivisor(u.monic(), v)
+    while len(u) > 3:
+        u = _monic(F, _exact_div(F, _sub(F, f, _mul(F, v, v)), u))
+        v = _divmod(F, _sub(F, (), v), u)[1]
+    return CantorDivisor(_poly(F, _monic(F, u)), _poly(F, v))
 
 
 def cantor_neg(a: CantorDivisor) -> CantorDivisor:
@@ -144,10 +145,7 @@ def count_points_on_curve(curve: CanonicalCurve, field: Field = None) -> int:
     F = field or curve.field
     if F.order() is None:
         raise UnsupportedField("point counts need a finite field")
-    if F is not curve.field:
-        px = curve.px().map_coeffs(F, lambda c: F.element(c.value))
-    else:
-        px = curve.px()
+    px = curve.px() if F is curve.field else UniPoly(F, [c.value for c in curve.px().coeffs])
     total = 1  # infinity
     for x in F.elements():
         val = px.evaluate(x)

@@ -85,13 +85,18 @@ def _cmd_jac(args) -> int:
     F = curve.field
     if args.jac_verb != "verify":
         from .grouplaw import add, double, scalar_mul
-        ds = [_load_divisor(path, curve) for path in args.divisors]
-        if args.jac_verb == "add":
-            result = add(ds[0], ds[1], curve)
-        elif args.jac_verb == "double":
-            result = double(ds[0], curve)
-        else:
-            result = scalar_mul(args.n, ds[0], curve)
+        ds = [divisor_from_json(F, _load_json(path)) for path in args.divisors]
+        try:  # add, double and scalar_mul check each operand against the Jacobian
+            if args.jac_verb == "add":
+                result = add(ds[0], ds[1], curve)
+            elif args.jac_verb == "double":
+                result = double(ds[0], curve)
+            else:
+                result = scalar_mul(args.n, ds[0], curve)
+        except OffCurve:  # name the first file that failed the check
+            for path in args.divisors:
+                _load_divisor(path, curve)
+            raise
         _emit(divisor_to_json(result), args.format)
         return 0
     # verify reports the residuals of any parsable divisor, on the Jacobian or not

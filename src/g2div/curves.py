@@ -33,23 +33,27 @@ def _dp_of(x, lam):
     return (((5 * x + 4 * l2) * x + 3 * l4) * x + 2 * l6) * x + l8
 
 
-class CanonicalCurve(namedtuple("CanonicalCurve", "field lam")):
-    """lam: (l2, l4, l6, l8, l10) as FieldElements."""
+class CanonicalCurve(namedtuple("CanonicalCurve", "field lam native")):
+    """lam: (l2, l4, l6, l8, l10) as FieldElements, native: as reduced natives
+    (Field._native), built once; built, compared and pickled by (field, lam)."""
 
     __slots__ = ()
 
     def __new__(cls, field: Field, lam: tuple):
         if len(lam) != 5:
             raise DegenerateCurve("expected 5 curve coefficients")
-        self = super().__new__(cls, field, tuple(map(field.coerce, lam)))
+        lam = tuple(map(field.coerce, lam))
+        self = super().__new__(cls, field, lam, tuple(map(field._native, lam)))
         if field.is_zero(self.discriminant()):
             raise DegenerateCurve("quintic has a repeated root")
         return self
 
+    def __getnewargs__(self):
+        return self.field, self.lam
+
     # -- polynomial views ------------------------------------------------------
     def px(self) -> UniPoly:
-        F = self.field
-        return UniPoly._make(F, [F._native(c) for c in reversed(self.lam)] + [F._native_one])
+        return UniPoly._make(self.field, [*reversed(self.native), self.field._native_one])
 
     def dpx(self) -> UniPoly:
         return self.px().derivative()
@@ -57,7 +61,7 @@ class CanonicalCurve(namedtuple("CanonicalCurve", "field lam")):
     def _native_at(self, poly, x):
         """The reduced native of poly (_p_of or _dp_of) at x."""
         F = self.field
-        return poly(F._native(F.coerce(x)), tuple(map(F._native, self.lam))) % F._modulus
+        return poly(F._native(F.coerce(x)), self.native) % F._modulus
 
     def p_at(self, x) -> FieldElement:
         return self.field._from_native(self._native_at(_p_of, x))
@@ -71,9 +75,11 @@ class CanonicalCurve(namedtuple("CanonicalCurve", "field lam")):
 
     def on_curve(self, point) -> bool:
         F = self.field
-        x, y = point
-        y = F._native(F.coerce(y))
-        return not (y * y - self._native_at(_p_of, x)) % F._modulus
+        return self._on_curve_native(*(F._native(F.coerce(c)) for c in point))
+
+    def _on_curve_native(self, x, y) -> bool:
+        """Whether the point of reduced natives (x, y) lies on the curve."""
+        return not (y * y - _p_of(x, self.native)) % self.field._modulus
 
     def branch_points(self) -> list:
         """x-coordinates with y = 0 that lie in the base field, sorted."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .curves import CanonicalCurve
+from .curves import CanonicalCurve, _dp_of
 from .errors import InvolutionPair, MixedFields, OffCurve, SerializationError
 from .fields import Field, GF
 
@@ -104,32 +104,33 @@ def negate(d: MumfordDivisor) -> MumfordDivisor:
 
 
 def mumford_from_points(curve: CanonicalCurve, p1, p2) -> MumfordDivisor:
-    """Degree-2 divisor through two on-curve points.
-
-    A repeated point (y != 0) takes the tangent limit b3 = -y', b5 = -y + x*y'.
-    Same x with opposite y is an involution pair and must be built as
-    Neutral/Special by the caller instead.
-    """
+    """Degree-2 divisor through two on-curve points (see _from_native_points)."""
     F = curve.field
-    x1, y1 = (F.coerce(v) for v in p1)
-    x2, y2 = (F.coerce(v) for v in p2)
-    if not curve.on_curve((x1, y1)) or not curve.on_curve((x2, y2)):
+    return _from_native_points(curve, *(F._native(F.coerce(v)) for v in (*p1, *p2)))
+
+
+def _from_native_points(curve: CanonicalCurve, x1, y1, x2, y2) -> MumfordDivisor:
+    """The divisor through two points of reduced natives, with one inversion:
+    the chord y + b3*x + b5, or at a repeated point (y != 0) the tangent limit
+    b3 = -y', b5 = -y + x*y'.  OffCurve for a point off the curve; an
+    involution pair (InvolutionPair) the caller builds as Neutral/Special."""
+    F = curve.field
+    if not (curve._on_curve_native(x1, y1) and curve._on_curve_native(x2, y2)):
         raise OffCurve("input point not on the curve")
+    m = F._modulus
     if x1 == x2:
-        if y1 == y2 and not F.is_zero(y1):
-            dy = curve.dp_at(x1) / (y1 + y1)  # tangent slope
-            a2, a4 = -(x1 + x1), x1 * x1
-            b3 = -dy
-            b5 = -y1 + dy * x1
-            return MumfordDivisor.nonspecial(F, a2, a4, b3, b5)
-        raise InvolutionPair("points share x with opposite y; class is Neutral or Special")
-    return MumfordDivisor.nonspecial(F, *_chord(x1, y1, x2, y2))
+        if y1 != y2 or not y1:
+            raise InvolutionPair("points share x with opposite y; class is Neutral or Special")
+        dy = _dp_of(x1, curve.native) * F._invert(y1 + y1) % m  # tangent slope
+        c = -(x1 + x1), x1 * x1, -dy, dy * x1 - y1
+    else:
+        c = _chord(x1, y1, x2, y2, F._invert(x1 - x2))
+    return MumfordDivisor._make((F, NONSPECIAL, tuple([v % m for v in c])))
 
 
-def _chord(x1, y1, x2, y2):
-    """(a2, a4, b3, b5) of the support {(x1, y1), (x2, y2)}, x1 != x2: the
-    line y + b3*x + b5 through both points."""
-    inv = x1.field.inv(x1 - x2)
+def _chord(x1, y1, x2, y2, inv):
+    """(a2, a4, b3, b5) of the line y + b3*x + b5 through (x1, y1), (x2, y2)
+    for inv = 1/(x1 - x2); plain ring arithmetic (natives here, elements in models)."""
     return -(x1 + x2), x1 * x2, (y2 - y1) * inv, (x2 * y1 - x1 * y2) * inv
 
 
@@ -177,7 +178,7 @@ def _native_residuals(d: MumfordDivisor, curve: CanonicalCurve):
         raise MixedFields("divisor/curve field mismatch")
     m = F._modulus
     a2, a4, b3, b5 = d.native
-    r1, r0 = p_mod_u(a2, a4, tuple(map(F._native, curve.lam)))
+    r1, r0 = p_mod_u(a2, a4, curve.native)
     b3sq = b3 * b3
     return (2 * b3 * b5 - a2 * b3sq - r1) % m, (b5 * b5 - a4 * b3sq - r0) % m
 
@@ -194,7 +195,7 @@ def is_on_jacobian(d: MumfordDivisor, curve: CanonicalCurve) -> bool:
     if d.is_neutral():
         return True
     if d.is_special():
-        return curve.on_curve(d.coords)
+        return curve._on_curve_native(*d.native)
     j8, j10 = _native_residuals(d, curve)
     return not (j8 or j10)
 

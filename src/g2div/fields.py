@@ -183,7 +183,10 @@ class FieldElement:
     def __neg__(self):
         return self.field.neg(self)
 
-    def __pow__(self, e: int):
+    def __pow__(self, e: int, mod=None):
+        # pow(v, e, F._modulus) on F_{p^k}'s natives, already reduced (Field.sqrt)
+        if mod is not None and mod is not self.field._modulus:
+            return NotImplemented
         return self.field.pow(self, e)
 
     def __eq__(self, other):
@@ -338,33 +341,35 @@ class Field:
         Tonelli-Shanks on q - 1 = 2^s * t with t odd: one power x =
         a^((t-1)/2) gives r = a*x and a^t = r*x, a^t of order 2^s marks a
         non-square, and the first step raises the cached _non_residue() z
-        to t*2^k directly, so z^t is never formed on its own."""
-        if self.is_zero(a):
+        to t*2^k directly, so z^t is never formed on its own.  On natives:
+        pow(v, e, m) is the built-in one over F_p, an element's over F_{p^k}."""
+        v = self._native(a)
+        if not v:
             return (self.zero,)
-        q, one, mul = self.order(), self.one, self.mul
+        q, m, one = self.order(), self._modulus, self._native_one
         if q % 4 == 3:
-            r = self.pow(a, (q + 1) // 4)
-            if mul(r, r) != a:
+            r = pow(v, (q + 1) // 4, m)
+            if r * r % m != v:
                 return ()
         else:
             s, t = 0, q - 1
             while t % 2 == 0:
                 s += 1
                 t //= 2
-            x = self.pow(a, (t - 1) // 2)
-            r = mul(a, x)
-            tt, m, c, e = mul(r, x), s, self._non_residue(), t  # c^e = z^t
+            x = pow(v, (t - 1) // 2, m)
+            r = v * x % m
+            tt, k, c, e = r * x % m, s, self._native(self._non_residue()), t  # c^e = z^t
             while tt != one:
                 i, t2 = 0, tt
                 while t2 != one:
-                    t2 = mul(t2, t2)
+                    t2 = t2 * t2 % m
                     i += 1
-                if i == m:
+                if i == k:
                     return ()  # a^((q-1)/2) = -1
-                b = self.pow(c, e << (m - i - 1))
-                m, c, e = i, mul(b, b), 1
-                tt, r = mul(tt, c), mul(r, b)
-        n = self.neg(r)
+                b = pow(c, e << (k - i - 1), m)
+                k, c, e = i, b * b % m, 1
+                tt, r = tt * c % m, r * b % m
+        r, n = self._from_native(r), self._from_native(-r % m)
         return (r, n) if self.sort_key(r) < self.sort_key(n) else (n, r)
 
     def _non_residue(self) -> FieldElement:

@@ -23,6 +23,8 @@ a root of u_P is the other point of P when q = -p1 for the point p1 of P
 there, and otherwise the weight-5 function y + b3*x + b5 + g1*u(x) tangent
 to the curve at p1; two degree-2 divisors sharing an x add as (P + q1) + q2
 for the points of Q above the shared x and above the other root of u_Q.
+Every branch, a sum with a single point included, computes on the
+operands' natives; add_special and add_points wrap the same code.
 scalar_mul runs the two generic kernels directly and falls back to the
 dispatchers for everything they decline.  The kernels compute the weight-6
 function in Harley's form: solved for y it is the cubic y = V(x) = v_P +
@@ -43,14 +45,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .curves import CanonicalCurve
-from .divisors import NONSPECIAL, SPECIAL, MumfordDivisor, is_on_jacobian, mumford_from_points, negate
+from .curves import CanonicalCurve, _dp_of
+from .divisors import (NONSPECIAL, SPECIAL, MumfordDivisor, _from_native_points, is_on_jacobian,
+                       mumford_from_points, negate)
 from .errors import (
     BranchPointInSupport,
     ConditionViolated,
     DivisionByZero,
     GammaUndefined,
-    InvolutionPair,
     MixedFields,
     OffCurve,
     QInSupport,
@@ -168,7 +170,7 @@ def tangent_data(curve: CanonicalCurve, D: MumfordDivisor) -> TangentData:
     _check_degree2(curve.field, D)
     F = curve.field
     m = F._modulus
-    n, num3, num5 = _tangent(*D.native, *_lam_natives(curve))
+    n, num3, num5 = _tangent(*D.native, *curve.native[:4])
     n %= m
     if not n:
         raise BranchPointInSupport("branch point in support: slopes undefined")
@@ -253,7 +255,7 @@ def _add_generic(F, l2, pc, qc):
 
 def _double_generic(F, lam, c):
     """The generic double of a degree-2 divisor given as a reduced native
-    coordinate tuple, with one field inversion; lam = native (l2, l4, l6, l8).
+    coordinate tuple, with one field inversion; lam = the curve's natives.
 
     Returns the reduced native (a2, a4, b3, b5) of the double, the single
     point as a MumfordDivisor when the double is special (s1 = 0), or None
@@ -263,7 +265,7 @@ def _double_generic(F, lam, c):
     k1*x + k0 below, and b3*x + i0 = r/v mod u for r = res(u, v) = a4*b3^2 -
     b5*i0 (= _tangent's N); so 2r*s = k*(b3*x + i0) mod u, and _compose does the
     rest."""
-    l2, l4, l6, _ = lam
+    l2, l4, l6, _, _ = lam
     a2, a4, b3, b5 = c
     b3sq, a2sq, l2a2 = b3 * b3, a2 * a2, l2 * a2
     i0 = a2 * b3 - b5
@@ -275,76 +277,88 @@ def _double_generic(F, lam, c):
     return _compose(F, l2, c, a2, zero, zero, r + r, k0 * b3 - k1 * b5, k0 * i0 - a4 * (k1 * b3))
 
 
-def _add_point_weight5(P: MumfordDivisor, xq, g1, curve: CanonicalCurve) -> MumfordDivisor:
-    """P + q from the weight-5 function y + b3*x + b5 + g1*u(x) through the
-    support of P and q = (xq, yq): the quintic P(x) - (g1*x^2 + g3*x + g5)^2
-    has the roots of u_P, xq and the x-coordinates of the sum."""
-    a2, a4, b3, b5 = P.coords
+def _add_point_weight5(curve: CanonicalCurve, pc, xq, g1):
+    """The native P + q by the weight-5 function y + b3*x + b5 + g1*u(x) through
+    P's support (native pc) and q = (xq, yq), xq and g1 natives: the quintic
+    P(x) - (g1*x^2 + g3*x + g5)^2 has the roots of u_P, xq and the sum's x."""
+    m, lam = curve.field._modulus, curve.native
+    a2, a4, b3, b5 = pc
     g3, g5 = b3 + g1 * a2, b5 + g1 * a4
-    s = xq + curve.lam[0] - g1 * g1
-    a2s = s - a2
-    a4s = -a4 + a2 * a2 + (xq - a2) * s + curve.lam[1] - 2 * g1 * g3
-    return MumfordDivisor.nonspecial(curve.field, a2s, a4s, g1 * a2s - g3, g1 * a4s - g5)
+    s = xq + lam[0] - g1 * g1
+    a2s = (s - a2) % m
+    a4s = (a2 * a2 - a4 + (xq - a2) * s + lam[1] - 2 * g1 * g3) % m
+    return a2s, a4s, (g1 * a2s - g3) % m, (g1 * a4s - g5) % m
 
 
-def _add_point_in_support(P: MumfordDivisor, q, curve: CanonicalCurve) -> MumfordDivisor:
-    """P + q for a point q = (xq, yq) above a root of u_P, where add_special's
-    solve is singular; p1 is the point of P above xq, x2 the other root.
+def _add_special(curve: CanonicalCurve, pc, xq, yq):
+    """The native P + q of a degree-2 P (native pc) and a point q = (xq, yq) of
+    natives, by the weight-5 limit g1 = -(yq + b3*xq + b5)/u_P(xq); OffCurve
+    for q off the curve, None for q above a root of u_P."""
+    if not curve._on_curve_native(xq, yq):
+        raise OffCurve("point not on the curve")
+    F = curve.field
+    a2, a4, b3, b5 = pc
+    try:
+        inv = F._invert(xq * (xq + a2) + a4)
+    except DivisionByZero:
+        return None
+    return _add_point_weight5(curve, pc, xq, -(yq + xq * b3 + b5) * inv % F._modulus)
+
+
+def _add_point_in_support(curve: CanonicalCurve, pc, xq, yq) -> MumfordDivisor:
+    """P + q for a degree-2 P (native pc) and a point q = (xq, yq) of
+    reduced natives above a root of u_P, where _add_special declines; p1 is
+    the point of P above xq, x2 the other root.
 
     q = -p1 (a branch point included) leaves the other point of P.  q = p1
     takes the weight-5 function tangent to the curve at p1, to third order
     when P = 2*p1 (x2 = xq)."""
-    a2, _, b3, b5 = P.coords
-    xq, yq = q
-    x2 = -a2 - xq
-    if yq == b3 * xq + b5:
-        return MumfordDivisor.special(curve.field, x2, -(b3 * x2 + b5))
-    if xq != x2:
-        g1 = -(curve.dp_at(xq) / (yq + yq) + b3) / (xq - x2)
-    else:
-        g1 = -(curve.dpx().derivative().evaluate(xq) / 2 - b3 * b3) / (yq + yq)
-    return _add_point_weight5(P, xq, g1, curve)
+    F, lam, m = curve.field, curve.native, curve.field._modulus
+    a2, _, b3, b5 = pc
+    x2 = -(a2 + xq) % m
+    if not (yq - b3 * xq - b5) % m:
+        return MumfordDivisor._make((F, SPECIAL, (x2, -(b3 * x2 + b5) % m)))
+    if xq != x2:  # g1 = -(P'(xq)/(2*yq) + b3)/(xq - x2)
+        num, den = _dp_of(xq, lam) + 2 * yq * b3, 2 * yq * (xq - x2)
+    else:  # g1 = -(P''(xq)/2 - b3^2)/(2*yq)
+        num, den = ((10 * xq + 6 * lam[0]) * xq + 3 * lam[1]) * xq + lam[2] - b3 * b3, 2 * yq
+    g1 = -num * F._invert(den) % m
+    return MumfordDivisor._make((F, NONSPECIAL, _add_point_weight5(curve, pc, xq, g1)))
 
 
-def _add_overlapping(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
-    """P + Q for degree-2 divisors whose supports share an x, Q != +-P:
-    (P + q1) + q2 for the points q1, q2 of Q above the shared x0 and above
-    the other root of u_Q.  x0 is the common root of the two u's, or where
-    the two lines meet when the u's agree."""
+def _add_overlapping(curve: CanonicalCurve, pc, qc) -> MumfordDivisor:
+    """P + Q for degree-2 divisors (natives pc, qc) whose supports share an
+    x, Q != +-P: (P + q1) + q2 for the points q1, q2 of Q above the shared
+    x0 and above the other root of u_Q.  x0 is the common root of the two
+    u's, or where the two lines meet when the u's agree."""
     F = curve.field
-    qc = Q.coords
-    dA2, dA4, dB3, dB5 = _difference(P.coords, qc)
+    m = F._modulus
+    dA2, dA4, dB3, dB5 = _difference(pc, qc)
     a2, _, b3, b5 = qc
-    x0 = -dB5 / dB3 if F.is_zero(dA2) else -dA4 / dA2  # dA2 = 0: the same u
-    x1 = -a2 - x0
-    R = _add_point_in_support(P, (x0, -(b3 * x0 + b5)), curve)
-    return add_traced(R, MumfordDivisor.special(F, x1, -(b3 * x1 + b5)), curve)[0]
+    x0 = -(dA4 * F._invert(dA2) if dA2 % m else dB5 * F._invert(dB3)) % m  # dA2 = 0: the same u
+    x1 = -(a2 + x0) % m
+    R = _add_point_in_support(curve, pc, x0, -(b3 * x0 + b5) % m)
+    return add_traced(R, MumfordDivisor._make((F, SPECIAL, (x1, -(b3 * x1 + b5) % m))), curve)[0]
 
 
 # ---------------------------------------------------------------------------
 # kernels
 
 def add_points(curve: CanonicalCurve, p1, p2) -> MumfordDivisor:
-    """Sum of two degree-1 classes; the coordinates coincide with the
-    two-point Mumford construction."""
-    F = curve.field
-    if p1[0] == p2[0] and p1[1] == -p2[1]:
-        raise InvolutionPair("points in involution: the sum is Neutral")
+    """Sum of two degree-1 classes: the two-point Mumford construction, which
+    raises InvolutionPair for a pair in involution (the sum is Neutral)."""
     return mumford_from_points(curve, p1, p2)
 
 
 def add_special(P: MumfordDivisor, q_point, curve: CanonicalCurve) -> MumfordDivisor:
-    """Degree-2 plus degree-1 via the weight-5 interpolation limit."""
+    """Degree-2 plus degree-1 via the weight-5 interpolation limit; OffCurve
+    for a point off the curve, QInSupport for one above a root of u_P."""
     _check_degree2(curve.field, P)
     F = curve.field
-    xq, yq = (F.coerce(v) for v in q_point)
-    if not curve.on_curve((xq, yq)):
-        raise OffCurve("point not on the curve")
-    a2, a4, b3, b5 = P.coords
-    den = xq * xq + xq * a2 + a4
-    if F.is_zero(den):
+    s = _add_special(curve, P.native, *(F._native(F.coerce(v)) for v in q_point))
+    if s is None:
         raise QInSupport("point lies in the support of P or -P")
-    return _add_point_weight5(P, xq, -(yq + xq * b3 + b5) / den, curve)
+    return MumfordDivisor._make((F, NONSPECIAL, s))
 
 
 def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivisor:
@@ -360,7 +374,7 @@ def add_to_special(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve) 
     det, r, s0n = _interpolation(qc[0], qc[1], dA2, dA4, dB3, dB5)
     if det % F._modulus:
         raise ConditionViolated("sum is not special: use the generic addition")
-    s = _compose(F, F._native(curve.lam[0]), pc, qc[0], dA2, dA4, r, det, s0n)
+    s = _compose(F, curve.native[0], pc, qc[0], dA2, dA4, r, det, s0n)
     if s is None:
         raise SupportOverlap("supports share an x: not an add_to_special instance")
     return s
@@ -370,7 +384,7 @@ def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDiviso
     """Duplication landing on a single point, 2Q ~ (x, y) - inf: the generic
     doubling kernel's double when its s1 is zero."""
     _check_degree2(curve.field, Q)
-    s = _double_generic(curve.field, _lam_natives(curve), Q.native)
+    s = _double_generic(curve.field, curve.native, Q.native)
     if s is None:
         raise BranchPointInSupport("branch point in support: slopes undefined")
     if type(s) is tuple:
@@ -382,8 +396,8 @@ def double_to_special(Q: MumfordDivisor, curve: CanonicalCurve) -> MumfordDiviso
 # dispatchers
 
 def add_traced(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve):
-    """Total addition; returns (reduced divisor, branch tag).  The operands
-    are not checked against the curve's model: add does that."""
+    """Total addition on natives; returns (reduced divisor, branch tag).  A
+    single point off the curve raises OffCurve; add checks degree-2 operands."""
     F = curve.field
     if P.field is not F or Q.field is not F:
         raise MixedFields("divisor/curve field mismatch")
@@ -396,48 +410,42 @@ def add_traced(P: MumfordDivisor, Q: MumfordDivisor, curve: CanonicalCurve):
         (xp, yp), (xq, yq) = P.native, Q.native
         if xp == xq and not (yp + yq) % m:
             return MumfordDivisor.neutral(F), "inverse"
-        return add_points(curve, P.coords, Q.coords), "add_points"
+        return _from_native_points(curve, xp, yp, xq, yq), "add_points"
     if P.is_special() or Q.is_special():
         if P.is_special():
             P, Q = Q, P
-        q = Q.coords
-        try:
-            return add_special(P, q, curve), "add_special"
-        except QInSupport:
-            return _add_point_in_support(P, q, curve), "support_overlap"
+        s = _add_special(curve, P.native, *Q.native)
+        if s is None:
+            return _add_point_in_support(curve, P.native, *Q.native), "support_overlap"
+        return MumfordDivisor._make((F, NONSPECIAL, s)), "add_special"
     # both degree 2
     pc, qc = P.native, Q.native
     if pc == qc:
         return double_traced(P, curve)
     if pc[0] == qc[0] and pc[1] == qc[1] and not ((pc[2] + qc[2]) % m or (pc[3] + qc[3]) % m):
         return MumfordDivisor.neutral(F), "inverse"
-    s = _add_generic(F, F._native(curve.lam[0]), pc, qc)
+    s = _add_generic(F, curve.native[0], pc, qc)
     if s is None:
-        return _add_overlapping(P, Q, curve), "support_overlap"
+        return _add_overlapping(curve, pc, qc), "support_overlap"
     if type(s) is tuple:
         return MumfordDivisor._make((F, NONSPECIAL, s)), "generic"
     return s, "add_to_special"
 
 
-def _lam_natives(curve: CanonicalCurve) -> tuple:
-    """Native (l2, l4, l6, l8), the coefficients the generic kernels read."""
-    return tuple(map(curve.field._native, curve.lam[:4]))
-
-
 def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
-    """Total duplication; returns (reduced divisor, branch tag).  The operand
-    is not checked against the curve's model: double does that."""
+    """Total duplication on natives; returns (reduced divisor, branch tag).  A
+    single point off the curve raises OffCurve; double checks a degree-2 one."""
     F = curve.field
     if Q.field is not F:
         raise MixedFields("divisor/curve field mismatch")
     if Q.is_neutral():
         return Q, "neutral"
     if Q.is_special():
-        if not Q.native[1]:
+        x, y = Q.native
+        if not y:
             return MumfordDivisor.neutral(F), "double"
-        q = Q.coords
-        return mumford_from_points(curve, q, q), "double"
-    s = _double_generic(F, _lam_natives(curve), Q.native)
+        return _from_native_points(curve, x, y, x, y), "double"
+    s = _double_generic(F, curve.native, Q.native)
     if type(s) is tuple:
         return MumfordDivisor._make((F, NONSPECIAL, s)), "double"
     if s is not None:
@@ -446,10 +454,10 @@ def double_traced(Q: MumfordDivisor, curve: CanonicalCurve):
     if not (Q.native[2] or Q.native[3]):
         return MumfordDivisor.neutral(F), "double"
     # exactly one branch point, at x = -b5/b3: 2Q ~ 2*(the other point)
-    a2, _, b3, b5 = Q.coords
-    x = b5 / b3 - a2
-    other = (x, -(b3 * x + b5))
-    return mumford_from_points(curve, other, other), "double"
+    a2, _, b3, b5 = Q.native
+    x = (b5 * F._invert(b3) - a2) % F._modulus
+    y = -(b3 * x + b5) % F._modulus
+    return _from_native_points(curve, x, y, x, y), "double"
 
 
 def _check_operands(curve: CanonicalCurve, *divisors):
@@ -517,7 +525,7 @@ def scalar_mul(n: int, D: MumfordDivisor, curve: CanonicalCurve) -> MumfordDivis
     digits = _wnaf(n)
     if not digits:
         return MumfordDivisor.neutral(F)
-    lam = _lam_natives(curve)
+    lam = curve.native
     l2, m = lam[0], F._modulus
 
     # x, y below are native tuples (degree 2) or MumfordDivisors (otherwise);

@@ -246,7 +246,7 @@ def _pair_divisor(F, pp) -> MumfordDivisor:
     (x1, y1), (x2, y2) = pp
     if x1 == x2:
         raise SameDivisor("extended law needs distinct x in each pair")
-    return MumfordDivisor.nonspecial(F, *_chord(x1, y1, x2, y2))
+    return MumfordDivisor.nonspecial(F, *_chord(x1, y1, x2, y2, F.inv(x1 - x2)))
 
 
 def add_extended_alpha(g: GeneralCurve, pp, qq=None):

@@ -40,7 +40,6 @@ from .fields import Field, QQ, is_prime
 from .grouplaw import (
     _gammas,
     _interpolation,
-    _lam_natives,
     _sum_alpha,
     _tangent,
     double_traced,
@@ -116,7 +115,7 @@ def _native_duplication(D: MumfordDivisor, curve: CanonicalCurve):
     degree-2 divisor D and its duplication data d, each entry reduced once.
     A branch point in the support (N = 0) leaves the gammas undefined."""
     m = curve.field._modulus
-    c = D.native + _lam_natives(curve)
+    c = D.native + curve.native[:4]
     d = {k: v % m for k, v in _duplication_data(*c).items()}
     if not d["N"]:
         raise GammaUndefined("duplication degenerate: branch point in support")

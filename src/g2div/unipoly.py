@@ -4,10 +4,12 @@ Shared by the curve transformations, the branch-point search, and the
 Cantor oracle.  Coefficients ascend: UniPoly(F, [c0, c1, c2]) is
 c0 + c1*x + c2*x^2.
 
+The arithmetic is a set of list kernels on the field's reduced natives
+(_add, _sub, _mul, _divmod, _exact_div, _scale, _monic, _xgcd): UniPoly's
+operators, xgcd and gcd wrap them, and cantor_add runs them directly.
 xgcd carries one Bezout cofactor, b's, and skips the update after the last
 Euclidean step; cantor_add derives the other by exact division only where
-it needs it.  Products, quotients and remainders, which cannot end in a
-zero coefficient, are built without a stripping pass.
+it needs it.
 
 Root finding (powmod, roots_in_field, factors_of_degree) lives in
 g2div.roots, loaded on first use; its names resolve here too (PEP 562).
@@ -21,7 +23,7 @@ from .fields import Field, FieldElement
 class UniPoly:
     """Coefficients are stored as the field's native values (Field._native:
     int for F_p, int or Fraction for Q, the element itself for F_{p^k}), reduced and
-    without trailing zeros; arithmetic reduces them by % Field._modulus, and
+    without trailing zeros; the kernels below reduce them by % Field._modulus, and
     coeffs, __getitem__, lead and evaluate turn them back into elements by
     Field._from_native.
     An operand that is not a UniPoly is lifted to a constant polynomial."""
@@ -30,18 +32,13 @@ class UniPoly:
 
     def __init__(self, field: Field, coeffs):
         native, coerce = field._native, field.coerce
-        cs = [native(coerce(c)) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
         self.field = field
-        self._c = tuple(cs)
+        self._c = tuple(_strip([native(coerce(c)) for c in coeffs]))
 
     @staticmethod
     def _make(field: Field, cs) -> "UniPoly":
         """A polynomial from a list of reduced native values."""
-        while cs and not cs[-1]:
-            cs.pop()
-        return _poly(field, tuple(cs))
+        return _poly(field, _strip(cs))
 
     @staticmethod
     def zero(field: Field) -> "UniPoly":
@@ -86,50 +83,25 @@ class UniPoly:
     def __hash__(self):
         return hash((self.field, self._c))
 
+    def _other(self, other) -> tuple:  # other's coefficients, a constant lifted
+        return other._c if isinstance(other, UniPoly) else UniPoly.constant(self.field, other)._c
+
     def __add__(self, other):
-        a = self._c
-        b = other._c if isinstance(other, UniPoly) else self._lift(other)._c
-        if len(a) < len(b):
-            a, b = b, a
-        m = self.field._modulus
-        out = list(a)
-        for i, y in enumerate(b):
-            out[i] = (out[i] + y) % m
-        return UniPoly._make(self.field, out)
+        return _poly(self.field, _add(self.field, self._c, self._other(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a = self._c
-        b = other._c if isinstance(other, UniPoly) else self._lift(other)._c
-        m = self.field._modulus
-        out = [(x - y) % m for x, y in zip(a, b)]
-        out += a[len(b):]
-        out += [-y % m for y in b[len(a):]]
-        return UniPoly._make(self.field, out)
+        return _poly(self.field, _sub(self.field, self._c, self._other(other)))
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        return _poly(self.field, _sub(self.field, self._other(other), self._c))
 
     def __neg__(self):
-        m = self.field._modulus
-        return _poly(self.field, tuple([-c % m for c in self._c]))
+        return _poly(self.field, _sub(self.field, (), self._c))
 
     def __mul__(self, other):
-        a = self._c
-        b = other._c if isinstance(other, UniPoly) else self._lift(other)._c
-        F = self.field
-        if not a or not b:
-            return _poly(F, ())
-        # sums of products stay unreduced until the end; over a field the
-        # top coefficient, a product of two nonzero ones, is nonzero
-        out = [F._native_zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        # c % F._modulus for each c; map spares the comprehension's frame
-        return _poly(F, tuple(map(F._modulus.__rmod__, out)))
+        return _poly(self.field, _mul(self.field, self._c, self._other(other)))
 
     __rmul__ = __mul__
 
@@ -145,66 +117,24 @@ class UniPoly:
             e >>= 1
         return result
 
-    def _lift(self, other) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            return other
-        return UniPoly.constant(self.field, other)
-
     def scale(self, c) -> "UniPoly":
         F = self.field
         c = F._native(F.coerce(c))
-        return self._scaled(c) if c else _poly(F, ())
-
-    def _scaled(self, c) -> "UniPoly":
-        """self times the nonzero reduced native c."""
-        m = self.field._modulus
-        return _poly(self.field, tuple([a * c % m for a in self._c]))
-
-    def _divide(self, other):
-        """Quotient and remainder as lists of reduced natives, each without
-        trailing zeros."""
-        b = other._c if isinstance(other, UniPoly) else self._lift(other)._c
-        if not b:
-            raise DivisionByZero("polynomial division by zero")
-        F = self.field
-        rem = list(self._c)
-        db = len(b) - 1
-        if len(rem) <= db:
-            return [], rem
-        m = F._modulus
-        lead = b[-1]
-        inv_lead = None if lead == F._native_one else F._invert(lead)
-        low = b[:-1]  # the leading term cancels by construction
-        q = [F._native_zero] * (len(rem) - db)
-        while len(rem) > db:
-            c = rem.pop()  # nonzero: rem never ends in a zero
-            if inv_lead is not None:
-                c = c * inv_lead % m
-            shift = len(rem) - db
-            q[shift] = c  # the first one is the top, so q ends in no zero
-            for i, bi in enumerate(low, shift):
-                rem[i] = (rem[i] - c * bi) % m
-            while rem and not rem[-1]:
-                rem.pop()
-        return q, rem
+        return _poly(F, _scale(F, self._c, c) if c else ())
 
     def divmod(self, other: "UniPoly"):
-        q, r = self._divide(other)
-        return _poly(self.field, tuple(q)), _poly(self.field, tuple(r))
+        q, r = _divmod(self.field, self._c, self._other(other))
+        return _poly(self.field, q), _poly(self.field, r)
 
     def __mod__(self, other):
-        return _poly(self.field, tuple(self._divide(other)[1]))
+        return _poly(self.field, _divmod(self.field, self._c, self._other(other))[1])
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self._divide(other)
-        if r:
-            raise InexactDivision("nonzero remainder")
-        return _poly(self.field, tuple(q))
+        return _poly(self.field, _exact_div(self.field, self._c, self._other(other)))
 
     def monic(self) -> "UniPoly":
-        if not self._c or self._c[-1] == self.field._native_one:
-            return self
-        return self._scaled(self.field._invert(self._c[-1]))
+        c = _monic(self.field, self._c)
+        return self if c is self._c else _poly(self.field, c)
 
     def derivative(self) -> "UniPoly":
         m = self.field._modulus
@@ -227,9 +157,6 @@ class UniPoly:
             acc = acc * inner + UniPoly.constant(self.field, c)
         return acc
 
-    def map_coeffs(self, target_field: Field, fn) -> "UniPoly":
-        return UniPoly(target_field, [fn(c) for c in self.coeffs])
-
     def __repr__(self):
         if self.is_zero():
             return "UniPoly(0)"
@@ -243,20 +170,122 @@ class UniPoly:
         return "UniPoly(" + " + ".join(parts) + ")"
 
 
-def _poly(field: Field, cs: tuple) -> UniPoly:
-    """A polynomial from a tuple of reduced native values whose last entry,
-    if any, is nonzero, as in a product, a quotient or a remainder; a sum
-    or difference, whose top can cancel, goes through _make."""
+def _poly(field: Field, cs) -> UniPoly:
+    """A polynomial from a sequence of reduced native values whose last
+    entry, if any, is nonzero, as every kernel returns."""
     p = object.__new__(UniPoly)
     p.field = field
-    p._c = cs
+    p._c = tuple(cs)
     return p
 
 
+# ---------------------------------------------------------------------------
+# list kernels: a and b are sequences of the field F's reduced natives without
+# trailing zeros, and so is every result.  A sum or difference, whose top can
+# cancel, is stripped; a product or quotient cannot end in a zero.
+
+def _strip(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _add(F, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    m = F._modulus
+    out = [(x + y) % m for x, y in zip(a, b)]
+    out += a[len(b):]
+    return _strip(out)
+
+
+def _sub(F, a, b):
+    m = F._modulus
+    out = [(x - y) % m for x, y in zip(a, b)]
+    out += a[len(b):]
+    out += [-y % m for y in b[len(a):]]
+    return _strip(out)
+
+
+def _mul(F, a, b):
+    if not a or not b:
+        return []
+    # sums stay unreduced until the end; the top, a product of nonzeros, is nonzero
+    out = [F._native_zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    m = F._modulus
+    return [c % m for c in out]
+
+
+def _scale(F, a, c):
+    """a times the nonzero reduced native c."""
+    m = F._modulus
+    return [x * c % m for x in a]
+
+
+def _monic(F, a):
+    """a over its leading coefficient; a itself if that is one or a is zero."""
+    if not a or a[-1] == F._native_one:
+        return a
+    return _scale(F, a, F._invert(a[-1]))
+
+
+def _divmod(F, a, b):
+    """(quotient, remainder) of a by b."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], a
+    rem, m = list(a), F._modulus
+    lead = b[-1]
+    inv_lead = None if lead == F._native_one else F._invert(lead)
+    low = b[:-1]  # the leading term cancels by construction
+    q = [F._native_zero] * (len(rem) - db)
+    while len(rem) > db:
+        c = rem.pop()  # nonzero: rem never ends in a zero
+        if inv_lead is not None:
+            c = c * inv_lead % m
+        shift = len(rem) - db
+        q[shift] = c  # the first one is the top, so q ends in no zero
+        for i, bi in enumerate(low, shift):
+            rem[i] = (rem[i] - c * bi) % m
+        _strip(rem)
+    return q, rem
+
+
+def _exact_div(F, a, b):
+    q, r = _divmod(F, a, b)
+    if r:
+        raise InexactDivision("nonzero remainder")
+    return q
+
+
+def _xgcd(F, a, b):
+    """(g, t): xgcd's kernel."""
+    r0, r1 = a, b
+    t0, t1 = [], [F._native_one]
+    while r1:
+        q, r = _divmod(F, r0, r1)
+        if not r:
+            r0, t0 = r1, t1
+            break
+        r0, r1 = r1, r
+        t0, t1 = t1, _sub(F, t0, _mul(F, q, t1))
+    if not r0 or r0[-1] == F._native_one:
+        return r0, t0
+    c = F._invert(r0[-1])
+    return _scale(F, r0, c), _scale(F, t0, c)
+
+
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    F, x, y = a.field, a._c, b._c
+    while y:
+        x, y = y, _divmod(F, x, y)[1]
+    return _poly(F, _monic(F, x))
 
 
 def xgcd(a: UniPoly, b: UniPoly):
@@ -265,20 +294,8 @@ def xgcd(a: UniPoly, b: UniPoly):
     Only b's cofactor runs through the Euclidean steps, and not through the
     last one, whose remainder is zero; a caller that needs s takes
     (g - t*b).exact_div(a)."""
-    F = a.field
-    r0, r1 = a, b
-    t0, t1 = UniPoly.zero(F), UniPoly.one(F)
-    while r1._c:
-        q, r = r0._divide(r1)
-        if not r:
-            r0, t0 = r1, t1
-            break
-        r0, r1 = r1, _poly(F, tuple(r))
-        t0, t1 = t1, t0 - _poly(F, tuple(q)) * t1
-    if not r0._c or r0._c[-1] == F._native_one:
-        return r0, t0
-    c = F._invert(r0._c[-1])
-    return r0._scaled(c), t0._scaled(c)
+    g, t = _xgcd(a.field, a._c, b._c)
+    return _poly(a.field, g), _poly(a.field, t)
 
 
 def resultant(a: UniPoly, b: UniPoly) -> FieldElement:

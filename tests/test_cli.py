@@ -291,6 +291,34 @@ def test_off_jacobian_divisor_rejected(files, tmp_path, capsys):
     assert code == 1 and "J8" in out[-1]  # verify still reports the residuals
 
 
+def test_jac_verbs_check_each_operand_once_and_name_the_file(files, tmp_path, capsys, monkeypatch):
+    # add, double and mul check each operand once, in the group law; an
+    # operand off the Jacobian fails with its own file's name, first or second
+    from g2div import cli, divisors, grouplaw
+    c, d = files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "nonspecial", "alpha": ["1", "2"], "beta": ["3", "4"]}))
+    b = str(bad)
+    checked = []
+
+    def counted(D, curve):
+        checked.append(D)
+        return divisors.is_on_jacobian(D, curve)
+
+    for module in (cli, grouplaw):
+        monkeypatch.setattr(module, "is_on_jacobian", counted)
+    for argv, operands in ((("jac", "add", d, d), 2), (("jac", "double", d), 1),
+                           (("jac", "mul", "5", d), 1)):
+        checked.clear()
+        code, _ = run(capsys, *argv, "--curve", c)
+        assert code == 0 and len(checked) == operands, argv
+    for argv in (("jac", "add", b, d), ("jac", "add", d, b), ("jac", "double", b),
+                 ("jac", "mul", "3", b)):
+        code, out = run(capsys, *argv, "--curve", c)
+        assert code == 1, argv
+        assert out[-1] == {"error": "off-curve", "detail": f"{b}: divisor is not on the Jacobian"}, argv
+
+
 def test_json_round_trip_parse_emit(files, capsys):
     c, d = files
     code, out = run(capsys, "jac", "mul", "1", d, "--curve", c)

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -34,6 +35,23 @@ def test_branch_points_are_y0_locus():
     bset = {b.value for b in c.branch_points()}
     for x in c.field.elements():
         assert (x.value in bset) == c.field.is_zero(c.p_at(x))
+
+
+def test_curve_natives_built_once_and_pickled_by_lam():
+    # native holds the coefficients as the field's reduced natives (an
+    # integral rational as its int); the constructor, equality, hashing and
+    # pickling all go by (field, lam)
+    for F, lam in ((GF(1009), (1, 2, 3, 4, 5)), (QQ(), (Fraction(1, 2), 0, -3, 4, 5)),
+                   (GF(7, 2), (0, 0, 0, 1, 3))):
+        c = CanonicalCurve(F, lam)
+        assert c.native == tuple(map(F._native, c.lam))
+        assert [type(v) for v in c.native] == [type(F._native(v)) for v in c.lam]
+        assert c.px() == UniPoly(F, [*reversed(lam), 1])
+        back = pickle.loads(pickle.dumps(c))
+        assert back == c and hash(back) == hash(c) and back.native == c.native
+        assert back.field is F and type(back) is CanonicalCurve
+        assert CanonicalCurve(F, c.lam) == c and len({c, back, CanonicalCurve(F, lam)}) == 1
+        assert c != CanonicalCurve(F, (*c.lam[:4], c.lam[4] + 1))
 
 
 def test_on_curve():

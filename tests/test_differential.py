@@ -21,7 +21,7 @@ from g2div.divisors import MumfordDivisor, mumford_from_points, negate
 from g2div.errors import DegenerateCurve
 from g2div.extension import ExtensionField
 from g2div.fields import GF, QQ
-from g2div.grouplaw import _add_generic, _double_generic, _lam_natives
+from g2div.grouplaw import _add_generic, _double_generic
 from g2div.grouplaw import add_traced, double_traced, scalar_mul
 from g2div.unipoly import UniPoly, resultant
 
@@ -171,7 +171,7 @@ def test_generic_kernels_match_cantor_on_natives(p, k):
     rng = random.Random(p + k)
     F = GF(p, k)
     curve = _curve(F, rng)
-    lam = _lam_natives(curve)
+    lam = curve.native
     divisors, pairs = _kernel_inputs(curve, rng, 40)
 
     def wrap(s):  # a native tuple, or a single-point MumfordDivisor

@@ -21,7 +21,7 @@ from g2div.divisors import (
 )
 from g2div.errors import InvolutionPair, OffCurve
 from g2div.fields import GF, QQ, FieldElement
-from g2div.grouplaw import _double_generic, _lam_natives, add, double_traced
+from g2div.grouplaw import _double_generic, add, double_traced
 from g2div.polyring import PolyRing
 
 
@@ -207,7 +207,7 @@ def _doubles():
         rng = random.Random(7)
         while True:
             D = random_divisor(curve, rng)
-            s = _double_generic(F, _lam_natives(curve), D.native)
+            s = _double_generic(F, curve.native, D.native)
             if type(s) is tuple:
                 break
         out.append((D, double_traced(D, curve)[0]))

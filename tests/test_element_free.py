@@ -1,9 +1,11 @@
-"""UniPoly and the Cantor oracle compute on native values end to end.
+"""UniPoly, the Cantor oracle and the group law's single-point branches
+compute on native values end to end.
 
 Over F_p the natives are ints, so between a divisor's Mumford coordinates
 and the coordinates of the sum the oracle builds no FieldElement: the
-polynomial constants, monic, xgcd's normalization, curve.px() and the
-Mumford bridge stay native, and to_mumford's record holds natives too.
+polynomial constants, monic, xgcd's normalization, the curve's natives and
+the Mumford bridge stay native, and to_mumford's record holds natives too.
+add_traced's sums with a single point build none either.
 """
 import random
 from contextlib import contextmanager
@@ -15,6 +17,7 @@ from conftest import random_point
 from g2div.cantor import cantor_add, from_mumford, to_mumford
 from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, mumford_from_points
+from g2div.grouplaw import add_traced, double_traced
 from g2div.extension import ExtensionField
 from g2div.fields import GF, QQ, Field, FieldElement, FieldSpec
 from g2div.unipoly import UniPoly, gcd, xgcd
@@ -71,6 +74,33 @@ def test_oracle_builds_no_element_between_coordinates():
         with counting_elements() as built:
             assert to_mumford(c) == m
         assert built[0] == 0
+
+
+def test_single_point_branches_build_no_element():
+    # add_traced's add_special, support_overlap and add_points branches and
+    # double_traced's single-point branch run on the operands' natives over
+    # F_p, the off-curve check of a single point included
+    curve, (p1, p2, p3, p4) = _f1009_inputs()
+    F = curve.field
+
+    def S(pt):
+        return MumfordDivisor.special(F, *pt)
+
+    P, twice = mumford_from_points(curve, p1, p2), mumford_from_points(curve, p1, p1)
+    cases = [("add_special", P, S(p3)), ("add_special", S(p4), P),
+             ("support_overlap", P, S(p1)), ("support_overlap", P, S((p1[0], -p1[1]))),
+             ("support_overlap", twice, S(p1)),
+             ("support_overlap", P, mumford_from_points(curve, p1, p3)),
+             ("support_overlap", P, mumford_from_points(curve, (p1[0], -p1[1]), p3)),
+             ("add_points", S(p1), S(p3)), ("add_points", S(p1), S(p1))]
+    for tag, a, b in cases:
+        with counting_elements() as built:
+            got = add_traced(a, b, curve)
+        assert built[0] == 0 and got[1] == tag, (tag, a, b)
+        assert got[0] == to_mumford(cantor_add(from_mumford(a), from_mumford(b), curve))
+    with counting_elements() as built:
+        got = double_traced(S(p1), curve)
+    assert built[0] == 0 and got == (add_traced(S(p1), S(p1), curve)[0], "double")
 
 
 def test_polynomial_constants_gcd_and_monic_build_no_element():

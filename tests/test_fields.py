@@ -1,3 +1,4 @@
+import builtins
 import copy
 import random
 import time
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pullback
+from g2div import fields
 from g2div.errors import (DivisionByZero, G2DivError, MixedFields, NoSquareRoot,
                           SerializationError, UnsupportedField)
 from g2div.extension import FieldEmbedding, find_irreducible, is_irreducible_mod_p
@@ -63,17 +65,16 @@ def test_sqrt_matches_exhaustive_search(monkeypatch):
     # = 3 mod 4 (7, 11, 19, 1019 and 7^3) a nonzero element, square or not,
     # costs a single pow.  Where q = 1 mod 4 a nonzero non-square costs the
     # one pow a^((t-1)/2), and a square that pow plus one per Tonelli-Shanks
-    # step, at most s - 1 of them, with no separate z^t.
+    # step, at most s - 1 of them, with no separate z^t.  sqrt runs on
+    # natives, so its powers are the three-argument pow that fields.py calls
+    # (the built-in one on ints, an element's own over F_{p^k}).
     pows = []
 
-    def counted(pow_):
-        def wrapper(self, a, e):
-            pows.append((a, e))
-            return pow_(self, a, e)
-        return wrapper
+    def counted(v, e, m):
+        pows.append((v, e))
+        return builtins.pow(v, e, m)
 
-    for cls in {type(GF(7)), type(GF(7, 3))}:
-        monkeypatch.setattr(cls, "pow", counted(cls.pow))
+    monkeypatch.setattr(fields, "pow", counted, raising=False)
     for field in (GF(7), GF(11), GF(13), GF(17), GF(19), GF(41), GF(1019), GF(7, 2),
                   GF(7, 3), GF(13, 3)):
         q = field.order()
@@ -92,13 +93,44 @@ def test_sqrt_matches_exhaustive_search(monkeypatch):
             elif q % 4 == 3:
                 assert len(pows) == 1
             else:
-                assert pows[0] == (a, (t - 1) // 2)
+                assert pows[0] == (field._native(a), (t - 1) // 2)
                 assert len(pows) <= (s if roots else 1)
             expected = sorted(squares.get(a.value, []), key=field.sort_key)
             assert list(roots) == expected
             assert field.is_square(a) == bool(roots)
             for r in roots:
                 assert r * r == a
+
+
+def test_prime_field_sqrt_on_natives():
+    # every a of GF(13), GF(17) (s = 4) and GF(1009) against an exhaustive
+    # search, and random inputs over GF(2^127 - 1) (q = 3 mod 4) and GF(2^40
+    # - 87) (q = 1 mod 4) against Euler's criterion; the roots are elements
+    # of the field, sorted, and square to a
+    for field in (GF(13), GF(17), GF(1009)):
+        squares = {}
+        for x in field.elements():
+            squares.setdefault((x * x).value, []).append(x)
+        for a in field.elements():
+            assert list(field.sqrt(a)) == sorted(squares.get(a.value, []), key=field.sort_key)
+    rng = random.Random(127)
+    for p in (2 ** 127 - 1, 2 ** 40 - 87):
+        field = GF(p)
+        for _ in range(300):
+            v = rng.randrange(p)
+            a, x = field.element(v), field.element(rng.randrange(1, p))
+            roots = field.sqrt(a)
+            assert bool(roots) == (v == 0 or pow(v, (p - 1) // 2, p) == 1)
+            assert all(r * r == a and r.field is field for r in roots)
+            assert list(roots) == sorted(roots, key=field.sort_key)
+            assert field.sqrt(x * x) == tuple(sorted({x, -x}, key=field.sort_key))
+    # over F_{p^k} the natives are elements, whose three-argument pow takes
+    # only the field's own modulus
+    E = GF(7, 2)
+    e = E.from_coeffs([2, 3])
+    assert pow(e, 5, E._modulus) == e ** 5
+    with pytest.raises(TypeError):
+        pow(e, 5, 7)
 
 
 def test_extension_sqrt_with_cached_non_residue():

@@ -336,6 +336,23 @@ def test_public_add_and_double_reject_off_jacobian(c1009, rng):
     assert add(D, O, c1009) == D and double(O, c1009) == O
 
 
+def test_traced_dispatchers_reject_an_off_curve_point(c1009, rng):
+    # a single point is checked in every branch that takes one, on natives:
+    # beside a degree-2 divisor (either order), beside another point, and
+    # doubled; the public add_special and mumford_from_points keep theirs
+    F = c1009.field
+    D = random_divisor(c1009, rng)
+    x, y = random_point(c1009, rng, nonzero_y=True)
+    off = MumfordDivisor.special(F, x, y + 1)
+    S = MumfordDivisor.special(F, *random_point(c1009, rng))
+    for call in (lambda: add_traced(D, off, c1009), lambda: add_traced(off, D, c1009),
+                 lambda: add_traced(off, S, c1009), lambda: add_traced(S, off, c1009),
+                 lambda: double_traced(off, c1009), lambda: add_special(D, (x, y + 1), c1009),
+                 lambda: mumford_from_points(c1009, (x, y + 1), (x, y + 1))):
+        with pytest.raises(OffCurve):
+            call()
+
+
 def test_section44_consistency(c7):
     # the gamma matrix is singular exactly when the weight-5 condition holds
     from g2div.cantor import enumerate_jacobian

@@ -13,11 +13,10 @@ to a single-point sum.
 import random
 from collections import Counter
 
-from g2div import cantor, grouplaw
+from g2div import cantor, grouplaw, unipoly
 from g2div.curves import CanonicalCurve
 from g2div.divisors import mumford_from_points
 from g2div.fields import FieldSpec, GF, PrimeField
-from g2div.unipoly import UniPoly
 
 P40 = 2 ** 40 - 87
 COUNTS = Counter()
@@ -120,7 +119,7 @@ REPEATED_DOUBLE_COUNTS = (29, 1, 35, 10, 1)
 
 def _double_counts(curve, D):
     F = CountingPrimeField(FieldSpec("prime", p=P40))
-    lam = tuple(map(F._native, curve.lam[:4]))
+    lam = tuple(map(F._native, curve.lam))
     got, counts = _count(grouplaw._double_generic, F, lam, tuple(map(Counting, D.native)))
     assert got == grouplaw.double(D, curve).native
     return counts
@@ -179,10 +178,26 @@ def test_special_path_counts():
     got, counts = _count(grouplaw._add_generic, F, F._native(curve.lam[0]), pc, qc)
     assert got.is_special() and got.native == grouplaw.add(P, Q, curve).native
     assert counts == ADD_TO_SPECIAL_COUNTS
-    lam = tuple(map(F._native, curve.lam[:4]))
+    lam = tuple(map(F._native, curve.lam))
     got, counts = _count(grouplaw._double_generic, F, lam, dc)
     assert got.is_special() and got.native == grouplaw.double(D, curve).native
     assert counts == DOUBLE_TO_SPECIAL_COUNTS
+
+
+# the native sum of a degree-2 divisor and a point, add_traced's add_special
+# branch: the point's curve equation, u_P(xq), its one inversion, g1 and the
+# weight-5 function's sum
+ADD_SPECIAL_COUNTS = (16, 1, 22, 6, 1)
+
+
+def test_add_special_counts():
+    curve, pts = _curve_points(P40)
+    P = mumford_from_points(curve, *pts[:2])
+    counting = CanonicalCurve(CountingPrimeField(FieldSpec("prime", p=P40)), curve.native)
+    xq, yq = (Counting(v.value) for v in pts[2])
+    got, counts = _count(grouplaw._add_special, counting, tuple(map(Counting, P.native)), xq, yq)
+    assert got == grouplaw.add_special(P, pts[2], curve).native
+    assert counts == ADD_SPECIAL_COUNTS
 
 
 # (_double_generic, _add_generic, _invert calls) of one 128-bit scalar_mul
@@ -224,28 +239,33 @@ def test_counting_native_stays_counting():
 # ---------------------------------------------------------------------------
 # the Cantor oracle's polynomial operations
 
-POLY_KINDS = {"products": ("__mul__", "__rmul__"), "divisions": ("_divide",),
-              "additions": ("__add__", "__radd__", "__sub__", "__neg__")}
+POLY_KINDS = {"products": ("_mul",), "divisions": ("_divmod",),
+              "additions": ("_add", "_sub"), "xgcd": ("_xgcd",)}
 
 
 def _count_poly_ops(monkeypatch):
-    """Tally UniPoly's products, divisions (divmod, %, exact_div and xgcd's
-    steps all run _divide), additions, subtractions and negations (__rsub__
-    runs __sub__), and the oracle's xgcd calls."""
-    def counted(kind, method):
+    """Tally unipoly's list kernels as the oracle runs them: products,
+    divisions (% and exact division, and xgcd's Euclidean steps, all run
+    _divmod), additions, subtractions and negations (0 - v), and xgcd
+    calls.  Each
+    kernel is patched in unipoly, where the kernels call one another, and in
+    cantor, which imports them by name."""
+    def counted(kind, kernel):
         def wrapper(*args):
             COUNTS[kind] += 1
-            return method(*args)
+            return kernel(*args)
         return wrapper
 
     for kind, names in POLY_KINDS.items():
         for name in names:
-            monkeypatch.setattr(UniPoly, name, counted(kind, getattr(UniPoly, name)))
-    monkeypatch.setattr(cantor, "xgcd", counted("xgcd", cantor.xgcd))
+            wrapper = counted(kind, getattr(unipoly, name))
+            for module in (unipoly, cantor):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
 
 
-# UniPoly (products, divisions, additions and negations, xgcd calls) of one
-# cantor_add; README tabulates them
+# unipoly kernel calls (products, divisions, additions and negations, xgcd
+# calls) of one cantor_add; README tabulates them
 CANTOR_COUNTS = {"coprime": (6, 6, 6, 1), "double": (5, 5, 6, 1), "shared": (10, 8, 10, 2),
                  "involute": (8, 8, 7, 2)}
 
