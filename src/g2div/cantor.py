@@ -1,9 +1,9 @@
 """Independent ground truth: textbook Cantor arithmetic on genus-2 Jacobians.
 
 Deliberately shares nothing with the coordinate-law module: divisors are
-(u, v) polynomial pairs, addition is classical composition + reduction, and
-enumeration is a scan over candidate pairs.  Agreement with the coordinate
-laws is evidence, not tautology.
+(u, v) polynomial pairs held as natives, addition is classical composition +
+reduction, and enumeration is a scan over candidate pairs.  Agreement with
+the coordinate laws is evidence, not tautology.
 
 Sign bridge to Mumford coordinates: the line y + b3*x + b5 vanishing on the
 support means v(x) = -b3*x - b5.
@@ -16,28 +16,35 @@ from .curves import CanonicalCurve
 from .divisors import NEUTRAL, NONSPECIAL, SPECIAL, MumfordDivisor
 from .errors import MixedFields, SerializationError, UnsupportedField
 from .fields import Field
-from .unipoly import UniPoly, _add, _divmod, _exact_div, _monic, _mul, _poly, _sub, _xgcd
+from .unipoly import UniPoly, _add, _divmod, _exact_div, _monic, _mul, _poly, _strip, _sub, _xgcd
 
 
-class CantorDivisor(namedtuple("CantorDivisor", "u v")):
-    """u: monic UniPoly of degree <= 2; v: UniPoly with deg v < deg u."""
+class CantorDivisor(namedtuple("CantorDivisor", "field u_native v_native")):
+    """The natives of u, monic of degree <= 2, and of v, deg v < deg u; u and
+    v are UniPolys built on access.  The oracle builds records with _make."""
 
     __slots__ = ()
 
     def __new__(cls, u: UniPoly, v: UniPoly):
         if u._c and u._c[-1] != u.field._native_one:
             raise SerializationError("u must be monic")
-        return super().__new__(cls, u, v)
+        return super().__new__(cls, u.field, u._c, v._c)
+
+    def __getnewargs__(self):  # pickles through the constructor
+        return self.u, self.v
+
+    u = property(lambda self: _poly(self.field, self.u_native))
+    v = property(lambda self: _poly(self.field, self.v_native))
 
     def degree(self) -> int:
-        return self.u.degree()
+        return len(self.u_native) - 1
 
     def __repr__(self):
         return f"Cantor(u={self.u!r}, v={self.v!r})"
 
 
 def neutral_divisor(field: Field) -> CantorDivisor:
-    return CantorDivisor(UniPoly.one(field), UniPoly.zero(field))
+    return CantorDivisor._make((field, (field._native_one,), ()))
 
 
 def cantor_add(a: CantorDivisor, b: CantorDivisor, curve: CanonicalCurve) -> CantorDivisor:
@@ -48,13 +55,13 @@ def cantor_add(a: CantorDivisor, b: CantorDivisor, curve: CanonicalCurve) -> Can
     f))/d mod u.  Each xgcd carries one cofactor, and the three cases below
     are that formula with the cofactors it does not need cancelled out.  A
     unit d (d = 1, as d is monic) divides nothing.  Every step is one of
-    unipoly's list kernels, and only the result is wrapped as UniPolys."""
+    unipoly's list kernels, from the operands' natives to the result's."""
     F = curve.field
-    if a.u.field is not F or b.u.field is not F:
+    Fa, u1, v1 = a
+    Fb, u2, v2 = b
+    if Fa is not F or Fb is not F:
         raise MixedFields("divisor/curve field mismatch")
     f = (*reversed(curve.native), F._native_one)
-    u1, v1 = a.u._c, a.v._c
-    u2, v2 = b.u._c, b.v._c
     if u1 == u2:
         # one support, a doubling among them: gcd(u1, u2) = u1 = 0*u1 + 1*u2,
         # and with d = gcd(u1, v1 + v2) = c1*u1 + c2*(v1 + v2) the numerator
@@ -89,11 +96,12 @@ def cantor_add(a: CantorDivisor, b: CantorDivisor, curve: CanonicalCurve) -> Can
     while len(u) > 3:
         u = _monic(F, _exact_div(F, _sub(F, f, _mul(F, v, v)), u))
         v = _divmod(F, _sub(F, (), v), u)[1]
-    return CantorDivisor(_poly(F, _monic(F, u)), _poly(F, v))
+    return CantorDivisor._make((F, tuple(_monic(F, u)), tuple(v)))
 
 
 def cantor_neg(a: CantorDivisor) -> CantorDivisor:
-    return CantorDivisor(a.u, (-a.v) % a.u if a.u.degree() > 0 else -a.v)
+    F, u, v = a
+    return CantorDivisor._make((F, u, tuple(_divmod(F, _sub(F, (), v), u)[1])))
 
 
 def cantor_scalar_mul(n: int, a: CantorDivisor, curve: CanonicalCurve) -> CantorDivisor:
@@ -113,14 +121,14 @@ def cantor_scalar_mul(n: int, a: CantorDivisor, curve: CanonicalCurve) -> Cantor
 # Mumford bridge
 
 def to_mumford(d: CantorDivisor) -> MumfordDivisor:
-    """The Mumford divisor, its record built from the native coefficients
-    with no element."""
-    F = d.u.field
-    m, u = F._modulus, d.u._c
-    if d.degree() == 0:
+    """The Mumford divisor, its record built from the record's natives with
+    no element."""
+    F, u, v = d
+    m = F._modulus
+    if len(u) == 1:
         return MumfordDivisor.neutral(F)
-    v = d.v._c + (F._native_zero,) * (len(u) - 1 - len(d.v._c))
-    if d.degree() == 1:
+    v += (F._native_zero,) * (len(u) - 1 - len(v))
+    if len(u) == 2:
         return MumfordDivisor._make((F, SPECIAL, (-u[0] % m, v[0])))
     return MumfordDivisor._make((F, NONSPECIAL, (u[1], u[0], -v[1] % m, -v[0] % m)))
 
@@ -129,12 +137,12 @@ def from_mumford(m: MumfordDivisor) -> CantorDivisor:
     F = m.field
     if m.variant == NEUTRAL:
         return neutral_divisor(F)
-    mod, one, make = F._modulus, F._native_one, UniPoly._make
+    mod, one, make = F._modulus, F._native_one, CantorDivisor._make
     if m.variant == SPECIAL:
         x0, y0 = m.native
-        return CantorDivisor(make(F, [-x0 % mod, one]), make(F, [y0]))
+        return make((F, (-x0 % mod, one), (y0,) if y0 else ()))
     a2, a4, b3, b5 = m.native
-    return CantorDivisor(make(F, [a4, a2, one]), make(F, [-b5 % mod, -b3 % mod]))
+    return make((F, (a4, a2, one), tuple(_strip([-b5 % mod, -b3 % mod]))))
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +198,24 @@ def enumerate_jacobian(curve: CanonicalCurve):
     if p > ENUMERATION_CAP:
         raise UnsupportedField(f"p={p} above the desk-scale cap {ENUMERATION_CAP}")
     f = curve.px()
-    make = UniPoly._make
+    make = CantorDivisor._make
     out = [neutral_divisor(F)]
     # degree 1: u = x - a, v = c with c^2 = P(a)
     for a in F.elements():
         val = f.evaluate(a)
         for c in F.sqrt(val):
-            out.append(CantorDivisor(make(F, [-a.value % p, 1]), make(F, [c.value])))
+            out.append(make((F, (-a.value % p, 1), (c.value,) if c.value else ())))
     # degree 2: u = x^2 + u1 x + u0, v = v1 x + v0 with u | v^2 - P, on residues
     # mod p: v^2 mod u = (2 v1 v0 - v1^2 u1) x + (v0^2 - v1^2 u0) = P mod u
     for u1 in range(p):
         for u0 in range(p):
-            u = make(F, [u0, u1, 1])
-            r0, r1 = ((f % u)._c + (0, 0))[:2]
+            u = (u0, u1, 1)
+            r0, r1 = (*_divmod(F, f._c, u)[1], 0, 0)[:2]
             for v1 in range(p):
                 w1, w0 = v1 * v1 * u1 + r1, v1 * v1 * u0 + r0
                 for v0 in range(p):
                     if (2 * v1 * v0 - w1) % p == 0 and (v0 * v0 - w0) % p == 0:
-                        out.append(CantorDivisor(u, make(F, [v0, v1])))
+                        out.append(make((F, u, tuple(_strip([v0, v1])))))
     return out
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
+from math import isqrt
 
 from .curves import LAMBDA_NAMES, LAMBDA_WEIGHTS, CanonicalCurve, _dp_of, _p_of
 from .divisors import MumfordDivisor, p_mod_u
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .fields import Field, QQ, is_prime
 from .grouplaw import (
+    _check_operands,
     _gammas,
     _interpolation,
     _sum_alpha,
@@ -62,13 +64,14 @@ DivisionPolySet = namedtuple("DivisionPolySet", "n coords names polys")
 
 def _prime_divisors(n: int) -> list:
     """The distinct primes dividing n >= 1, by trial division that stops once
-    the cofactor is prime."""
-    primes, ell = [], 2
-    while n > 1 and not is_prime(n):
+    the cofactor, tested again only when it shrinks, is prime."""
+    primes, ell, prime = [], 2, is_prime(n)
+    while n > 1 and not prime:
         if n % ell == 0:
             primes.append(ell)
             while n % ell == 0:
                 n //= ell
+            prime = is_prime(n)
         ell += 1
     return primes + [n] if n > 1 else primes
 
@@ -77,9 +80,16 @@ def is_torsion(D: MumfordDivisor, n: int, curve: CanonicalCurve) -> bool:
     """Exact order n.
 
     D has exact order n when nD = 0 and (n/l)D != 0 for each prime l | n,
-    so the test takes 1 + omega(n) scalar multiplications."""
+    so the test takes 1 + omega(n) scalar multiplications.  Over F_q no order
+    exceeds #J(F_q) <= (1 + sqrt q)^4 <= (2 + isqrt q)^4, so a larger n takes
+    none; else, once nD = 0, trial division takes about n's second largest
+    prime factor in steps, unbounded over Q."""
     if n < 1:
         raise SerializationError("torsion order must be positive")
+    q = curve.field.order()
+    if q is not None and n > (2 + isqrt(q)) ** 4:
+        _check_operands(curve, D)
+        return False
     if scalar_mul(n, D, curve).variant != "neutral":
         return False
     return all(scalar_mul(n // ell, D, curve).variant != "neutral"

@@ -7,9 +7,8 @@ c0 + c1*x + c2*x^2.
 The arithmetic is a set of list kernels on the field's reduced natives
 (_add, _sub, _mul, _divmod, _exact_div, _scale, _monic, _xgcd): UniPoly's
 operators, xgcd and gcd wrap them, and cantor_add runs them directly.
-xgcd carries one Bezout cofactor, b's, and skips the update after the last
-Euclidean step; cantor_add derives the other by exact division only where
-it needs it.
+xgcd carries one Bezout cofactor, b's, and stops at a unit remainder;
+cantor_add derives the other by exact division only where it needs it.
 
 Root finding (powmod, roots_in_field, factors_of_degree) lives in
 g2div.roots, loaded on first use; its names resolve here too (PEP 562).
@@ -181,8 +180,8 @@ def _poly(field: Field, cs) -> UniPoly:
 
 # ---------------------------------------------------------------------------
 # list kernels: a and b are sequences of the field F's reduced natives without
-# trailing zeros, and so is every result.  A sum or difference, whose top can
-# cancel, is stripped; a product or quotient cannot end in a zero.
+# trailing zeros, and so is every result.  Only a sum or difference of equal
+# lengths can cancel its top, so only it is stripped; no product or quotient.
 
 def _strip(cs: list) -> list:
     while cs and not cs[-1]:
@@ -195,16 +194,20 @@ def _add(F, a, b):
         a, b = b, a
     m = F._modulus
     out = [(x + y) % m for x, y in zip(a, b)]
+    if len(a) == len(b):
+        return _strip(out)
     out += a[len(b):]
-    return _strip(out)
+    return out
 
 
 def _sub(F, a, b):
     m = F._modulus
     out = [(x - y) % m for x, y in zip(a, b)]
+    if len(a) == len(b):
+        return _strip(out)
     out += a[len(b):]
     out += [-y % m for y in b[len(a):]]
-    return _strip(out)
+    return out
 
 
 def _mul(F, a, b):
@@ -265,16 +268,17 @@ def _exact_div(F, a, b):
 
 
 def _xgcd(F, a, b):
-    """(g, t): xgcd's kernel."""
+    """(g, t): xgcd's kernel; a nonzero constant remainder is the gcd."""
     r0, r1 = a, b
     t0, t1 = [], [F._native_one]
-    while r1:
+    while len(r1) > 1:
         q, r = _divmod(F, r0, r1)
         if not r:
-            r0, t0 = r1, t1
             break
         r0, r1 = r1, r
         t0, t1 = t1, _sub(F, t0, _mul(F, q, t1))
+    if r1:
+        r0, t0 = r1, t1
     if not r0 or r0[-1] == F._native_one:
         return r0, t0
     c = F._invert(r0[-1])
@@ -291,8 +295,9 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 def xgcd(a: UniPoly, b: UniPoly):
     """(g, t): g = gcd(a, b), monic, and t with s*a + t*b = g for some s.
 
-    Only b's cofactor runs through the Euclidean steps, and not through the
-    last one, whose remainder is zero; a caller that needs s takes
+    Only b's cofactor runs through the Euclidean steps, which stop at the
+    first remainder that divides the one before it, a nonzero constant
+    without a division; a caller that needs s takes
     (g - t*b).exact_div(a)."""
     g, t = _xgcd(a.field, a._c, b._c)
     return _poly(a.field, g), _poly(a.field, t)

@@ -1,8 +1,12 @@
+import json
+import pickle
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import random_divisor
+from conftest import random_divisor, random_point
 from g2div.cantor import (
     CantorDivisor,
     brute_force_n_torsion,
@@ -16,9 +20,10 @@ from g2div.cantor import (
     neutral_divisor,
     to_mumford,
 )
-from g2div.curves import CanonicalCurve
-from g2div.errors import DegenerateCurve, UnsupportedField
-from g2div.fields import GF
+from g2div.curves import CanonicalCurve, curve_from_json
+from g2div.divisors import MumfordDivisor, divisor_from_json
+from g2div.errors import DegenerateCurve, SerializationError, UnsupportedField
+from g2div.fields import GF, QQ
 from g2div.unipoly import UniPoly
 
 
@@ -181,3 +186,75 @@ def test_native_scan_matches_unipoly_scan():
         assert els == scan_with_unipoly(curve)  # same divisors in the same order
         assert all(is_valid(d, curve) for d in els)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the record: (field, u natives, v natives), u and v built on access
+
+DATA = Path(__file__).parent / "data"
+
+
+def seeded_divisors(curve, seed, count=30):
+    """Mumford divisors over the curve's finite field: degree 2 from two
+    points, single points and the neutral class."""
+    rng, F = random.Random(seed), curve.field
+    out = [MumfordDivisor.neutral(F)]
+    while len(out) < count:
+        out.append(random_divisor(curve, rng) if len(out) % 3 else
+                   MumfordDivisor.special(F, *random_point(curve, rng)))
+    return out
+
+
+def q_divisors():
+    """The Q fixtures' divisors and their multiples, with non-integral
+    coordinates, and the neutral class."""
+    out = []
+    for name in ("three", "four"):
+        curve = curve_from_json(json.loads((DATA / f"q_{name}_torsion.json").read_text()))
+        d = divisor_from_json(QQ(), json.loads((DATA / f"q_{name}_torsion_d.json").read_text()))
+        c = from_mumford(d)
+        out += [(curve, to_mumford(cantor_scalar_mul(n, c, curve))) for n in range(5)]
+    return out
+
+
+def test_bridge_round_trip_beyond_f7():
+    # over F_7 test_mumford_bridge_bijection round-trips every divisor
+    for q, lam, seed in ((7, 2, 72), (3, 3, 33)):
+        c = CanonicalCurve(GF(q, lam), (1, 2, 0, 1, 1))
+        for m in seeded_divisors(c, seed):
+            d = from_mumford(m)
+            assert to_mumford(d) == m and from_mumford(to_mumford(d)) == d
+    ms = q_divisors()
+    assert any(type(x) is Fraction for _, m in ms for x in m.native)
+    for _, m in ms:
+        assert to_mumford(from_mumford(m)) == m
+
+
+def test_record_holds_natives():
+    F = GF(7)
+    d = from_mumford(MumfordDivisor.nonspecial(F, 6, 0, 5, 6))
+    assert d == (F, (0, 6, 1), (1, 2)) and d.degree() == 2
+    assert d.u == UniPoly(F, [0, 6, 1]) and d.v == UniPoly(F, [1, 2])
+    assert d != (d.u, d.v)  # the items are natives, not the two UniPolys
+    assert CantorDivisor(d.u, d.v) == d
+    assert from_mumford(MumfordDivisor.special(F, 3, 0)) == (F, (4, 1), ())
+    assert neutral_divisor(F) == (F, (1,), ()) and neutral_divisor(F).degree() == 0
+
+
+def test_constructor_rejects_non_monic_u():
+    for F in (GF(7), GF(7, 2), QQ()):
+        with pytest.raises(SerializationError):
+            CantorDivisor(UniPoly(F, [1, 2]), UniPoly.zero(F))
+        with pytest.raises(SerializationError):
+            CantorDivisor(UniPoly(F, [3, 1, 5]), UniPoly(F, [1]))
+
+
+def test_record_pickles(jac7):
+    curve, els = jac7
+    c49 = CanonicalCurve(GF(7, 2), (1, 2, 0, 1, 1))
+    ds = els + [from_mumford(m) for m in seeded_divisors(c49, 49, 10)]
+    ds += [from_mumford(m) for _, m in q_divisors()]
+    for d in ds:
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d and hash(back) == hash(d) and type(back) is CantorDivisor
+        assert back.field is d.field

@@ -5,7 +5,9 @@ Over F_p the natives are ints, so between a divisor's Mumford coordinates
 and the coordinates of the sum the oracle builds no FieldElement: the
 polynomial constants, monic, xgcd's normalization, the curve's natives and
 the Mumford bridge stay native, and to_mumford's record holds natives too.
-add_traced's sums with a single point build none either.
+CantorDivisor holds its coefficients' natives, so the oracle builds no
+UniPoly there either.  add_traced's sums with a single point build no
+FieldElement.
 """
 import random
 from contextlib import contextmanager
@@ -14,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_point
-from g2div.cantor import cantor_add, from_mumford, to_mumford
+from g2div import cantor, unipoly
+from g2div.cantor import cantor_add, cantor_neg, from_mumford, to_mumford
 from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, mumford_from_points
 from g2div.grouplaw import add_traced, double_traced
@@ -39,6 +42,34 @@ def counting_elements():
         yield built
     finally:
         FieldElement.__init__ = init
+
+
+@contextmanager
+def counting_polys():
+    """Counts UniPoly constructions inside the block: the constructor and
+    _poly, which every other way of making one calls, in each module that
+    holds it."""
+    built = [0]
+    init, make = UniPoly.__init__, unipoly._poly
+
+    def counted_init(self, field, coeffs):
+        built[0] += 1
+        init(self, field, coeffs)
+
+    def counted_make(field, cs):
+        built[0] += 1
+        return make(field, cs)
+
+    holders = [m for m in (unipoly, cantor) if getattr(m, "_poly", None) is make]
+    UniPoly.__init__ = counted_init
+    for m in holders:
+        m._poly = counted_make
+    try:
+        yield built
+    finally:
+        UniPoly.__init__ = init
+        for m in holders:
+            m._poly = make
 
 
 def _f1009_inputs():
@@ -74,6 +105,26 @@ def test_oracle_builds_no_element_between_coordinates():
         with counting_elements() as built:
             assert to_mumford(c) == m
         assert built[0] == 0
+
+
+def test_oracle_sweep_check_builds_no_polynomial():
+    # oracle-sweep's check of one operation over F_1009, on every kind of
+    # operand it meets, runs on the records' natives from end to end
+    curve, (p1, p2, p3, p4) = _f1009_inputs()
+    F = curve.field
+    D = mumford_from_points(curve, p1, p2)
+    S, O = MumfordDivisor.special(F, *p3), MumfordDivisor.neutral(F)
+    pairs = [(D, mumford_from_points(curve, p3, p4)), (D, D), (D, mumford_from_points(curve, p1, p3)),
+             (D, mumford_from_points(curve, (p1[0], -p1[1]), p3)), (D, S), (S, S),
+             (S, MumfordDivisor.special(F, *p4)), (D, O), (O, O)]
+    with counting_polys() as built, counting_elements() as elements:
+        sums = [to_mumford(cantor_add(from_mumford(a), from_mumford(b), curve)) for a, b in pairs]
+        negs = [cantor_neg(from_mumford(a)) for a, _ in pairs]
+    assert built[0] == 0 and elements[0] == 0
+    assert sums == [add_traced(a, b, curve)[0] for a, b in pairs]
+    with counting_polys() as built:
+        negs[0].u, negs[0].v, UniPoly(F, [1, 2]), UniPoly.one(F)
+    assert built[0] == 4  # the counter sees the record's UniPolys built on access
 
 
 def test_single_point_branches_build_no_element():

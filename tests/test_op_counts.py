@@ -266,7 +266,7 @@ def _count_poly_ops(monkeypatch):
 
 # unipoly kernel calls (products, divisions, additions and negations, xgcd
 # calls) of one cantor_add; README tabulates them
-CANTOR_COUNTS = {"coprime": (6, 6, 6, 1), "double": (5, 5, 6, 1), "shared": (10, 8, 10, 2),
+CANTOR_COUNTS = {"coprime": (6, 5, 6, 1), "double": (5, 4, 6, 1), "shared": (10, 7, 10, 2),
                  "involute": (8, 8, 7, 2)}
 
 

@@ -11,7 +11,7 @@ import pytest
 from conftest import random_divisor, random_point
 from grouplaw_helpers import torsion_branch_classification
 from polyring_helpers import mumford_ring, sylvester_resultant, x_pair_ring, xy_ring
-from g2div import cli
+from g2div import cli, torsion
 from g2div.cantor import (
     brute_force_n_torsion,
     cantor_add,
@@ -31,8 +31,14 @@ from g2div.divisors import (
     p_mod_u,
     points_from_mumford,
 )
-from g2div.errors import CharacteristicTooSmall, DegenerateCurve, GammaUndefined, SerializationError
-from g2div.fields import GF, QQ
+from g2div.errors import (
+    CharacteristicTooSmall,
+    DegenerateCurve,
+    GammaUndefined,
+    OffCurve,
+    SerializationError,
+)
+from g2div.fields import GF, QQ, is_prime
 from g2div.grouplaw import double_traced, gamma_double, scalar_mul, tangent_data
 from g2div.polyring import PolyRing
 from g2div.torsion import (
@@ -49,6 +55,7 @@ from g2div.torsion import (
     two_torsion_divisors,
     _divisors_above,
     _int_fraction,
+    _prime_divisors,
 )
 from g2div.roots import roots_in_field
 from g2div.unipoly import UniPoly
@@ -796,3 +803,57 @@ class TestQConstructedTorsion:
         assert out["is_torsion"] is True and out["residuals"] == ["0", "0"]
         assert cli.main(["jac", "mul", str(n), d, *files]) == 0
         assert json.loads(capsys.readouterr().out) == {"type": "neutral"}
+
+
+# ---------------------------------------------------------------------------
+# an n with two prime factors above 10^6: is_torsion factors n once nD = 0,
+# testing primality only as the cofactor shrinks, and over F_q an n past the
+# Hasse-Weil bound takes no scalar multiplication
+
+BIG_PRIMES = (1000003, 1000033)
+
+
+def test_prime_divisors_tests_each_cofactor_once(monkeypatch):
+    calls = [0]
+
+    def counted(n):
+        calls[0] += 1
+        return is_prime(n)
+
+    monkeypatch.setattr(torsion, "is_prime", counted)
+    p, q = BIG_PRIMES
+    cases = {25 * p * q: [5, p, q], 3 * p * q: [3, p, q], 4 * 27 * p: [2, 3, p],
+             2 ** 10: [2], p: [p], 1: []}
+    for n, primes in cases.items():
+        calls[0] = 0
+        assert _prime_divisors(n) == primes
+        # once up front, then once per prime divided out
+        assert calls[0] <= 1 + len(primes), (n, calls[0])
+
+
+def test_is_torsion_past_the_hasse_weil_bound(monkeypatch):
+    curve = curve_from_json(json.loads((DATA / "c7.json").read_text()))
+    d = divisor_from_json(curve.field, json.loads((DATA / "c7_d1.json").read_text()))
+    assert is_torsion(d, 25, curve)
+    assert (2 + 2) ** 4 < 25 * BIG_PRIMES[0] * BIG_PRIMES[1]  # (2 + isqrt 7)^4
+    ladders = [0]
+
+    def counted(*args):
+        ladders[0] += 1
+        return scalar_mul(*args)
+
+    monkeypatch.setattr(torsion, "scalar_mul", counted)
+    for n in (25 * BIG_PRIMES[0] * BIG_PRIMES[1], 25 * (2 ** 40 - 87) * (2 ** 40 + 15)):
+        assert not is_torsion(d, n, curve)
+    assert ladders[0] == 0
+    off = MumfordDivisor.nonspecial(curve.field, 1, 1, 1, 1)
+    assert not is_on_jacobian(off, curve)
+    with pytest.raises(OffCurve):
+        is_torsion(off, 25 * BIG_PRIMES[0] * BIG_PRIMES[1], curve)
+
+
+@pytest.mark.parametrize("name,n", P127_FIXTURES)
+def test_is_torsion_with_large_prime_factors_over_q(name, n):
+    # Q has no bound: nD = 0, so n is factored, by trial division up to 10^6
+    curve, d = _fixture("q", name)
+    assert not is_torsion(d, n * BIG_PRIMES[0] * BIG_PRIMES[1], curve)

@@ -82,6 +82,46 @@ def test_gcd_and_xgcd(field):
         assert (a % g).is_zero() and (b % g).is_zero()
 
 
+def full_euclid(a, b):
+    """Textbook extended Euclid on UniPoly operators, every step run until
+    the remainder is zero: (g, t) with g = gcd(a, b) monic and t b's cofactor."""
+    F = a.field
+    r0, r1, t0, t1 = a, b, UniPoly.zero(F), UniPoly.one(F)
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
+    c = F.inv(r0.lead())
+    return r0.scale(c), t0.scale(c)
+
+
+@pytest.mark.parametrize("field", [GF(1009), GF(7, 2), QQ()], ids=lambda f: f.short_name())
+def test_xgcd_kernel_matches_full_euclid(field):
+    # the kernel stops at a nonzero constant remainder, a step before the
+    # textbook loop, with the same gcd and cofactor: on coprime pairs, pairs
+    # with a common factor and pairs with a constant or zero operand
+    rng = random.Random(2024)
+    kinds = {"coprime": 0, "common": 0, "constant": 0}
+    for i in range(200):
+        a = rand_poly(field, rng, 7)
+        b = rand_poly(field, rng, 6)
+        if i % 4 == 0:
+            common = UniPoly(field, [elem(field, rng.randrange(10 ** 6)) for _ in range(2)] + [1])
+            a, b = a * common, b * common
+        elif i % 4 == 1:
+            b = UniPoly.constant(field, elem(field, rng.randrange(1, 10 ** 6)))
+            if i % 8 == 1:
+                a, b = b, a
+        if a.is_zero() and b.is_zero():
+            continue
+        g, t = xgcd(a, b)
+        assert (g, t) == full_euclid(a, b), (a, b)
+        if not a.is_zero():
+            assert (g - t * b).exact_div(a) * a + t * b == g
+        kinds["constant" if min(a.degree(), b.degree()) <= 0
+              else "coprime" if g.degree() == 0 else "common"] += 1
+    assert min(kinds.values()) >= 30, kinds
+
+
 def test_resultant_discriminant_value():
     Q = QQ()
     p = UniPoly(Q, [1, 0, 0, 0, 0, 1])  # x^5 + 1
