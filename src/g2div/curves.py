@@ -55,9 +55,6 @@ class CanonicalCurve(namedtuple("CanonicalCurve", "field lam native")):
     def px(self) -> UniPoly:
         return UniPoly._make(self.field, [*reversed(self.native), self.field._native_one])
 
-    def dpx(self) -> UniPoly:
-        return self.px().derivative()
-
     def _native_at(self, poly, x):
         """The reduced native of poly (_p_of or _dp_of) at x."""
         F = self.field

@@ -239,6 +239,46 @@ class WeightedPoly:
                 rem[k] = rem.get(k, zero) + qc * c
         return WeightedPoly._make(self.ring, quotient)
 
+    # -- substitution -----------------------------------------------------------
+    def compose(self, images: dict, den=1, over=()) -> "WeightedPoly":
+        """self with each variable named in images replaced by its image, a
+        polynomial of the ring of the first image or an int, and each other
+        variable by its namesake there.  The images of the variables in over
+        stand over den: the result is den^B * self(images), B the largest
+        degree of a term in those variables.  Each power is built once."""
+        ring, names = next(iter(images.values())).ring, self.ring.variables
+        images = [images[v] if v in images else ring.var(v) for v in names]
+        rows = [[ring.one()] for _ in names]
+        sums: dict = {}  # per degree in over, unreduced native sums
+        for key, c in self._terms.items():
+            t, s = {0: c}, 0
+            for row, image, v, e in zip(rows, images, names, self.ring._unpack(key)):
+                if e:
+                    while len(row) <= e:
+                        row.append(row[-1] * image)
+                    t, s = _product(t, row[e]._terms), s + (v in over) * e
+            acc = sums.setdefault(s, {})
+            for k, x in t.items():
+                acc[k] = acc.get(k, 0) + x
+        top = max(sums, default=0)
+        return sum((ring._finish(acc) * den ** (top - s) for s, acc in sums.items()), ring.zero())
+
+    def reduce_squares(self, squares: dict) -> "WeightedPoly":
+        """self rewritten by v^2 = squares[v] for each variable v named, by
+        Horner's rule in v^2, so those variables' exponents fall below 2."""
+        ring, out = self.ring, self
+        for v, square in squares.items():
+            i = ring.index[v]
+            step = (2 << ring._shifts[i]) + (2 * ring.weights[i] << ring._top)
+            parts: dict = {}
+            for key, c in out._terms.items():
+                q = ring._unpack(key)[i] >> 1
+                parts.setdefault(q, {})[key - q * step] = c
+            out = ring.zero()
+            for q in range(max(parts, default=0), -1, -1):
+                out = out * square + WeightedPoly._make(ring, parts.get(q, {}))
+        return out
+
     def __eq__(self, other):
         if isinstance(other, WeightedPoly):
             if other.ring is not self.ring:

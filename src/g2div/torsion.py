@@ -4,9 +4,8 @@ The criteria come from comparing k-fold and (k+1)-fold multiples: for odd
 n = 2k+1 the a-coordinates of (k+1)D and kD agree; for even n = 2k the
 k-fold multiple is 2-torsion (b-coordinates vanish, or the single support
 point has y = 0).  Substituting the duplication coefficients turns these
-into polynomial conditions on (a2, a4, b3, b5) - the Mumford division
-polynomials - or, after elimination, on the x-coordinates of the support.
-Both Mumford systems rest on grouplaw's duplication pieces (_tangent,
+into polynomial conditions on (a2, a4, b3, b5), the Mumford division
+polynomials.  Both systems rest on grouplaw's duplication pieces (_tangent,
 _interpolation, _gammas) and its alpha law of a sum (_sum_alpha) at
 P = Q = D: n = 3 is alpha(D) - alpha(2D), and n = 4's non-special branch
 is the weight-6 function x^3 + g2*x^2 + g4*x + g6 reduced mod u_2D.
@@ -18,6 +17,8 @@ generators of a ring over Q whose curve coefficients are generators too
 (formal), or of the ring of the coordinates alone over a curve's field with
 its own coefficients (concrete); the residuals (`torsion check`, the
 searches' filter) run it on a divisor's native values, divided by the factor.
+The x/y-support systems are the emitted Mumford systems with the support
+of D substituted in (_support_system): no second transcription.
 
 The finite-field searches run in the curve's own field: they scan every
 alpha (a2, a4), solve the model equations for the betas above it with two
@@ -29,7 +30,7 @@ from collections import namedtuple
 from itertools import combinations
 from math import isqrt
 
-from .curves import LAMBDA_NAMES, LAMBDA_WEIGHTS, CanonicalCurve, _dp_of, _p_of
+from .curves import LAMBDA_NAMES, LAMBDA_WEIGHTS, CanonicalCurve, _p_of
 from .divisors import MumfordDivisor, p_mod_u
 from .errors import (
     CharacteristicTooSmall,
@@ -244,51 +245,6 @@ def _four_torsion_mumford_polys(c, d):
     return d1, d2, dspec
 
 
-def t_quotient(x1, x2, xi, lam):
-    """T(x_i) = (P(x1) - P(x2) - P'(x_i)(x1-x2)) / (x1-x2)^2, a weight-6
-    polynomial by the order-2 vanishing at x1 = x2."""
-    num = _p_of(x1, lam) - _p_of(x2, lam) - _dp_of(xi, lam) * (x1 - x2)
-    return num.exact_div((x1 - x2) * (x1 - x2))
-
-
-def three_torsion_y_poly(x1, y1, x2, y2, lam):
-    """The y1*y2-bearing 3-torsion equation (weight 28, uniform)."""
-    p1, p2 = _p_of(x1, lam), _p_of(x2, lam)
-    dp1, dp2 = _dp_of(x1, lam), _dp_of(x2, lam)
-    quarter = _int_fraction(x1.ring.field, 1, 4)
-    return (y1 * y2 * (dp1 * p2 + dp2 * p1)
-            + (x1 - x2) * (dp1 * dp1 * p2 - dp2 * dp2 * p1) * quarter
-            - p1 * p2 * (dp1 + dp2 + (x1 - x2) ** 4))
-
-
-def _int_fraction(F: Field, num: int, den: int):
-    """num/den in F; den is 2 or 4, a unit in every characteristic a
-    FieldSpec admits."""
-    return F.element(num) / F.element(den)
-
-
-def three_torsion_x_poly(x1, x2, lam):
-    """The weight-40 symmetric polynomial in (x1, x2) cutting out 3-torsion
-    supports, assembled with exact divisions by (x1 - x2)."""
-    F, l2 = x1.ring.field, lam[0]
-    dx = x1 - x2
-    p1, p2 = _p_of(x1, lam), _p_of(x2, lam)
-    dp1, dp2 = _dp_of(x1, lam), _dp_of(x2, lam)
-    t1p, t2p = t_quotient(x1, x2, x1, lam), t_quotient(x1, x2, x2, lam)
-    quarter = _int_fraction(F, 1, 4)
-    half = _int_fraction(F, 1, 2)
-    threq = _int_fraction(F, 3, 4)
-    q8 = (p1 - p2).exact_div(dx)
-    term1 = -(p2 * p2 * dp1 * t1p * t1p + p1 * p1 * dp2 * t2p * t2p) * quarter
-    term2 = ((p2 ** 3) * t1p * t1p - (p1 ** 3) * t2p * t2p).exact_div(dx) * half
-    term3 = -(q8 ** 5) * quarter
-    term4 = (p2 * p2 * t1p + p1 * p1 * t2p).exact_div(dx) * (q8 * q8) * threq
-    term5 = -(p1 * p2) * ((p2 * dp1 - p1 * dp2).exact_div(dx)) * ((t1p + t2p).exact_div(dx))
-    term6 = p1 * p2 * (-6 * p1 * p2 + x1 * p2 * dp1 + x2 * p1 * dp2
-                       + (p2 * dp1 + p1 * dp2) * (2 * x1 + 2 * x2 + l2))
-    return term1 + term2 + term3 + term4 + term5 + term6
-
-
 def _coordinates(coords, curve):
     """(generators, lam): the coordinates and curve coefficients of the
     formal ring (curve None), or the coordinates over the curve's field and
@@ -298,20 +254,42 @@ def _coordinates(coords, curve):
     return [g[v] for v in coords[0]], lam
 
 
-def _build(n: int, coords: str, curve) -> DivisionPolySet:
-    if coords == "xy":
-        (x1, x2), lam = _coordinates(X_COORDS, curve)
-        xy, xy_lam = _coordinates(XY_COORDS, curve)
-        polys = (three_torsion_x_poly(x1, x2, lam), three_torsion_y_poly(*xy, xy_lam))
-        return DivisionPolySet(n, coords, ("x_support", "y_support"), polys)
+# per n, the names of the Mumford and of the support system, and the exact
+# powers of d = x1 - x2 over Q: one per Mumford condition in support
+# coordinates, then one for X
+MUMFORD_NAMES = {3: ("a2_relation", "a4_relation"),
+                 4: ("b3_vanishing", "b5_vanishing", "y2d_vanishing")}
+XY_NAMES = {3: ("x_support", "y_support"), 4: ("x_support", "y_support", "y2d_support")}
+D_POWERS = {3: (4, 6, 4), 4: (10, 10, 6, 10)}
+
+
+def _mumford_system(n: int, curve) -> DivisionPolySet:
     mumford, lam = _coordinates(MUMFORD_COORDS, curve)
     c = (*mumford, *lam[:4])
-    d = _duplication_data(*c)
-    if n == 3:
-        return DivisionPolySet(n, coords, ("a2_relation", "a4_relation"),
-                               _three_torsion_mumford_polys(c, d))
-    return DivisionPolySet(n, coords, ("b3_vanishing", "b5_vanishing", "y2d_vanishing"),
-                           _four_torsion_mumford_polys(c, d))
+    build = _three_torsion_mumford_polys if n == 3 else _four_torsion_mumford_polys
+    return DivisionPolySet(n, "mumford", MUMFORD_NAMES[n], build(c, _duplication_data(*c)))
+
+
+def _support_system(n: int, curve) -> DivisionPolySet:
+    """The Mumford system of n at the support (x1, y1), (x2, y2) of D: a2 =
+    -(x1 + x2), a4 = x1*x2, d*b3 = y2 - y1 and d*b5 = x2*y1 - x1*y2 (v(x_i) =
+    -y_i), cleared by d^B, reduced by y_i^2 = P(x_i) and divided by its power
+    of d.  Non-special conditions land in the form A + y1*y2*B, the special
+    one in y1*C + y2*C'; X = (A1*B2 - A2*B1)/d^k, with n = 3's published scale."""
+    (x1, y1, x2, y2), lam = _coordinates(XY_COORDS, curve)
+    d, *ks, kx = x1 - x2, *D_POWERS[n]
+    support = {"a2": -(x1 + x2), "a4": x1 * x2, "b3": y2 - y1, "b5": x2 * y1 - x1 * y2}
+    squares = {"y1": _p_of(x1, lam), "y2": _p_of(x2, lam)}
+    conds = [f.compose(support, d, ("b3", "b5")).reduce_squares(squares).exact_div(d ** k)
+             for f, k in zip(emit_division_polynomials(n, "mumford", curve).polys, ks)]
+    # A + y1*y2*B at y1 = y2 = 0 and at 1 is A and A + B, in the ring of (x1, x2)
+    (u1, u2), _ = _coordinates(X_COORDS, curve)
+    A1, A2, AB1, AB2 = (f.compose({"x1": u1, "y1": y, "x2": u2, "y2": y})
+                        for y in (0, 1) for f in conds[:2])
+    X = (A1 * (AB2 - A2) - A2 * (AB1 - A1)).exact_div((u1 - u2) ** kx)
+    one = X.ring.field.one
+    polys = (X.scale(one / 16), conds[0].scale(-one / 4)) if n == 3 else (X, *conds[::2])
+    return DivisionPolySet(n, "xy", XY_NAMES[n], polys)
 
 
 _FORMAL_CACHE: dict = {}
@@ -325,15 +303,14 @@ def emit_division_polynomials(n: int, coords: str, curve: CanonicalCurve = None)
         raise SerializationError("division polynomials are emitted for n in {3, 4}")
     if coords not in ("mumford", "xy"):
         raise SerializationError("coords must be 'mumford' or 'xy'")
-    if n == 4 and coords == "xy":
-        raise SerializationError("the n = 4 system is emitted in Mumford coordinates only")
+    build = _support_system if coords == "xy" else _mumford_system
     if curve is not None:
         if 0 < curve.field.characteristic <= 5:
             raise CharacteristicTooSmall("division polynomials need characteristic 0 or > 5")
-        return _build(n, coords, curve)
+        return build(n, curve)
     key = (n, coords)
     if key not in _FORMAL_CACHE:
-        result = _build(n, coords, None)
+        result = build(n, None)
         if not all(poly.is_homogeneous() for poly in result.polys):
             raise SerializationError("internal: emitted polynomial is not weight-homogeneous")
         _FORMAL_CACHE[key] = result

@@ -104,26 +104,10 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        result = UniPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def scale(self, c) -> "UniPoly":
         F = self.field
         c = F._native(F.coerce(c))
         return _poly(F, _scale(F, self._c, c) if c else ())
-
-    def divmod(self, other: "UniPoly"):
-        q, r = _divmod(self.field, self._c, self._other(other))
-        return _poly(self.field, q), _poly(self.field, r)
 
     def __mod__(self, other):
         return _poly(self.field, _divmod(self.field, self._c, self._other(other))[1])

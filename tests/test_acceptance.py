@@ -13,6 +13,7 @@ import pytest
 from conftest import random_divisor, random_point
 from grouplaw_helpers import torsion_branch_classification
 from polyring_helpers import RationalPoly, reduce_power, sylvester_resultant, x_pair_ring
+from support_reference import _int_fraction, three_torsion_x_poly
 from g2div.cantor import (
     brute_force_n_torsion,
     cantor_add,
@@ -40,9 +41,7 @@ from g2div.torsion import (
     find_three_torsion,
     four_torsion_residuals,
     is_torsion,
-    three_torsion_x_poly,
     two_torsion_divisors,
-    _int_fraction,
 )
 
 THREE_TORSION_BATTERY = {

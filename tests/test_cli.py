@@ -105,10 +105,16 @@ def test_divpoly_emit_formal_round_trip(capsys):
         assert p.to_json()["terms"] == o["terms"]
 
 
-def test_divpoly_four_xy_is_domain_error(capsys):
-    code, out = run(capsys, "divpoly", "emit", "--n", "4", "--coords", "xy")
-    assert code == 1
-    assert out[-1]["error"] == "bad-input"
+def test_divpoly_emit_four_xy(files, capsys):
+    c, _ = files
+    code, out = run(capsys, "divpoly", "emit", "--n", "4", "--coords", "xy",
+                    "--curve", c, "--format", "json")
+    assert code == 0
+    assert [(o["name"], o["weight"]) for o in out] == [
+        ("x_support", 92), ("y_support", 60), ("y2d_support", 65)]
+    assert out[0]["vars"] == ["x1", "x2"] and out[0]["weights"] == [2, 2]
+    for o in out[1:]:
+        assert o["vars"] == ["x1", "y1", "x2", "y2"] and o["weights"] == [2, 5, 2, 5]
 
 
 def test_curve_transform(tmp_path, capsys):
@@ -398,6 +404,8 @@ FORMAL_EMISSION_SHA256 = {
     (3, "mumford"): "d5f3c460e6cc22c801d7048d5f9b9756b0981a531179e527f2ff5be9b54504c3",
     (4, "mumford"): "c7adefd4035213e95f0214e5e5d66b6f9df7263141fd8a8a152b8ed9ae1b01f9",
     (3, "xy"): "ff5900cc006de69e36342b6e92523ba5ba50581422ccf5244d76b3106430f6cb",
+    # derived from the n = 4 Mumford system by putting the support into it
+    (4, "xy"): "0575859aa8705dc91e6e8092db95a94d2cfe6174440bf750bbe86299e706eb49",
 }
 
 
@@ -414,6 +422,7 @@ CONCRETE_EMISSION_SHA256 = {
     ("c7", 3, "mumford"): "0acbe7aee7608d43a737c110b04df82d3cd0cdbe31e45d1b42cb14f2416da2cd",
     ("c7", 4, "mumford"): "f80cb6a34a173bbc4b707ee234eb9534ec3ad95c90e1fa5b2ec1641740bace8f",
     ("c7", 3, "xy"): "258195312419c57025cc2f90f6654e812f9765c6231e3a0b0510faadbe067499",
+    ("c7", 4, "xy"): "0fc92e26736678abf9c99431b1ecfacb235df76018e9472c2cddf0045f4d71c7",
     ("c49", 3, "mumford"): "f8885e52591b18c492f5f9c93be4d37dd716bef65b938692f31e54bc91983e9e",
     ("c49", 4, "mumford"): "36069f16495ad05208cd94dde4e254fa714b8eaaeba6cf5b2d3e7efa0448255d",
     ("c49", 3, "xy"): "b473a16bc6efc24d0d57710115711548c70139c300671996807aaf4beb86b246",
@@ -423,6 +432,8 @@ CONCRETE_EMISSION_SHA256 = {
         "a4d1614b3ddd4138737f73fbfd39bf842a69954bf132a72dae48538c1b14b262",
     ("p127_three_branch_points", 3, "xy"):
         "6345b30446f7b6faf12cf0e664290152a7a894d6f981ce6702ff018cebbb6b95",
+    ("p127_four_torsion", 4, "xy"):
+        "519b15f37b5618acd25ee5f01ed816696b3b0e4802a3427dedbcf7ccae772ee7",
 }
 
 

@@ -11,6 +11,7 @@ import pytest
 from conftest import random_divisor, random_point
 from grouplaw_helpers import torsion_branch_classification
 from polyring_helpers import mumford_ring, sylvester_resultant, x_pair_ring, xy_ring
+from support_reference import _int_fraction, t_quotient, three_torsion_x_poly, three_torsion_y_poly
 from g2div import cli, torsion
 from g2div.cantor import (
     brute_force_n_torsion,
@@ -35,6 +36,7 @@ from g2div.errors import (
     CharacteristicTooSmall,
     DegenerateCurve,
     GammaUndefined,
+    InexactDivision,
     OffCurve,
     SerializationError,
 )
@@ -49,12 +51,8 @@ from g2div.torsion import (
     four_torsion_residuals,
     is_torsion,
     three_torsion_mumford_residuals,
-    three_torsion_x_poly,
-    three_torsion_y_poly,
-    t_quotient,
     two_torsion_divisors,
     _divisors_above,
-    _int_fraction,
     _prime_divisors,
 )
 from g2div.roots import roots_in_field
@@ -286,17 +284,113 @@ class TestXYPolynomials:
                 assert wf.is_zero(bx.evaluate({"x1": p1[0], "x2": p2[0]}))
 
 
+def _point_values(poly, p1, p2):
+    """The values of poly's coordinates at the support points p1, p2."""
+    pt = {"x1": p1[0], "y1": p1[1], "x2": p2[0], "y2": p2[1]}
+    return {v: pt[v] for v in poly.ring.variables if v in pt}
+
+
+def _y_exponents(poly):
+    """The (y1, y2) exponent pairs of poly's terms, in the xy ring."""
+    return {(e[1], e[3]) for e, _ in poly.sorted_terms()}
+
+
+class TestSupportSystems:
+    """The x/y-support systems are the Mumford systems with the support put
+    in (a2 = -(x1 + x2), a4 = x1*x2, d*b3 = y2 - y1, d*b5 = x2*y1 - x1*y2),
+    reduced by y_i^2 = P(x_i) and divided by a fixed power of d = x1 - x2."""
+
+    @pytest.mark.parametrize("name", [None, "c7", "c49", "p127_three_branch_points"])
+    def test_three_equals_the_hand_transcription(self, name):
+        # the published scale makes the emitted pair the transcription itself:
+        # (A1*B2 - A2*B1)/d^4 is 16 X and a2_relation/d^4 is -4 Y, formally and
+        # over F_7, F_{7^2} and GF(2^127 - 1)
+        curve = None if name is None else curve_from_json(
+            json.loads((DATA / f"{name}.json").read_text()))
+        x_support, y_support = emit_division_polynomials(3, "xy", curve).polys
+        (x1, x2), lam = torsion._coordinates(torsion.X_COORDS, curve)
+        assert x_support.to_json() == three_torsion_x_poly(x1, x2, lam).to_json()
+        xy, lam = torsion._coordinates(torsion.XY_COORDS, curve)
+        assert y_support.to_json() == three_torsion_y_poly(*xy, lam).to_json()
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_d_powers_are_exact_and_largest(self, n):
+        # over Q each condition in support coordinates is divisible by d^k for
+        # its constant k and not by d^(k+1); X by its constant, not one more
+        g = xy_ring().gens()
+        x1, y1, x2, y2 = (g[v] for v in ("x1", "y1", "x2", "y2"))
+        lam = tuple(g[v] for v in LAMBDA_NAMES)
+        d = x1 - x2
+        support = {"a2": -(x1 + x2), "a4": x1 * x2, "b3": y2 - y1, "b5": x2 * y1 - x1 * y2}
+        squares = {"y1": _p_of(x1, lam), "y2": _p_of(x2, lam)}
+        *ks, kx = torsion.D_POWERS[n]
+        mumford = emit_division_polynomials(n, "mumford").polys
+        assert len(ks) == len(mumford)
+        for f, k in zip(mumford, ks):
+            q = f.compose(support, d, ("b3", "b5")).reduce_squares(squares).exact_div(d ** k)
+            with pytest.raises(InexactDivision):
+                q.exact_div(d)
+        X = emit_division_polynomials(n, "xy").polys[0]  # X/d^kx, exact, or emission raises
+        gx = X.ring.gens()
+        with pytest.raises(InexactDivision):
+            X.exact_div(gx["x1"] - gx["x2"])
+
+    def test_four_x4_symmetric_and_the_forms(self):
+        # names and weights: TestEmission.test_four_xy_names_and_weights
+        ds = emit_division_polynomials(4, "xy")
+        X4, yb3, y2d = ds.polys
+        assert X4.ring.variables[:2] == ("x1", "x2")  # y-free
+        assert all(p.is_homogeneous() for p in ds.polys)
+        assert [p.num_terms() for p in ds.polys] == [51107, 7795, 13726]
+        # X4 is symmetric in (x1, x2); b3 lands in A + y1*y2*B, y2d in y1*C + y2*C'
+        terms = dict(X4.sorted_terms())
+        assert {(e[1], e[0], *e[2:]): c for e, c in terms.items()} == terms
+        assert _y_exponents(yb3) == {(0, 0), (1, 1)}
+        assert _y_exponents(y2d) == {(1, 0), (0, 1)}
+        assert _y_exponents(emit_division_polynomials(3, "xy").polys[1]) == {(0, 0), (1, 1)}
+
+    @pytest.mark.parametrize("name", ["c7", "p127_four_torsion"])
+    def test_four_concrete_is_the_specialized_formal(self, name):
+        # the fixed d-powers keep each concrete system the formal one with the
+        # curve's coefficients put in
+        curve = curve_from_json(json.loads((DATA / f"{name}.json").read_text()))
+        formal = emit_division_polynomials(4, "xy").polys
+        for f, c in zip(formal, emit_division_polynomials(4, "xy", curve).polys):
+            assert dict(c.sorted_terms()) == _specialized(f, curve)
+
+    def test_four_xy_vanishes_on_split_four_torsion(self):
+        # every exact-order-4 class with split support: the xy conditions of
+        # its branch (X4 and b3 when 2D is non-special, y2d when special)
+        # vanish at its points
+        seen = {"nonspecial": 0, "special": 0}
+        for p, lam in FOUR_TORSION_CURVES:
+            F = GF(p)
+            c = CanonicalCurve(F, lam)
+            X4, yb3, y2d = emit_division_polynomials(4, "xy", c).polys
+            for d in map(to_mumford, brute_force_n_torsion(c, 4, enumerate_jacobian(c))):
+                p1, p2, _, emb = points_from_mumford(d, c)
+                if emb is not None or p1[0] == p2[0]:
+                    continue
+                branch = torsion_branch_classification(d, c)
+                for poly in (X4, yb3) if branch == "nonspecial" else (y2d,):
+                    assert F.is_zero(poly.evaluate(_point_values(poly, p1, p2)))
+                seen[branch] += 1
+        assert seen["nonspecial"] and seen["special"], seen
+
+
 def _specialized(formal, curve):
     """The formal polynomial with the curve's coefficients put in for its
     trailing lambda generators, as {coordinate exponents: element}."""
     F = curve.field
     k = len(formal.ring.variables) - len(LAMBDA_NAMES)
-    out = {}
+    out, monomials = {}, {}  # each lambda monomial's value, computed once
     for e, c in formal.sorted_terms():
-        v = F.coerce(c.value)
-        for lam, power in zip(curve.lam, e[k:]):
-            v = v * F.pow(lam, power)
-        out[e[:k]] = out.get(e[:k], F.zero) + v
+        if e[k:] not in monomials:
+            v = F.one
+            for lam, power in zip(curve.lam, e[k:]):
+                v = v * F.pow(lam, power)
+            monomials[e[k:]] = v
+        out[e[:k]] = out.get(e[:k], F.zero) + F.coerce(c.value) * monomials[e[k:]]
     return {e: v for e, v in out.items() if not F.is_zero(v)}
 
 
@@ -525,6 +619,28 @@ class TestMumfordResiduals:
             assert lhs == rhs
             checked += 1
         assert checked > 200
+        # n = 4, per branch of four_torsion_residuals: X4 and the b3 condition
+        # when 2D is non-special, y2d when it is special, on every divisor with
+        # split support over F_13 of a curve that has both branches, each
+        # with vanishing and nonvanishing residuals
+        c = CanonicalCurve(F, (3, 6, 7, 7, 5))
+        X4, yb3, y2d = emit_division_polynomials(4, "xy", c).polys
+        seen = dict.fromkeys(product(("nonspecial", "special"), (False, True)), 0)
+        for d in (d for a2 in F.elements() for a4 in F.elements()
+                  for d in _divisors_above(c, a2, a4)):
+            p1, p2, _, emb = points_from_mumford(d, c)
+            if emb is not None or p1[0] == p2[0]:
+                continue
+            try:
+                branch, res = four_torsion_residuals(d, c)
+            except GammaUndefined:
+                continue
+            lhs = all(F.is_zero(r) for r in res)
+            rhs = all(F.is_zero(p.evaluate(_point_values(p, p1, p2)))
+                      for p in ((X4, yb3) if branch == "nonspecial" else (y2d,)))
+            assert lhs == rhs
+            seen[branch, lhs] += 1
+        assert all(seen.values()), seen
 
 
 def _weight5_tangent_curve():
@@ -535,7 +651,8 @@ def _weight5_tangent_curve():
     points above x = 1, 3, -2)."""
     Q = QQ()
     g = UniPoly(Q, [2, -1, Fraction(1, 2)])
-    P = g * g + UniPoly(Q, [-1, 1]) ** 2 * UniPoly(Q, [-3, 1]) ** 2 * UniPoly(Q, [2, 1])
+    f = UniPoly(Q, [-1, 1]) * UniPoly(Q, [-3, 1])
+    P = g * g + f * f * UniPoly(Q, [2, 1])
     c = CanonicalCurve(Q, tuple(P[k] for k in (4, 3, 2, 1, 0)))
     pts = []
     for x in map(Q.element, (1, 3, -2)):
@@ -677,9 +794,13 @@ class TestFindTorsion:
 
 
 class TestEmission:
-    def test_four_xy_rejected(self):
-        with pytest.raises(SerializationError):
-            emit_division_polynomials(4, "xy")
+    def test_four_xy_names_and_weights(self):
+        ds = emit_division_polynomials(4, "xy")
+        assert ds.names == ("x_support", "y_support", "y2d_support")
+        assert [p.weighted_degree() for p in ds.polys] == [92, 60, 65]
+        k = -len(LAMBDA_NAMES)
+        assert [(p.ring.variables[:k], p.ring.weights[:k]) for p in ds.polys] == [
+            (("x1", "x2"), (2, 2))] + [(("x1", "y1", "x2", "y2"), (2, 5, 2, 5))] * 2
 
     def test_bad_n_rejected(self):
         with pytest.raises(SerializationError):
@@ -743,6 +864,15 @@ class TestP127ConstructedTorsion:
             a2, a4, b3, b5 = twice.coords
             assert F.is_zero(b3) and F.is_zero(b5)
             assert all(F.is_zero(r) for r in p_mod_u(a2, a4, curve.lam))
+
+    def test_four_xy_system_vanishes_on_the_split_support(self):
+        # u of the known order-4 class splits over GF(2^127 - 1) and 2D is
+        # non-special, so X4 and the b3 condition vanish at its two points
+        curve, d = _fixture("p127", "four")
+        p1, p2, _, emb = points_from_mumford(d, curve)
+        assert emb is None and p1[0] != p2[0]
+        X4, yb3, _ = emit_division_polynomials(4, "xy", curve).polys
+        assert all(curve.field.is_zero(p.evaluate(_point_values(p, p1, p2))) for p in (X4, yb3))
 
     @pytest.mark.parametrize("name,n", P127_FIXTURES)
     def test_torsion_check_verb(self, name, n, capsys):

@@ -10,7 +10,7 @@ from g2div.errors import InexactDivision
 from g2div.fields import GF, QQ
 from g2div.polyring import PolyRing
 from g2div.roots import roots_in_field
-from g2div.unipoly import UniPoly, gcd, resultant, xgcd
+from g2div.unipoly import UniPoly, _divmod, gcd, resultant, xgcd
 
 F7 = GF(7)
 
@@ -34,6 +34,12 @@ def elem(field, n):
     return field.element(n)
 
 
+def divmod_poly(a, b):
+    """(q, r) with a = q*b + r, from the _divmod kernel."""
+    q, r = _divmod(a.field, a._c, b._c)
+    return UniPoly._make(a.field, q), UniPoly._make(a.field, r)
+
+
 def rand_poly(field, rng, max_len):
     return UniPoly(field, [elem(field, rng.randrange(10 ** 6))
                            for _ in range(rng.randrange(1, max_len))])
@@ -47,7 +53,7 @@ def test_divmod_invariant(field):
         b = rand_poly(field, rng, 5)
         if b.is_zero():
             continue
-        q, r = a.divmod(b)
+        q, r = divmod_poly(a, b)
         assert q * b + r == a
         assert r.is_zero() or r.degree() < b.degree()
 
@@ -88,7 +94,7 @@ def full_euclid(a, b):
     F = a.field
     r0, r1, t0, t1 = a, b, UniPoly.zero(F), UniPoly.one(F)
     while not r1.is_zero():
-        q, r = r0.divmod(r1)
+        q, r = divmod_poly(r0, r1)
         r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
     c = F.inv(r0.lead())
     return r0.scale(c), t0.scale(c)
@@ -197,8 +203,8 @@ def test_roots_over_q():
 
 def test_compose():
     x = UniPoly.x(F7)
-    p = x ** 2 + 1
-    assert p.compose(x + 2) == (x + 2) ** 2 + 1
+    p = x * x + 1
+    assert p.compose(x + 2) == (x + 2) * (x + 2) + 1
 
 
 @pytest.mark.parametrize("field", NATIVE_FIELDS, ids=lambda f: f.short_name())
@@ -233,8 +239,3 @@ def test_reflected_add_and_sub(field):
             assert c + p == p + c == const + p
             assert c - p == const - p == -(p - c)
 
-
-def test_negative_power_raises():
-    with pytest.raises(ValueError, match="negative power"):
-        UniPoly(F7, [1, 1]) ** -1
-    assert UniPoly(F7, [1, 1]) ** 0 == UniPoly.one(F7)
