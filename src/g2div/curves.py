@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from . import unipoly
 from .errors import DegenerateCurve, SerializationError
-from .fields import Field, FieldElement, FieldSpec, make_field
+from .fields import Field, FieldElement, FieldSpec, json_value, make_field
 from .unipoly import UniPoly
 
 # the names of CanonicalCurve.lam and their Sato weights (each its index)
@@ -109,20 +109,21 @@ def curve_to_json(c) -> dict:
 
 def curve_from_json(obj: dict):
     try:
-        F = make_field(FieldSpec.from_json(obj["field"]))
+        F = make_field(FieldSpec.from_json(json_value(obj, "field", dict)))
+
+        def elements(key):
+            return tuple(F.from_str(s) for s in json_value(obj, key, list[str]))
+
         form = obj["form"]
         if form == "canonical":
-            lam = tuple(F.from_str(s) for s in obj["lambda"])
-            return CanonicalCurve(F, lam)
+            return CanonicalCurve(F, elements("lambda"))
         if form not in ("I", "II", "III"):
             raise SerializationError(f"unknown curve form {form!r}")
         from .models import GeneralCurve  # only the general forms load models
         if form == "I":
-            return GeneralCurve(F, "I", nu=tuple(F.from_str(s) for s in obj["nu"]))
+            return GeneralCurve(F, "I", nu=elements("nu"))
         if form == "II":
-            return GeneralCurve(F, "II", a=tuple(F.from_str(s) for s in obj["a"]))
-        return GeneralCurve(F, "III",
-                            a=tuple(F.from_str(s) for s in obj["a"]),
-                            b=tuple(F.from_str(s) for s in obj["b"]))
+            return GeneralCurve(F, "II", a=elements("a"))
+        return GeneralCurve(F, "III", a=elements("a"), b=elements("b"))
     except KeyError as exc:
         raise SerializationError(f"missing curve key: {exc}") from exc

@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from .curves import CanonicalCurve, _dp_of
 from .errors import InvolutionPair, MixedFields, OffCurve, SerializationError
-from .fields import Field, GF
+from .fields import GF, Field, json_value
 
 NONSPECIAL = "nonspecial"
 SPECIAL = "special"
@@ -214,17 +214,17 @@ def divisor_to_json(d: MumfordDivisor) -> dict:
 
 
 def divisor_from_json(field: Field, obj: dict) -> MumfordDivisor:
+    def elements(key):
+        return (field.from_str(s) for s in json_value(obj, key, list[str], 2))
+
     try:
-        t = obj["type"]
+        t = json_value(obj, "type", str)
         if t == "neutral":
             return MumfordDivisor.neutral(field)
         if t == "special":
-            x, y = (field.from_str(s) for s in obj["point"])
-            return MumfordDivisor.special(field, x, y)
+            return MumfordDivisor.special(field, *elements("point"))
         if t == "nonspecial":
-            a2, a4 = (field.from_str(s) for s in obj["alpha"])
-            b3, b5 = (field.from_str(s) for s in obj["beta"])
-            return MumfordDivisor.nonspecial(field, a2, a4, b3, b5)
+            return MumfordDivisor.nonspecial(field, *elements("alpha"), *elements("beta"))
     except KeyError as exc:
         raise SerializationError(f"missing divisor key: {exc}") from exc
     raise SerializationError(f"unknown divisor type {t!r}")

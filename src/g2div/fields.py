@@ -56,6 +56,29 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # field specification
 
+def _is_json(v, kind) -> bool:
+    return isinstance(v, kind) and type(v) is not bool  # JSON true is no integer
+
+
+def json_value(obj, key: str, shape, length: int | None = None):
+    """obj[key] of the JSON object obj, checked against shape: an integer,
+    string or object (int, str, dict), or a list of integers or strings
+    (list[int], list[str]), of length entries unless length is None.  Any
+    other value, a float for an integer or a string for a list included,
+    raises SerializationError; a missing key raises KeyError."""
+    if not isinstance(obj, dict):
+        raise SerializationError(f"expected a JSON object, got {obj!r:.60}")
+    value = obj[key]
+    kind = getattr(shape, "__args__", (None,))[0]  # list[str] -> str
+    if not (_is_json(value, shape) if kind is None else
+            isinstance(value, list) and all(_is_json(v, kind) for v in value)
+            and length in (None, len(value))):
+        size = f" of {length} entries" if length is not None else ""
+        raise SerializationError(f"{key!r} must be {shape.__name__ if kind is None else shape}{size},"
+                                 f" got {value!r:.60}")
+    return value
+
+
 class FieldSpec(namedtuple("FieldSpec", "kind p k modulus")):
     """Serializable description of a coefficient field.
 
@@ -100,10 +123,10 @@ class FieldSpec(namedtuple("FieldSpec", "kind p k modulus")):
             if kind == "rational":
                 return FieldSpec("rational")
             if kind == "prime":
-                return FieldSpec("prime", p=int(obj["p"]))
+                return FieldSpec("prime", p=json_value(obj, "p", int))
             if kind == "extension":
-                return FieldSpec("extension", p=int(obj["p"]), k=int(obj["k"]),
-                                 modulus=tuple(int(c) for c in obj["modulus"]))
+                return FieldSpec("extension", p=json_value(obj, "p", int), k=json_value(obj, "k", int),
+                                 modulus=tuple(json_value(obj, "modulus", list[int])))
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"bad field spec: {exc}") from exc
         raise SerializationError(f"unknown field kind {kind!r}")

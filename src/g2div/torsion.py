@@ -347,6 +347,9 @@ def _divisors_above(curve: CanonicalCurve, a2, a4) -> list:
     return out
 
 
+SEARCH_CAP = 100_000  # the most alphas _search scans: F_{17^2} (83,521) takes about 40 s
+
+
 def _search(curve: CanonicalCurve, n: int, residuals) -> list:
     """The classes of exact order n among the degree-2 divisors over the
     curve's field whose Mumford residuals vanish, sorted.
@@ -354,10 +357,15 @@ def _search(curve: CanonicalCurve, n: int, residuals) -> list:
     Every alpha (a2, a4) in F_q^2 is scanned and its betas solved by
     _divisors_above, so no extension field is built.  Divisors with
     y1*y2 = 0 and degree-1 classes are skipped: L(4*inf) = <1, x, x^2>, so
-    no such class has order 3 or 4."""
+    no such class has order 3 or 4.  A field with q^2 above SEARCH_CAP is
+    refused before the scan."""
     F = curve.field
-    if F.order() is None:
+    q = F.order()
+    if q is None:
         raise UnsupportedField("torsion search needs a finite field")
+    if q * q > SEARCH_CAP:
+        raise UnsupportedField(f"the O(q^2) alpha scan over {F} exceeds the search cap"
+                               f" of {SEARCH_CAP} alphas")
     out = []
     for a2 in F.elements():
         for a4 in F.elements():

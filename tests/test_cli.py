@@ -42,6 +42,41 @@ def test_jac_verify_off_model(files, tmp_path, capsys):
     assert out[-1]["J10"] == "6"  # -lambda10 mod 7
 
 
+# each breaks the JSON shape rule once: p, k and the modulus entries are
+# JSON integers, the element lists are lists of strings (two in a divisor
+# list), and a file holds an object
+MALFORMED_CURVES = {
+    "float-p": {**C7, "field": {"kind": "prime", "p": 7.9}},
+    "string-lambda": {**C7, "lambda": "00001"},
+    "float-k": {**C7, "field": {"kind": "extension", "p": 7, "k": 2.9, "modulus": [1, 0, 1]}},
+    "float-modulus": {**C7, "field": {"kind": "extension", "p": 7, "k": 2, "modulus": [3.7, 6, 1]}},
+    "bool-p": {**C7, "field": {"kind": "prime", "p": True}},
+    "list": [C7],
+}
+MALFORMED_DIVISORS = {
+    "string-alpha-beta": {"type": "nonspecial", "alpha": "60", "beta": "31"},
+    "three-alphas": {**D1, "alpha": ["6", "0", "1"]},
+    "int-point": {"type": "special", "point": [6, 0]},
+    "list": [D1],
+}
+
+
+@pytest.mark.parametrize("which,bad", [("curve", k) for k in MALFORMED_CURVES]
+                         + [("divisor", k) for k in MALFORMED_DIVISORS])
+def test_malformed_json_is_bad_input(which, bad, files, tmp_path, capsys):
+    c, d = files
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps((MALFORMED_CURVES if which == "curve" else MALFORMED_DIVISORS)[bad]))
+    c, d = (str(f), d) if which == "curve" else (c, str(f))
+    calls = [["jac", "verify", d, "--curve", c], ["jac", "double", d, "--curve", c],
+             ["torsion", "check", "--n", "2", "--divisor", d, "--curve", c]]
+    if which == "curve":
+        calls += [["torsion", "find", "--n", "2", "--curve", c], ["curve", "transform", "--curve", c]]
+    for argv in calls:
+        code, out = run(capsys, *argv)
+        assert code == 1 and len(out) == 1 and out[0]["error"] == "bad-input", (argv, out)
+
+
 def test_jac_add_double_mul_round(files, tmp_path, capsys):
     c, d = files
     code, out = run(capsys, "jac", "add", d, d, "--curve", c)

@@ -1,7 +1,9 @@
 import json
+import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -39,6 +41,7 @@ from g2div.errors import (
     InexactDivision,
     OffCurve,
     SerializationError,
+    UnsupportedField,
 )
 from g2div.fields import GF, QQ, is_prime
 from g2div.grouplaw import double_traced, gamma_double, scalar_mul, tangent_data
@@ -793,6 +796,24 @@ class TestFindTorsion:
             find_n_torsion(c7, 5)
 
 
+def test_search_cap_refuses_large_fields_at_once(c7, monkeypatch, capsys):
+    calls = (["--n", "3", "--ext", "4", "--curve", str(DATA / "c7.json")],  # 7^8 alphas
+             ["--n", "3", "--curve", str(DATA / "p127_three_torsion.json")])
+    for argv in calls:
+        start = time.perf_counter()
+        assert cli.main(["torsion", "find", *argv]) == 1
+        assert time.perf_counter() - start < 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "unsupported-field" and "O(q^2)" in out["detail"], out
+    # the cap is on q^2: F_7 has 49 alphas
+    monkeypatch.setattr(torsion, "SEARCH_CAP", 49)
+    brute = sorted(map(to_mumford, brute_force_n_torsion(c7, 3)), key=MumfordDivisor.sort_key)
+    assert find_three_torsion(c7) == brute
+    monkeypatch.setattr(torsion, "SEARCH_CAP", 48)
+    with pytest.raises(UnsupportedField):
+        find_four_torsion(c7)
+
+
 class TestEmission:
     def test_four_xy_names_and_weights(self):
         ds = emit_division_polynomials(4, "xy")
@@ -816,11 +837,16 @@ class TestEmission:
 
 
 # ---------------------------------------------------------------------------
-# constructed torsion over GF(2^127 - 1): a curve built around a divisor of
-# known order 3 or 4 (see tests/data/p127_torsion_fixtures.py)
+# constructed torsion: curves over GF(2^127 - 1), Q and F_{(2^61 - 1)^2}, each
+# built around a divisor of known order 3 or 4 by tests/torsion_construction.py
 
 DATA = Path(__file__).parent / "data"
-P127_FIXTURES = (("three", 3), ("four", 4))
+CONSTRUCTION = Path(__file__).parent / "torsion_construction.py"
+NAMES = (("three", 3), ("four", 4))
+PREFIXES = ("p127", "q", "p61sq")
+FIXTURES = [(prefix, name, n) for prefix in PREFIXES for name, n in NAMES]
+FIXTURE_FIELDS = {"p127": GF(2 ** 127 - 1), "q": QQ(),
+                  "p61sq": GF(2 ** 61 - 1, 2, modulus=(2 ** 61 - 4, 0, 1))}
 
 
 def _fixture(prefix, name):
@@ -837,19 +863,30 @@ def _residuals(d, n, curve):
     return res
 
 
-class TestP127ConstructedTorsion:
+class TestConstructedTorsion:
     def test_generator_rebuilds_the_files(self, tmp_path):
-        subprocess.run([sys.executable, str(DATA / "p127_torsion_fixtures.py"), str(tmp_path)],
-                       check=True)
-        for name, _ in P127_FIXTURES:
-            for f in (f"p127_{name}_torsion.json", f"p127_{name}_torsion_d.json"):
+        subprocess.run([sys.executable, str(CONSTRUCTION), str(tmp_path)], check=True)
+        for prefix, name, _ in FIXTURES:
+            for f in (f"{prefix}_{name}_torsion.json", f"{prefix}_{name}_torsion_d.json"):
                 assert (tmp_path / f).read_bytes() == (DATA / f).read_bytes(), f
 
-    @pytest.mark.parametrize("name,n", P127_FIXTURES)
-    def test_residuals_vanish_on_the_known_class(self, name, n):
-        curve, d = _fixture("p127", name)
+    def test_construction_loads_no_g2div_module(self, tmp_path):
+        # g2div is importable in the child, and running the generator loads none of it
+        code = ("import runpy, sys; sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__');"
+                " print(sorted(m for m in sys.modules if m.partition('.')[0] == 'g2div'))")
+        src = str(Path(__file__).parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code, str(CONSTRUCTION), str(tmp_path)], check=True,
+                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out == "[]\n"
+        assert len(list(tmp_path.iterdir())) == 4 * len(PREFIXES)
+
+    @pytest.mark.parametrize("prefix,name,n", FIXTURES)
+    def test_residuals_vanish_on_the_known_class(self, prefix, name, n):
+        curve, d = _fixture(prefix, name)
         F = curve.field
-        assert F.order() == 2 ** 127 - 1 and d.is_nonspecial()
+        assert F is FIXTURE_FIELDS[prefix] and d.is_nonspecial()
+        if F is QQ():
+            assert any(type(c) is Fraction for c in d.native)  # a non-integral coordinate
         assert is_on_jacobian(d, curve)
         assert is_torsion(d, n, curve)
         assert all(F.is_zero(r) for r in _residuals(d, n, curve))
@@ -874,65 +911,26 @@ class TestP127ConstructedTorsion:
         X4, yb3, _ = emit_division_polynomials(4, "xy", curve).polys
         assert all(curve.field.is_zero(p.evaluate(_point_values(p, p1, p2))) for p in (X4, yb3))
 
-    @pytest.mark.parametrize("name,n", P127_FIXTURES)
-    def test_torsion_check_verb(self, name, n, capsys):
-        args = ["torsion", "check", "--n", str(n), "--curve", str(DATA / f"p127_{name}_torsion.json"),
-                "--divisor", str(DATA / f"p127_{name}_torsion_d.json")]
-        assert cli.main(args) == 0
+    @pytest.mark.parametrize("prefix,name,n", FIXTURES)
+    def test_torsion_check_and_mul_verbs(self, prefix, name, n, capsys):
+        files = ["--curve", str(DATA / f"{prefix}_{name}_torsion.json")]
+        d = str(DATA / f"{prefix}_{name}_torsion_d.json")
+        assert cli.main(["torsion", "check", "--n", str(n), *files, "--divisor", d]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["is_torsion"] is True and out["residuals"] == ["0", "0"]
+        zero = "0,0" if prefix == "p61sq" else "0"
+        assert out["is_torsion"] is True and out["residuals"] == [zero, zero]
+        assert cli.main(["jac", "mul", str(n), d, *files]) == 0
+        assert json.loads(capsys.readouterr().out) == {"type": "neutral"}
 
-    @pytest.mark.parametrize("name,n", P127_FIXTURES)
-    def test_residuals_do_not_vanish_off_torsion(self, name, n):
-        curve, _ = _fixture("p127", name)
+    @pytest.mark.parametrize("prefix,name,n", [f for f in FIXTURES if f[0] != "q"])
+    def test_residuals_do_not_vanish_off_torsion(self, prefix, name, n):
+        curve, _ = _fixture(prefix, name)
         F = curve.field
         rng = random.Random(127 + n)
         for _ in range(8):
             d = random_divisor(curve, rng)
             assert not is_torsion(d, n, curve)
             assert not all(F.is_zero(r) for r in _residuals(d, n, curve))
-
-
-# the same constructions over Q with small rationals (see
-# tests/data/q_torsion_fixtures.py): rational torsion of known order
-
-class TestQConstructedTorsion:
-    def test_generator_rebuilds_the_files(self, tmp_path):
-        subprocess.run([sys.executable, str(DATA / "q_torsion_fixtures.py"), str(tmp_path)],
-                       check=True)
-        for name, _ in P127_FIXTURES:
-            for f in (f"q_{name}_torsion.json", f"q_{name}_torsion_d.json"):
-                assert (tmp_path / f).read_bytes() == (DATA / f).read_bytes(), f
-
-    @pytest.mark.parametrize("name,n", P127_FIXTURES)
-    def test_residuals_vanish_on_the_known_class(self, name, n):
-        curve, d = _fixture("q", name)
-        F = curve.field
-        assert F is QQ() and d.is_nonspecial()
-        assert any(type(c) is Fraction for c in d.native)  # a non-integral coordinate
-        assert is_on_jacobian(d, curve)
-        assert is_torsion(d, n, curve)
-        assert all(F.is_zero(r) for r in _residuals(d, n, curve))
-        c = from_mumford(d)
-        assert cantor_scalar_mul(n, c, curve).u.degree() == 0
-        twice = to_mumford(cantor_scalar_mul(2, c, curve))
-        assert double_traced(d, curve)[0] == twice
-        if n == 3:
-            assert twice == negate(d)
-        else:
-            a2, a4, b3, b5 = twice.coords
-            assert F.is_zero(b3) and F.is_zero(b5)
-            assert all(F.is_zero(r) for r in p_mod_u(a2, a4, curve.lam))
-
-    @pytest.mark.parametrize("name,n", P127_FIXTURES)
-    def test_torsion_check_and_mul_verbs(self, name, n, capsys):
-        files = ["--curve", str(DATA / f"q_{name}_torsion.json")]
-        d = str(DATA / f"q_{name}_torsion_d.json")
-        assert cli.main(["torsion", "check", "--n", str(n), *files, "--divisor", d]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["is_torsion"] is True and out["residuals"] == ["0", "0"]
-        assert cli.main(["jac", "mul", str(n), d, *files]) == 0
-        assert json.loads(capsys.readouterr().out) == {"type": "neutral"}
 
 
 # ---------------------------------------------------------------------------
@@ -982,7 +980,7 @@ def test_is_torsion_past_the_hasse_weil_bound(monkeypatch):
         is_torsion(off, 25 * BIG_PRIMES[0] * BIG_PRIMES[1], curve)
 
 
-@pytest.mark.parametrize("name,n", P127_FIXTURES)
+@pytest.mark.parametrize("name,n", NAMES)
 def test_is_torsion_with_large_prime_factors_over_q(name, n):
     # Q has no bound: nD = 0, so n is factored, by trial division up to 10^6
     curve, d = _fixture("q", name)
