@@ -863,13 +863,35 @@ def _residuals(d, n, curve):
     return res
 
 
-class TestConstructedTorsion:
-    def test_generator_rebuilds_the_files(self, tmp_path):
-        subprocess.run([sys.executable, str(CONSTRUCTION), str(tmp_path)], check=True)
-        for prefix, name, _ in FIXTURES:
-            for f in (f"{prefix}_{name}_torsion.json", f"{prefix}_{name}_torsion_d.json"):
-                assert (tmp_path / f).read_bytes() == (DATA / f).read_bytes(), f
+@pytest.fixture(scope="module")
+def rebuilt(tmp_path_factory):
+    out = tmp_path_factory.mktemp("torsion_data")
+    subprocess.run([sys.executable, str(CONSTRUCTION), str(out)], check=True)
+    return out
 
+
+class _RebuildsItsFiles:
+    PREFIX = None
+
+    def test_generator_rebuilds_the_files(self, rebuilt):
+        for name, _ in NAMES:
+            for f in (f"{self.PREFIX}_{name}_torsion.json", f"{self.PREFIX}_{name}_torsion_d.json"):
+                assert (rebuilt / f).read_bytes() == (DATA / f).read_bytes(), f
+
+
+class TestP127ConstructedTorsion(_RebuildsItsFiles):
+    PREFIX = "p127"
+
+
+class TestQConstructedTorsion(_RebuildsItsFiles):
+    PREFIX = "q"
+
+
+class TestP61sqConstructedTorsion(_RebuildsItsFiles):
+    PREFIX = "p61sq"
+
+
+class TestConstructedTorsion:
     def test_construction_loads_no_g2div_module(self, tmp_path):
         # g2div is importable in the child, and running the generator loads none of it
         code = ("import runpy, sys; sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__');"
