@@ -157,6 +157,12 @@ class ExtensionField(Field):
     def _native(self, a):
         return a
 
+    def _from_native(self, v):
+        return self.coerce(v)  # callers pass plain ints such as 0 too
+
+    def _invert(self, v):
+        return self.inv(self.coerce(v))
+
     def frobenius(self, a: FieldElement) -> FieldElement:
         """a^p, one product of the coefficient vector with the Frobenius matrix."""
         p = self.p

@@ -235,7 +235,9 @@ class FieldElement:
 
 
 class Field:
-    """Common interface; subclasses implement raw arithmetic on .value.
+    """Common interface, and the element arithmetic of F_p and Q, where an
+    element's value is its reduced native (see _native): one native operation
+    and one % F._modulus.  ExtensionField is the one field that overrides it.
 
     Fields are interned: make_field (behind GF, QQ and FieldSpec.build) returns
     one object per spec, so equality is identity.
@@ -267,7 +269,12 @@ class Field:
 
     # -- construction ---------------------------------------------------------
     def element(self, raw) -> FieldElement:
-        raise NotImplementedError
+        """The element of an int or a rational n/d, as n * (1/d)."""
+        if isinstance(raw, int):  # before the slower isinstance against the Rational ABC
+            return FieldElement(self, raw % self._modulus)
+        if isinstance(raw, Rational):
+            return FieldElement(self, raw.numerator * self._invert(raw.denominator) % self._modulus)
+        raise MixedFields(f"cannot build {self} element from {raw!r}")
 
     def coerce(self, v) -> FieldElement:
         if isinstance(v, FieldElement):
@@ -288,19 +295,19 @@ class Field:
 
     # -- arithmetic ----------------------------------------------------------
     def add(self, a, b):
-        raise NotImplementedError
+        return FieldElement(self, (a.value + b.value) % self._modulus)
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return FieldElement(self, (a.value - b.value) % self._modulus)
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return FieldElement(self, (a.value * b.value) % self._modulus)
 
     def neg(self, a):
-        raise NotImplementedError
+        return FieldElement(self, -a.value % self._modulus)
 
     def inv(self, a):
-        raise NotImplementedError
+        return FieldElement(self, self._invert(a.value))
 
     def div(self, a, b):
         if self.is_zero(b):
@@ -320,27 +327,27 @@ class Field:
         return result
 
     def is_zero(self, a) -> bool:
-        raise NotImplementedError
+        return not a.value
 
     # -- native values --------------------------------------------------------
     # The group law's hot branches (the generic sum and doubling kernels),
     # UniPoly, the polynomial ring and the Cantor oracle compute on native
-    # values: int for F_p, an int or a Fraction for Q, and the element itself
-    # for F_{p^k}.  v % F._modulus reduces one.  For F_p _modulus is the int
-    # p, so a reduction is one C-level %; for Q it is an object whose
-    # __rmod__ turns an integral Fraction into its int (faster to compute
-    # on), and for F_{p^k} one whose __rmod__ returns v.  _from_native turns
-    # a reduced native back into an element (over F_p without a second %,
-    # elsewhere by coerce); _invert takes one, reduced or not, to its
-    # reduced native inverse (over F_p one pow, no element built; over Q a
-    # Fraction) and is the kernels' zero test.  Each field sets _modulus,
-    # _native_zero and _native_one (and a finite field the _nonresidue cache
-    # of _non_residue) in __init__: an attribute added later (as by
-    # functools.cached_property) moves the instance's attributes out of
-    # CPython's inline-values layout and slows every self.p and F._modulus.
-    # _modulus and _native_one have no class default, so a field without
-    # them fails at once instead of building a polynomial whose None
-    # coefficient _make strips as zero.
+    # values: int for F_p, an int while integral and a Fraction otherwise for
+    # Q, and the element itself for F_{p^k}.  v % F._modulus reduces one.  For
+    # F_p _modulus is the int p, so a reduction is one C-level %; for Q it is
+    # an object whose __rmod__ turns an integral Fraction into its int (faster
+    # to compute on), and for F_{p^k} one whose __rmod__ returns v.  Over F_p
+    # and Q an element's value is its reduced native, so _native and
+    # _from_native only read or wrap it; F_{p^k} overrides both.  _invert
+    # takes a native, reduced or not, to its reduced native inverse (over F_p
+    # one pow, no element built; over Q a Fraction) and is the kernels' zero
+    # test.  Each field sets _modulus, _native_zero and _native_one (and a
+    # finite field the _nonresidue cache of _non_residue) in __init__: an
+    # attribute added later (as by functools.cached_property) moves the
+    # instance's attributes out of CPython's inline-values layout and slows
+    # every self.p and F._modulus.  _modulus and _native_one have no class
+    # default, so a field without them fails at once instead of building a
+    # polynomial whose None coefficient _make strips as zero.
     _native_zero = None
 
     def _native(self, a):
@@ -348,11 +355,7 @@ class Field:
 
     def _from_native(self, v) -> FieldElement:
         """The element of the reduced native v."""
-        return self.coerce(v)
-
-    def _invert(self, v):
-        """The reduced native 1/v; DivisionByZero when v is zero."""
-        return self._native(self.inv(self._from_native(v)))
+        return FieldElement(self, v)
 
     # -- square roots ---------------------------------------------------------
     # For the finite fields; RationalField overrides sqrt and is_square.
@@ -421,10 +424,21 @@ class Field:
         raise NotImplementedError
 
     def to_str(self, a) -> str:
-        raise NotImplementedError
+        return str(a.value)  # str(Fraction(-1, 2)) is "-1/2"
 
     def from_str(self, s: str) -> FieldElement:
-        raise NotImplementedError
+        """The element of "n" or "n/d" (an optional sign, ASCII digits, one
+        optional "/digits"); SerializationError for any other string or d = 0."""
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if s.isascii() and digits.isdecimal() and (den.isdecimal() or not slash):
+            try:
+                n, d = int(num), int(den or 1)
+            except ValueError:  # past int's digit limit
+                d = 0
+            if d:
+                return FieldElement(self, n * self._invert(d) % self._modulus)
+        raise SerializationError(f"bad element {s!r} for {self}")
 
     def elements(self):
         """Iterate all elements (finite fields only), deterministic order."""
@@ -446,42 +460,10 @@ class PrimeField(Field):
     def order(self):
         return self.p
 
-    def element(self, raw):
-        if isinstance(raw, int):  # before the slower isinstance against the Rational ABC
-            v = raw % self.p
-        elif isinstance(raw, Rational):
-            if raw.denominator % self.p == 0:
-                raise DivisionByZero(f"denominator divisible by {self.p}")
-            v = raw.numerator * pow(raw.denominator, -1, self.p) % self.p
-        else:
-            raise MixedFields(f"cannot build {self} element from {raw!r}")
-        return FieldElement(self, v)
-
-    def add(self, a, b):
-        return FieldElement(self, (a.value + b.value) % self.p)
-
-    def sub(self, a, b):
-        return FieldElement(self, (a.value - b.value) % self.p)
-
-    def mul(self, a, b):
-        return FieldElement(self, (a.value * b.value) % self.p)
-
-    def neg(self, a):
-        return FieldElement(self, -a.value % self.p)
-
-    def inv(self, a):
-        return FieldElement(self, self._invert(a.value))
-
     def pow(self, a, e: int):
         if e < 0:
             return self.pow(self.inv(a), -e)
         return FieldElement(self, pow(a.value, e, self.p))
-
-    def is_zero(self, a):
-        return a.value == 0
-
-    def _from_native(self, v):
-        return FieldElement(self, v)
 
     def _invert(self, v):
         try:
@@ -491,21 +473,6 @@ class PrimeField(Field):
 
     def sort_key(self, a):
         return a.value
-
-    def to_str(self, a):
-        return str(a.value)
-
-    def from_str(self, s):
-        if "_" not in s:  # Fraction takes "1_000" only from Python 3.11
-            try:
-                return self.element(int(s))
-            except ValueError:  # "3/4", "1.5" or malformed: Fraction decides
-                pass
-        from fractions import Fraction
-        try:
-            return self.element(Fraction(s))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SerializationError(f"bad element {s!r} for {self}") from exc
 
     def _element_at(self, n: int) -> FieldElement:
         return FieldElement(self, n)

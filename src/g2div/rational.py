@@ -1,13 +1,15 @@
 """The rational field Q.  Loaded on first use (by make_field, behind QQ and a
 rational FieldSpec), so a computation over F_p never compiles it; the name
-resolves through g2div.fields too (PEP 562)."""
+resolves through g2div.fields too (PEP 562).  An element's value is its
+reduced native, an int while integral and else a Fraction, so Field's element
+arithmetic serves Q as it serves F_p."""
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DivisionByZero, MixedFields, SerializationError
-from .fields import _RATIONALS, Field, FieldElement, FieldSpec
+from .errors import DivisionByZero
+from .fields import Field, FieldElement, FieldSpec
 
 
 class _RationalModulus(Fraction):
@@ -38,38 +40,10 @@ class RationalField(Field):
     def short_name(self):
         return "Q"
 
-    def element(self, raw):
-        if not isinstance(raw, _RATIONALS):
-            raise MixedFields(f"cannot build {self} element from {raw!r}")
-        return FieldElement(self, Fraction(raw))
-
-    def add(self, a, b):
-        return FieldElement(self, a.value + b.value)
-
-    def sub(self, a, b):
-        return FieldElement(self, a.value - b.value)
-
-    def mul(self, a, b):
-        return FieldElement(self, a.value * b.value)
-
-    def neg(self, a):
-        return FieldElement(self, -a.value)
-
-    def inv(self, a):
-        if not a.value:
-            raise DivisionByZero("1/0 in Q")
-        return FieldElement(self, 1 / a.value)
-
     def _invert(self, v):
         if not v:
             raise DivisionByZero("1/0 in Q")
         return (1 / Fraction(v)) % self._modulus
-
-    def is_zero(self, a):
-        return not a.value
-
-    def _native(self, a):
-        return a.value % self._modulus
 
     def sqrt(self, a):
         v = a.value
@@ -80,7 +54,7 @@ class RationalField(Field):
         rn, rd = isqrt(v.numerator), isqrt(v.denominator)
         if rn * rn != v.numerator or rd * rd != v.denominator:
             return ()
-        r = Fraction(rn, rd)
+        r = Fraction(rn, rd) % self._modulus
         return (FieldElement(self, -r), FieldElement(self, r))
 
     def is_square(self, a):
@@ -88,13 +62,3 @@ class RationalField(Field):
 
     def sort_key(self, a):
         return (a.value.numerator, a.value.denominator)
-
-    def to_str(self, a):
-        v = a.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-    def from_str(self, s):
-        try:
-            return self.element(Fraction(s))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SerializationError(f"bad rational {s!r}") from exc

@@ -43,7 +43,7 @@ def roots_in_field(poly: UniPoly) -> list:
     from math import lcm
     if poly.degree() == 0:
         return []
-    coeffs = [c.value for c in poly.coeffs]
+    coeffs = [Fraction(c.value) for c in poly.coeffs]  # an int / int is a float
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
     c = lcm(*[f.denominator for f in monic])

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 from .curves import LAMBDA_NAMES, LAMBDA_WEIGHTS, CanonicalCurve, _p_of
 from .divisors import MumfordDivisor, p_mod_u
@@ -64,17 +64,41 @@ DivisionPolySet = namedtuple("DivisionPolySet", "n coords names polys")
 # order tests
 
 def _prime_divisors(n: int) -> list:
-    """The distinct primes dividing n >= 1, by trial division that stops once
-    the cofactor, tested again only when it shrinks, is prime."""
-    primes, ell, prime = [], 2, is_prime(n)
-    while n > 1 and not prime:
-        if n % ell == 0:
-            primes.append(ell)
-            while n % ell == 0:
-                n //= ell
-            prime = is_prime(n)
-        ell += 1
-    return primes + [n] if n > 1 else primes
+    """The distinct primes dividing n >= 1, ascending: trial division below
+    2^8, then Pollard-Brent rho on each cofactor that is_prime, tested once
+    per cofactor, finds composite."""
+    primes = set()
+    for ell in range(2, 256):
+        while n % ell == 0:
+            primes.add(ell)
+            n //= ell
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            primes.add(m)
+        else:
+            d = _rho_factor(m)
+            todo += [d, m // d]
+    return sorted(primes)
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below 2^8, in
+    about the square root of its least prime factor steps: Brent's cycle
+    search on x -> x^2 + c from x = 2, with fixed seeds c = 1, 2, ..."""
+    for c in range(1, n):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 def is_torsion(D: MumfordDivisor, n: int, curve: CanonicalCurve) -> bool:
@@ -83,8 +107,7 @@ def is_torsion(D: MumfordDivisor, n: int, curve: CanonicalCurve) -> bool:
     D has exact order n when nD = 0 and (n/l)D != 0 for each prime l | n,
     so the test takes 1 + omega(n) scalar multiplications.  Over F_q no order
     exceeds #J(F_q) <= (1 + sqrt q)^4 <= (2 + isqrt q)^4, so a larger n takes
-    none; else, once nD = 0, trial division takes about n's second largest
-    prime factor in steps, unbounded over Q."""
+    none; else, once nD = 0, n is factored by _prime_divisors."""
     if n < 1:
         raise SerializationError("torsion order must be positive")
     q = curve.field.order()

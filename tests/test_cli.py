@@ -59,6 +59,13 @@ MALFORMED_DIVISORS = {
     "int-point": {"type": "special", "point": [6, 0]},
     "list": [D1],
 }
+# an element string is "n" or "n/d" (optional sign, ASCII digits); one
+# case per form that Fraction would read but the grammar rejects
+for form, e in {"exponent": "1e3", "decimal": "1.5", "space": " 1", "underscore": "1_0",
+                "hex": "0x1", "arabic-indic-digit": "\u0661", "slash-sign": "1/-2"}.items():
+    MALFORMED_CURVES[f"{form}-lambda"] = {**C7, "lambda": [e, "0", "0", "0", "1"]}
+MALFORMED_DIVISORS["decimal-alpha"] = {**D1, "alpha": ["0.1", "0"]}
+MALFORMED_DIVISORS["exponent-beta"] = {**D1, "beta": ["5e0", "6"]}
 
 
 @pytest.mark.parametrize("which,bad", [("curve", k) for k in MALFORMED_CURVES]
@@ -75,6 +82,21 @@ def test_malformed_json_is_bad_input(which, bad, files, tmp_path, capsys):
     for argv in calls:
         code, out = run(capsys, *argv)
         assert code == 1 and len(out) == 1 and out[0]["error"] == "bad-input", (argv, out)
+
+
+@pytest.mark.parametrize("which,e", [("curve", "1e3"), ("curve", "0.1"), ("divisor", "0.1"),
+                                     ("divisor", "1/2 ")])
+def test_malformed_rational_element_is_bad_input(which, e, tmp_path, capsys):
+    data = Path(__file__).parent / "data"
+    c, d = (json.loads((data / f"q_three_torsion{s}.json").read_text()) for s in ("", "_d"))
+    if which == "curve":
+        c["lambda"][0] = e
+    else:
+        d["alpha"][0] = e
+    (tmp_path / "c.json").write_text(json.dumps(c))
+    (tmp_path / "d.json").write_text(json.dumps(d))
+    code, out = run(capsys, "jac", "verify", str(tmp_path / "d.json"), "--curve", str(tmp_path / "c.json"))
+    assert code == 1 and out == [{"error": "bad-input", "detail": f"bad element {e!r} for Q"}]
 
 
 def test_jac_add_double_mul_round(files, tmp_path, capsys):

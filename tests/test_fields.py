@@ -1,6 +1,7 @@
 import builtins
 import copy
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from conftest import pullback
 from g2div import fields
 from g2div.errors import (DivisionByZero, G2DivError, MixedFields, NoSquareRoot,
                           SerializationError, UnsupportedField)
-from g2div.extension import FieldEmbedding, find_irreducible, is_irreducible_mod_p
+from g2div.extension import ExtensionField, FieldEmbedding, find_irreducible, is_irreducible_mod_p
 from g2div.fields import GF, QQ, FieldSpec, is_prime
 from g2div.unipoly import UniPoly
 
@@ -299,6 +300,37 @@ def test_native_invert(field):
         assert field._invert(Fraction(-2, 3)) == Fraction(-3, 2)
 
 
+@pytest.mark.parametrize("field", [GF(7), GF(2 ** 40 - 87), GF(31, 2), QQ()],
+                         ids=lambda f: f.short_name())
+def test_element_ops_are_the_native_ops(field):
+    """Over F_p and Q an element's value is its reduced native, which _native
+    reads and _from_native wraps as is; over Q it is an int exactly when
+    integral.  Over every field + - * / and negation of elements agree with
+    the native operations, % F._modulus and _invert."""
+    rng = random.Random(11)
+    m, nat = field._modulus, field._native
+    elems = [_sample(field, rng) for _ in range(60)] + [field.zero, field.one, field.element(-3)]
+    if field.order() is None:
+        elems += [field.element(Fraction(4, 2)), field.from_str("-6/3"), field.from_str("-1/2"),
+                  field.one / field.element(Fraction(1, 2)), *field.sqrt(field.element(Fraction(9, 1)))]
+    for a in elems:
+        if not isinstance(field, ExtensionField):
+            assert nat(a) is a.value
+            assert field._from_native(a.value).value is a.value
+        if field.order() is None:
+            assert (type(a.value) is int) == (a.value.denominator == 1), repr(a.value)
+        assert nat(-a) == -nat(a) % m
+        for b in elems[::7]:
+            assert nat(a + b) == (nat(a) + nat(b)) % m
+            assert nat(a - b) == (nat(a) - nat(b)) % m
+            assert nat(a * b) == (nat(a) * nat(b)) % m
+            if b:
+                assert nat(a / b) == nat(a) * field._invert(nat(b)) % m
+            if field.order() is None:
+                assert all(type(c.value) is int for c in (a + b, a - b, a * b)
+                           if c.value.denominator == 1)
+
+
 def test_native_modulus():
     """v % F._modulus is each field's one reduction of a native value: over
     F_p the int p itself, over Q an integral Fraction to its int, over
@@ -348,22 +380,36 @@ def _outcome(parse, field, s):
         return type(exc), str(exc)
 
 
-def _fraction_parse(field, s):
+def _grammar_parse(field, s):
+    """The documented element grammar: an optional sign, ASCII digits and one
+    optional "/digits" with a nonzero denominator, read by Fraction."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?", s):
+        raise SerializationError(f"bad element {s!r} for {field}")
     try:
         return field.element(Fraction(s))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:  # past the interpreter's int digit limit, if it has one
         raise SerializationError(f"bad element {s!r} for {field}") from exc
 
 
+ELEMENT_STRINGS = ("3", " -3 ", "+10", "1_000", "\u0663", "\u00b2", "3/4", "1.5", "1e3", "", "0x10",
+                   "1/0", "1/7", "-3/4", "+0/05", "0.1", "3 ", "\t3", "5\n", "1/2/3", "1/", "/2",
+                   "+", "-", "--3", "1/-2", "1/+2", "\u0663/2", pytest.param("1" * 5000, id="5000-digits"))
+
+
 @pytest.mark.parametrize("p", (7, 2 ** 40 - 87))
-@pytest.mark.parametrize("s", ("3", " -3 ", "+10", "1_000", "\u0663", "\u00b2", "3/4", "1.5",
-                               "1e3", "", "0x10", "1/0", "1/7"))
+@pytest.mark.parametrize("s", ELEMENT_STRINGS)
 def test_prime_from_str_parses_as_fraction(p, s):
-    # from_str tries int first; it must give what this interpreter's Fraction
-    # gives ("1_000" parses from Python 3.11 only), for an Arabic-Indic digit
-    # (U+0663) and a superscript (U+00B2) too
+    # from_str reads exactly the grammar "n" or "n/d" (no whitespace, "_",
+    # ".", exponent, hex or non-ASCII digits, an Arabic-Indic U+0663 and a
+    # superscript U+00B2 included), as Fraction would; a denominator p
+    # divides is a division by zero
     F = GF(p)
-    assert _outcome(type(F).from_str, F, s) == _outcome(_fraction_parse, F, s)
+    assert _outcome(type(F).from_str, F, s) == _outcome(_grammar_parse, F, s)
+
+
+@pytest.mark.parametrize("s", ELEMENT_STRINGS)
+def test_rational_from_str_reads_the_same_grammar(s):
+    assert _outcome(type(QQ()).from_str, QQ(), s) == _outcome(_grammar_parse, QQ(), s)
 
 
 def test_embedding_round_trip():

@@ -1004,6 +1004,34 @@ def test_is_torsion_past_the_hasse_weil_bound(monkeypatch):
 
 @pytest.mark.parametrize("name,n", NAMES)
 def test_is_torsion_with_large_prime_factors_over_q(name, n):
-    # Q has no bound: nD = 0, so n is factored, by trial division up to 10^6
+    # Q has no bound: nD = 0, so n is factored, by Pollard-Brent rho past 2^8
     curve, d = _fixture("q", name)
-    assert not is_torsion(d, n * BIG_PRIMES[0] * BIG_PRIMES[1], curve)
+    for p, q in (BIG_PRIMES, (1000000007, 1000000009)):
+        assert not is_torsion(d, n * p * q, curve)
+
+
+def _trial_division_primes(n):
+    primes, ell = [], 2
+    while ell * ell <= n:
+        if n % ell == 0:
+            primes.append(ell)
+            while n % ell == 0:
+                n //= ell
+        ell += 1
+    return primes + [n] if n > 1 else primes
+
+
+def test_prime_divisors_match_trial_division():
+    for n in range(1, 10 ** 4):
+        assert _prime_divisors(n) == _trial_division_primes(n), n
+    # rho's cofactors just past the trial-division bound 2^8: products,
+    # squares and cubes of primes from 257 to 400
+    mid = [ell for ell in range(257, 400) if is_prime(ell)]
+    for p, q in combinations(mid, 2):
+        for n in (p * q, p * p, p ** 3 * q, 255 * p * q * q):
+            assert _prime_divisors(n) == _trial_division_primes(n), n
+    large = (1000003, 1000033, 1000000007, 1000000009, 2 ** 31 - 1, 2 ** 61 - 1)
+    for p, q in combinations(large, 2):
+        for k, small in ((1, []), (2 ** 5 * 3 * 7 ** 3, [2, 3, 7])):
+            assert _prime_divisors(k * p * q) == sorted(small + [p, q]), (k, p, q)
+    assert _prime_divisors(1000003 * 1000033 * 1000037) == [1000003, 1000033, 1000037]
