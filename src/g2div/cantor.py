@@ -16,7 +16,7 @@ from .curves import CanonicalCurve
 from .divisors import NEUTRAL, NONSPECIAL, SPECIAL, MumfordDivisor
 from .errors import MixedFields, SerializationError, UnsupportedField
 from .fields import Field
-from .unipoly import UniPoly, _add, _divmod, _exact_div, _monic, _mul, _poly, _strip, _sub, _xgcd
+from .unipoly import UniPoly, _add, _exact_div, _monic, _mul, _poly, _rem, _strip, _sub, _submul, _xgcd
 
 
 class CantorDivisor(namedtuple("CantorDivisor", "field u_native v_native")):
@@ -24,6 +24,7 @@ class CantorDivisor(namedtuple("CantorDivisor", "field u_native v_native")):
     v are UniPolys built on access.  The oracle builds records with _make."""
 
     __slots__ = ()
+    _make = classmethod(tuple.__new__)  # namedtuple's, without its length check
 
     def __new__(cls, u: UniPoly, v: UniPoly):
         if u._c and u._c[-1] != u.field._native_one:
@@ -55,23 +56,25 @@ def cantor_add(a: CantorDivisor, b: CantorDivisor, curve: CanonicalCurve) -> Can
     f))/d mod u.  Each xgcd carries one cofactor, and the three cases below
     are that formula with the cofactors it does not need cancelled out.  A
     unit d (d = 1, as d is monic) divides nothing.  Every step is one of
-    unipoly's list kernels, from the operands' natives to the result's."""
+    unipoly's list kernels, from the operands' natives to the result's:
+    f - v^2, the CRT sum and each numerator are one _submul (a - b*c), every
+    remainder is one _rem, and -v mod u' is the negated remainder."""
     F = curve.field
     Fa, u1, v1 = a
     Fb, u2, v2 = b
     if Fa is not F or Fb is not F:
         raise MixedFields("divisor/curve field mismatch")
-    f = (*reversed(curve.native), F._native_one)
+    f, m = (*reversed(curve.native), F._native_one), F._modulus
     if u1 == u2:
         # one support, a doubling among them: gcd(u1, u2) = u1 = 0*u1 + 1*u2,
         # and with d = gcd(u1, v1 + v2) = c1*u1 + c2*(v1 + v2) the numerator
         # c1*u1*v1 + c2*(v1*v2 + f) is d*v1 + c2*(f - v1^2)
         d, c2 = _xgcd(F, u1, _add(F, v1, v2))
-        h, w = u1, _sub(F, f, _mul(F, v1, v1))
+        h, w = u1, _submul(F, f, v1, v1)
         if len(d) > 1:
             h, w = _exact_div(F, u1, d), _exact_div(F, w, d)
         u = _mul(F, h, h)
-        v = _divmod(F, _add(F, v1, _mul(F, c2, w)), u)[1]
+        v = _rem(F, _submul(F, v1, _sub(F, (), c2), w), u)
     else:
         d1, e2 = _xgcd(F, u1, u2)  # e1*u1 + e2*u2 = d1
         if len(d1) == 1:
@@ -79,29 +82,29 @@ def cantor_add(a: CantorDivisor, b: CantorDivisor, curve: CanonicalCurve) -> Can
             # mod u1, v = v2 mod u2, the same v as (e1*u1*v2 + e2*u2*v1) mod
             # u, which it equals mod u1 and mod u2 and with degree below deg u
             u = _mul(F, u1, u2)
-            v = _add(F, v2, _mul(F, u2, _divmod(F, _mul(F, e2, _sub(F, v1, v2)), u1)[1]))
+            v = _submul(F, v2, u2, _rem(F, _mul(F, e2, _sub(F, v2, v1)), u1))
         else:
             # shared support: d = c1*d1 + c2*(v1 + v2), and the numerator is
             # d*v2 + c1*e2*u2*(v1 - v2) + c2*(f - v2^2)
             vs = _add(F, v1, v2)
             d, c2 = _xgcd(F, d1, vs)
-            c1 = _exact_div(F, _sub(F, d, _mul(F, c2, vs)), d1)
-            h1, h2, w = u1, u2, _sub(F, f, _mul(F, v2, v2))
+            c1 = _exact_div(F, _submul(F, d, c2, vs), d1)
+            h1, h2, w = u1, u2, _submul(F, f, v2, v2)
             if len(d) > 1:
                 h1, h2, w = _exact_div(F, u1, d), _exact_div(F, u2, d), _exact_div(F, w, d)
             u = _mul(F, h1, h2)
-            t = _mul(F, _mul(F, _mul(F, c1, e2), h2), _sub(F, v1, v2))
-            v = _divmod(F, _add(F, _add(F, v2, t), _mul(F, c2, w)), u)[1]
-    # reduction
+            t = _submul(F, v2, _mul(F, _mul(F, c1, e2), h2), _sub(F, v2, v1))
+            v = _rem(F, _submul(F, t, _sub(F, (), c2), w), u)
+    # reduction: u' = (f - v^2)/u made monic, v' = -v mod u' the negated remainder
     while len(u) > 3:
-        u = _monic(F, _exact_div(F, _sub(F, f, _mul(F, v, v)), u))
-        v = _divmod(F, _sub(F, (), v), u)[1]
-    return CantorDivisor._make((F, tuple(_monic(F, u)), tuple(v)))
+        u = _monic(F, _exact_div(F, _submul(F, f, v, v), u))
+        v = [-c % m for c in _rem(F, v, u)]
+    return CantorDivisor._make((F, tuple(u), tuple(v)))
 
 
 def cantor_neg(a: CantorDivisor) -> CantorDivisor:
     F, u, v = a
-    return CantorDivisor._make((F, u, tuple(_divmod(F, _sub(F, (), v), u)[1])))
+    return CantorDivisor._make((F, u, tuple(_sub(F, (), _rem(F, v, u)))))
 
 
 def cantor_scalar_mul(n: int, a: CantorDivisor, curve: CanonicalCurve) -> CantorDivisor:
@@ -134,15 +137,16 @@ def to_mumford(d: CantorDivisor) -> MumfordDivisor:
 
 
 def from_mumford(m: MumfordDivisor) -> CantorDivisor:
-    F = m.field
-    if m.variant == NEUTRAL:
+    F, variant, native = m
+    if variant == NEUTRAL:
         return neutral_divisor(F)
     mod, one, make = F._modulus, F._native_one, CantorDivisor._make
-    if m.variant == SPECIAL:
-        x0, y0 = m.native
+    if variant == SPECIAL:
+        x0, y0 = native
         return make((F, (-x0 % mod, one), (y0,) if y0 else ()))
-    a2, a4, b3, b5 = m.native
-    return make((F, (a4, a2, one), tuple(_strip([-b5 % mod, -b3 % mod]))))
+    a2, a4, b3, b5 = native
+    v = (-b5 % mod, -b3 % mod)
+    return make((F, (a4, a2, one), v if v[1] else v[:1] if v[0] else ()))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +214,7 @@ def enumerate_jacobian(curve: CanonicalCurve):
     for u1 in range(p):
         for u0 in range(p):
             u = (u0, u1, 1)
-            r0, r1 = (*_divmod(F, f._c, u)[1], 0, 0)[:2]
+            r0, r1 = (*_rem(F, f._c, u), 0, 0)[:2]
             for v1 in range(p):
                 w1, w0 = v1 * v1 * u1 + r1, v1 * v1 * u0 + r0
                 for v0 in range(p):

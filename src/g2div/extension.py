@@ -180,10 +180,17 @@ class ExtensionField(Field):
         return ",".join(str(c) for c in a.value)
 
     def from_str(self, s):
-        try:
-            return self.from_coeffs([int(c) for c in s.split(",")])
-        except ValueError as exc:
-            raise SerializationError(f"bad element {s!r} for {self}") from exc
+        """The element of "c0,c1,...": at most k comma-separated coefficients,
+        each an optional sign and ASCII digits, as in Field.from_str;
+        SerializationError for any other string."""
+        cs = s.split(",")
+        if s.isascii() and len(cs) <= self.k and all(
+                (c[1:] if c[:1] in ("+", "-") else c).isdecimal() for c in cs):
+            try:
+                return self.from_coeffs([int(c) for c in cs])
+            except ValueError:  # past int's digit limit
+                pass
+        raise SerializationError(f"bad element {s!r} for {self}")
 
     def _element_at(self, n: int) -> FieldElement:
         """Element n of elements(): the base-p digits of n, lowest first."""

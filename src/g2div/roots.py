@@ -8,20 +8,21 @@ Its names resolve through g2div.unipoly too (PEP 562).
 from __future__ import annotations
 
 from .errors import DivisionByZero
-from .unipoly import UniPoly, gcd
+from .unipoly import UniPoly, _mul, _poly, _rem, gcd
 
 
 def powmod(base: UniPoly, e: int, m: UniPoly) -> UniPoly:
-    """base^e mod m by repeated squaring, e >= 0."""
-    result = UniPoly.one(base.field) % m
-    base = base % m
+    """base^e mod m by repeated squaring, e >= 0, on unipoly's list kernels:
+    one UniPoly, the result, is built."""
+    F, mod = base.field, m._c
+    result, b = _rem(F, [F._native_one], mod), _rem(F, base._c, mod)
     while e:
         if e & 1:
-            result = result * base % m
+            result = _rem(F, _mul(F, result, b), mod)
         e >>= 1
         if e:
-            base = base * base % m
-    return result
+            b = _rem(F, _mul(F, b, b), mod)
+    return _poly(F, result)
 
 
 def roots_in_field(poly: UniPoly) -> list:

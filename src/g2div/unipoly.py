@@ -5,10 +5,9 @@ Cantor oracle.  Coefficients ascend: UniPoly(F, [c0, c1, c2]) is
 c0 + c1*x + c2*x^2.
 
 The arithmetic is a set of list kernels on the field's reduced natives
-(_add, _sub, _mul, _divmod, _exact_div, _scale, _monic, _xgcd): UniPoly's
-operators, xgcd and gcd wrap them, and cantor_add runs them directly.
-xgcd carries one Bezout cofactor, b's, and stops at a unit remainder;
-cantor_add derives the other by exact division only where it needs it.
+(_add, _sub, _mul, _submul = a - b*c, _scale, _monic, _rem, the one
+division, _exact_div, _xgcd): UniPoly's operators, xgcd, gcd and
+roots.powmod wrap them, and cantor_add runs them directly.
 
 Root finding (powmod, roots_in_field, factors_of_degree) lives in
 g2div.roots, loaded on first use; its names resolve here too (PEP 562).
@@ -110,7 +109,7 @@ class UniPoly:
         return _poly(F, _scale(F, self._c, c) if c else ())
 
     def __mod__(self, other):
-        return _poly(self.field, _divmod(self.field, self._c, self._other(other))[1])
+        return _poly(self.field, _rem(self.field, self._c, self._other(other)))
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         return _poly(self.field, _exact_div(self.field, self._c, self._other(other)))
@@ -125,12 +124,8 @@ class UniPoly:
 
     def evaluate(self, x) -> FieldElement:
         F = self.field
-        if not self._c:
-            return F.zero
-        x = F._native(F.coerce(x))
-        m = F._modulus
-        acc = self._c[-1]
-        for c in reversed(self._c[:-1]):
+        x, m, acc = F._native(F.coerce(x)), F._modulus, F._native_zero
+        for c in reversed(self._c):
             acc = (acc * x + c) % m
         return F._from_native(acc)
 
@@ -141,16 +136,12 @@ class UniPoly:
         return acc
 
     def __repr__(self):
-        if self.is_zero():
-            return "UniPoly(0)"
-        parts = []
-        for i in range(self.degree(), -1, -1):
-            c = self[i]
-            if self.field.is_zero(c):
-                continue
-            s = self.field.to_str(c)
-            parts.append(s if i == 0 else (f"({s})*x^{i}" if i > 1 else f"({s})*x"))
-        return "UniPoly(" + " + ".join(parts) + ")"
+        F, parts = self.field, []
+        for i, c in reversed(list(enumerate(self._c))):
+            if c:
+                s = F.to_str(F._from_native(c))
+                parts.append(s if i == 0 else f"({s})*x" + (f"^{i}" if i > 1 else ""))
+        return "UniPoly(" + (" + ".join(parts) or "0") + ")"
 
 
 def _poly(field: Field, cs) -> UniPoly:
@@ -164,8 +155,9 @@ def _poly(field: Field, cs) -> UniPoly:
 
 # ---------------------------------------------------------------------------
 # list kernels: a and b are sequences of the field F's reduced natives without
-# trailing zeros, and so is every result.  Only a sum or difference of equal
-# lengths can cancel its top, so only it is stripped; no product or quotient.
+# trailing zeros, and so is every result.  Each coefficient is reduced as it
+# is written, with no second pass: at these lengths a pass costs more than the
+# reductions it saves.  A top that can cancel is stripped once, at the end.
 
 def _strip(cs: list) -> list:
     while cs and not cs[-1]:
@@ -176,35 +168,39 @@ def _strip(cs: list) -> list:
 def _add(F, a, b):
     if len(a) < len(b):
         a, b = b, a
-    m = F._modulus
-    out = [(x + y) % m for x, y in zip(a, b)]
-    if len(a) == len(b):
-        return _strip(out)
-    out += a[len(b):]
-    return out
+    m, out = F._modulus, list(a)
+    for i, y in enumerate(b):
+        out[i] = (out[i] + y) % m
+    return _strip(out)
 
 
 def _sub(F, a, b):
-    m = F._modulus
-    out = [(x - y) % m for x, y in zip(a, b)]
-    if len(a) == len(b):
-        return _strip(out)
-    out += a[len(b):]
-    out += [-y % m for y in b[len(a):]]
-    return out
+    m, out = F._modulus, list(a)
+    out += [F._native_zero] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] = (out[i] - y) % m
+    return _strip(out)
 
 
 def _mul(F, a, b):
     if not a or not b:
         return []
-    # sums stay unreduced until the end; the top, a product of nonzeros, is nonzero
+    m = F._modulus
     out = [F._native_zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    m = F._modulus
-    return [c % m for c in out]
+        for j, y in enumerate(b, i):
+            out[j] = (out[j] + x * y) % m
+    return out  # a product of nonzero tops is a nonzero top
+
+
+def _submul(F, a, b, c):
+    """a - b*c in one list."""
+    m, out = F._modulus, list(a)
+    out += [F._native_zero] * (len(b) + len(c) - 1 - len(out))
+    for i, x in enumerate(b):
+        for j, y in enumerate(c, i):
+            out[j] = (out[j] - x * y) % m
+    return _strip(out)
 
 
 def _scale(F, a, c):
@@ -220,47 +216,42 @@ def _monic(F, a):
     return _scale(F, a, F._invert(a[-1]))
 
 
-def _divmod(F, a, b):
-    """(quotient, remainder) of a by b."""
+def _rem(F, a, b, q=None):
+    """a mod b; a list q receives the quotient."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    db = len(b) - 1
-    if len(a) <= db:
-        return [], a
-    rem, m = list(a), F._modulus
-    lead = b[-1]
-    inv_lead = None if lead == F._native_one else F._invert(lead)
-    low = b[:-1]  # the leading term cancels by construction
-    q = [F._native_zero] * (len(rem) - db)
-    while len(rem) > db:
-        c = rem.pop()  # nonzero: rem never ends in a zero
-        if inv_lead is not None:
-            c = c * inv_lead % m
-        shift = len(rem) - db
-        q[shift] = c  # the first one is the top, so q ends in no zero
-        for i, bi in enumerate(low, shift):
-            rem[i] = (rem[i] - c * bi) % m
-        _strip(rem)
-    return q, rem
+    m, r, low = F._modulus, list(a), b[:-1]  # b's leading term cancels by construction
+    inv = None if b[-1] == F._native_one else F._invert(b[-1])
+    for k in range(len(r) - len(b), -1, -1):
+        c = r.pop()
+        if c:
+            if inv is not None:
+                c = c * inv % m
+            for i, y in enumerate(low, k):
+                r[i] = (r[i] - c * y) % m
+        if q is not None:
+            q.insert(0, c)
+    return _strip(r)
 
 
 def _exact_div(F, a, b):
-    q, r = _divmod(F, a, b)
-    if r:
+    q = []
+    if _rem(F, a, b, q):
         raise InexactDivision("nonzero remainder")
     return q
 
 
 def _xgcd(F, a, b):
-    """(g, t): xgcd's kernel; a nonzero constant remainder is the gcd."""
-    r0, r1 = a, b
-    t0, t1 = [], [F._native_one]
+    """(g, t): xgcd's kernel.  Each Euclidean step is one _rem, which hands
+    back its quotient q, and one _submul, t0 - q*t1; a nonzero constant
+    remainder is the gcd."""
+    r0, r1, t0, t1 = a, b, [], [F._native_one]
     while len(r1) > 1:
-        q, r = _divmod(F, r0, r1)
+        q = []
+        r = _rem(F, r0, r1, q)
         if not r:
-            break
-        r0, r1 = r1, r
-        t0, t1 = t1, _sub(F, t0, _mul(F, q, t1))
+            break  # r1 divides r0: it is the gcd, and t1 its cofactor
+        r0, r1, t0, t1 = r1, r, t1, _submul(F, t0, q, t1)
     if r1:
         r0, t0 = r1, t1
     if not r0 or r0[-1] == F._native_one:
@@ -272,17 +263,14 @@ def _xgcd(F, a, b):
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     F, x, y = a.field, a._c, b._c
     while y:
-        x, y = y, _divmod(F, x, y)[1]
+        x, y = y, _rem(F, x, y)
     return _poly(F, _monic(F, x))
 
 
 def xgcd(a: UniPoly, b: UniPoly):
-    """(g, t): g = gcd(a, b), monic, and t with s*a + t*b = g for some s.
-
-    Only b's cofactor runs through the Euclidean steps, which stop at the
-    first remainder that divides the one before it, a nonzero constant
-    without a division; a caller that needs s takes
-    (g - t*b).exact_div(a)."""
+    """(g, t): g = gcd(a, b), monic, and t with s*a + t*b = g for some s; the
+    Euclidean steps stop at a nonzero constant remainder, and a caller that
+    needs s takes (g - t*b).exact_div(a)."""
     g, t = _xgcd(a.field, a._c, b._c)
     return _poly(a.field, g), _poly(a.field, t)
 

@@ -99,6 +99,18 @@ def test_malformed_rational_element_is_bad_input(which, e, tmp_path, capsys):
     assert code == 1 and out == [{"error": "bad-input", "detail": f"bad element {e!r} for Q"}]
 
 
+@pytest.mark.parametrize("e", ["1_0,3", " 1,3", "1,2,3", "\u0663,1"])
+def test_malformed_extension_element_is_bad_input(e, tmp_path, capsys):
+    # an F_{7^2} curve file whose lambda holds a coefficient outside the
+    # grammar "optional sign, ASCII digits", or more than k = 2 of them
+    data = Path(__file__).parent / "data"
+    c = json.loads((data / "c49.json").read_text())
+    c["lambda"][0] = e
+    (tmp_path / "c.json").write_text(json.dumps(c))
+    code, out = run(capsys, "jac", "verify", str(data / "c49_d1.json"), "--curve", str(tmp_path / "c.json"))
+    assert code == 1 and out == [{"error": "bad-input", "detail": f"bad element {e!r} for F7^2"}]
+
+
 def test_jac_add_double_mul_round(files, tmp_path, capsys):
     c, d = files
     code, out = run(capsys, "jac", "add", d, d, "--curve", c)

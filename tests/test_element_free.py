@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_point
-from g2div import cantor, unipoly
+from g2div import cantor, roots, unipoly
 from g2div.cantor import cantor_add, cantor_neg, from_mumford, to_mumford
 from g2div.curves import CanonicalCurve
 from g2div.divisors import MumfordDivisor, mumford_from_points
@@ -48,7 +48,7 @@ def counting_elements():
 def counting_polys():
     """Counts UniPoly constructions inside the block: the constructor and
     _poly, which every other way of making one calls, in each module that
-    holds it."""
+    holds it (unipoly, cantor and roots)."""
     built = [0]
     init, make = UniPoly.__init__, unipoly._poly
 
@@ -60,7 +60,7 @@ def counting_polys():
         built[0] += 1
         return make(field, cs)
 
-    holders = [m for m in (unipoly, cantor) if getattr(m, "_poly", None) is make]
+    holders = [m for m in (unipoly, cantor, roots) if getattr(m, "_poly", None) is make]
     UniPoly.__init__ = counted_init
     for m in holders:
         m._poly = counted_make

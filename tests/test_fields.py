@@ -412,6 +412,36 @@ def test_rational_from_str_reads_the_same_grammar(s):
     assert _outcome(type(QQ()).from_str, QQ(), s) == _outcome(_grammar_parse, QQ(), s)
 
 
+EXTENSION_STRINGS = ("3", "3,5", "+3,-2", "0,0", "-0,+0", "12,-15", " 1_0 , \u0663", "1_0,3", "3,5,1",
+                     "", ",", "3,", ",3", "1/2,3", "3 ,5", "3, 5", "\u0663,1", "1e3,2", "0x1,2",
+                     "+,3", "--3,1", "3;5", pytest.param("1" * 5000 + ",1", id="5000-digits"))
+
+
+def _extension_grammar_parse(field, s):
+    """At most k comma-separated coefficients, each an optional sign and
+    ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+(,[+-]?[0-9]+){0,%d}" % (field.k - 1), s):
+        raise SerializationError(f"bad element {s!r} for {field}")
+    try:
+        return field.from_coeffs([int(c) for c in s.split(",")])
+    except ValueError as exc:  # past the interpreter's int digit limit, if it has one
+        raise SerializationError(f"bad element {s!r} for {field}") from exc
+
+
+@pytest.mark.parametrize("s", EXTENSION_STRINGS)
+def test_extension_from_str_reads_the_coefficient_grammar(s):
+    # over F_{7^2} each coefficient reads as Field.from_str reads an integer:
+    # no whitespace, "_", ".", exponent, hex or non-ASCII digits, and no
+    # more than k of them
+    F = GF(7, 2)
+    assert _outcome(type(F).from_str, F, s) == _outcome(_extension_grammar_parse, F, s)
+    if s in ("3,5", "+3,-2", " 1_0 , \u0663"):
+        assert _outcome(type(F).from_str, F, s) == {"3,5": F.from_coeffs([3, 5]),
+                                                    "+3,-2": F.from_coeffs([3, 5]),
+                                                    " 1_0 , \u0663": (SerializationError,
+                                                                      f"bad element {s!r} for F7^2")}[s]
+
+
 def test_embedding_round_trip():
     small = GF(7, 2)
     big = GF(7, 4)

@@ -79,10 +79,10 @@ class CountingPrimeField(PrimeField):
         return Counting(PrimeField._invert(self, v))
 
 
-def _curve_points(p):
-    """The curve y^2 = x^5 + x^4 + 2x^3 + 3x^2 + 4x + 5 over F_p and its
+def _curve_points(p, k=1):
+    """The curve y^2 = x^5 + x^4 + 2x^3 + 3x^2 + 4x + 5 over F_{p^k} and its
     first four points with x = 1, 2, ..."""
-    F = GF(p)
+    F = GF(p, k)
     curve = CanonicalCurve(F, (1, 2, 3, 4, 5))
     pts = []
     x = 0
@@ -239,17 +239,20 @@ def test_counting_native_stays_counting():
 # ---------------------------------------------------------------------------
 # the Cantor oracle's polynomial operations
 
-POLY_KINDS = {"products": ("_mul",), "divisions": ("_divmod",),
-              "additions": ("_add", "_sub"), "xgcd": ("_xgcd",)}
+KERNELS = ("_add", "_sub", "_mul", "_submul", "_scale", "_monic", "_rem", "_exact_div", "_xgcd")
+# each list kernel under every kind of work it does: _submul (a - b*c) is a
+# product and an addition, and _rem is every division (a remainder, an exact
+# division, a negated remainder, a Euclidean step of _xgcd); "calls" counts
+# every kernel call, one kernel's call of another included
+POLY_KINDS = {"products": ("_mul", "_submul"), "divisions": ("_rem",),
+              "additions": ("_add", "_sub", "_submul"), "xgcd": ("_xgcd",), "calls": KERNELS}
 
 
 def _count_poly_ops(monkeypatch):
-    """Tally unipoly's list kernels as the oracle runs them: products,
-    divisions (% and exact division, and xgcd's Euclidean steps, all run
-    _divmod), additions, subtractions and negations (0 - v), and xgcd
-    calls.  Each
-    kernel is patched in unipoly, where the kernels call one another, and in
-    cantor, which imports them by name."""
+    """Tally unipoly's list kernels as the oracle runs them, by POLY_KINDS.
+    Each kernel is patched in unipoly, where the kernels call one another,
+    and in cantor, which imports them by name; a kernel listed under two
+    kinds is wrapped twice and counts in both."""
     def counted(kind, kernel):
         def wrapper(*args):
             COUNTS[kind] += 1
@@ -264,16 +267,17 @@ def _count_poly_ops(monkeypatch):
                     monkeypatch.setattr(module, name, wrapper)
 
 
-# unipoly kernel calls (products, divisions, additions and negations, xgcd
-# calls) of one cantor_add; README tabulates them
-CANTOR_COUNTS = {"coprime": (6, 5, 6, 1), "double": (5, 4, 6, 1), "shared": (10, 7, 10, 2),
-                 "involute": (8, 8, 7, 2)}
+# unipoly kernel work (products, divisions, additions, xgcd calls, kernel
+# calls) of one cantor_add, the same over F_1009 (int natives) and F_{7^2}
+# (element natives); README tabulates them
+CANTOR_COUNTS = {"coprime": (6, 5, 5, 1, 18), "double": (5, 4, 6, 1, 17), "shared": (10, 7, 10, 2, 28),
+                 "involute": (8, 8, 8, 2, 27)}
 
 
-def test_cantor_add_poly_op_counts(monkeypatch):
-    # over F_1009: {P1, P2} plus {P3, P4}, plus itself, plus {P1, P3} (d = 1)
-    # and plus {-P1, P3} (d = x - x1)
-    curve, (p1, p2, p3, p4) = _curve_points(1009)
+def _check_cantor_counts(monkeypatch, p, k):
+    # {P1, P2} plus {P3, P4}, plus itself, plus {P1, P3} (d = 1) and plus
+    # {-P1, P3} (d = x - x1)
+    curve, (p1, p2, p3, p4) = _curve_points(p, k)
     D1 = mumford_from_points(curve, p1, p2)
     p1_ = (p1[0], -p1[1])
     cases = {"coprime": (D1, mumford_from_points(curve, p3, p4)), "double": (D1, D1),
@@ -284,6 +288,16 @@ def test_cantor_add_poly_op_counts(monkeypatch):
         a, b = cantor.from_mumford(P), cantor.from_mumford(Q)
         COUNTS.clear()
         got = cantor.cantor_add(a, b, curve)
-        counts = tuple(COUNTS[k] for k in ("products", "divisions", "additions", "xgcd"))
+        counts = tuple(COUNTS[k] for k in POLY_KINDS)
         assert cantor.to_mumford(got) == grouplaw.add(P, Q, curve), how
         assert counts == CANTOR_COUNTS[how], how
+
+
+def test_cantor_add_poly_op_counts(monkeypatch):
+    _check_cantor_counts(monkeypatch, 1009, 1)
+
+
+def test_cantor_add_poly_op_counts_over_f49(monkeypatch):
+    # the element path: F_{7^2}'s natives are elements, and the kernels run
+    # the same calls on them
+    _check_cantor_counts(monkeypatch, 7, 2)

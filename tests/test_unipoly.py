@@ -10,7 +10,7 @@ from g2div.errors import InexactDivision
 from g2div.fields import GF, QQ
 from g2div.polyring import PolyRing
 from g2div.roots import roots_in_field
-from g2div.unipoly import UniPoly, _divmod, gcd, resultant, xgcd
+from g2div.unipoly import UniPoly, _rem, gcd, resultant, xgcd
 
 F7 = GF(7)
 
@@ -35,8 +35,10 @@ def elem(field, n):
 
 
 def divmod_poly(a, b):
-    """(q, r) with a = q*b + r, from the _divmod kernel."""
-    q, r = _divmod(a.field, a._c, b._c)
+    """(q, r) with a = q*b + r, from the _rem kernel and the quotient it
+    hands back."""
+    q = []
+    r = _rem(a.field, a._c, b._c, q)
     return UniPoly._make(a.field, q), UniPoly._make(a.field, r)
 
 
