@@ -1,5 +1,6 @@
 """Root finding over a field: the roots of a univariate polynomial in its base
-field and the distinct irreducible factors of degree 1 or 2 over F_q.
+field and its distinct irreducible factors of degree 1 or 2, over F_q by
+Rabin and Cantor-Zassenhaus, and over Q by the same split modulo one prime.
 
 Loaded on first use, so a call that finds no roots never compiles it: by
 curves.branch_points, torsion.two_torsion_divisors, models and extension.
@@ -7,7 +8,11 @@ Its names resolve through g2div.unipoly too (PEP 562).
 """
 from __future__ import annotations
 
+from itertools import combinations
+from math import lcm
+
 from .errors import DivisionByZero
+from .fields import GF, is_prime
 from .unipoly import UniPoly, _mul, _poly, _rem, gcd
 
 
@@ -26,54 +31,17 @@ def powmod(base: UniPoly, e: int, m: UniPoly) -> UniPoly:
 
 
 def roots_in_field(poly: UniPoly) -> list:
-    """All distinct roots of poly in its base field, sorted by sort_key.
-
-    Over F_q: Rabin's g = gcd(f, x^q - x) collects the roots, and
-    Cantor-Zassenhaus equal-degree splitting separates them, so the cost is
-    polylogarithmic in q.  Over Q the monic rational-root search runs on the
-    cleared-denominator model.
-    """
+    """All distinct roots of poly in its base field, sorted by sort_key: the
+    roots of its linear factors (factors_of_degree)."""
     F = poly.field
     if poly.is_zero():
         raise DivisionByZero("zero polynomial has every root")
-    if F.order() is not None:
-        return sorted((-h[0] for h in factors_of_degree(poly.monic(), 1)), key=F.sort_key)
-    found = []
-    # rational roots: substitute x = u/c with c clearing denominators, monic in u
-    from fractions import Fraction
-    from math import lcm
-    if poly.degree() == 0:
-        return []
-    coeffs = [Fraction(c.value) for c in poly.coeffs]  # an int / int is a float
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-    c = lcm(*[f.denominator for f in monic])
-    n = len(monic) - 1
-    ints = [int(monic[i] * c ** (n - i)) for i in range(n + 1)]  # monic in u = c*x
-    if ints[0] == 0:
-        found.append(F.zero)
-        while ints[0] == 0 and len(ints) > 1:
-            ints = ints[1:]
-    const = abs(ints[0])
-    if const == 0:
-        return sorted(set(found), key=F.sort_key)
-    divisors = []
-    d = 1
-    while d * d <= const:
-        if const % d == 0:
-            divisors += [d, const // d]
-        d += 1
-    for d in sorted(set(divisors)):
-        for u in (d, -d):
-            x = F.element(Fraction(u, c))
-            if F.is_zero(poly.evaluate(x)):
-                found.append(x)
-    return sorted(set(found), key=F.sort_key)
+    return sorted((-h[0] for h in factors_of_degree(poly.monic(), 1)), key=F.sort_key)
 
 
 def factors_of_degree(f: UniPoly, d: int) -> list:
     """The distinct monic irreducible factors of degree d (1 or 2) of monic f
-    over F_q, q odd (Rabin; Cantor-Zassenhaus).
+    over F_q, q odd (Rabin; Cantor-Zassenhaus), or over Q (_factors_over_q).
 
     g = gcd(f, x^(q^d) - x) is the product of the distinct irreducible
     factors whose degree divides d; for d = 2 the linear ones are divided out.
@@ -93,6 +61,8 @@ def factors_of_degree(f: UniPoly, d: int) -> list:
         return []
     F = f.field
     q = F.order()
+    if q is None:
+        return _factors_over_q(f, d)
     x = UniPoly.x(F)
     g = gcd(f, powmod(x, q ** d, f) - x)
     if d == 2:
@@ -113,3 +83,33 @@ def factors_of_degree(f: UniPoly, d: int) -> list:
                 break
         todo += [s, h.exact_div(s)]
     return factors
+
+
+def _factors_over_q(f: UniPoly, d: int) -> list:
+    """factors_of_degree over Q by one large prime (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 15).  The monic factors over Q of
+    g(u) = c^n * f(u/c), monic in Z[u], are integral (Gauss), and its roots
+    lie below R = 1 + max|g_i| (Cauchy), so the coefficients of a factor of
+    degree d lie below (2R)^d / 2: they are the symmetric residues of its
+    image mod a prime p > (2R)^d, which is a linear factor of g mod p, or for
+    d = 2 an irreducible quadratic or a product of two distinct linear ones
+    (its discriminant (r1 - r2)^2 lies below 4R^2 < p, so no square).  A lift,
+    coefficient i divided by c^(d-i), is kept when it divides f and, for
+    d = 2, its discriminant is not a square.  p follows a power of two above
+    8 (so is never the excluded 5), and GF caches one field per bit length."""
+    F, n = f.field, f.degree()
+    c = lcm(*(a.denominator for a in f._c))
+    g = [int(a * c ** (n - i)) for i, a in enumerate(f._c)]
+    p = 2 ** ((2 + 2 * max(map(abs, g))) ** d).bit_length() + 1
+    while not is_prime(p):
+        p += 2
+    gp = UniPoly(GF(p), g)
+    lin = factors_of_degree(gp, 1)
+    images = lin if d == 1 else factors_of_degree(gp, 2) + [a * b for a, b in combinations(lin, 2)]
+    out = []
+    for h in images:
+        s = [v - p if 2 * v > p else v for v in h._c]
+        w = UniPoly(F, [v * c ** i for i, v in enumerate(s)]).monic()  # h(c*x) / c^d
+        if (f % w).is_zero() and (d == 1 or not F.is_square(F.element(s[1] ** 2 - 4 * s[0]))):
+            out.append(w)
+    return out

@@ -34,11 +34,13 @@ from .curves import LAMBDA_NAMES, LAMBDA_WEIGHTS, CanonicalCurve, _p_of
 from .divisors import MumfordDivisor, p_mod_u
 from .errors import (
     CharacteristicTooSmall,
+    DegenerateCurve,
+    DivisionByZero,
     GammaUndefined,
     SerializationError,
     UnsupportedField,
 )
-from .fields import Field, QQ, is_prime
+from .fields import GF, Field, QQ, is_prime
 from .grouplaw import (
     _check_operands,
     _gammas,
@@ -101,17 +103,33 @@ def _rho_factor(n: int) -> int:
             return g
 
 
+def _good_prime(curve: CanonicalCurve) -> int:
+    """The least odd prime l != 5 at which the curve over Q has good
+    reduction: its coefficients are l-integral and reduce to a curve over F_l."""
+    ell = 3
+    while True:
+        if ell != 5 and is_prime(ell):
+            try:
+                CanonicalCurve(GF(ell), curve.native)
+                return ell
+            except (DivisionByZero, DegenerateCurve):
+                pass
+        ell += 2
+
+
 def is_torsion(D: MumfordDivisor, n: int, curve: CanonicalCurve) -> bool:
     """Exact order n.
 
     D has exact order n when nD = 0 and (n/l)D != 0 for each prime l | n,
     so the test takes 1 + omega(n) scalar multiplications.  Over F_q no order
     exceeds #J(F_q) <= (1 + sqrt q)^4 <= (2 + isqrt q)^4, so a larger n takes
-    none; else, once nD = 0, n is factored by _prime_divisors."""
+    none; over Q the same holds with q = _good_prime(curve), as reduction at
+    an odd prime of good reduction is injective on torsion (N. Katz, Invent.
+    Math. 62, 1981).  Else, once nD = 0, n is factored by _prime_divisors."""
     if n < 1:
         raise SerializationError("torsion order must be positive")
-    q = curve.field.order()
-    if q is not None and n > (2 + isqrt(q)) ** 4:
+    q = curve.field.order() or _good_prime(curve)
+    if n > (2 + isqrt(q)) ** 4:
         _check_operands(curve, D)
         return False
     if scalar_mul(n, D, curve).variant != "neutral":
@@ -121,23 +139,21 @@ def is_torsion(D: MumfordDivisor, n: int, curve: CanonicalCurve) -> bool:
 
 
 def two_torsion_divisors(curve: CanonicalCurve) -> list:
-    """All 2-torsion classes rational over the base field.
+    """All 2-torsion classes rational over the base field, F_q or Q.
 
     Single branch points give degree-1 classes; unordered pairs of distinct
-    branch points, and over F_q each quadratic factor w of P irreducible
-    there, give degree-2 classes u = (x - e1)(x - e2) or u = w with vanishing
-    b-coordinates.  Over Q quadratic factors of P are not searched, so only
-    the branch points and their pairs are returned.  Over a splitting field
-    the count is C(5,2) + 5 = 15."""
+    branch points, and each quadratic factor w of P irreducible over the
+    base field, give degree-2 classes u = (x - e1)(x - e2) or u = w with
+    vanishing b-coordinates.  Over a splitting field the count is
+    C(5,2) + 5 = 15."""
     from .roots import factors_of_degree
     F = curve.field
     bps = curve.branch_points()
     out = [MumfordDivisor.special(F, b, 0) for b in bps]
     for b1, b2 in combinations(bps, 2):
         out.append(MumfordDivisor.nonspecial(F, -(b1 + b2), b1 * b2, 0, 0))
-    if F.order() is not None:
-        for w in factors_of_degree(curve.px(), 2):
-            out.append(MumfordDivisor.nonspecial(F, w[1], w[0], 0, 0))
+    for w in factors_of_degree(curve.px(), 2):
+        out.append(MumfordDivisor.nonspecial(F, w[1], w[0], 0, 0))
     return sorted(out, key=lambda d: d.sort_key())
 
 

@@ -138,6 +138,37 @@ def test_torsion_find_matches_oracle_run(files, capsys):
     assert mine == oracle[:-1]
 
 
+# y^2 = P(x) over Q with rational quadratic factors w of P: each gives the
+# 2-torsion class (w, 0), found by factoring P modulo one large prime
+Q_TWO_TORSION = {
+    # P = (x^2 + 1)(x^3 + x + 3)
+    ("0", "2", "3", "1", "3"): [{"alpha": ["0", "1"], "beta": ["0", "0"], "type": "nonspecial"}],
+    # P = (x - 1)(x^2 + 1)(x^2 + 2)
+    ("-1", "3", "-3", "2", "-2"): [{"point": ["1", "0"], "type": "special"},
+                                   {"alpha": ["0", "1"], "beta": ["0", "0"], "type": "nonspecial"},
+                                   {"alpha": ["0", "2"], "beta": ["0", "0"], "type": "nonspecial"}],
+}
+
+
+def test_torsion_find_two_over_q_quadratic_factors(tmp_path, capsys):
+    c = tmp_path / "c.json"
+    for lam, want in Q_TWO_TORSION.items():
+        c.write_text(json.dumps({"field": {"kind": "rational"}, "form": "canonical",
+                                 "lambda": list(lam)}))
+        code, found = run(capsys, "torsion", "find", "--n", "2", "--curve", str(c))
+        assert code == 0 and found == want, lam
+        paths = []
+        for i, d in enumerate(found):
+            paths.append(tmp_path / f"d{i}.json")
+            paths[-1].write_text(json.dumps(d))
+            code, out = run(capsys, "torsion", "check", "--n", "2", "--curve", str(c),
+                            "--divisor", str(paths[-1]))
+            assert code == 0 and out == [{"n": 2, "is_torsion": True}], d
+    # the two degree-2 classes of the second curve sum to the third class
+    code, out = run(capsys, "jac", "add", str(paths[1]), str(paths[2]), "--curve", str(c))
+    assert code == 0 and out == [found[0]]
+
+
 def test_torsion_check(files, tmp_path, capsys):
     c, _ = files
     s = tmp_path / "s.json"

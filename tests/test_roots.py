@@ -1,12 +1,16 @@
-"""Finite-field root finding (Rabin's gcd with x^q - x, Cantor-Zassenhaus
-splitting) against a whole-field scan, and the entry points that must not
-enumerate a field."""
+"""Root finding (Rabin's gcd with x^q - x, Cantor-Zassenhaus splitting)
+against a whole-field scan over F_q and against rational-root trial division
+over Q, and the entry points that must not enumerate a field."""
 import json
 import random
 import time
+from fractions import Fraction
+from math import isqrt, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pullback
 from g2div import cantor, cli, extension, fields
@@ -26,6 +30,7 @@ P127 = 2 ** 127 - 1
 P127_CURVE = Path(__file__).parent / "data" / "p127_three_branch_points.json"
 
 ROOT_FIELDS = [GF(7), GF(1009), GF(3, 2), GF(3, 3), GF(31, 2), GF(13, 4)]
+QQ = fields.QQ()
 
 
 def scan_roots(poly):
@@ -104,10 +109,93 @@ def test_every_pair_of_irreducible_quadratics_splits(F):
             assert sorted(factors_of_degree(f, 2), key=repr) == sorted([w1, w2], key=repr)
 
 
-@pytest.mark.parametrize("F", ROOT_FIELDS + [fields.QQ()], ids=lambda f: f.short_name())
+@pytest.mark.parametrize("F", ROOT_FIELDS + [QQ], ids=lambda f: f.short_name())
 def test_zero_polynomial_raises(F):
     with pytest.raises(DivisionByZero):
         roots_in_field(UniPoly.zero(F))
+
+
+# ---------------------------------------------------------------------------
+# over Q: the large-prime factorization against rational-root trial division
+
+def trial_division_roots(poly):
+    """Every rational root of poly, sorted by sort_key: the rational-root
+    search on the monic model in u = c*x, c clearing the denominators, with
+    every divisor of the constant term found by trial division up to its
+    square root (roots_in_field over Q before the large-prime method)."""
+    F = poly.field
+    found = []
+    if poly.degree() == 0:
+        return []
+    coeffs = [Fraction(c.value) for c in poly.coeffs]  # an int / int is a float
+    lead = coeffs[-1]
+    monic = [c / lead for c in coeffs]
+    c = lcm(*[f.denominator for f in monic])
+    n = len(monic) - 1
+    ints = [int(monic[i] * c ** (n - i)) for i in range(n + 1)]  # monic in u = c*x
+    if ints[0] == 0:
+        found.append(F.zero)
+        while ints[0] == 0 and len(ints) > 1:
+            ints = ints[1:]
+    const = abs(ints[0])
+    if const == 0:
+        return sorted(set(found), key=F.sort_key)
+    divisors = []
+    d = 1
+    while d * d <= const:
+        if const % d == 0:
+            divisors += [d, const // d]
+        d += 1
+    for d in sorted(set(divisors)):
+        for u in (d, -d):
+            x = F.element(Fraction(u, c))
+            if F.is_zero(poly.evaluate(x)):
+                found.append(x)
+    return sorted(set(found), key=F.sort_key)
+
+
+@st.composite
+def rational_products(draw):
+    """(f, quadratics): f = s * prod(x - r_i) * prod(x^2 + b_j*x + c_j) with
+    small rational r_i, integer b_j, c_j and each list's head repeated."""
+    def repeated(items):
+        return items + items[:draw(st.integers(0, len(items)))]
+
+    roots = repeated(draw(st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 2)),
+                                   max_size=2)))
+    quads = repeated(draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                                   max_size=2)))
+    s = draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)) | st.just(Fraction(-3, 7)))
+    f = UniPoly.constant(QQ, s)
+    for r in roots:
+        f = f * UniPoly(QQ, [-r, 1])
+    for b, c in quads:
+        f = f * UniPoly(QQ, [c, b, 1])
+    return f, quads
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(rational_products())
+def test_rational_factors_match_trial_division(case):
+    f, quads = case
+    assert roots_in_field(f) == trial_division_roots(f), f
+    irreducible = {UniPoly(QQ, [c, b, 1]) for b, c in quads
+                   if b * b - 4 * c < 0 or isqrt(b * b - 4 * c) ** 2 != b * b - 4 * c}
+    got = factors_of_degree(f.monic(), 2)
+    assert len(got) == len(set(got)) and set(got) == irreducible, f
+
+
+def test_large_rational_coefficients():
+    # cleared constant terms near 10^20 and 10^30: trial division would need
+    # about 10^10 and 10^15 steps
+    x = UniPoly.x(QQ)
+    f = (x - 10 ** 20) * UniPoly(QQ, [1, 0, 0, 0, 1])
+    assert _timed(roots_in_field, f) == [QQ.element(10 ** 20)]
+    assert factors_of_degree(f, 2) == []
+    w = UniPoly(QQ, [10 ** 30 + 7, 0, 1])
+    g = w * UniPoly(QQ, [1, 1, 0, 1])
+    assert _timed(factors_of_degree, g, 2) == [w]
+    assert roots_in_field(g) == []
 
 
 def test_embedding_root_is_least_scanned_root():

@@ -957,8 +957,9 @@ class TestConstructedTorsion:
 
 # ---------------------------------------------------------------------------
 # an n with two prime factors above 10^6: is_torsion factors n once nD = 0,
-# testing primality only as the cofactor shrinks, and over F_q an n past the
-# Hasse-Weil bound takes no scalar multiplication
+# testing primality only as the cofactor shrinks, and an n past the
+# Hasse-Weil bound (over Q, at a prime of good reduction) takes no scalar
+# multiplication
 
 BIG_PRIMES = (1000003, 1000033)
 
@@ -1003,11 +1004,34 @@ def test_is_torsion_past_the_hasse_weil_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("name,n", NAMES)
-def test_is_torsion_with_large_prime_factors_over_q(name, n):
-    # Q has no bound: nD = 0, so n is factored, by Pollard-Brent rho past 2^8
+def test_is_torsion_with_large_prime_factors_over_q(name, n, monkeypatch):
+    # over Q no order exceeds #J(F_l) at the least odd prime l != 5 of good
+    # reduction, l = 7 for both fixtures, so an n past (2 + isqrt 7)^4 takes
+    # no scalar multiplication however large its prime factors; n = 3 with
+    # the 64-bit pair is 1020847100762815382531810846895035660643
     curve, d = _fixture("q", name)
-    for p, q in (BIG_PRIMES, (1000000007, 1000000009)):
+    assert torsion._good_prime(curve) == 7 and is_torsion(d, n, curve)
+    ladders = [0]
+
+    def counted(*args):
+        ladders[0] += 1
+        return scalar_mul(*args)
+
+    monkeypatch.setattr(torsion, "scalar_mul", counted)
+    for p, q in (BIG_PRIMES, (1000000007, 1000000009), (2 ** 64 - 59, 2 ** 64 - 83)):
+        t0 = time.perf_counter()
         assert not is_torsion(d, n * p * q, curve)
+        assert time.perf_counter() - t0 < 1.0, (p, q)
+    assert ladders[0] == 0
+
+
+@pytest.mark.parametrize("lam,ell", [((0, 0, 0, 0, 1), 3), ((0, 0, 0, 0, 3), 7),
+                                     ((0, 0, 0, 0, Fraction(1, 3)), 7), ((0, 0, 0, 0, 21), 11),
+                                     ((0, 0, 0, 0, Fraction(3, 7)), 11)])
+def test_good_prime_skips_bad_reduction(lam, ell):
+    # x^5 + 3 is x^5 mod 3 and x^5 + 21 also mod 7; 1/3 and 3/7 are not 3- and
+    # 7-integral; 5 is excluded
+    assert torsion._good_prime(CanonicalCurve(QQ(), lam)) == ell
 
 
 def _trial_division_primes(n):
